@@ -70,7 +70,7 @@ def build_dual_graph(model, names) -> WeightedDualGraph:
     """Dual graph of the named tracked curves with current intersections."""
     names = sorted(set(names))
     for n in names:
-        model.curve_class(n)  # raises ModelError on unknown names
+        model.row(n)  # raises ModelError on unknown names
     vertices = tuple((n, model.self_int(n), model.genus(n)) for n in names)
     edges = []
     for i, a in enumerate(names):

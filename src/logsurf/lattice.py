@@ -1,61 +1,30 @@
-"""Surface models as Picard lattices of iterated blow-ups of the plane.
+"""Surface models as intersection matrices of iterated blow-ups of the plane.
 
-A model is the numerical shadow of a rational surface: an ambient
-intersection lattice in the diagonal basis (+1, -1, ..., -1), the canonical
-class, a set of named tracked curve classes, and a subset of tracked curves
-declared contracted (the exceptional set of a map to a normal, possibly
-singular, surface).
+A model is the numerical shadow of a rational surface: one symmetric integer
+matrix holding every intersection number of the canonical class K and a set
+of named tracked curves, plus a subset of tracked curves declared contracted
+(the exceptional set of a map to a normal, possibly singular, surface).
 
-Blow-downs keep the ambient coordinate length and decrement a separate rank
-counter; pushforward representatives live in the orthogonal complement of
-the contracted (-1)-class, so one fixed diagonal form computes all pairings
-forever.
+Row and column 0 belong to K; row i belongs to the i-th tracked curve. A
+blow-up appends a row and a blow-down is a rank-one update, so no ambient
+coordinates are ever needed: every number the package uses is an entry of
+the matrix or a bilinear combination of its rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 
 from .errors import ModelError, NotNegativeDefiniteError
-from .linalg import is_negative_definite_matrix, pairing
+from .linalg import is_negative_definite_matrix
 
 GENERAL = "general"
 ON_CURVE = "on_curve"
 AT_INTERSECTION = "at_intersection"
 
-
-@dataclass(frozen=True)
-class CurveClass:
-    """An integral class in the ambient lattice, in the diagonal basis.
-
-    Index 0 is the hyperplane class; later indices are exceptional basis
-    directions. The pairing is diagonal (+1, -1, ..., -1) and lives in
-    linalg.pairing, not here.
-    """
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        assert len(self.coeffs) >= 1
-        assert all(isinstance(c, int) for c in self.coeffs)
-
-    def padded(self, length: int) -> "CurveClass":
-        assert length >= len(self.coeffs)
-        return CurveClass(self.coeffs + (0,) * (length - len(self.coeffs)))
-
-    def scaled(self, c: int) -> "CurveClass":
-        return CurveClass(tuple(c * x for x in self.coeffs))
-
-    def __add__(self, other: "CurveClass") -> "CurveClass":
-        assert len(self.coeffs) == len(other.coeffs)
-        return CurveClass(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "CurveClass") -> "CurveClass":
-        return self + other.scaled(-1)
-
-    def __neg__(self) -> "CurveClass":
-        return self.scaled(-1)
+K_ROW = 0
 
 
 @dataclass(frozen=True)
@@ -86,98 +55,102 @@ class PointSpec:
 
 
 @dataclass(frozen=True)
-class BlowupRecord:
-    point: PointSpec
-    name: str
-    basis_index: int
-
-
-@dataclass(frozen=True)
 class SurfaceModel:
     """Tracked intersection data of a rational surface.
 
-    `rank` is the Picard rank of the smooth ambient surface; it can be
-    smaller than the coordinate length after blow-downs. `contracted`
-    names the tracked curves collapsed by the map to the modeled surface;
-    an empty set means the surface itself is smooth.
+    `matrix` is the symmetric intersection matrix of (K, names[0], ...,
+    names[-1]). `rank` is the Picard rank of the smooth surface carrying the
+    tracked curves, so K.K = 10 - rank. `contracted` names the tracked
+    curves collapsed by the map to the modeled surface; an empty set means
+    the surface itself is smooth.
     """
 
     rank: int
-    canonical: CurveClass
-    curves: dict[str, CurveClass]
-    contracted: frozenset[str]
-    history: tuple[BlowupRecord, ...]
+    names: tuple[str, ...]
+    matrix: tuple[tuple[int, ...], ...]
+    contracted: frozenset[str] = frozenset()
 
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.canonical.coeffs)
+    def __post_init__(self):
+        object.__setattr__(self, "_rows", {n: i for i, n in enumerate(self.names, 1)})
 
     @property
     def k_squared(self) -> int:
-        return pairing(self.canonical.coeffs, self.canonical.coeffs)
+        return self.matrix[K_ROW][K_ROW]
 
     @property
     def tracked(self) -> tuple[str, ...]:
-        return tuple(sorted(self.curves))
+        return tuple(sorted(self.names))
 
-    def curve_class(self, name: str) -> CurveClass:
+    def row(self, name: str) -> int:
         try:
-            return self.curves[name]
+            return self._rows[name]
         except KeyError:
             raise ModelError(f"unknown curve {name!r}") from None
 
-    def pair(self, a: CurveClass, b: CurveClass) -> int:
-        return intersect(self, a, b)
-
     def intersection(self, a: str, b: str) -> int:
-        return intersect(self, self.curve_class(a), self.curve_class(b))
+        return self.matrix[self.row(a)][self.row(b)]
 
     def self_int(self, name: str) -> int:
-        c = self.curve_class(name)
-        return intersect(self, c, c)
+        i = self.row(name)
+        return self.matrix[i][i]
 
     def k_dot(self, name: str) -> int:
-        return intersect(self, self.canonical, self.curve_class(name))
+        return self.matrix[K_ROW][self.row(name)]
 
     def genus(self, name: str) -> Fraction:
-        return arithmetic_genus(self, self.curve_class(name))
+        """Arithmetic genus by adjunction: 1 + (C.C + K.C)/2, always exact."""
+        return Fraction(1) + Fraction(self.self_int(name) + self.k_dot(name), 2)
 
     def gram(self, names) -> list[list[int]]:
-        classes = [self.curve_class(n) for n in names]
-        return [[intersect(self, a, b) for b in classes] for a in classes]
+        rows = [self.row(n) for n in names]
+        return [[self.matrix[i][j] for j in rows] for i in rows]
+
+    def dot(self, u, v) -> Fraction:
+        """Intersection number of two rational combinations of rows.
+
+        `u` and `v` are sequences of (row, coefficient) pairs; row K_ROW is
+        the canonical class. Denominators are cleared first, so the double
+        sum runs over integers.
+        """
+        du = lcm(*(c.denominator for _, c in u))
+        dv = lcm(*(c.denominator for _, c in v))
+        ui = [(i, c.numerator * (du // c.denominator)) for i, c in u]
+        vj = [(j, c.numerator * (dv // c.denominator)) for j, c in v]
+        m = self.matrix
+        return Fraction(sum(a * b * m[i][j] for i, a in ui for j, b in vj), du * dv)
 
 
-def intersect(model: SurfaceModel, a: CurveClass, b: CurveClass) -> int:
-    """Intersection number of two classes under the ambient diagonal form."""
-    if len(a.coeffs) != model.ambient_dim or len(b.coeffs) != model.ambient_dim:
-        raise ModelError("class length does not match the ambient lattice")
-    return pairing(a.coeffs, b.coeffs)
-
-
-def arithmetic_genus(model: SurfaceModel, c: CurveClass) -> Fraction:
-    """Genus by adjunction: 1 + (C.C + K.C)/2, always exact."""
-    total = intersect(model, c, c) + intersect(model, model.canonical, c)
-    assert total % 2 == 0  # the canonical class is characteristic
-    return Fraction(1) + Fraction(total, 2)
+def _frozen(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    # tuple() of a list allocates the exact size; tuple() of a generator
+    # grows from a guess and strands CPython's per-size tuple free lists
+    return tuple([tuple(row) for row in rows])
 
 
 def _validated(model: SurfaceModel) -> SurfaceModel:
-    dim = model.ambient_dim
-    if not (1 <= model.rank <= dim):
-        raise ModelError(f"rank {model.rank} out of range for ambient dimension {dim}")
-    assert model.k_squared == 10 - model.rank
-    names = model.tracked
-    for name in names:
-        c = model.curves[name]
-        if len(c.coeffs) != dim:
-            raise ModelError(f"curve {name!r} has class length {len(c.coeffs)}, expected {dim}")
-        if arithmetic_genus(model, c) != 0:
+    names = model.names
+    m = model.matrix
+    size = len(names) + 1
+    if len(model._rows) != len(names):
+        raise ModelError("tracked curve names repeat")
+    if len(m) != size or any(len(row) != size for row in m):
+        raise ModelError(f"intersection matrix is not {size} x {size}")
+    for i in range(size):
+        for j in range(i, size):
+            if type(m[i][j]) is not int or m[i][j] != m[j][i]:
+                raise ModelError(f"intersection matrix is not a symmetric integer matrix at ({i}, {j})")
+    if model.rank < 1:
+        raise ModelError(f"rank {model.rank} < 1")
+    if model.k_squared != 10 - model.rank:
+        raise ModelError(f"K.K = {model.k_squared} but rank {model.rank} needs {10 - model.rank}")
+    for i, name in enumerate(names, 1):
+        if m[i][i] + m[K_ROW][i] != -2:
             raise ModelError(f"curve {name!r} is not a smooth rational class (genus != 0)")
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            if model.intersection(a, b) < 0:
-                raise ModelError(f"tracked curves {a!r} and {b!r} have negative intersection")
-    stray = model.contracted - set(model.curves)
+        for j in range(i + 1, size):
+            if m[i][j] < 0:
+                raise ModelError(
+                    f"tracked curves {name!r} and {names[j - 1]!r} have negative intersection"
+                )
+    stray = model.contracted - set(names)
     if stray:
         raise ModelError(f"contracted names not tracked: {sorted(stray)}")
     contracted = sorted(model.contracted)
@@ -194,78 +167,60 @@ def _validated(model: SurfaceModel) -> SurfaceModel:
 
 
 def new_projective_plane() -> SurfaceModel:
-    """The plane: rank 1, canonical class -3H, nothing tracked."""
-    return _validated(
-        SurfaceModel(
-            rank=1,
-            canonical=CurveClass((-3,)),
-            curves={},
-            contracted=frozenset(),
-            history=(),
-        )
-    )
+    """The plane: rank 1, K.K = 9, nothing tracked."""
+    return _validated(SurfaceModel(rank=1, names=(), matrix=((9,),)))
 
 
 def blow_up(model: SurfaceModel, point: PointSpec, exc_name: str) -> SurfaceModel:
-    """Blow up a point, appending one exceptional basis direction.
+    """Blow up a point, appending the exceptional curve E as a new row.
 
-    Curves named in the point spec lose the new basis class (strict
-    transform); the canonical class gains it. Only smooth models (empty
-    contracted set) may be blown up.
+    Every old row R becomes R + s_R E, with s_K = +1 (K' = K + E), s_C = -1
+    for the curves named in the point spec (strict transforms) and 0
+    otherwise. So the old block loses s s^T, E pairs with R as -s_R, and
+    E.E = -1. Only smooth models (empty contracted set) may be blown up.
     """
     if model.contracted:
         raise ModelError("cannot blow up a model with contracted curves")
-    if exc_name in model.curves:
+    if exc_name in model._rows:
         raise ModelError(f"curve name {exc_name!r} already tracked")
     for n in point.names:
-        if n not in model.curves:
+        if n not in model._rows:
             raise ModelError(f"unknown curve {n!r} in blow-up point")
     if point.kind == AT_INTERSECTION:
         a, b = point.names
         if model.intersection(a, b) < 1:
             raise ModelError(f"curves {a!r} and {b!r} do not meet; no intersection to blow up")
-    curves = {}
-    for name, c in model.curves.items():
-        through = -1 if name in point.names else 0
-        curves[name] = CurveClass(c.coeffs + (through,))
-    new_index = model.ambient_dim
-    curves[exc_name] = CurveClass((0,) * new_index + (1,))
-    record = BlowupRecord(point=point, name=exc_name, basis_index=new_index)
+    through = {model.row(n) for n in point.names}
+    s = [1] + [-1 if i in through else 0 for i in range(1, len(model.matrix))]
+    rows = [[x - si * sj for x, sj in zip(row, s)] + [-si] for row, si in zip(model.matrix, s)]
+    rows.append([-si for si in s] + [-1])
     return _validated(
-        SurfaceModel(
-            rank=model.rank + 1,
-            canonical=CurveClass(model.canonical.coeffs + (1,)),
-            curves=curves,
-            contracted=frozenset(),
-            history=model.history + (record,),
-        )
+        SurfaceModel(rank=model.rank + 1, names=model.names + (exc_name,), matrix=_frozen(rows))
     )
 
 
 def blow_down(model: SurfaceModel, exc_name: str) -> SurfaceModel:
-    """Contract a (-1)-curve to a smooth point.
+    """Contract a (-1)-curve e to a smooth point.
 
-    Every remaining class D becomes its pushforward representative
-    D + (D.e)e, orthogonal to e; the canonical class transforms the same
-    way (K.e = -1, so K maps to K - e). Ambient coordinates stay fixed;
-    the rank counter drops.
+    Every remaining row D, K included, becomes its pushforward D + (D.e)e,
+    so with g the column of e the matrix takes the rank-one update
+    M + g g^T; then e's row and column are dropped. The rank drops by one.
     """
-    e = model.curve_class(exc_name)
     if model.self_int(exc_name) != -1 or model.k_dot(exc_name) != -1:
         raise ModelError(f"{exc_name!r} is not a (-1)-curve; cannot blow down")
-    curves = {}
-    for name, c in model.curves.items():
-        if name == exc_name:
-            continue
-        curves[name] = c + e.scaled(intersect(model, c, e))
-    canonical = model.canonical + e.scaled(intersect(model, model.canonical, e))
+    e = model.row(exc_name)
+    g = [row[e] for row in model.matrix]
+    rows = [
+        [x + gi * gj for j, (x, gj) in enumerate(zip(row, g)) if j != e]
+        for i, (row, gi) in enumerate(zip(model.matrix, g))
+        if i != e
+    ]
     return _validated(
         SurfaceModel(
             rank=model.rank - 1,
-            canonical=canonical,
-            curves=curves,
+            names=tuple([n for n in model.names if n != exc_name]),
+            matrix=_frozen(rows),
             contracted=model.contracted - {exc_name},
-            history=model.history,
         )
     )
 
@@ -273,7 +228,7 @@ def blow_down(model: SurfaceModel, exc_name: str) -> SurfaceModel:
 def declare_contracted(model: SurfaceModel, names) -> SurfaceModel:
     """Extend the contracted set, validating Artin contractibility."""
     names = frozenset(names)
-    unknown = names - set(model.curves)
+    unknown = names - set(model.names)
     if unknown:
         raise ModelError(f"cannot contract unknown curves: {sorted(unknown)}")
     return _validated(replace(model, contracted=model.contracted | names))

@@ -11,16 +11,6 @@ from fractions import Fraction
 from math import lcm
 
 
-def pairing(u: tuple[int, ...], v: tuple[int, ...]) -> int:
-    """Intersection pairing in the diagonal basis (+1, -1, ..., -1)."""
-    assert len(u) == len(v), "classes live in lattices of different rank"
-    assert len(u) >= 1
-    total = u[0] * v[0]
-    for a, b in zip(u[1:], v[1:]):
-        total -= a * b
-    return total
-
-
 def det_bareiss(matrix: list[list[int]]) -> int:
     """Exact determinant of an integer matrix via fraction-free elimination.
 
@@ -110,13 +100,3 @@ def solve_exact(
         x[i] = acc / aug[i][i]
     return [xi / scale for xi in x]
 
-
-def vec_add(
-    u: tuple[Fraction, ...], v: tuple[Fraction, ...]
-) -> tuple[Fraction, ...]:
-    assert len(u) == len(v)
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_scale(c: Fraction | int, u: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    return tuple(Fraction(c) * a for a in u)

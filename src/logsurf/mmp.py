@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .errors import ModelError, NotNegativeDefiniteError, ScenarioError
 from .lattice import (
+    K_ROW,
     PointSpec,
     SurfaceModel,
     blow_down,
@@ -28,7 +29,9 @@ from .singularities import (
     EPS_LOG_TERMINAL,
     NOT_LOG_CANONICAL,
     QDivisor,
+    _check_boundary,
     classify,
+    divisor_terms,
     log_discrepancies,
     minimal_resolution,
     pullback,
@@ -45,13 +48,7 @@ class MmpState:
     step_index: int = 0
 
     def __post_init__(self):
-        for name, c in self.boundary.coefficients:
-            if name not in self.surface.curves:
-                raise ModelError(f"boundary names unknown curve {name!r}")
-            if name in self.surface.contracted and c != 0:
-                raise ModelError(f"boundary curve {name!r} is contracted")
-            if not (0 <= c <= 1):
-                raise ModelError(f"boundary coefficient {c} on {name!r} outside [0, 1]")
+        _check_boundary(self.surface, self.boundary)
 
     @property
     def rho(self) -> int:
@@ -111,65 +108,42 @@ def parse_strategy(text: str):
     raise ScenarioError(f"unknown strategy {text!r}")
 
 
-def _mumford_vector(model: SurfaceModel, name: str) -> list[Fraction]:
-    """Full pullback class of a tracked curve as a rational vector."""
-    vec = [Fraction(x) for x in model.curve_class(name).coeffs]
+def _mumford_terms(model: SurfaceModel, name: str) -> list[tuple[int, Fraction]]:
+    """Full pullback of a tracked curve as (row, coefficient) pairs."""
+    terms = [(model.row(name), 1)]
     if all(model.intersection(name, e) == 0 for e in model.contracted):
-        return vec  # disjoint from the contracted set: nothing to correct
+        return terms  # disjoint from the contracted set: nothing to correct
     coeffs = pullback(model, QDivisor.from_map({name: 1}))
-    for e, c in coeffs.coefficients:
-        cls = model.curve_class(e)
-        vec = [v + c * x for v, x in zip(vec, cls.coeffs)]
-    return vec
-
-
-def _pair_vectors(u, v) -> Fraction:
-    total = u[0] * v[0]
-    for a, b in zip(u[1:], v[1:]):
-        total -= a * b
-    return Fraction(total)
+    return terms + divisor_terms(model, coeffs)
 
 
 def extremal_pairing(model: SurfaceModel, boundary: QDivisor, name: str) -> Fraction:
     """(K + boundary).C on the modeled surface, via the numerical pullback."""
     if name in model.contracted:
         raise ModelError(f"curve {name!r} is contracted; it has no extremal pairing")
-    fc = _mumford_vector(model, name)
-    log_vec = [Fraction(x) for x in model.canonical.coeffs]
-    for b, c in boundary.coefficients:
-        cls = model.curve_class(b)
-        log_vec = [v + c * x for v, x in zip(log_vec, cls.coeffs)]
-    return _pair_vectors(log_vec, fc)
+    log_terms = [(K_ROW, 1)] + divisor_terms(model, boundary)
+    return model.dot(log_terms, _mumford_terms(model, name))
 
 
 def contracted_self_intersection(model: SurfaceModel, name: str) -> Fraction:
     """C.C on the modeled surface (not on the resolution)."""
-    fc = _mumford_vector(model, name)
-    return _pair_vectors(fc, fc)
+    fc = _mumford_terms(model, name)
+    return model.dot(fc, fc)
 
 
 def step_candidates(state: MmpState) -> list[Candidate]:
     """Tracked non-contracted curves with (K + boundary).C < 0, most negative
     first, names breaking ties."""
     model = state.surface
-    log_vec = [Fraction(x) for x in model.canonical.coeffs]
-    for b, c in state.boundary.coefficients:
-        cls = model.curve_class(b)
-        log_vec = [v + c * x for v, x in zip(log_vec, cls.coeffs)]
+    log_terms = [(K_ROW, 1)] + divisor_terms(model, state.boundary)
     out = []
     for name in model.tracked:
         if name in model.contracted:
             continue
-        fc = _mumford_vector(model, name)
-        value = _pair_vectors(log_vec, fc)
+        fc = _mumford_terms(model, name)
+        value = model.dot(log_terms, fc)
         if value < 0:
-            out.append(
-                Candidate(
-                    name=name,
-                    extremal_value=value,
-                    self_int=_pair_vectors(fc, fc),
-                )
-            )
+            out.append(Candidate(name=name, extremal_value=value, self_int=model.dot(fc, fc)))
     out.sort(key=lambda c: (c.extremal_value, c.name))
     return out
 
@@ -339,12 +313,7 @@ def audit_run(run_record: MmpRun, initial: MmpState, epsilon) -> AuditReport:
                 mr.self_int(x) == -1 and mr.k_dot(x) == -1 for x in support
             )
             step3_applicable = not has_minus_one
-            fc = _mumford_vector(mr, name)
-            boundary_vec = [Fraction(0)] * mr.ambient_dim
-            for b, c in boundary.coefficients:
-                cls = mr.curve_class(b)
-                boundary_vec = [v + c * x for v, x in zip(boundary_vec, cls.coeffs)]
-            step3_value = _pair_vectors(boundary_vec, fc)
+            step3_value = mr.dot(divisor_terms(mr, boundary), _mumford_terms(mr, name))
             step3_ok = (not step3_applicable) or step3_value < 0
         except ModelError as exc:
             step3_applicable, step3_value, step3_ok = False, None, False
@@ -452,6 +421,8 @@ def verify_smooth_start_runs(trials, seed, epsilon, max_blowups=10) -> Verificat
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if max_blowups < 1:
+        raise ValueError("max_blowups must be >= 1")
     epsilon = Fraction(epsilon)
     if not (0 <= epsilon <= 1):
         raise ValueError(f"epsilon {epsilon} outside [0, 1]")

@@ -64,7 +64,10 @@ def parse_rational(text, field: str) -> Fraction:
         return Fraction(text)
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise ScenarioError(f"{field}: malformed rational {text!r} (expected \"p/q\")")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ScenarioError(f"{field}: zero denominator in {text!r}") from None
 
 
 def _check_name(name, field: str) -> str:

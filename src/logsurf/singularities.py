@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ModelError, MultiEdgeError
-from .lattice import SurfaceModel, blow_down
+from .lattice import K_ROW, SurfaceModel, blow_down
 from .linalg import solve_exact
 
 NEG_INFINITY = float("-inf")
@@ -93,7 +93,7 @@ class SingularityClass:
 
 def _check_boundary(model: SurfaceModel, boundary: QDivisor) -> None:
     for name, c in boundary.coefficients:
-        if name not in model.curves:
+        if name not in model.names:
             raise ModelError(f"boundary names unknown curve {name!r}")
         if name in model.contracted and c != 0:
             raise ModelError(f"boundary curve {name!r} is contracted; fold it into the pullback instead")
@@ -101,45 +101,46 @@ def _check_boundary(model: SurfaceModel, boundary: QDivisor) -> None:
             raise ModelError(f"boundary coefficient {c} on {name!r} outside [0, 1]")
 
 
-def _fraction_pair(model: SurfaceModel, u, v) -> Fraction:
-    # same diagonal form as lattice pairing, over rational coefficient vectors
-    assert len(u) == len(v) == model.ambient_dim
-    total = u[0] * v[0]
-    for a, b in zip(u[1:], v[1:]):
-        total -= a * b
-    return Fraction(total)
+def divisor_terms(model: SurfaceModel, divisor: QDivisor) -> list[tuple[int, Fraction]]:
+    """A divisor as (row, coefficient) pairs for SurfaceModel.dot."""
+    return [(model.row(name), c) for name, c in divisor.coefficients]
+
+
+def _exceptional_part(model: SurfaceModel, terms) -> list[Fraction]:
+    """Coefficients x_i, contracted curves in name order, with
+    (terms + sum x_i E_i).E_j = 0 for every contracted E_j.
+
+    The orthogonality is re-verified with SurfaceModel.dot after the solve.
+    """
+    exceptional = sorted(model.contracted)
+    rows = [model.row(e) for e in exceptional]
+    rhs = [-model.dot(terms, [(r, 1)]) for r in rows]
+    x = solve_exact(model.gram(exceptional), rhs)
+    full = terms + list(zip(rows, x))
+    for e, r in zip(exceptional, rows):
+        if model.dot(full, [(r, 1)]) != 0:
+            raise ModelError(f"solved pullback is not orthogonal to {e!r}; model inconsistent")
+    return x
 
 
 def pullback(model: SurfaceModel, divisor: QDivisor) -> QDivisor:
     """Numerical pullback coefficients c_i with (D + sum c_i E_i).E_j = 0.
 
     The divisor must be supported away from the contracted set. Effective
-    divisors get non-negative coefficients; that sign is re-asserted on the
+    divisors get non-negative coefficients; that sign is re-checked on the
     solution.
     """
     for name in divisor.names:
-        if name not in model.curves:
+        if name not in model.names:
             raise ModelError(f"divisor names unknown curve {name!r}")
         if name in model.contracted:
             raise ModelError(f"divisor curve {name!r} is contracted")
-    exceptional = sorted(model.contracted)
-    if not exceptional:
+    if not model.contracted:
         return QDivisor.zero()
-    gram = model.gram(exceptional)
-    rhs = []
-    for e in exceptional:
-        dot = sum(
-            (c * model.intersection(name, e) for name, c in divisor.coefficients),
-            Fraction(0),
-        )
-        rhs.append(-dot)
-    coeffs = solve_exact(gram, rhs)
-    for row, target in zip(gram, rhs):
-        # orthogonality, re-verified exactly
-        assert sum(ci * gij for ci, gij in zip(coeffs, row)) == target
-    if all(c >= 0 for _, c in divisor.coefficients):
-        assert all(c >= 0 for c in coeffs), "negativity lemma violated; model inconsistent"
-    return QDivisor(tuple(zip(exceptional, coeffs)))
+    coeffs = _exceptional_part(model, divisor_terms(model, divisor))
+    if all(c >= 0 for _, c in divisor.coefficients) and any(c < 0 for c in coeffs):
+        raise ModelError("negativity lemma violated; model inconsistent")
+    return QDivisor(tuple(zip(sorted(model.contracted), coeffs)))
 
 
 def log_discrepancies(model: SurfaceModel, boundary: QDivisor) -> LogPullback:
@@ -147,36 +148,13 @@ def log_discrepancies(model: SurfaceModel, boundary: QDivisor) -> LogPullback:
 
     Finds g_i with (K + boundary strict transform + sum g_i E_i).E_j = 0
     for every contracted E_j, and returns both g_i and the discrepancies
-    a_i = -g_i. The orthogonality is re-verified by direct pairing after
-    the solve.
+    a_i = -g_i.
     """
     _check_boundary(model, boundary)
-    exceptional = sorted(model.contracted)
-    if not exceptional:
+    if not model.contracted:
         return LogPullback(QDivisor.zero(), QDivisor.zero())
-    for name in model.tracked:
-        # adjunction for genus-0 classes, cross-checking the tracked canonical
-        assert model.k_dot(name) == -2 - model.self_int(name)
-    gram = model.gram(exceptional)
-    rhs = []
-    for e in exceptional:
-        dot = Fraction(model.k_dot(e))
-        for name, c in boundary.coefficients:
-            dot += c * model.intersection(name, e)
-        rhs.append(-dot)
-    g = solve_exact(gram, rhs)
-    dim = model.ambient_dim
-    log_vector = [Fraction(x) for x in model.canonical.coeffs]
-    for name, c in boundary.coefficients:
-        cls = model.curve_class(name)
-        log_vector = [v + c * x for v, x in zip(log_vector, cls.coeffs)]
-    for name, gi in zip(exceptional, g):
-        cls = model.curve_class(name)
-        log_vector = [v + gi * x for v, x in zip(log_vector, cls.coeffs)]
-    for name in exceptional:
-        e_vec = [Fraction(x) for x in model.curve_class(name).coeffs]
-        assert _fraction_pair(model, log_vector, e_vec) == 0
-    assert len(log_vector) == dim
+    exceptional = sorted(model.contracted)
+    g = _exceptional_part(model, [(K_ROW, 1)] + divisor_terms(model, boundary))
     boundary_part = QDivisor(tuple(zip(exceptional, g)))
     discrepancies = QDivisor(tuple((n, -gi) for n, gi in zip(exceptional, g)))
     return LogPullback(boundary_part=boundary_part, discrepancies=discrepancies)

@@ -1,12 +1,71 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately naive: textbook Gaussian elimination over
-Fraction, cofactor determinants, characteristic polynomials, and a bounded
-blow-up search for total discrepancies. Slow and obvious beats fast and
-clever for an oracle.
+Fraction, cofactor determinants, characteristic polynomials, a bounded
+blow-up search for total discrepancies, and the coordinate model of a
+blown-up plane (classes as vectors in the diagonal basis). Slow and obvious
+beats fast and clever for an oracle.
 """
 
 from fractions import Fraction
+
+from logsurf.lattice import SurfaceModel
+
+
+def pairing(u, v):
+    """Intersection pairing in the diagonal basis (+1, -1, ..., -1)."""
+    assert len(u) == len(v), "classes live in lattices of different rank"
+    assert len(u) >= 1
+    total = u[0] * v[0]
+    for a, b in zip(u[1:], v[1:]):
+        total -= a * b
+    return total
+
+
+def coordinate_model(rank, canonical, curves, contracted=()):
+    """An unvalidated SurfaceModel from classes in the diagonal basis.
+
+    `canonical` and each value of `curves` are coefficient tuples over the
+    hyperplane class and the exceptional directions; the intersection
+    matrix is their diagonal pairing, K first, curves in dict order.
+    """
+    names = tuple(curves)
+    classes = [tuple(canonical)] + [tuple(curves[n]) for n in names]
+    matrix = tuple(tuple(pairing(a, b) for b in classes) for a in classes)
+    return SurfaceModel(rank=rank, names=names, matrix=matrix, contracted=frozenset(contracted))
+
+
+class CoordinateTower:
+    """Blow-ups and blow-downs of the plane in fixed ambient coordinates.
+
+    A blow-up appends one exceptional basis direction: curves through the
+    point lose it (strict transform) and the canonical class gains it. A
+    blow-down replaces every class D by its pushforward representative
+    D + (D.e)e, orthogonal to e, and keeps the coordinate length, so the
+    one diagonal form computes every pairing forever.
+    """
+
+    def __init__(self):
+        self.rank = 1
+        self.canonical = (-3,)
+        self.curves = {}
+
+    def blow_up(self, through, name):
+        self.curves = {n: c + (-1 if n in through else 0,) for n, c in self.curves.items()}
+        self.curves[name] = (0,) * len(self.canonical) + (1,)
+        self.canonical += (1,)
+        self.rank += 1
+
+    def blow_down(self, name):
+        e = self.curves.pop(name)
+
+        def push(d):
+            k = pairing(d, e)
+            return tuple(x + k * y for x, y in zip(d, e))
+
+        self.curves = {n: push(c) for n, c in self.curves.items()}
+        self.canonical = push(self.canonical)
+        self.rank -= 1
 
 
 def gauss_solve(matrix, rhs):

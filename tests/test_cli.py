@@ -191,6 +191,11 @@ class TestVerify:
         capsys.readouterr()
         assert main(["verify-thm31", "--trials", "2", "--seed", "1", "--epsilon", "3/2"]) == 2
         capsys.readouterr()
+        assert main(["verify-thm31", "--trials", "2", "--seed", "1", "--epsilon", "1/0"]) == 2
+        assert "zero denominator" in capsys.readouterr().err
+        argv = ["verify-thm31", "--trials", "2", "--seed", "1", "--epsilon", "0", "--max-blowups", "0"]
+        assert main(argv) == 2
+        assert "max_blowups must be >= 1" in capsys.readouterr().err
         # argparse-level failure: --seed missing
         assert main(["verify-thm31", "--trials", "2", "--epsilon", "0"]) == 2
 
@@ -256,6 +261,9 @@ class TestErrorPaths:
         path.write_text("{nope", encoding="utf-8")
         assert main(["classify", str(path)]) == 2
         assert "invalid JSON" in capsys.readouterr().err
+        path.write_text('{"base": "P2", "epsilon": "3/0"}', encoding="utf-8")
+        assert main(["classify", str(path)]) == 2
+        assert "zero denominator" in capsys.readouterr().err
 
     def test_argparse_failures(self, capsys):
         assert main([]) == 2

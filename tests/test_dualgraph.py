@@ -14,10 +14,10 @@ from logsurf.dualgraph import (
     is_negative_definite,
 )
 from logsurf.errors import ModelError
-from logsurf.lattice import CurveClass, PointSpec, SurfaceModel, _validated, blow_up, new_projective_plane
+from logsurf.lattice import PointSpec, _validated, blow_up, new_projective_plane
 from logsurf.linalg import is_negative_definite_matrix
 from logsurf.scenario import build_model, star_scenario
-from oracles import charpoly_negdef
+from oracles import charpoly_negdef, coordinate_model
 
 
 def chain_graph(weights):
@@ -69,16 +69,7 @@ class TestBuildFromModel:
     def test_multiplicity_two_from_lattice(self):
         # two (-3)-classes meeting twice; a transverse double intersection
         model = _validated(
-            SurfaceModel(
-                rank=4,
-                canonical=CurveClass((-3, 1, 1, 1)),
-                curves={
-                    "C1": CurveClass((0, -1, -1, 1)),
-                    "C2": CurveClass((-1, 2, 0, 0)),
-                },
-                contracted=frozenset(),
-                history=(),
-            )
+            coordinate_model(4, (-3, 1, 1, 1), {"C1": (0, -1, -1, 1), "C2": (-1, 2, 0, 0)})
         )
         assert model.intersection("C1", "C2") == 2
         g = build_dual_graph(model, ["C1", "C2"])

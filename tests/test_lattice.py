@@ -1,21 +1,21 @@
 import random
-from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logsurf.errors import ModelError, NotNegativeDefiniteError
 from logsurf.lattice import (
-    CurveClass,
     PointSpec,
     SurfaceModel,
     _validated,
-    arithmetic_genus,
     blow_down,
     blow_up,
     declare_contracted,
-    intersect,
     new_projective_plane,
 )
+from oracles import CoordinateTower, charpoly_negdef, coordinate_model, pairing
 
 
 def tower(*steps):
@@ -41,22 +41,20 @@ class TestPlane:
     def test_fresh_plane(self):
         p2 = new_projective_plane()
         assert p2.rank == 1
-        assert p2.ambient_dim == 1
         assert p2.k_squared == 9
-        assert p2.canonical == CurveClass((-3,))
+        assert p2.matrix == ((9,),)
         assert p2.tracked == ()
         assert not p2.contracted
 
     def test_line_class_has_genus_zero(self):
-        p2 = new_projective_plane()
-        line = CurveClass((1,))
-        assert intersect(p2, line, line) == 1
-        assert arithmetic_genus(p2, line) == 0
+        m = coordinate_model(1, (-3,), {"L": (1,)})
+        assert m.self_int("L") == 1
+        assert m.genus("L") == 0
 
     def test_conic_and_cubic_genus(self):
-        p2 = new_projective_plane()
-        assert arithmetic_genus(p2, CurveClass((2,))) == 0
-        assert arithmetic_genus(p2, CurveClass((3,))) == 1  # smooth plane cubic
+        m = coordinate_model(1, (-3,), {"Q": (2,), "T": (3,)})
+        assert m.genus("Q") == 0
+        assert m.genus("T") == 1  # smooth plane cubic
 
 
 class TestBlowUp:
@@ -67,8 +65,8 @@ class TestBlowUp:
         assert m.self_int("E") == -1
         assert m.k_dot("E") == -1
         assert m.genus("E") == 0
-        assert m.curves["E"] == CurveClass((0, 1))
-        assert m.canonical == CurveClass((-3, 1))
+        assert m.names == ("E",)
+        assert m.matrix == ((8, -1), (-1, -1))
 
     def test_point_on_curve(self):
         m = tower((PointSpec.general(), "A"), (PointSpec.on_curve("A"), "B"))
@@ -124,15 +122,16 @@ class TestBlowDown:
         assert down.k_squared == 8
         assert down.self_int("A") == -1
         assert down.k_dot("A") == -1
-        # pushforward lives in the same ambient coordinates
-        assert down.ambient_dim == m.ambient_dim
-        assert intersect(down, down.curves["A"], m.curves["B"]) == 0
+        # blowing the new curve back down restores every intersection number
+        assert down.names == base.names
+        assert down.matrix == base.matrix
 
     def test_canonical_pushforward(self):
         m = tower((PointSpec.general(), "A"))
         down = blow_down(m, "A")
-        # K - e in fixed coordinates
-        assert down.canonical == CurveClass((-3, 0))
+        # K - e pairs like the plane's canonical class again
+        assert down.names == ()
+        assert down.matrix == ((9,),)
         assert down.k_squared == 9
 
     def test_only_minus_one_curves(self):
@@ -152,7 +151,7 @@ class TestBlowDown:
         m = blow_down(m, "B")
         assert m.self_int("A") == -1
         m = blow_down(m, "A")
-        assert m.rank == 1 and m.k_squared == 9 and not m.curves
+        assert m.rank == 1 and m.k_squared == 9 and not m.tracked
 
 
 class TestContractedSet:
@@ -165,29 +164,13 @@ class TestContractedSet:
         assert both.contracted == {"A", "B"}
 
     def test_nonnegative_curve_rejected(self):
-        m = _validated(
-            SurfaceModel(
-                rank=1,
-                canonical=CurveClass((-3,)),
-                curves={"H": CurveClass((1,))},
-                contracted=frozenset(),
-                history=(),
-            )
-        )
+        m = _validated(coordinate_model(1, (-3,), {"H": (1,)}))
         with pytest.raises(NotNegativeDefiniteError):
             declare_contracted(m, ["H"])
 
     def test_degenerate_pair_rejected(self):
         # two (-1)-curves meeting once: Gram determinant 0, not definite
-        m = _validated(
-            SurfaceModel(
-                rank=3,
-                canonical=CurveClass((-3, 1, 1)),
-                curves={"A": CurveClass((0, 1, 0)), "B": CurveClass((1, -1, -1))},
-                contracted=frozenset(),
-                history=(),
-            )
-        )
+        m = _validated(coordinate_model(3, (-3, 1, 1), {"A": (0, 1, 0), "B": (1, -1, -1)}))
         assert m.self_int("A") == m.self_int("B") == -1
         assert m.intersection("A", "B") == 1
         with pytest.raises(NotNegativeDefiniteError):
@@ -239,36 +222,102 @@ class TestInvariants:
 
     def test_validated_rejects_bad_genus(self):
         with pytest.raises(ModelError):
-            _validated(
-                SurfaceModel(
-                    rank=2,
-                    canonical=CurveClass((-3, 1)),
-                    curves={"X": CurveClass((1, 1))},  # genus -1 class
-                    contracted=frozenset(),
-                    history=(),
-                )
-            )
+            _validated(coordinate_model(2, (-3, 1), {"X": (1, 1)}))  # genus -1 class
 
     def test_validated_rejects_negative_pairings(self):
         with pytest.raises(ModelError):
-            _validated(
-                SurfaceModel(
-                    rank=2,
-                    canonical=CurveClass((-3, 1)),
-                    curves={"A": CurveClass((0, 1)), "B": CurveClass((1, 2))},
-                    contracted=frozenset(),
-                    history=(),
-                )
-            )
+            _validated(coordinate_model(2, (-3, 1), {"A": (0, 1), "B": (1, 2)}))
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            coordinate_model(2, (-3,), {"H": (1,)}),  # K.K = 9 needs rank 1
+            SurfaceModel(rank=1, names=("H",), matrix=((9, -3), (-3,))),
+            SurfaceModel(rank=1, names=("H",), matrix=((9, -3), (-2, 1))),
+            SurfaceModel(rank=1, names=(), matrix=((9, 0), (0, 9))),
+            SurfaceModel(rank=0, names=(), matrix=((10,),)),
+        ],
+        ids=["k-squared", "ragged", "asymmetric", "wrong-size", "rank-0"],
+    )
+    def test_validated_rejects_malformed_matrix(self, model):
+        with pytest.raises(ModelError):
+            _validated(model)
 
     def test_hand_built_plane_with_line(self):
-        m = _validated(
-            SurfaceModel(
-                rank=1,
-                canonical=CurveClass((-3,)),
-                curves={"H": CurveClass((1,))},
-                contracted=frozenset(),
-                history=(),
-            )
-        )
+        m = _validated(coordinate_model(1, (-3,), {"H": (1,)}))
         assert m.self_int("H") == 1 and m.genus("H") == 0
+
+
+POINT_KINDS = ("general", "on", "at")
+OPS = st.lists(
+    st.tuples(st.sampled_from(POINT_KINDS + ("down", "contract")), st.integers(0, 10**6)),
+    min_size=4,
+    max_size=16,
+)
+
+
+class TestCoordinateOracle:
+    """The intersection matrix against the coordinate model, op by op."""
+
+    @staticmethod
+    def agree(model, oracle):
+        assert model.rank == oracle.rank
+        assert model.tracked == tuple(sorted(oracle.curves))
+        assert model.k_squared == pairing(oracle.canonical, oracle.canonical)
+        for a, ca in oracle.curves.items():
+            assert model.k_dot(a) == pairing(oracle.canonical, ca)
+            for b, cb in oracle.curves.items():
+                assert model.intersection(a, b) == pairing(ca, cb)
+
+    @settings(max_examples=300)
+    @given(OPS)
+    def test_random_towers_match_the_coordinate_model(self, ops):
+        model, oracle = new_projective_plane(), CoordinateTower()
+        for i, (op, pick) in enumerate(ops):
+            names = sorted(oracle.curves)
+            if op in POINT_KINDS:
+                if model.contracted:
+                    continue
+                if op == "general":
+                    choices = [PointSpec.general()]
+                elif op == "on":
+                    choices = [PointSpec.on_curve(n) for n in names]
+                else:
+                    choices = [
+                        PointSpec.at_intersection(a, b)
+                        for a, b in combinations(names, 2)
+                        if pairing(oracle.curves[a], oracle.curves[b]) >= 1
+                    ]
+                if not choices:
+                    continue
+                point = choices[pick % len(choices)]
+                model = blow_up(model, point, f"C{i}")
+                oracle.blow_up(point.names, f"C{i}")
+            elif op == "down":
+                # a contracted (-1)-curve, or any one while nothing is contracted
+                ones = [
+                    n
+                    for n in names
+                    if (n in model.contracted or not model.contracted)
+                    and pairing(oracle.curves[n], oracle.curves[n]) == -1
+                    and pairing(oracle.canonical, oracle.curves[n]) == -1
+                ]
+                if not ones:
+                    continue
+                e = ones[pick % len(ones)]
+                model = blow_down(model, e)
+                oracle.blow_down(e)
+            else:
+                free = [n for n in names if n not in model.contracted]
+                if not free:
+                    continue
+                c = free[pick % len(free)]
+                wanted = sorted(model.contracted | {c})
+                gram = [[pairing(oracle.curves[a], oracle.curves[b]) for b in wanted] for a in wanted]
+                if charpoly_negdef(gram):
+                    model = declare_contracted(model, [c])
+                    assert model.contracted == set(wanted)
+                else:
+                    with pytest.raises(NotNegativeDefiniteError):
+                        declare_contracted(model, [c])
+            self.agree(model, oracle)

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 from logsurf.linalg import (
     det_bareiss,
     is_negative_definite_matrix,
-    pairing,
     solve_exact,
 )
-from oracles import cofactor_det, charpoly_negdef, gauss_solve
+from oracles import cofactor_det, charpoly_negdef, gauss_solve, pairing
 
 
 def square(draw_entries, n):

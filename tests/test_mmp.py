@@ -5,9 +5,7 @@ import pytest
 
 from logsurf.errors import ModelError, ScenarioError
 from logsurf.lattice import (
-    CurveClass,
     PointSpec,
-    SurfaceModel,
     _validated,
     blow_up,
     new_projective_plane,
@@ -40,6 +38,7 @@ from logsurf.singularities import (
     NOT_LOG_CANONICAL,
     QDivisor,
 )
+from oracles import coordinate_model
 
 SEED = 20260821
 
@@ -66,15 +65,7 @@ def a1_state():
 
 def fiber_signal_state():
     """A tracked class with non-negative square and negative canonical pairing."""
-    model = _validated(
-        SurfaceModel(
-            rank=1,
-            canonical=CurveClass((-3,)),
-            curves={"H": CurveClass((1,))},
-            contracted=frozenset(),
-            history=(),
-        )
-    )
+    model = _validated(coordinate_model(1, (-3,), {"H": (1,)}))
     return MmpState(surface=model, boundary=QDivisor.zero())
 
 

@@ -113,8 +113,10 @@ class TestParseScenario:
             (doc(boundary={"A": "1/2"}), "is contracted"),
             (doc(boundary={"C": "1.5"}), "malformed rational"),
             (doc(boundary={"C": "3/2"}), "outside [0, 1]"),
+            (doc(boundary={"C": "1/0"}), "zero denominator"),
             (doc(epsilon="9/8"), "epsilon 9/8 outside"),
             (doc(epsilon="x"), "malformed rational"),
+            (doc(epsilon="3/0"), "zero denominator"),
             (doc(strategy=7), "strategy: expected a string"),
             (doc(strategy="bogus"), "unknown strategy"),
             (doc(strategy="named:Z"), "unknown curve 'Z'"),

@@ -3,12 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from logsurf import singularities
 from logsurf.dualgraph import build_dual_graph, graph_shape
 from logsurf.errors import ModelError, MultiEdgeError, NotNegativeDefiniteError
 from logsurf.lattice import (
-    CurveClass,
     PointSpec,
-    SurfaceModel,
     _validated,
     blow_up,
     declare_contracted,
@@ -28,7 +27,7 @@ from logsurf.singularities import (
     pullback,
     total_discrepancy_snc,
 )
-from oracles import gauss_solve
+from oracles import coordinate_model, gauss_solve
 
 
 def fork_model(n0, orders=(2, 3, 6), extra=3, **kw):
@@ -38,15 +37,11 @@ def fork_model(n0, orders=(2, 3, 6), extra=3, **kw):
 def double_point_model():
     """Two (-3)-classes meeting in two points; contractible but not SNC."""
     return _validated(
-        SurfaceModel(
-            rank=4,
-            canonical=CurveClass((-3, 1, 1, 1)),
-            curves={
-                "C1": CurveClass((0, -1, -1, 1)),
-                "C2": CurveClass((-1, 2, 0, 0)),
-            },
-            contracted=frozenset({"C1", "C2"}),
-            history=(),
+        coordinate_model(
+            4,
+            (-3, 1, 1, 1),
+            {"C1": (0, -1, -1, 1), "C2": (-1, 2, 0, 0)},
+            {"C1", "C2"},
         )
     )
 
@@ -130,6 +125,21 @@ class TestPullback:
         model = fork_model(4, (2, 2, 3), extra=2)
         c = pullback(model, QDivisor.from_map({"D": F(2, 3)}))
         assert all(x >= 0 for _, x in c.coefficients)
+
+    def test_wrong_solution_raises_model_error(self, monkeypatch):
+        # the solve is re-verified by pairing, with no assert that -O strips
+        model = fork_model(3)
+        monkeypatch.setattr(singularities, "solve_exact", lambda gram, rhs: [F(0)] * len(rhs))
+        with pytest.raises(ModelError, match="not orthogonal"):
+            pullback(model, QDivisor.from_map({"D": 1}))
+        with pytest.raises(ModelError, match="not orthogonal"):
+            log_discrepancies(model, QDivisor.zero())
+
+    def test_negativity_lemma_guard(self):
+        # unvalidated: the contracted line H is not negative definite
+        model = coordinate_model(1, (-3,), {"H": (1,), "L": (1,)}, {"H"})
+        with pytest.raises(ModelError, match="negativity lemma"):
+            pullback(model, QDivisor.from_map({"L": 1}))
 
 
 class TestLogDiscrepancies:
