@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 from .errors import ModelError, NotNegativeDefiniteError
@@ -134,10 +135,12 @@ def _validated(model: SurfaceModel) -> SurfaceModel:
         raise ModelError("tracked curve names repeat")
     if len(m) != size or any(len(row) != size for row in m):
         raise ModelError(f"intersection matrix is not {size} x {size}")
-    for i in range(size):
-        for j in range(i, size):
-            if type(m[i][j]) is not int or m[i][j] != m[j][i]:
-                raise ModelError(f"intersection matrix is not a symmetric integer matrix at ({i}, {j})")
+    # whole-matrix checks first; the entry loop only runs to name a failure
+    if m != tuple(zip(*m)) or set(map(type, chain.from_iterable(m))) != {int}:
+        for i in range(size):
+            for j in range(i, size):
+                if type(m[i][j]) is not int or type(m[j][i]) is not int or m[i][j] != m[j][i]:
+                    raise ModelError(f"intersection matrix is not a symmetric integer matrix at ({i}, {j})")
     if model.rank < 1:
         raise ModelError(f"rank {model.rank} < 1")
     if model.k_squared != 10 - model.rank:
@@ -145,11 +148,11 @@ def _validated(model: SurfaceModel) -> SurfaceModel:
     for i, name in enumerate(names, 1):
         if m[i][i] + m[K_ROW][i] != -2:
             raise ModelError(f"curve {name!r} is not a smooth rational class (genus != 0)")
-        for j in range(i + 1, size):
-            if m[i][j] < 0:
-                raise ModelError(
-                    f"tracked curves {name!r} and {names[j - 1]!r} have negative intersection"
-                )
+        if min(m[i][i + 1 :], default=0) < 0:
+            j = next(j for j in range(i + 1, size) if m[i][j] < 0)
+            raise ModelError(
+                f"tracked curves {name!r} and {names[j - 1]!r} have negative intersection"
+            )
     stray = model.contracted - set(names)
     if stray:
         raise ModelError(f"contracted names not tracked: {sorted(stray)}")

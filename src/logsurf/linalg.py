@@ -1,8 +1,9 @@
 """Exact linear algebra over the integers and rationals.
 
 Everything here is fraction-free or Fraction-based; no floats ever enter.
-The matrices involved are small (rank <= a few dozen), so clarity beats
-asymptotics.
+Both routines are one fraction-free (Bareiss) elimination, O(n^3), with
+every exact division checked: the matrices are small (rank <= a few dozen),
+but every model a run builds goes through them.
 """
 
 from __future__ import annotations
@@ -11,48 +12,32 @@ from fractions import Fraction
 from math import lcm
 
 
-def det_bareiss(matrix: list[list[int]]) -> int:
-    """Exact determinant of an integer matrix via fraction-free elimination.
-
-    Bareiss' algorithm: every intermediate entry stays an integer because
-    each 2x2 cross-multiplication is exactly divisible by the previous
-    pivot. Row swaps flip the sign.
-    """
-    n = len(matrix)
-    if n == 0:
-        return 1
-    m = [row[:] for row in matrix]
-    assert all(len(row) == n for row in m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                assert num % prev == 0
-                m[i][j] = num // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def is_negative_definite_matrix(matrix: list[list[int]]) -> bool:
     """Sylvester test: (-1)^k det(leading k x k minor) > 0 for every k.
 
-    The empty matrix is vacuously negative definite.
+    One Bareiss elimination without row swaps: after step k the pivot
+    m[k][k] is the determinant of the leading (k+1) x (k+1) minor, so every
+    sign comes out of a single pass. A zero pivot is a zero minor, which
+    fails the test, so no row swap is ever needed. The empty matrix is
+    vacuously negative definite.
     """
     n = len(matrix)
-    for k in range(1, n + 1):
-        minor = [row[:k] for row in matrix[:k]]
-        if det_bareiss(minor) * (-1) ** k <= 0:
+    m = [list(row) for row in matrix]
+    prev = 1
+    for k in range(n):
+        pivot = m[k][k]
+        if pivot == 0 or (pivot > 0) != (k % 2 == 1):
             return False
+        top = m[k]
+        for i in range(k + 1, n):
+            row = m[i]
+            lead = row[k]
+            for j in range(k + 1, n):
+                num = row[j] * pivot - lead * top[j]
+                if num % prev:
+                    raise ValueError("inexact Bareiss division; not an integer matrix")
+                row[j] = num // prev
+        prev = pivot
     return True
 
 
@@ -68,8 +53,8 @@ def solve_exact(
     n = len(matrix)
     if n == 0:
         return []
-    assert all(len(row) == n for row in matrix)
-    assert len(rhs) == n
+    if any(len(row) != n for row in matrix) or len(rhs) != n:
+        raise ValueError("solve_exact needs an n x n matrix and n right-hand sides")
     scale = lcm(*(Fraction(b).denominator for b in rhs))
     aug = [
         [int(x) for x in row] + [int(Fraction(rhs[i]) * scale)]
@@ -87,7 +72,8 @@ def solve_exact(
         for i in range(k + 1, n):
             for j in range(k + 1, n + 1):
                 num = aug[i][j] * aug[k][k] - aug[i][k] * aug[k][j]
-                assert num % prev == 0
+                if num % prev:
+                    raise ValueError("inexact Bareiss division; not an integer matrix")
                 aug[i][j] = num // prev
             aug[i][k] = 0
         prev = aug[k][k]
@@ -96,7 +82,8 @@ def solve_exact(
         acc = Fraction(aug[i][n])
         for j in range(i + 1, n):
             acc -= aug[i][j] * x[j]
-        assert aug[i][i] != 0
+        if aug[i][i] == 0:
+            raise ValueError("singular system")
         x[i] = acc / aug[i][i]
     return [xi / scale for xi in x]
 

@@ -162,7 +162,8 @@ def _apply_contraction(state: MmpState, cand: Candidate) -> tuple[MmpState, str]
         boundary=state.boundary.without(name),
         step_index=state.step_index + 1,
     )
-    assert new_state.rho == state.rho - 1
+    if new_state.rho != state.rho - 1:
+        raise ModelError(f"contracting {name!r} dropped rho {state.rho} -> {new_state.rho}, not by one")
     return new_state, kind
 
 
@@ -255,7 +256,8 @@ def run(state: MmpState, strategy, epsilon=Fraction(0)) -> MmpRun:
                 post_classification=classify(state.surface, QDivisor.zero(), epsilon),
             )
         )
-        assert len(steps) <= initial.rho - 1
+        if len(steps) > initial.rho - 1:
+            raise ModelError(f"run took {len(steps)} steps from rho {initial.rho}; rho - 1 is the most")
     partial = MmpRun(steps=tuple(steps), outcome=outcome, audit=None)
     audit = audit_run(partial, initial, epsilon)
     return MmpRun(steps=tuple(steps), outcome=outcome, audit=audit)
@@ -296,6 +298,7 @@ def audit_run(run_record: MmpRun, initial: MmpState, epsilon) -> AuditReport:
     shadow = initial.surface
     boundary = initial.boundary
     prev_coeffs = _log_coefficient_map(shadow, boundary)
+    mr = None  # minimal resolution of shadow, carried from the last classification
     rho_sequence = [initial_rho]
     audit_steps = []
     for i, step in enumerate(run_record.steps):
@@ -306,14 +309,16 @@ def audit_run(run_record: MmpRun, initial: MmpState, epsilon) -> AuditReport:
             break
         # (d) support condition on the minimal resolution of the current state
         try:
-            mr = minimal_resolution(shadow)
+            if mr is None:
+                mr = minimal_resolution(shadow)
             pb = pullback(mr, QDivisor.from_map({name: 1}))
             support = [name] + [e for e, c in pb.coefficients if c > 0]
             has_minus_one = any(
                 mr.self_int(x) == -1 and mr.k_dot(x) == -1 for x in support
             )
             step3_applicable = not has_minus_one
-            step3_value = mr.dot(divisor_terms(mr, boundary), _mumford_terms(mr, name))
+            mumford = [(mr.row(name), 1)] + divisor_terms(mr, pb)  # full pullback of the curve
+            step3_value = mr.dot(divisor_terms(mr, boundary), mumford)
             step3_ok = (not step3_applicable) or step3_value < 0
         except ModelError as exc:
             step3_applicable, step3_value, step3_ok = False, None, False
@@ -346,9 +351,10 @@ def audit_run(run_record: MmpRun, initial: MmpState, epsilon) -> AuditReport:
             violations.append(f"rho: step {i} ({name!r}): rank drops {rho_before} -> {rho_after}")
         rho_sequence.append(rho_after)
         try:
-            label = classify(shadow, QDivisor.zero(), epsilon).classification
+            mr = minimal_resolution(shadow)
+            label = classify(mr, QDivisor.zero(), epsilon).classification
         except ModelError as exc:
-            label = f"error: {exc}"
+            mr, label = None, f"error: {exc}"
         if check_classification and label != EPS_LOG_TERMINAL:
             violations.append(
                 f"classification: step {i} ({name!r}): surface classifies {label}, "
@@ -458,6 +464,10 @@ class SearchConfig:
     min_chain_length: int = 1
     max_chain_length: int = 3
 
+    def __post_init__(self):
+        if not 1 <= self.min_chain_length <= self.max_chain_length:
+            raise ValueError("chain lengths need 1 <= min_chain_length <= max_chain_length")
+
 
 @dataclass(frozen=True)
 class SearchReport:
@@ -480,7 +490,6 @@ def search_canonical_starts(config: SearchConfig, trials, seed) -> SearchReport:
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    assert 1 <= config.min_chain_length <= config.max_chain_length
     grid = _coefficient_grid(Fraction(1))
     canonical_starts = 0
     total_steps = 0

@@ -256,7 +256,8 @@ def classify(model: SurfaceModel, boundary: QDivisor, epsilon) -> SingularityCla
             mr_classification=_threshold_label(mr_total, epsilon),
             epsilon=epsilon,
         )
-    assert total <= mr_total  # the total ranges over strictly more divisors
+    if total > mr_total:  # the total ranges over strictly more divisors
+        raise ModelError(f"total discrepancy {total} exceeds the MR total {mr_total}; model inconsistent")
     return SingularityClass(
         total_discrepancy=total,
         classification=_threshold_label(total, epsilon),

@@ -1,13 +1,15 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately naive: textbook Gaussian elimination over
-Fraction, cofactor determinants, characteristic polynomials, a bounded
-blow-up search for total discrepancies, and the coordinate model of a
-blown-up plane (classes as vectors in the diagonal basis). Slow and obvious
-beats fast and clever for an oracle.
+Fraction, cofactor determinants, a determinant per leading minor,
+characteristic polynomials, a bounded blow-up search for total
+discrepancies, and the coordinate model of a blown-up plane (classes as
+vectors in the diagonal basis). Slow and obvious beats fast and clever for
+an oracle.
 """
 
 from fractions import Fraction
+from operator import mul
 
 from logsurf.lattice import SurfaceModel
 
@@ -101,28 +103,67 @@ def cofactor_det(matrix):
     return total
 
 
+def det_bareiss(matrix):
+    """Exact determinant of an integer matrix via fraction-free elimination.
+
+    Bareiss' algorithm: every intermediate entry stays an integer because
+    each 2x2 cross-multiplication is exactly divisible by the previous
+    pivot. Row swaps flip the sign.
+    """
+    n = len(matrix)
+    if n == 0:
+        return 1
+    m = [row[:] for row in matrix]
+    assert all(len(row) == n for row in m)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for r in range(k + 1, n):
+                if m[r][k] != 0:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
+                assert num % prev == 0
+                m[i][j] = num // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def minor_signs_negdef(matrix):
+    """Sylvester's criterion with one determinant per leading k x k minor."""
+    n = len(matrix)
+    return all((-1) ** k * det_bareiss([row[:k] for row in matrix[:k]]) > 0 for k in range(1, n + 1))
+
+
 def charpoly_negdef(matrix):
     """Negative definiteness through the characteristic polynomial.
 
     Faddeev-LeVerrier gives det(tI - M) = t^n + c[0] t^(n-1) + ... + c[n-1]
-    exactly over Fraction; a symmetric matrix is negative definite iff every
-    coefficient is strictly positive.
+    in integers: for an integer matrix every trace is divisible by its step
+    k, and that is checked. A symmetric matrix is negative definite iff
+    every coefficient is strictly positive.
     """
     n = len(matrix)
-    m = [[Fraction(x) for x in row] for row in matrix]
-    aux = [[Fraction(0)] * n for _ in range(n)]
+    aux = [[0] * n for _ in range(n)]
     coeffs = []
-    c = Fraction(1)
+    c = 1
     for k in range(1, n + 1):
         # aux <- M (aux + c I)
         shifted = [row[:] for row in aux]
         for i in range(n):
             shifted[i][i] += c
-        aux = [
-            [sum(m[i][t] * shifted[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        c = -sum(aux[i][i] for i in range(n)) / k
+        cols = list(zip(*shifted))
+        aux = [[sum(map(mul, row, col)) for col in cols] for row in matrix]
+        trace = sum(aux[i][i] for i in range(n))
+        if trace % k:
+            raise ValueError(f"trace {trace} at step {k} is not divisible by {k}")
+        c = -trace // k
         coeffs.append(c)
     # det(tI - M) has coefficients (-1)^k e_k(eigenvalues) = coeffs as built
     return all(x > 0 for x in coeffs)

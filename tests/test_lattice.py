@@ -26,6 +26,19 @@ def tower(*steps):
     return model
 
 
+def with_entries(model, entries):
+    """An unvalidated copy of `model` with matrix entries replaced, {(i, j): value}."""
+    rows = [list(row) for row in model.matrix]
+    for (i, j), value in entries.items():
+        rows[i][j] = value
+    return SurfaceModel(rank=model.rank, names=model.names, matrix=tuple(map(tuple, rows)))
+
+
+# A (-2) meeting B (-1) once: matrix ((7, 0, -1), (0, -2, 1), (-1, 1, -1))
+A_B = tower((PointSpec.general(), "A"), (PointSpec.on_curve("A"), "B"))
+SYMMETRIC_AT = r"not a symmetric integer matrix at \({}, {}\)"
+
+
 def random_tower(rng, max_blowups=8):
     model = new_projective_plane()
     for i in range(rng.randint(1, max_blowups)):
@@ -229,18 +242,34 @@ class TestInvariants:
             _validated(coordinate_model(2, (-3, 1), {"A": (0, 1), "B": (1, 2)}))
 
     @pytest.mark.parametrize(
-        "model",
+        "model, message",
         [
-            coordinate_model(2, (-3,), {"H": (1,)}),  # K.K = 9 needs rank 1
-            SurfaceModel(rank=1, names=("H",), matrix=((9, -3), (-3,))),
-            SurfaceModel(rank=1, names=("H",), matrix=((9, -3), (-2, 1))),
-            SurfaceModel(rank=1, names=(), matrix=((9, 0), (0, 9))),
-            SurfaceModel(rank=0, names=(), matrix=((10,),)),
+            (coordinate_model(2, (-3,), {"H": (1,)}), "K.K = 9 but rank 2 needs 8"),
+            (SurfaceModel(rank=1, names=("H",), matrix=((9, -3), (-3,))), "not 2 x 2"),
+            (SurfaceModel(rank=1, names=("H",), matrix=((9, -3), (-2, 1))), SYMMETRIC_AT.format(0, 1)),
+            (SurfaceModel(rank=1, names=(), matrix=((9, 0), (0, 9))), "not 1 x 1"),
+            (SurfaceModel(rank=0, names=(), matrix=((10,),)), "rank 0 < 1"),
+            (with_entries(A_B, {(1, 2): True, (2, 1): True}), SYMMETRIC_AT.format(1, 2)),
+            (with_entries(A_B, {(2, 1): True}), SYMMETRIC_AT.format(1, 2)),
+            (with_entries(A_B, {(1, 1): -2.0}), SYMMETRIC_AT.format(1, 1)),
+            (with_entries(A_B, {(2, 0): 0}), SYMMETRIC_AT.format(0, 2)),
+            (with_entries(A_B, {(1, 2): -1, (2, 1): -1}), "'A' and 'B' have negative intersection"),
         ],
-        ids=["k-squared", "ragged", "asymmetric", "wrong-size", "rank-0"],
+        ids=[
+            "k-squared",
+            "ragged",
+            "asymmetric",
+            "wrong-size",
+            "rank-0",
+            "bool-entry",
+            "bool-below-diagonal",
+            "float-entry",
+            "asymmetric-entry",
+            "negative-off-diagonal",
+        ],
     )
-    def test_validated_rejects_malformed_matrix(self, model):
-        with pytest.raises(ModelError):
+    def test_validated_rejects_malformed_matrix(self, model, message):
+        with pytest.raises(ModelError, match=message):
             _validated(model)
 
     def test_hand_built_plane_with_line(self):

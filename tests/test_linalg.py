@@ -2,15 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from logsurf.linalg import (
-    det_bareiss,
-    is_negative_definite_matrix,
-    solve_exact,
-)
-from oracles import cofactor_det, charpoly_negdef, gauss_solve, pairing
+from logsurf.linalg import is_negative_definite_matrix, solve_exact
+from oracles import cofactor_det, charpoly_negdef, det_bareiss, gauss_solve, minor_signs_negdef, pairing
 
 
 def square(draw_entries, n):
@@ -18,6 +14,53 @@ def square(draw_entries, n):
 
 
 small_int = st.integers(min_value=-9, max_value=9)
+
+
+def symmetric(n, diagonal, off_diagonal):
+    """Symmetric n x n integer matrices with the given entry strategies."""
+    pairs = n * (n - 1) // 2
+
+    def build(parts):
+        diag, off = parts
+        m = [[0] * n for _ in range(n)]
+        it = iter(off)
+        for i in range(n):
+            m[i][i] = diag[i]
+            for j in range(i + 1, n):
+                m[i][j] = m[j][i] = next(it)
+        return m
+
+    return st.tuples(
+        st.lists(diagonal, min_size=n, max_size=n),
+        st.lists(off_diagonal, min_size=pairs, max_size=pairs),
+    ).map(build)
+
+
+entry = st.integers(min_value=-6, max_value=3)
+# general matrices mostly fail at an early pivot; near-diagonal ones with a
+# negative diagonal reach deep pivots and are often negative definite
+SYMMETRIC = st.integers(1, 12).flatmap(
+    lambda n: st.one_of(
+        symmetric(n, entry, entry),
+        symmetric(n, st.integers(-6, -1), st.integers(0, 1)),
+    )
+)
+
+
+@st.composite
+def zero_leading_minor(draw):
+    """A symmetric matrix whose leading (k+1) x (k+1) block has two equal
+    rows (k-1 and k), while every later row and column stays free: that
+    minor is 0, and a determinant of any larger leading minor must swap
+    rows at step k."""
+    n = draw(st.integers(2, 12))
+    k = draw(st.integers(1, n - 1))
+    m = draw(symmetric(n, st.integers(-6, -1), entry))
+    d = m[k - 1][k - 1]
+    m[k][k] = m[k][k - 1] = m[k - 1][k] = d
+    for j in range(k - 1):
+        m[k][j] = m[j][k] = m[k - 1][j]
+    return m
 
 
 class TestPairing:
@@ -122,6 +165,24 @@ class TestNegativeDefinite:
                 if i + 1 < n:
                     m[i][i + 1] = m[i + 1][i] = 1
             assert is_negative_definite_matrix(m)
+
+    @settings(max_examples=400)
+    @given(SYMMETRIC)
+    @example([[-2, 1, 0], [1, -2, 1], [0, 1, -2]])
+    def test_one_pass_matches_per_minor_determinants(self, m):
+        assert is_negative_definite_matrix(m) == minor_signs_negdef(m)
+
+    @settings(max_examples=200)
+    @given(zero_leading_minor())
+    @example([[-1, 1, 2], [1, -1, 3], [2, 3, -6]])
+    def test_zero_leading_minor_is_rejected_like_the_per_minor_test(self, m):
+        assert minor_signs_negdef(m) is False
+        assert is_negative_definite_matrix(m) is False
+
+    def test_inexact_division_raises(self):
+        # a non-integer entry breaks Bareiss divisibility; it must not pass silently
+        with pytest.raises(ValueError):
+            is_negative_definite_matrix([[-2, 1, 1], [1, -2, 1], [1, 1, -2.5]])
 
     def test_matches_charpoly_oracle_seeded(self):
         rng = random.Random(90125)

@@ -8,11 +8,13 @@ from logsurf.lattice import (
     PointSpec,
     _validated,
     blow_up,
+    declare_contracted,
     new_projective_plane,
 )
 from logsurf.mmp import (
     ARTIN_TYPE,
     CASTELNUOVO,
+    AuditStep,
     Exhausted,
     MinimalOverTracked,
     MmpRun,
@@ -22,6 +24,7 @@ from logsurf.mmp import (
     MostNegativeFirst,
     NamedOrder,
     SearchConfig,
+    _log_coefficient_map,
     audit_run,
     contract,
     contracted_self_intersection,
@@ -37,6 +40,9 @@ from logsurf.singularities import (
     EPS_LOG_TERMINAL,
     NOT_LOG_CANONICAL,
     QDivisor,
+    classify,
+    minimal_resolution,
+    pullback,
 )
 from oracles import coordinate_model
 
@@ -294,6 +300,74 @@ class TestAuditViolations:
         assert all(s.effectivity_ok for s in result.audit.steps)
 
 
+def fresh_audit_steps(steps, initial, epsilon):
+    """Every AuditStep of an honest run, replayed on the initial lattice with
+    declare_contracted, resolving each shadow model and solving the curve's
+    pullback afresh at every step. The boundary pairing comes from two
+    extremal pairings, (K + B).C* - K.C*, each with its own solve. Returns
+    the steps and how many resolutions differed from their shadow model."""
+    shadow, boundary = initial.surface, initial.boundary
+    prev = _log_coefficient_map(shadow, boundary)
+    rho, out, resolved = initial.rho, [], 0
+    for step in steps:
+        name = step.contracted_curve
+        mr = minimal_resolution(shadow)
+        resolved += mr.rank < shadow.rank
+        pb = pullback(mr, QDivisor.from_map({name: 1}))
+        support = [name] + [e for e, c in pb.coefficients if c > 0]
+        applicable = not any(mr.self_int(x) == -1 and mr.k_dot(x) == -1 for x in support)
+        value = extremal_pairing(mr, boundary, name) - extremal_pairing(mr, QDivisor.zero(), name)
+        shadow = declare_contracted(shadow, [name])
+        boundary = boundary.without(name)
+        new = _log_coefficient_map(shadow, boundary)
+        rises = [n for n in set(prev) | set(new) if new.get(n, F(0)) > prev.get(n, F(0))]
+        prev = new
+        rho_after = shadow.rank - len(shadow.contracted)
+        out.append(
+            AuditStep(
+                curve=name,
+                rho_before=rho,
+                rho_after=rho_after,
+                effectivity_ok=not rises,
+                classification=classify(shadow, QDivisor.zero(), epsilon).classification,
+                step3_applicable=applicable,
+                step3_value=value,
+                step3_ok=(not applicable) or value < 0,
+            )
+        )
+        rho = rho_after
+    return out, resolved
+
+
+class TestAuditReplay:
+    def test_carried_resolution_matches_a_fresh_replay(self):
+        rng = random.Random(SEED + 3)
+        grid = [F(0), F(1, 6), F(1, 3), F(1, 2), F(2, 3), F(5, 6)]
+        checked = resolved = 0
+        for trial in range(30):
+            model = new_projective_plane()
+            for i in range(rng.randint(1, 14)):
+                tracked = model.tracked
+                if not tracked or rng.random() < 0.5:
+                    point = PointSpec.general()
+                else:
+                    point = PointSpec.on_curve(rng.choice(tracked))
+                model = blow_up(model, point, f"C{i + 1}")
+            boundary = QDivisor.from_map(
+                {n: c for n in model.tracked if (c := rng.choice(grid)) != 0}
+            )
+            initial = MmpState(surface=model, boundary=boundary)
+            epsilon = (F(0), F(1, 7), F(1, 6))[trial % 3]
+            result = run(initial, MostNegativeFirst(), epsilon=epsilon)
+            expected, count = fresh_audit_steps(result.steps, initial, epsilon)
+            assert list(result.audit.steps) == expected
+            assert result.audit.ok
+            checked += len(expected)
+            resolved += count
+        # the replay must reach steps whose shadow model needs resolving
+        assert checked > 200 and resolved > 150
+
+
 class TestHarnesses:
     def test_verification_is_deterministic(self):
         a = verify_smooth_start_runs(15, SEED, F(1, 4))
@@ -338,3 +412,7 @@ class TestHarnesses:
     def test_search_input_validation(self):
         with pytest.raises(ValueError):
             search_canonical_starts(SearchConfig(), 0, SEED)
+        with pytest.raises(ValueError):
+            SearchConfig(min_chain_length=3, max_chain_length=2)
+        with pytest.raises(ValueError):
+            SearchConfig(min_chain_length=0)
