@@ -6,9 +6,9 @@ of named tracked curves, plus a subset of tracked curves declared contracted
 (the exceptional set of a map to a normal, possibly singular, surface).
 
 Row and column 0 belong to K; row i belongs to the i-th tracked curve. A
-blow-up appends a row and a blow-down is a rank-one update, so no ambient
-coordinates are ever needed: every number the package uses is an entry of
-the matrix or a bilinear combination of its rows.
+blow-up appends a row and a blow-down is a sparse rank-one update, so no
+ambient coordinates are ever needed: every number the package uses is an
+entry of the matrix or a bilinear combination of its rows.
 """
 
 from __future__ import annotations
@@ -203,27 +203,52 @@ def blow_up(model: SurfaceModel, point: PointSpec, exc_name: str) -> SurfaceMode
 
 
 def blow_down(model: SurfaceModel, exc_name: str) -> SurfaceModel:
-    """Contract a (-1)-curve e to a smooth point.
-
-    Every remaining row D, K included, becomes its pushforward D + (D.e)e,
-    so with g the column of e the matrix takes the rank-one update
-    M + g g^T; then e's row and column are dropped. The rank drops by one.
-    """
+    """Contract a (-1)-curve e to a smooth point: every other row D, K included,
+    becomes D + (D.e)e, e's row and column go, and the rank drops by one."""
     if model.self_int(exc_name) != -1 or model.k_dot(exc_name) != -1:
         raise ModelError(f"{exc_name!r} is not a (-1)-curve; cannot blow down")
-    e = model.row(exc_name)
-    g = [row[e] for row in model.matrix]
-    rows = [
-        [x + gi * gj for j, (x, gj) in enumerate(zip(row, g)) if j != e]
-        for i, (row, gi) in enumerate(zip(model.matrix, g))
-        if i != e
-    ]
+    return blow_down_cascade(model, [exc_name])
+
+
+def blow_down_cascade(model: SurfaceModel, names) -> SurfaceModel:
+    """Blow down the first of `names` with C.C = K.C = -1 in the current
+    matrix, again and again until none is left; `model` itself if none is.
+
+    One pass, in place, on a copy of the matrix. Blowing down e is the
+    update M + g g^T with g the column of e: only entries where g_i and g_j
+    are both nonzero move (K, e and the curves meeting e), and e's row and
+    column become zero, so e is never picked again. Only the result goes
+    through `_validated`; for a validated input no check is lost. The update
+    projects onto e-perp: K.K and the rank move together, the matrix stays
+    symmetric and integral, entries between curves only grow (by
+    (D.e)(D'.e) >= 0), and the contracted block left is the Schur complement
+    of e.e = -1 in a negative definite block. A round can newly break only
+    genus, as C.C + K.C of D moves by (D.e)(D.e - 1), or rank 1; the first
+    round that does ends the pass, and `_validated` then fails with the
+    message that blowing down one model at a time gives.
+    """
+    rows = [list(row) for row in model.matrix]
+    order = [model.row(n) for n in names]
+    dropped = []
+    while (e := next((i for i in order if rows[i][i] == rows[K_ROW][i] == -1), None)) is not None:
+        dropped.append(e)
+        g = [(i, x) for i, x in enumerate(rows[e]) if x]
+        for i, gi in g:
+            row = rows[i]
+            for j, gj in g:
+                row[j] += gi * gj
+        broken = any(rows[i][i] + rows[K_ROW][i] != -2 for i, _ in g if i not in (K_ROW, e))
+        if broken or len(dropped) == model.rank:
+            break
+    if not dropped:
+        return model
+    keep = [i for i in range(len(rows)) if i not in dropped]
     return _validated(
         SurfaceModel(
-            rank=model.rank - 1,
-            names=tuple([n for n in model.names if n != exc_name]),
-            matrix=_frozen(rows),
-            contracted=model.contracted - {exc_name},
+            rank=model.rank - len(dropped),
+            names=tuple([model.names[i - 1] for i in keep[1:]]),
+            matrix=_frozen([[rows[i][j] for j in keep] for i in keep]),
+            contracted=model.contracted.difference(model.names[i - 1] for i in dropped),
         )
     )
 

@@ -526,8 +526,8 @@ def search_canonical_starts(config: SearchConfig, trials, seed) -> SearchReport:
         if chain:
             model = declare_contracted(model, chain_names)
         start = classify(model, QDivisor.zero(), Fraction(0))
-        assert start.total_discrepancy is not None
-        assert start.total_discrepancy >= 0  # canonical start by construction
+        if start.total_discrepancy is None or start.total_discrepancy < 0:  # canonical by construction
+            raise ModelError(f"trial {trial}: start surface classifies {start.classification}, not canonical")
         canonical_starts += 1
         coeffs = {
             n: rng.choice(grid)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ModelError, MultiEdgeError
-from .lattice import K_ROW, SurfaceModel, blow_down
+from .lattice import K_ROW, SurfaceModel, blow_down_cascade
 from .linalg import solve_exact
 
 NEG_INFINITY = float("-inf")
@@ -163,19 +163,12 @@ def log_discrepancies(model: SurfaceModel, boundary: QDivisor) -> LogPullback:
 def minimal_resolution(model: SurfaceModel) -> SurfaceModel:
     """Blow down contracted (-1)-curves until none remain.
 
-    Candidates are processed in ascending name order, so the result is
-    deterministic. The output represents the same surface through its
-    minimal desingularization.
+    Each round takes the first contracted (-1)-curve in name order, so the
+    result is deterministic: the same surface through its minimal
+    desingularization. One pass, one validation: see
+    `lattice.blow_down_cascade` for why no check is lost.
     """
-    while True:
-        ready = [
-            n
-            for n in sorted(model.contracted)
-            if model.self_int(n) == -1 and model.k_dot(n) == -1
-        ]
-        if not ready:
-            return model
-        model = blow_down(model, ready[0])
+    return blow_down_cascade(model, sorted(model.contracted))
 
 
 def total_discrepancy_snc(coefficients, edges) -> Fraction | float:
@@ -194,7 +187,8 @@ def total_discrepancy_snc(coefficients, edges) -> Fraction | float:
     for a, d in edges:
         if a == d:
             raise MultiEdgeError(f"vertex {a!r} meets itself; not simple normal crossing")
-        assert a in b and d in b, "edge endpoint is not a vertex"
+        if a not in b or d not in b:
+            raise ModelError("edge endpoint is not a vertex")
         counts[tuple(sorted((a, d)))] += 1
     multi = [pair for pair, k in counts.items() if k >= 2]
     if multi:

@@ -3,15 +3,17 @@
 Everything here is deliberately naive: textbook Gaussian elimination over
 Fraction, cofactor determinants, a determinant per leading minor,
 characteristic polynomials, a bounded blow-up search for total
-discrepancies, and the coordinate model of a blown-up plane (classes as
-vectors in the diagonal basis). Slow and obvious beats fast and clever for
-an oracle.
+discrepancies, the coordinate model of a blown-up plane (classes as
+vectors in the diagonal basis) and a minimal resolution that builds and
+validates every intermediate model. Slow and obvious beats fast and clever
+for an oracle.
 """
 
 from fractions import Fraction
 from operator import mul
 
-from logsurf.lattice import SurfaceModel
+from logsurf.errors import ModelError
+from logsurf.lattice import SurfaceModel, _validated
 
 
 def pairing(u, v):
@@ -68,6 +70,42 @@ class CoordinateTower:
         self.curves = {n: push(c) for n, c in self.curves.items()}
         self.canonical = push(self.canonical)
         self.rank -= 1
+
+
+def dense_blow_down(model, name):
+    """Blow down a (-1)-curve with the full rank-one update M + g g^T over
+    every entry, drop its row and column, and validate the new model."""
+    if model.self_int(name) != -1 or model.k_dot(name) != -1:
+        raise ModelError(f"{name!r} is not a (-1)-curve; cannot blow down")
+    e = model.row(name)
+    g = [row[e] for row in model.matrix]
+    rows = [
+        tuple(x + gi * gj for j, (x, gj) in enumerate(zip(row, g)) if j != e)
+        for i, (row, gi) in enumerate(zip(model.matrix, g))
+        if i != e
+    ]
+    return _validated(
+        SurfaceModel(
+            rank=model.rank - 1,
+            names=tuple(n for n in model.names if n != name),
+            matrix=tuple(rows),
+            contracted=model.contracted - {name},
+        )
+    )
+
+
+def stepwise_minimal_resolution(model):
+    """Blow down the first contracted (-1)-curve in name order, one model
+    at a time, each one validated, until none is left."""
+    while True:
+        ready = [
+            n
+            for n in sorted(model.contracted)
+            if model.self_int(n) == -1 and model.k_dot(n) == -1
+        ]
+        if not ready:
+            return model
+        model = dense_blow_down(model, ready[0])
 
 
 def gauss_solve(matrix, rhs):

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
+from logsurf import mmp
 from logsurf.errors import ModelError, ScenarioError
 from logsurf.lattice import (
     PointSpec,
@@ -24,6 +26,7 @@ from logsurf.mmp import (
     MostNegativeFirst,
     NamedOrder,
     SearchConfig,
+    _coefficient_grid,
     _log_coefficient_map,
     audit_run,
     contract,
@@ -40,6 +43,7 @@ from logsurf.singularities import (
     EPS_LOG_TERMINAL,
     NOT_LOG_CANONICAL,
     QDivisor,
+    SingularityClass,
     classify,
     minimal_resolution,
     pullback,
@@ -255,6 +259,43 @@ class TestRun:
             assert isinstance(result.outcome, (MinimalOverTracked, MoriFiberSignal))
 
 
+def tower_with_intersections(rng, max_blowups):
+    """A random tower whose blow-ups also sit at the intersection of two
+    tracked curves, returned with the number of such blow-ups."""
+    model, at = new_projective_plane(), 0
+    for i in range(rng.randint(1, max_blowups)):
+        names = model.tracked
+        meeting = [(a, b) for a, b in combinations(names, 2) if model.intersection(a, b) >= 1]
+        roll = rng.random()
+        if not names or roll < 0.35:
+            point = PointSpec.general()
+        elif meeting and roll < 0.7:
+            point = PointSpec.at_intersection(*rng.choice(meeting))
+            at += 1
+        else:
+            point = PointSpec.on_curve(rng.choice(names))
+        model = blow_up(model, point, f"C{i + 1}")
+    return model, at
+
+
+class TestIntersectionTowerRuns:
+    def test_runs_with_intersection_blowups_audit_clean(self):
+        epsilon = F(1, 7)
+        grid = _coefficient_grid(1 - epsilon)
+        at_total = 0
+        for trial in range(150):
+            rng = random.Random(SEED * 1_000_003 + trial)
+            model, at = tower_with_intersections(rng, 12)
+            at_total += at
+            boundary = QDivisor.from_map(
+                {n: c for n in model.tracked if (c := rng.choice(grid)) != 0}
+            )
+            result = run(MmpState(surface=model, boundary=boundary), MostNegativeFirst(), epsilon)
+            assert result.audit.ok, (trial, result.audit.violations)
+            assert isinstance(result.outcome, (MinimalOverTracked, MoriFiberSignal, Exhausted))
+        assert at_total >= 150  # the stream really blows up intersection points
+
+
 class TestAuditViolations:
     def fake_run(self, names):
         steps = tuple(
@@ -404,6 +445,14 @@ class TestHarnesses:
         assert len(report.samples) <= 5
         for sample in report.samples:
             assert "not-log-canonical" in sample
+
+    def test_search_rejects_a_non_canonical_start(self, monkeypatch):
+        def not_canonical(model, boundary, epsilon):
+            return SingularityClass(F(-1, 2), NOT_LOG_CANONICAL, F(-1, 2), NOT_LOG_CANONICAL, F(0))
+
+        monkeypatch.setattr(mmp, "classify", not_canonical)
+        with pytest.raises(ModelError, match="trial 0: start surface classifies not-log-canonical"):
+            search_canonical_starts(SearchConfig(), 1, SEED)
 
     def test_search_smooth_starts_only(self):
         report = search_canonical_starts(SearchConfig(smooth_starts_only=True), 8, SEED)

@@ -1,13 +1,17 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logsurf import singularities
 from logsurf.dualgraph import build_dual_graph, graph_shape
-from logsurf.errors import ModelError, MultiEdgeError, NotNegativeDefiniteError
+from logsurf.errors import LogSurfError, ModelError, MultiEdgeError, NotNegativeDefiniteError
 from logsurf.lattice import (
     PointSpec,
+    SurfaceModel,
     _validated,
     blow_up,
     declare_contracted,
@@ -27,7 +31,7 @@ from logsurf.singularities import (
     pullback,
     total_discrepancy_snc,
 )
-from oracles import coordinate_model, gauss_solve
+from oracles import coordinate_model, gauss_solve, stepwise_minimal_resolution
 
 
 def fork_model(n0, orders=(2, 3, 6), extra=3, **kw):
@@ -248,6 +252,111 @@ class TestMinimalResolution:
         assert minimal_resolution(mr) == mr
 
 
+def assert_matches_stepwise(model):
+    """minimal_resolution gives the stepwise oracle's model, or raises the
+    oracle's exception type with the oracle's message."""
+    try:
+        expected = stepwise_minimal_resolution(model)
+    except LogSurfError as exc:
+        with pytest.raises(LogSurfError) as got:
+            minimal_resolution(model)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        return exc
+    mr = minimal_resolution(model)
+    assert (mr.rank, mr.names, mr.matrix, mr.contracted) == (
+        expected.rank,
+        expected.names,
+        expected.matrix,
+        expected.contracted,
+    )
+    return mr
+
+
+TOWER_OPS = st.lists(
+    st.tuples(st.sampled_from(("general", "on", "at")), st.integers(0, 10**6)),
+    min_size=1,
+    max_size=16,
+)
+
+
+class TestMinimalResolutionOracle:
+    """The one-pass resolution against blowing down one validated model at
+    a time."""
+
+    @settings(max_examples=300)
+    @given(TOWER_OPS, st.integers(0, 2**16 - 1))
+    def test_random_towers_and_contracted_sets(self, ops, mask):
+        model = new_projective_plane()
+        for i, (kind, pick) in enumerate(ops):
+            names = model.tracked
+            if kind == "general" or not names:
+                choices = [PointSpec.general()]
+            elif kind == "on":
+                choices = [PointSpec.on_curve(n) for n in names]
+            else:
+                choices = [
+                    PointSpec.at_intersection(a, b)
+                    for a, b in combinations(names, 2)
+                    if model.intersection(a, b) >= 1
+                ] or [PointSpec.general()]
+            model = blow_up(model, choices[pick % len(choices)], f"C{i}")
+        # every subset of a tower's exceptional curves is negative definite
+        subset = [n for k, n in enumerate(model.tracked) if mask >> k & 1]
+        assert_matches_stepwise(declare_contracted(model, subset))
+
+    # A contracted (-1)-curve E meeting a tracked curve twice: blowing E down
+    # leaves that curve with arithmetic genus 1. The classes live in the
+    # diagonal basis: N is a nodal cubic with its node blown up.
+    GENUS_CASES = {
+        "one blow-down": (
+            2,
+            (-3, 1),
+            {"L": (1, -1), "N": (3, -2), "E": (0, 1), "A": (3, -2)},
+            ("E",),
+            "N",
+        ),
+        "second of a cascade": (
+            3,
+            (-3, 1, 1),
+            {"D": (3, -2, -1), "E1": (0, 1, -1), "E2": (0, 0, 1)},
+            ("E1", "E2"),
+            "D",
+        ),
+        # blowing down E1 breaks Z; going on to E2 would break A, earlier in
+        # row order, so the pass must stop at the first broken round
+        "stops at the first broken round": (
+            3,
+            (-3, 1, 1),
+            {"A": (3, 0, -2), "Z": (3, -2, 0), "E1": (0, 1, 0), "E2": (0, 0, 1)},
+            ("E1", "E2"),
+            "Z",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(GENUS_CASES))
+    def test_genus_failure_matches_the_stepwise_oracle(self, case):
+        rank, canonical, curves, contracted, broken = self.GENUS_CASES[case]
+        model = _validated(coordinate_model(rank, canonical, curves, contracted))
+        exc = assert_matches_stepwise(model)
+        assert isinstance(exc, ModelError)
+        # the first broken curve in row order is named, as _validated names it
+        assert str(exc) == f"curve {broken!r} is not a smooth rational class (genus != 0)"
+
+    def test_rank_floor_matches_the_stepwise_oracle(self):
+        # _validated accepts two disjoint (-1)-curves at rank 1, which no
+        # blown-up plane carries; the pass stops where the rank reaches 0
+        model = _validated(
+            SurfaceModel(
+                rank=1,
+                names=("A", "B"),
+                matrix=((9, -1, -1), (-1, -1, 0), (-1, 0, -1)),
+                contracted=frozenset({"A", "B"}),
+            )
+        )
+        exc = assert_matches_stepwise(model)
+        assert str(exc) == "rank 0 < 1"
+
+
 class TestSncFormula:
     def test_empty_configuration(self):
         assert total_discrepancy_snc({}, []) == 1
@@ -279,9 +388,11 @@ class TestSncFormula:
         with pytest.raises(MultiEdgeError):
             total_discrepancy_snc({"A": 0, "B": 0}, [("A", "B"), ("B", "A")])
 
-    def test_unknown_endpoint_asserts(self):
-        with pytest.raises(AssertionError):
+    def test_unknown_endpoint_rejected(self):
+        with pytest.raises(ModelError, match="edge endpoint is not a vertex"):
             total_discrepancy_snc({"A": 0}, [("A", "B")])
+        with pytest.raises(ModelError, match="edge endpoint is not a vertex"):
+            total_discrepancy_snc({"a": 1}, [("a", "b")])
 
 
 class TestClassify:
