@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import lcm
 
 from .errors import ModelError, NotNegativeDefiniteError
-from .linalg import is_negative_definite_matrix
+from .linalg import negative_definite_factor
 
 GENERAL = "general"
 ON_CURVE = "on_curve"
@@ -36,9 +37,11 @@ class PointSpec:
     names: tuple[str, ...] = ()
 
     def __post_init__(self):
-        assert self.kind in (GENERAL, ON_CURVE, AT_INTERSECTION)
-        expected = {GENERAL: 0, ON_CURVE: 1, AT_INTERSECTION: 2}[self.kind]
-        assert len(self.names) == expected
+        expected = {GENERAL: 0, ON_CURVE: 1, AT_INTERSECTION: 2}.get(self.kind)
+        if expected is None:
+            raise ModelError(f"unknown point kind {self.kind!r}")
+        if len(self.names) != expected:
+            raise ModelError(f"point kind {self.kind!r} needs {expected} curve names, got {len(self.names)}")
 
     @classmethod
     def general(cls) -> "PointSpec":
@@ -106,6 +109,13 @@ class SurfaceModel:
         rows = [self.row(n) for n in names]
         return [[self.matrix[i][j] for j in rows] for i in rows]
 
+    @cached_property
+    def contracted_factor(self) -> list[list[int]] | None:
+        """The Sylvester elimination of the contracted Gram block, curves in
+        name order: every solve over the contracted set substitutes against
+        it. None when the block is not negative definite."""
+        return negative_definite_factor(self.gram(sorted(self.contracted)))
+
     def dot(self, u, v) -> Fraction:
         """Intersection number of two rational combinations of rows.
 
@@ -162,9 +172,14 @@ def _validated(model: SurfaceModel) -> SurfaceModel:
             raise NotNegativeDefiniteError(
                 f"contracted curve {name!r} has self-intersection {model.self_int(name)} >= 0"
             )
-    if not is_negative_definite_matrix(model.gram(contracted)):
+    if model.contracted_factor is None:
         raise NotNegativeDefiniteError(
             f"contracted configuration {contracted} is not negative definite"
+        )
+    if len(contracted) > model.rank - 1:  # Hodge index: signature (1, rank - 1)
+        raise NotNegativeDefiniteError(
+            f"contracted configuration {contracted} spans {len(contracted)} negative directions; "
+            f"rank {model.rank} allows at most {model.rank - 1}"
         )
     return model
 

@@ -1,9 +1,9 @@
 """Exact linear algebra over the integers and rationals.
 
-Everything here is fraction-free or Fraction-based; no floats ever enter.
-Both routines are one fraction-free (Bareiss) elimination, O(n^3), with
-every exact division checked: the matrices are small (rank <= a few dozen),
-but every model a run builds goes through them.
+No floats ever enter. There is one elimination: `negative_definite_factor`
+runs a fraction-free (Bareiss) pass, O(n^3), that is both the Sylvester
+test and an LU factorization; `solve_exact` replays it on a right-hand side
+and back-substitutes in integers, O(n^2). Every exact division is checked.
 """
 
 from __future__ import annotations
@@ -12,14 +12,16 @@ from fractions import Fraction
 from math import lcm
 
 
-def is_negative_definite_matrix(matrix: list[list[int]]) -> bool:
+def negative_definite_factor(matrix: list[list[int]]) -> list[list[int]] | None:
     """Sylvester test: (-1)^k det(leading k x k minor) > 0 for every k.
 
     One Bareiss elimination without row swaps: after step k the pivot
     m[k][k] is the determinant of the leading (k+1) x (k+1) minor, so every
     sign comes out of a single pass. A zero pivot is a zero minor, which
-    fails the test, so no row swap is ever needed. The empty matrix is
-    vacuously negative definite.
+    fails the test, so no row swap is ever needed. Returns None at the first
+    bad pivot; otherwise the eliminated matrix: U on and above the diagonal
+    and, below it, the multiplier each row was eliminated with (step k never
+    writes column k). The empty matrix is vacuously negative definite.
     """
     n = len(matrix)
     m = [list(row) for row in matrix]
@@ -27,7 +29,7 @@ def is_negative_definite_matrix(matrix: list[list[int]]) -> bool:
     for k in range(n):
         pivot = m[k][k]
         if pivot == 0 or (pivot > 0) != (k % 2 == 1):
-            return False
+            return None
         top = m[k]
         for i in range(k + 1, n):
             row = m[i]
@@ -38,52 +40,40 @@ def is_negative_definite_matrix(matrix: list[list[int]]) -> bool:
                     raise ValueError("inexact Bareiss division; not an integer matrix")
                 row[j] = num // prev
         prev = pivot
-    return True
+    return m
 
 
-def solve_exact(
-    matrix: list[list[int]], rhs: list[Fraction | int]
-) -> list[Fraction]:
-    """Solve an integer linear system with a rational right-hand side, exactly.
+def is_negative_definite_matrix(matrix: list[list[int]]) -> bool:
+    """The Sylvester test alone, for callers that solve nothing."""
+    return negative_definite_factor(matrix) is not None
 
-    Scales the rhs to integers, runs fraction-free forward elimination with
-    partial (first-nonzero) pivoting, then back-substitutes in Fractions.
-    Raises ValueError on a singular system.
+
+def solve_exact(factor: list[list[int]], rhs: list[Fraction | int]) -> list[Fraction]:
+    """Solve A x = rhs exactly, given factor = negative_definite_factor(A).
+
+    Scales the rhs to integers and replays the elimination on it (exact:
+    each entry is a minor of [A | rhs]). Then y = det(A) x is integral by
+    Cramer's rule, so the back-substitution runs in integers with checked
+    exact divisions; only x = y / (det(A) scale) makes Fractions. `factor`
+    is never written.
     """
-    n = len(matrix)
-    if n == 0:
-        return []
-    if any(len(row) != n for row in matrix) or len(rhs) != n:
-        raise ValueError("solve_exact needs an n x n matrix and n right-hand sides")
-    scale = lcm(*(Fraction(b).denominator for b in rhs))
-    aug = [
-        [int(x) for x in row] + [int(Fraction(rhs[i]) * scale)]
-        for i, row in enumerate(matrix)
-    ]
-    prev = 1
+    n = len(factor)
+    if len(rhs) != n:
+        raise ValueError("solve_exact needs one right-hand side per row of the factor")
+    scale = lcm(*(b.denominator for b in rhs))
+    c = [b.numerator * (scale // b.denominator) for b in rhs]
+    det = 1  # the last pivot so far; after the loop, det(A)
     for k in range(n):
-        if aug[k][k] == 0:
-            for r in range(k + 1, n):
-                if aug[r][k] != 0:
-                    aug[k], aug[r] = aug[r], aug[k]
-                    break
-            else:
-                raise ValueError("singular system")
+        pivot = factor[k][k]
+        ck = c[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n + 1):
-                num = aug[i][j] * aug[k][k] - aug[i][k] * aug[k][j]
-                if num % prev:
-                    raise ValueError("inexact Bareiss division; not an integer matrix")
-                aug[i][j] = num // prev
-            aug[i][k] = 0
-        prev = aug[k][k]
-    x = [Fraction(0)] * n
+            c[i] = (c[i] * pivot - factor[i][k] * ck) // det
+        det = pivot
+    y = [0] * n
     for i in range(n - 1, -1, -1):
-        acc = Fraction(aug[i][n])
-        for j in range(i + 1, n):
-            acc -= aug[i][j] * x[j]
-        if aug[i][i] == 0:
-            raise ValueError("singular system")
-        x[i] = acc / aug[i][i]
-    return [xi / scale for xi in x]
-
+        row = factor[i]
+        num = det * c[i] - sum(row[j] * y[j] for j in range(i + 1, n))
+        if num % row[i]:
+            raise ValueError("inexact back-substitution; not a Bareiss factor")
+        y[i] = num // row[i]
+    return [Fraction(yi, det * scale) for yi in y]

@@ -32,7 +32,7 @@ from .singularities import (
     _check_boundary,
     classify,
     divisor_terms,
-    log_discrepancies,
+    log_coefficients,
     minimal_resolution,
     pullback,
 )
@@ -263,16 +263,6 @@ def run(state: MmpState, strategy, epsilon=Fraction(0)) -> MmpRun:
     return MmpRun(steps=tuple(steps), outcome=outcome, audit=audit)
 
 
-def _log_coefficient_map(model: SurfaceModel, boundary: QDivisor) -> dict[str, Fraction]:
-    """Coefficients, on the initial lattice, of the log pullback of the
-    modeled pair: boundary strict transforms keep their coefficients and
-    contracted curves get their solved exceptional part."""
-    lp = log_discrepancies(model, boundary)
-    out = {name: c for name, c in boundary.coefficients}
-    out.update(dict(lp.boundary_part.coefficients))
-    return out
-
-
 def audit_run(run_record: MmpRun, initial: MmpState, epsilon) -> AuditReport:
     """Replay a run on the initial lattice and verify the soundness conditions.
 
@@ -297,7 +287,7 @@ def audit_run(run_record: MmpRun, initial: MmpState, epsilon) -> AuditReport:
         )
     shadow = initial.surface
     boundary = initial.boundary
-    prev_coeffs = _log_coefficient_map(shadow, boundary)
+    prev_coeffs = log_coefficients(shadow, boundary)
     mr = None  # minimal resolution of shadow, carried from the last classification
     rho_sequence = [initial_rho]
     audit_steps = []
@@ -311,13 +301,9 @@ def audit_run(run_record: MmpRun, initial: MmpState, epsilon) -> AuditReport:
         try:
             if mr is None:
                 mr = minimal_resolution(shadow)
-            pb = pullback(mr, QDivisor.from_map({name: 1}))
-            support = [name] + [e for e, c in pb.coefficients if c > 0]
-            has_minus_one = any(
-                mr.self_int(x) == -1 and mr.k_dot(x) == -1 for x in support
-            )
-            step3_applicable = not has_minus_one
-            mumford = [(mr.row(name), 1)] + divisor_terms(mr, pb)  # full pullback of the curve
+            mumford = _mumford_terms(mr, name)
+            m = mr.matrix
+            step3_applicable = not any(m[r][r] == m[K_ROW][r] == -1 for r, c in mumford if c > 0)
             step3_value = mr.dot(divisor_terms(mr, boundary), mumford)
             step3_ok = (not step3_applicable) or step3_value < 0
         except ModelError as exc:
@@ -333,7 +319,7 @@ def audit_run(run_record: MmpRun, initial: MmpState, epsilon) -> AuditReport:
             violations.append(f"effectivity: step {i} ({name!r}): replay failed: {exc}")
             break
         boundary = boundary.without(name)
-        new_coeffs = _log_coefficient_map(shadow, boundary)
+        new_coeffs = log_coefficients(shadow, boundary)
         bad = sorted(
             n
             for n in set(prev_coeffs) | set(new_coeffs)

@@ -36,8 +36,10 @@ class QDivisor:
 
     def __post_init__(self):
         names = [n for n, _ in self.coefficients]
-        assert names == sorted(names) and len(names) == len(set(names))
-        assert all(isinstance(c, Fraction) for _, c in self.coefficients)
+        if names != sorted(names) or len(names) != len(set(names)):
+            raise ValueError(f"divisor names must be sorted and distinct: {names}")
+        if not all(isinstance(c, Fraction) for _, c in self.coefficients):
+            raise ValueError("divisor coefficients must be Fractions")
 
     @classmethod
     def from_map(cls, mapping) -> "QDivisor":
@@ -110,12 +112,16 @@ def _exceptional_part(model: SurfaceModel, terms) -> list[Fraction]:
     """Coefficients x_i, contracted curves in name order, with
     (terms + sum x_i E_i).E_j = 0 for every contracted E_j.
 
-    The orthogonality is re-verified with SurfaceModel.dot after the solve.
+    The solve substitutes against the model's one factorization of the
+    contracted block; the orthogonality is re-verified with SurfaceModel.dot.
     """
     exceptional = sorted(model.contracted)
+    factor = model.contracted_factor
+    if factor is None:
+        raise ModelError(f"contracted configuration {exceptional} is not negative definite")
     rows = [model.row(e) for e in exceptional]
     rhs = [-model.dot(terms, [(r, 1)]) for r in rows]
-    x = solve_exact(model.gram(exceptional), rhs)
+    x = solve_exact(factor, rhs)
     full = terms + list(zip(rows, x))
     for e, r in zip(exceptional, rows):
         if model.dot(full, [(r, 1)]) != 0:
@@ -158,6 +164,14 @@ def log_discrepancies(model: SurfaceModel, boundary: QDivisor) -> LogPullback:
     boundary_part = QDivisor(tuple(zip(exceptional, g)))
     discrepancies = QDivisor(tuple((n, -gi) for n, gi in zip(exceptional, g)))
     return LogPullback(boundary_part=boundary_part, discrepancies=discrepancies)
+
+
+def log_coefficients(model: SurfaceModel, boundary: QDivisor) -> dict[str, Fraction]:
+    """Coefficients of the log pullback of the modeled pair: boundary curves
+    keep their nonzero coefficients, contracted curves get their solved g_i."""
+    out = {name: c for name, c in boundary.coefficients if c}
+    out.update(log_discrepancies(model, boundary).boundary_part.coefficients)
+    return out
 
 
 def minimal_resolution(model: SurfaceModel) -> SurfaceModel:
@@ -227,14 +241,8 @@ def classify(model: SurfaceModel, boundary: QDivisor, epsilon) -> SingularityCla
         raise ModelError(f"epsilon {epsilon} outside [0, 1]")
     _check_boundary(model, boundary)
     mr = minimal_resolution(model)
-    lp = log_discrepancies(mr, boundary)
-    mr_values = [a for _, a in lp.discrepancies.coefficients]
-    mr_values.extend(-boundary.coefficient(n) for n in boundary.support)
-    mr_total = min(mr_values, default=Fraction(1))
-    mr_total = min(mr_total, Fraction(1))
-    coefficients = dict(lp.boundary_part.coefficients)
-    for n in boundary.support:
-        coefficients[n] = boundary.coefficient(n)
+    coefficients = log_coefficients(mr, boundary)
+    mr_total = min([-c for c in coefficients.values()] + [Fraction(1)])
     vertex_names = sorted(coefficients)
     edges = []
     for i, a in enumerate(vertex_names):

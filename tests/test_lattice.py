@@ -205,6 +205,34 @@ class TestContractedSet:
         with pytest.raises(ModelError):
             declare_contracted(new_projective_plane(), ["E"])
 
+    def test_hodge_index_caps_the_contracted_count(self):
+        # two disjoint (-1)-curves pass the Sylvester test, but rank 1 leaves
+        # no room for a negative direction
+        model = SurfaceModel(
+            rank=1,
+            names=("A", "B"),
+            matrix=((9, -1, -1), (-1, -1, 0), (-1, 0, -1)),
+            contracted=frozenset({"A", "B"}),
+        )
+        assert model.contracted_factor is not None
+        with pytest.raises(NotNegativeDefiniteError, match="rank 1 allows at most 0"):
+            _validated(model)
+
+
+class TestPointSpec:
+    @pytest.mark.parametrize(
+        "kind, names, message",
+        [
+            ("nowhere", (), "unknown point kind 'nowhere'"),
+            ("general", ("A",), "point kind 'general' needs 0 curve names, got 1"),
+            ("on_curve", (), "point kind 'on_curve' needs 1 curve names, got 0"),
+            ("at_intersection", ("A",), "point kind 'at_intersection' needs 2 curve names, got 1"),
+        ],
+    )
+    def test_rejects_bad_kind_and_name_count(self, kind, names, message):
+        with pytest.raises(ModelError, match=message):
+            PointSpec(kind, names)
+
 
 class TestInvariants:
     def test_k_squared_tracks_rank(self):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from logsurf.linalg import is_negative_definite_matrix, solve_exact
+from logsurf.linalg import is_negative_definite_matrix, negative_definite_factor, solve_exact
 from oracles import cofactor_det, charpoly_negdef, det_bareiss, gauss_solve, minor_signs_negdef, pairing
 
 
@@ -108,40 +108,66 @@ class TestDeterminant:
         assert det_bareiss(m) == -1
 
 
+def solve(matrix, rhs):
+    return solve_exact(negative_definite_factor(matrix), rhs)
+
+
 class TestSolveExact:
     def test_known_system(self):
-        # x + y = 3, x - y = 1
-        assert solve_exact([[1, 1], [1, -1]], [3, 1]) == [Fraction(2), Fraction(1)]
+        # -2x + y = -3, x - 2y = 0
+        assert solve([[-2, 1], [1, -2]], [-3, 0]) == [Fraction(2), Fraction(1)]
 
-    def test_singular_raises(self):
-        with pytest.raises(ValueError):
-            solve_exact([[1, 1], [2, 2]], [1, 2])
+    def test_singular_and_indefinite_have_no_factor(self):
+        assert negative_definite_factor([[-1, 1], [1, -1]]) is None  # det 0
+        assert negative_definite_factor([[-1, 2], [2, -1]]) is None  # det -3
 
     def test_fractional_rhs(self):
-        x = solve_exact([[2, 0], [0, 3]], [Fraction(1, 3), Fraction(1, 2)])
-        assert x == [Fraction(1, 6), Fraction(1, 6)]
+        x = solve([[-2, 0], [0, -3]], [Fraction(1, 3), Fraction(1, 2)])
+        assert x == [Fraction(-1, 6), Fraction(-1, 6)]
 
     def test_empty(self):
-        assert solve_exact([], []) == []
+        assert solve([], []) == []
 
     def test_against_gauss_seeded(self):
         rng = random.Random(515)
         solved = 0
         for _ in range(120):
             n = rng.randint(1, 5)
-            m = [[rng.randint(-7, 7) for _ in range(n)] for _ in range(n)]
+            m = [[0] * n for _ in range(n)]
+            for i in range(n):
+                m[i][i] = rng.randint(-7, -1)
+                for j in range(i + 1, n):
+                    m[i][j] = m[j][i] = rng.randint(-2, 2)
             rhs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
-            if cofactor_det(m) == 0:
-                with pytest.raises(ValueError):
-                    solve_exact(m, rhs)
+            factor = negative_definite_factor(m)
+            if not minor_signs_negdef(m):
+                assert factor is None
                 continue
-            x = solve_exact(m, rhs)
+            x = solve_exact(factor, rhs)
             assert x == gauss_solve(m, rhs)
             # residual check straight against the inputs
             for row, b in zip(m, rhs):
                 assert sum(a * xi for a, xi in zip(row, x)) == b
             solved += 1
         assert solved > 60  # the loop must mostly exercise the solvable path
+
+    def test_inexact_back_substitution_raises(self):
+        # no integer matrix eliminates to this: det 1, but x_0 = 1/2
+        with pytest.raises(ValueError, match="back-substitution"):
+            solve_exact([[2, 1], [0, 1]], [1, 0])
+
+    @settings(max_examples=300)
+    @given(SYMMETRIC, st.data())
+    def test_factor_solves_like_gauss(self, m, data):
+        factor = negative_definite_factor(m)
+        assert (factor is None) == (not minor_signs_negdef(m))
+        if factor is None:
+            return
+        kept = [list(row) for row in factor]
+        rational = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+        rhs = data.draw(st.lists(rational, min_size=len(m), max_size=len(m)))
+        assert solve_exact(factor, rhs) == gauss_solve(m, rhs)
+        assert factor == kept
 
 
 class TestNegativeDefinite:

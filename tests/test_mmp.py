@@ -27,7 +27,6 @@ from logsurf.mmp import (
     NamedOrder,
     SearchConfig,
     _coefficient_grid,
-    _log_coefficient_map,
     audit_run,
     contract,
     contracted_self_intersection,
@@ -45,6 +44,7 @@ from logsurf.singularities import (
     QDivisor,
     SingularityClass,
     classify,
+    log_coefficients,
     minimal_resolution,
     pullback,
 )
@@ -348,7 +348,7 @@ def fresh_audit_steps(steps, initial, epsilon):
     extremal pairings, (K + B).C* - K.C*, each with its own solve. Returns
     the steps and how many resolutions differed from their shadow model."""
     shadow, boundary = initial.surface, initial.boundary
-    prev = _log_coefficient_map(shadow, boundary)
+    prev = log_coefficients(shadow, boundary)
     rho, out, resolved = initial.rho, [], 0
     for step in steps:
         name = step.contracted_curve
@@ -360,7 +360,7 @@ def fresh_audit_steps(steps, initial, epsilon):
         value = extremal_pairing(mr, boundary, name) - extremal_pairing(mr, QDivisor.zero(), name)
         shadow = declare_contracted(shadow, [name])
         boundary = boundary.without(name)
-        new = _log_coefficient_map(shadow, boundary)
+        new = log_coefficients(shadow, boundary)
         rises = [n for n in set(prev) | set(new) if new.get(n, F(0)) > prev.get(n, F(0))]
         prev = new
         rho_after = shadow.rank - len(shadow.contracted)

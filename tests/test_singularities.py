@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logsurf import singularities
+from logsurf import lattice, singularities
 from logsurf.dualgraph import build_dual_graph, graph_shape
 from logsurf.errors import LogSurfError, ModelError, MultiEdgeError, NotNegativeDefiniteError
 from logsurf.lattice import (
@@ -67,6 +67,20 @@ class TestQDivisor:
         d = QDivisor.from_map({"A": 1, "B": 2})
         assert d.without("A").names == ("B",)
         assert d.without("C") == d
+
+    @pytest.mark.parametrize(
+        "coefficients, message",
+        [
+            ((("B", F(1)), ("A", F(1))), "sorted and distinct"),
+            ((("A", F(1)), ("A", F(2))), "sorted and distinct"),
+            ((("A", 1),), "must be Fractions"),
+            ((("A", 0.5),), "must be Fractions"),
+        ],
+        ids=["unsorted", "repeated", "int", "float"],
+    )
+    def test_rejects_bad_coefficients(self, coefficients, message):
+        with pytest.raises(ValueError, match=message):
+            QDivisor(coefficients)
 
 
 class TestPullback:
@@ -139,11 +153,39 @@ class TestPullback:
         with pytest.raises(ModelError, match="not orthogonal"):
             log_discrepancies(model, QDivisor.zero())
 
+    def test_each_model_factors_its_block_once(self, monkeypatch):
+        blocks = []
+
+        def counting(matrix):
+            blocks.append([list(row) for row in matrix])
+            return factor(matrix)
+
+        factor = lattice.negative_definite_factor
+        monkeypatch.setattr(lattice, "negative_definite_factor", counting)
+        model = fork_model(4, (2, 2, 3), extra=2)  # validated on the way
+        built = len(blocks)
+        for c in (1, F(1, 2), F(2, 3)):
+            pullback(model, QDivisor.from_map({"D": c}))
+        log_discrepancies(model, QDivisor.from_map({"D": F(1, 2)}))
+        assert len(blocks) == built
+        assert blocks.count(model.gram(sorted(model.contracted))) == 1
+
     def test_negativity_lemma_guard(self):
-        # unvalidated: the contracted line H is not negative definite
+        # unvalidated: the contracted line H is not negative definite, so
+        # there is no factor to solve against
         model = coordinate_model(1, (-3,), {"H": (1,), "L": (1,)}, {"H"})
-        with pytest.raises(ModelError, match="negativity lemma"):
+        with pytest.raises(ModelError, match="not negative definite"):
             pullback(model, QDivisor.from_map({"L": 1}))
+        # unvalidated: A.B = -1 keeps the block negative definite (det 3), but
+        # D.A = 1, D.B = 0 solve to x_A = 2/3, x_B = -1/3 < 0
+        model = SurfaceModel(
+            rank=4,
+            names=("A", "B", "D"),
+            matrix=((6, 0, 0, -1), (0, -2, -1, 1), (0, -1, -2, 0), (-1, 1, 0, -1)),
+            contracted=frozenset({"A", "B"}),
+        )
+        with pytest.raises(ModelError, match="negativity lemma"):
+            pullback(model, QDivisor.from_map({"D": 1}))
 
 
 class TestLogDiscrepancies:
@@ -343,15 +385,14 @@ class TestMinimalResolutionOracle:
         assert str(exc) == f"curve {broken!r} is not a smooth rational class (genus != 0)"
 
     def test_rank_floor_matches_the_stepwise_oracle(self):
-        # _validated accepts two disjoint (-1)-curves at rank 1, which no
-        # blown-up plane carries; the pass stops where the rank reaches 0
-        model = _validated(
-            SurfaceModel(
-                rank=1,
-                names=("A", "B"),
-                matrix=((9, -1, -1), (-1, -1, 0), (-1, 0, -1)),
-                contracted=frozenset({"A", "B"}),
-            )
+        # two contracted disjoint (-1)-curves at rank 1, which no blown-up
+        # plane carries (_validated rejects them by the Hodge index); the
+        # pass stops where the rank reaches 0
+        model = SurfaceModel(
+            rank=1,
+            names=("A", "B"),
+            matrix=((9, -1, -1), (-1, -1, 0), (-1, 0, -1)),
+            contracted=frozenset({"A", "B"}),
         )
         exc = assert_matches_stepwise(model)
         assert str(exc) == "rank 0 < 1"
