@@ -35,11 +35,7 @@ from .singularities import (
 
 
 def _fmt_q(value) -> str:
-    if value is None:
-        return "n/a"
-    if value == NEG_INFINITY:
-        return "-inf"
-    return str(value)
+    return "n/a" if value is None else _json_q(value)
 
 
 def _json_q(value):

@@ -25,12 +25,14 @@ class WeightedDualGraph:
     edges: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
-        names = [v[0] for v in self.vertices]
-        assert len(names) == len(set(names))
-        known = set(names)
+        known = {v[0] for v in self.vertices}
+        if len(known) != len(self.vertices):
+            raise ModelError("dual graph vertex names repeat")
         for a, b in self.edges:
-            assert a in known and b in known
-            assert a < b, "edges are stored as sorted pairs"
+            if a not in known or b not in known:
+                raise ModelError(f"dual graph edge ({a!r}, {b!r}) has an unknown endpoint")
+            if not a < b:
+                raise ModelError(f"dual graph edge ({a!r}, {b!r}) is not a sorted pair of distinct names")
 
     @classmethod
     def from_weights(cls, weights: dict, edges=()) -> "WeightedDualGraph":
@@ -76,7 +78,8 @@ def build_dual_graph(model, names) -> WeightedDualGraph:
     for i, a in enumerate(names):
         for b in names[i + 1 :]:
             mult = model.intersection(a, b)
-            assert mult >= 0
+            if mult < 0:
+                raise ModelError(f"tracked curves {a!r} and {b!r} have negative intersection")
             edges.extend([(a, b)] * mult)
     return WeightedDualGraph(vertices=vertices, edges=tuple(sorted(edges)))
 
@@ -94,8 +97,6 @@ def graph_shape(g: WeightedDualGraph) -> GraphShape:
         return GraphShape(CHAIN)
     adjacency = {v: set() for v in names}
     for a, b in g.edges:
-        if a == b:
-            raise ModelError("self-loop in dual graph")
         adjacency[a].add(b)
         adjacency[b].add(a)
     seen = set()

@@ -8,7 +8,7 @@ of named tracked curves, plus a subset of tracked curves declared contracted
 Row and column 0 belong to K; row i belongs to the i-th tracked curve. A
 blow-up appends a row and a blow-down is a sparse rank-one update, so no
 ambient coordinates are ever needed: every number the package uses is an
-entry of the matrix or a bilinear combination of its rows.
+entry of the matrix or a linear combination of its rows.
 """
 
 from __future__ import annotations
@@ -116,19 +116,16 @@ class SurfaceModel:
         it. None when the block is not negative definite."""
         return negative_definite_factor(self.gram(sorted(self.contracted)))
 
-    def dot(self, u, v) -> Fraction:
-        """Intersection number of two rational combinations of rows.
-
-        `u` and `v` are sequences of (row, coefficient) pairs; row K_ROW is
-        the canonical class. Denominators are cleared first, so the double
-        sum runs over integers.
-        """
-        du = lcm(*(c.denominator for _, c in u))
-        dv = lcm(*(c.denominator for _, c in v))
-        ui = [(i, c.numerator * (du // c.denominator)) for i, c in u]
-        vj = [(j, c.numerator * (dv // c.denominator)) for j, c in v]
-        m = self.matrix
-        return Fraction(sum(a * b * m[i][j] for i, a in ui for j, b in vj), du * dv)
+    def pairings(self, terms) -> tuple[list[int], int]:
+        """Row (v, d) of a rational combination of rows, given as (row,
+        coefficient) pairs with K_ROW for K: v[j] / d is its pairing with row
+        j. Denominators are cleared once; v is an integer sum of rows."""
+        d = lcm(*(c.denominator for _, c in terms))
+        v = [0] * len(self.matrix)
+        for i, c in terms:
+            a = c.numerator * (d // c.denominator)
+            v = [x + a * y for x, y in zip(v, self.matrix[i])]
+        return v, d
 
 
 def _frozen(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:

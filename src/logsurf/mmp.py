@@ -35,6 +35,7 @@ from .singularities import (
     log_coefficients,
     minimal_resolution,
     pullback,
+    pulled_back,
 )
 
 CASTELNUOVO = "castelnuovo"
@@ -108,42 +109,44 @@ def parse_strategy(text: str):
     raise ScenarioError(f"unknown strategy {text!r}")
 
 
-def _mumford_terms(model: SurfaceModel, name: str) -> list[tuple[int, Fraction]]:
-    """Full pullback of a tracked curve as (row, coefficient) pairs."""
-    terms = [(model.row(name), 1)]
-    if all(model.intersection(name, e) == 0 for e in model.contracted):
-        return terms  # disjoint from the contracted set: nothing to correct
-    coeffs = pullback(model, QDivisor.from_map({name: 1}))
-    return terms + divisor_terms(model, coeffs)
+def _pulled_back_curve(model: SurfaceModel, name: str):
+    """Terms and row (v, d) of the pullback C* of a tracked curve, solved by
+    `pullback` (negativity lemma included) when C meets the contracted set."""
+    r = model.row(name)
+    if not any(model.intersection(name, e) for e in model.contracted):
+        return [(r, 1)], model.matrix[r], 1  # C* = C
+    terms = [(r, 1)] + divisor_terms(model, pullback(model, QDivisor.from_map({name: 1})))
+    return (terms, *model.pairings(terms))
 
 
 def extremal_pairing(model: SurfaceModel, boundary: QDivisor, name: str) -> Fraction:
-    """(K + boundary).C on the modeled surface, via the numerical pullback."""
+    """(K + boundary).C on the modeled surface: (K + B).C* = L*.C, read off
+    the row of the log pullback L* (see `pulled_back`)."""
     if name in model.contracted:
         raise ModelError(f"curve {name!r} is contracted; it has no extremal pairing")
-    log_terms = [(K_ROW, 1)] + divisor_terms(model, boundary)
-    return model.dot(log_terms, _mumford_terms(model, name))
+    r = model.row(name)
+    _, v, d = pulled_back(model, [(K_ROW, 1)] + divisor_terms(model, boundary))
+    return Fraction(v[r], d)
 
 
 def contracted_self_intersection(model: SurfaceModel, name: str) -> Fraction:
-    """C.C on the modeled surface (not on the resolution)."""
-    fc = _mumford_terms(model, name)
-    return model.dot(fc, fc)
+    """C.C on the modeled surface (not on the resolution): C*.C* = C*.C."""
+    _, v, d = _pulled_back_curve(model, name)
+    return Fraction(v[model.row(name)], d)
 
 
 def step_candidates(state: MmpState) -> list[Candidate]:
     """Tracked non-contracted curves with (K + boundary).C < 0, most negative
-    first, names breaking ties."""
+    first, names breaking ties. Values are read off the row of one log
+    pullback, zero on the contracted set; only candidates solve for C.C."""
     model = state.surface
-    log_terms = [(K_ROW, 1)] + divisor_terms(model, state.boundary)
+    _, v, d = pulled_back(model, [(K_ROW, 1)] + divisor_terms(model, state.boundary))
     out = []
     for name in model.tracked:
-        if name in model.contracted:
-            continue
-        fc = _mumford_terms(model, name)
-        value = model.dot(log_terms, fc)
-        if value < 0:
-            out.append(Candidate(name=name, extremal_value=value, self_int=model.dot(fc, fc)))
+        r = model.row(name)
+        if v[r] < 0:
+            self_int = contracted_self_intersection(model, name)
+            out.append(Candidate(name=name, extremal_value=Fraction(v[r], d), self_int=self_int))
     out.sort(key=lambda c: (c.extremal_value, c.name))
     return out
 
@@ -301,10 +304,10 @@ def audit_run(run_record: MmpRun, initial: MmpState, epsilon) -> AuditReport:
         try:
             if mr is None:
                 mr = minimal_resolution(shadow)
-            mumford = _mumford_terms(mr, name)
+            terms, v, d = _pulled_back_curve(mr, name)
             m = mr.matrix
-            step3_applicable = not any(m[r][r] == m[K_ROW][r] == -1 for r, c in mumford if c > 0)
-            step3_value = mr.dot(divisor_terms(mr, boundary), mumford)
+            step3_applicable = not any(m[r][r] == m[K_ROW][r] == -1 for r, c in terms if c > 0)
+            step3_value = Fraction(sum(c * v[mr.row(n)] for n, c in boundary.coefficients), d)
             step3_ok = (not step3_applicable) or step3_value < 0
         except ModelError as exc:
             step3_applicable, step3_value, step3_ok = False, None, False

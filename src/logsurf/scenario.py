@@ -27,7 +27,6 @@ from importlib import resources
 
 from .errors import ScenarioError
 from .lattice import (
-    AT_INTERSECTION,
     GENERAL,
     ON_CURVE,
     PointSpec,
@@ -186,7 +185,6 @@ def _point_to_json(point: PointSpec):
         return "general"
     if point.kind == ON_CURVE:
         return {"on": point.names[0]}
-    assert point.kind == AT_INTERSECTION
     return {"at": list(point.names)}
 
 

@@ -104,29 +104,35 @@ def _check_boundary(model: SurfaceModel, boundary: QDivisor) -> None:
 
 
 def divisor_terms(model: SurfaceModel, divisor: QDivisor) -> list[tuple[int, Fraction]]:
-    """A divisor as (row, coefficient) pairs for SurfaceModel.dot."""
+    """A divisor as (row, coefficient) pairs for SurfaceModel.pairings."""
     return [(model.row(name), c) for name, c in divisor.coefficients]
 
 
-def _exceptional_part(model: SurfaceModel, terms) -> list[Fraction]:
-    """Coefficients x_i, contracted curves in name order, with
-    (terms + sum x_i E_i).E_j = 0 for every contracted E_j.
+def pulled_back(model: SurfaceModel, terms) -> tuple[list[Fraction], list[int], int]:
+    """Pullback D* = D + sum x_i E_i of a combination D of rows, orthogonal
+    to every contracted E_j: x (curves in name order) and the row (v, d) of
+    D*. With nothing contracted, x is [] and (v, d) is the row of D.
 
     The solve substitutes against the model's one factorization of the
-    contracted block; the orthogonality is re-verified with SurfaceModel.dot.
+    contracted block; orthogonality is re-checked in integers on v. As
+    D*.E_i = C*.E_i = 0, the projection formula D*.C = D.C* holds for every
+    curve C, so one log pullback L* = K + B + sum g_i E_i gives every
+    (K + B).C* = L*.C.
     """
     exceptional = sorted(model.contracted)
     factor = model.contracted_factor
     if factor is None:
         raise ModelError(f"contracted configuration {exceptional} is not negative definite")
+    u, du = model.pairings(terms)
+    if not exceptional:
+        return [], u, du
     rows = [model.row(e) for e in exceptional]
-    rhs = [-model.dot(terms, [(r, 1)]) for r in rows]
-    x = solve_exact(factor, rhs)
-    full = terms + list(zip(rows, x))
+    x = solve_exact(factor, [Fraction(-u[r], du) for r in rows])
+    v, d = model.pairings(terms + list(zip(rows, x)))
     for e, r in zip(exceptional, rows):
-        if model.dot(full, [(r, 1)]) != 0:
+        if v[r]:
             raise ModelError(f"solved pullback is not orthogonal to {e!r}; model inconsistent")
-    return x
+    return x, v, d
 
 
 def pullback(model: SurfaceModel, divisor: QDivisor) -> QDivisor:
@@ -141,9 +147,7 @@ def pullback(model: SurfaceModel, divisor: QDivisor) -> QDivisor:
             raise ModelError(f"divisor names unknown curve {name!r}")
         if name in model.contracted:
             raise ModelError(f"divisor curve {name!r} is contracted")
-    if not model.contracted:
-        return QDivisor.zero()
-    coeffs = _exceptional_part(model, divisor_terms(model, divisor))
+    coeffs, _, _ = pulled_back(model, divisor_terms(model, divisor))
     if all(c >= 0 for _, c in divisor.coefficients) and any(c < 0 for c in coeffs):
         raise ModelError("negativity lemma violated; model inconsistent")
     return QDivisor(tuple(zip(sorted(model.contracted), coeffs)))
@@ -157,10 +161,8 @@ def log_discrepancies(model: SurfaceModel, boundary: QDivisor) -> LogPullback:
     a_i = -g_i.
     """
     _check_boundary(model, boundary)
-    if not model.contracted:
-        return LogPullback(QDivisor.zero(), QDivisor.zero())
     exceptional = sorted(model.contracted)
-    g = _exceptional_part(model, [(K_ROW, 1)] + divisor_terms(model, boundary))
+    g, _, _ = pulled_back(model, [(K_ROW, 1)] + divisor_terms(model, boundary))
     boundary_part = QDivisor(tuple(zip(exceptional, g)))
     discrepancies = QDivisor(tuple((n, -gi) for n, gi in zip(exceptional, g)))
     return LogPullback(boundary_part=boundary_part, discrepancies=discrepancies)

@@ -1,9 +1,10 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately naive: textbook Gaussian elimination over
-Fraction, cofactor determinants, a determinant per leading minor,
-characteristic polynomials, a bounded blow-up search for total
-discrepancies, the coordinate model of a blown-up plane (classes as
+Fraction, the bilinear pairing as a double sum, one Mumford pullback per
+curve for the extremal ranking, cofactor determinants, a determinant per
+leading minor, characteristic polynomials, a bounded blow-up search for
+total discrepancies, the coordinate model of a blown-up plane (classes as
 vectors in the diagonal basis) and a minimal resolution that builds and
 validates every intermediate model. Slow and obvious beats fast and clever
 for an oracle.
@@ -122,6 +123,46 @@ def gauss_solve(matrix, rhs):
                 factor = a[r][col] / a[col][col]
                 a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
     return [a[i][n] / a[i][i] for i in range(n)]
+
+
+def dot(model, u, v):
+    """The bilinear intersection pairing of two rational combinations of a
+    model's rows, each a sequence of (row, coefficient) pairs: a double sum
+    over the matrix in Fractions."""
+    m = model.matrix
+    return sum((Fraction(a) * b * m[i][j] for i, a in u for j, b in v), Fraction(0))
+
+
+def mumford_pullback(model, name):
+    """The pullback C* = C + sum c_i E_i of a tracked curve as (row,
+    coefficient) pairs: c solved by Gauss-Jordan on the contracted Gram
+    block, every right-hand side paired through `dot`."""
+    exceptional = sorted(model.contracted)
+    curve = [(model.row(name), Fraction(1))]
+    rhs = [-dot(model, curve, [(model.row(e), 1)]) for e in exceptional]
+    c = gauss_solve(model.gram(exceptional), rhs)
+    return curve + [(model.row(e), x) for e, x in zip(exceptional, c)]
+
+
+def mumford_pairings(model, boundary):
+    """name -> ((K + B).C*, C*.C*) for every tracked curve that is not
+    contracted, one Mumford pullback per curve, both numbers through `dot`.
+    `boundary` maps curve names to coefficients."""
+    log = [(0, Fraction(1))] + [(model.row(n), Fraction(c)) for n, c in boundary.items()]
+    out = {}
+    for name in model.tracked:
+        if name not in model.contracted:
+            pulled = mumford_pullback(model, name)
+            out[name] = (dot(model, log, pulled), dot(model, pulled, pulled))
+    return out
+
+
+def pairwise_ranking(model, boundary):
+    """The extremal ranking from `mumford_pairings`: (name, (K + B).C*,
+    C*.C*) for every curve with (K + B).C* < 0, most negative first, names
+    breaking ties."""
+    pairs = mumford_pairings(model, boundary)
+    return sorted(((n, v, s) for n, (v, s) in pairs.items() if v < 0), key=lambda t: (t[1], t[0]))
 
 
 def cofactor_det(matrix):

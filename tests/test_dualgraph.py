@@ -52,8 +52,8 @@ class TestConstruction:
         assert g.multiplicity("A", "B") == 2
         assert g.intersection_matrix() == [[-3, 2], [2, -3]]
 
-    def test_unknown_edge_endpoint_asserts(self):
-        with pytest.raises(AssertionError):
+    def test_unknown_edge_endpoint_raises(self):
+        with pytest.raises(ModelError, match="unknown endpoint"):
             WeightedDualGraph.from_weights({"A": -2}, [("A", "B")])
 
 

@@ -1,9 +1,11 @@
 """Guards that protect a result must hold with assertions compiled out.
 
 The script below runs in a `python -O` subprocess, where every `assert`
-statement is removed, and prints the exception each guard raises.
+statement is removed, and prints the exception each guard raises. The
+package itself holds no `assert` statement at all.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -15,6 +17,7 @@ SRC = TESTS.parent / "src"
 SCRIPT = r"""
 from fractions import Fraction
 
+from logsurf.dualgraph import WeightedDualGraph, build_dual_graph
 from logsurf.lattice import PointSpec, SurfaceModel, _validated
 from logsurf.linalg import is_negative_definite_matrix, solve_exact
 from logsurf.singularities import QDivisor, minimal_resolution, pullback, total_discrepancy_snc
@@ -34,6 +37,8 @@ two_at_rank_1 = SurfaceModel(
     matrix=((9, -1, -1), (-1, -1, 0), (-1, 0, -1)),
     contracted=frozenset({"A", "B"}),
 )
+meeting_negatively = SurfaceModel(rank=3, names=("A", "B"), matrix=((7, 0, 0), (0, -2, -1), (0, -1, -2)))
+A, B = ("A", -2, Fraction(0)), ("B", -2, Fraction(0))
 guards = {
     "bareiss": lambda: is_negative_definite_matrix([[-2, 1, 1], [1, -2, 1], [1, 1, -2.5]]),
     "back-substitution": lambda: solve_exact([[2, 1], [0, 1]], [1, 0]),
@@ -46,6 +51,11 @@ guards = {
     "qdivisor-type": lambda: QDivisor((("A", 1),)),
     "point-kind": lambda: PointSpec("nowhere"),
     "point-names": lambda: PointSpec("general", ("A",)),
+    "graph-repeat": lambda: WeightedDualGraph(vertices=(A, A), edges=()),
+    "graph-endpoint": lambda: WeightedDualGraph(vertices=(A,), edges=(("A", "B"),)),
+    "graph-order": lambda: WeightedDualGraph(vertices=(A, B), edges=(("B", "A"),)),
+    "graph-self-loop": lambda: WeightedDualGraph(vertices=(A,), edges=(("A", "A"),)),
+    "graph-multiplicity": lambda: build_dual_graph(meeting_negatively, ["A", "B"]),
 }
 for name, guard in guards.items():
     try:
@@ -80,4 +90,19 @@ def test_guards_raise_under_python_O():
         "qdivisor-type: ValueError: divisor coefficients must be Fractions",
         "point-kind: ModelError: unknown point kind 'nowhere'",
         "point-names: ModelError: point kind 'general' needs 0 curve names, got 1",
+        "graph-repeat: ModelError: dual graph vertex names repeat",
+        "graph-endpoint: ModelError: dual graph edge ('A', 'B') has an unknown endpoint",
+        "graph-order: ModelError: dual graph edge ('B', 'A') is not a sorted pair of distinct names",
+        "graph-self-loop: ModelError: dual graph edge ('A', 'A') is not a sorted pair of distinct names",
+        "graph-multiplicity: ModelError: tracked curves 'A' and 'B' have negative intersection",
     ]
+
+
+def test_package_has_no_assert_statement():
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted((SRC / "logsurf").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

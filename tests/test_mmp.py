@@ -3,9 +3,11 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logsurf import mmp
-from logsurf.errors import ModelError, ScenarioError
+from logsurf.errors import LogSurfError, ModelError, ScenarioError
 from logsurf.lattice import (
     PointSpec,
     _validated,
@@ -48,7 +50,8 @@ from logsurf.singularities import (
     minimal_resolution,
     pullback,
 )
-from oracles import coordinate_model
+from oracles import coordinate_model, mumford_pairings, pairwise_ranking
+from test_singularities import TOWER_OPS, tower_from
 
 SEED = 20260821
 
@@ -152,6 +155,51 @@ class TestStepCandidates:
     def test_contracted_curves_never_candidates(self):
         names = {c.name for c in step_candidates(threshold_state())}
         assert names.isdisjoint({"E0", "E1", "E2", "E3"})
+
+
+def assert_ranking_matches(model, boundary):
+    """step_candidates, extremal_pairing and contracted_self_intersection
+    against one Mumford pullback per curve, paired through the bilinear
+    form: equal Fractions, or the same exception."""
+    state = MmpState(surface=model, boundary=boundary)
+    try:
+        expected = pairwise_ranking(model, boundary.as_map())
+    except LogSurfError as exc:
+        with pytest.raises(LogSurfError) as got:
+            step_candidates(state)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        return
+    assert [(c.name, c.extremal_value, c.self_int) for c in step_candidates(state)] == expected
+    # every curve, including those with value >= 0 that meet the contracted set
+    for name, (value, self_int) in mumford_pairings(model, boundary.as_map()).items():
+        assert extremal_pairing(model, boundary, name) == value
+        assert contracted_self_intersection(model, name) == self_int
+
+
+class TestRankingOracle:
+    """One log pullback row ranks every curve (projection formula), checked
+    against a Mumford pullback per curve."""
+
+    @settings(max_examples=200)
+    @given(TOWER_OPS, st.integers(0, 2**16 - 1), st.lists(st.integers(0, 6), min_size=16, max_size=16))
+    def test_random_towers_match_pairwise_ranking(self, ops, mask, sixths):
+        model = tower_from(ops, mask)
+        free = [n for n in model.tracked if n not in model.contracted]
+        boundary = QDivisor.from_map({n: F(k, 6) for n, k in zip(free, sixths) if k})
+        assert_ranking_matches(model, boundary)
+
+    @pytest.mark.parametrize("name", ["quad_fork_star", "quad_fork_threshold", "triple_fork_236"])
+    def test_bundled_states_match_pairwise_ranking(self, name):
+        state = build_state(bundled_scenario(name))
+        assert_ranking_matches(state.surface, state.boundary)
+
+    def test_log_row_without_its_exceptional_part_is_caught(self, monkeypatch):
+        # the mutant ranks by (K + B).C instead of L*.C: D meets the
+        # contracted star, so its value moves
+        monkeypatch.setattr(mmp, "pulled_back", lambda model, terms: ([], *model.pairings(terms)))
+        state = threshold_state()
+        with pytest.raises(AssertionError):
+            assert_ranking_matches(state.surface, state.boundary)
 
 
 class TestContract:

@@ -321,6 +321,27 @@ TOWER_OPS = st.lists(
 )
 
 
+def tower_from(ops, mask):
+    """The tower of blow-ups that TOWER_OPS drew, with the curves whose bit
+    is set in `mask` (tracked name order) contracted: every subset of a
+    tower's exceptional curves is negative definite."""
+    model = new_projective_plane()
+    for i, (kind, pick) in enumerate(ops):
+        names = model.tracked
+        if kind == "general" or not names:
+            choices = [PointSpec.general()]
+        elif kind == "on":
+            choices = [PointSpec.on_curve(n) for n in names]
+        else:
+            choices = [
+                PointSpec.at_intersection(a, b)
+                for a, b in combinations(names, 2)
+                if model.intersection(a, b) >= 1
+            ] or [PointSpec.general()]
+        model = blow_up(model, choices[pick % len(choices)], f"C{i}")
+    return declare_contracted(model, [n for k, n in enumerate(model.tracked) if mask >> k & 1])
+
+
 class TestMinimalResolutionOracle:
     """The one-pass resolution against blowing down one validated model at
     a time."""
@@ -328,23 +349,7 @@ class TestMinimalResolutionOracle:
     @settings(max_examples=300)
     @given(TOWER_OPS, st.integers(0, 2**16 - 1))
     def test_random_towers_and_contracted_sets(self, ops, mask):
-        model = new_projective_plane()
-        for i, (kind, pick) in enumerate(ops):
-            names = model.tracked
-            if kind == "general" or not names:
-                choices = [PointSpec.general()]
-            elif kind == "on":
-                choices = [PointSpec.on_curve(n) for n in names]
-            else:
-                choices = [
-                    PointSpec.at_intersection(a, b)
-                    for a, b in combinations(names, 2)
-                    if model.intersection(a, b) >= 1
-                ] or [PointSpec.general()]
-            model = blow_up(model, choices[pick % len(choices)], f"C{i}")
-        # every subset of a tower's exceptional curves is negative definite
-        subset = [n for k, n in enumerate(model.tracked) if mask >> k & 1]
-        assert_matches_stepwise(declare_contracted(model, subset))
+        assert_matches_stepwise(tower_from(ops, mask))
 
     # A contracted (-1)-curve E meeting a tracked curve twice: blowing E down
     # leaves that curve with arithmetic genus 1. The classes live in the
