@@ -23,7 +23,7 @@ from .mmp import (
     search_canonical_starts,
     verify_smooth_start_runs,
 )
-from .scenario import build_model, build_state, load_scenario, parse_rational
+from .scenario import MAX_BLOWUPS, build_model, build_state, load_scenario, parse_rational
 from .singularities import (
     NEG_INFINITY,
     QDivisor,
@@ -217,6 +217,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.max_blowups > MAX_BLOWUPS:
+        raise ValueError(f"max_blowups {args.max_blowups} exceeds the cap of {MAX_BLOWUPS} blow-ups")
     report = verify_smooth_start_runs(
         trials=args.trials,
         seed=args.seed,

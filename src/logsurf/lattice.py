@@ -20,7 +20,7 @@ from itertools import chain
 from math import lcm
 
 from .errors import ModelError, NotNegativeDefiniteError
-from .linalg import negative_definite_factor
+from .linalg import extend_factor, negative_definite_factor
 
 GENERAL = "general"
 ON_CURVE = "on_curve"
@@ -110,11 +110,16 @@ class SurfaceModel:
         return [[self.matrix[i][j] for j in rows] for i in rows]
 
     @cached_property
-    def contracted_factor(self) -> list[list[int]] | None:
-        """The Sylvester elimination of the contracted Gram block, curves in
-        name order: every solve over the contracted set substitutes against
-        it. None when the block is not negative definite."""
-        return negative_definite_factor(self.gram(sorted(self.contracted)))
+    def contracted_factor(self) -> tuple[tuple[str, ...], list[list[int]]] | None:
+        """(order, factor): the Sylvester elimination of the contracted Gram
+        block, curves in `order`, which every solve over the contracted set
+        substitutes against. From scratch the order is name order; a model
+        from `declare_contracted` borders its parent's factor, so its order
+        is the parent's and then the new curves sorted, in general not name
+        order. None when the block is not negative definite."""
+        order = tuple(sorted(self.contracted))
+        factor = negative_definite_factor(self.gram(order))
+        return None if factor is None else (order, factor)
 
     def pairings(self, terms) -> tuple[list[int], int]:
         """Row (v, d) of a rational combination of rows, given as (row,
@@ -163,6 +168,13 @@ def _validated(model: SurfaceModel) -> SurfaceModel:
     stray = model.contracted - set(names)
     if stray:
         raise ModelError(f"contracted names not tracked: {sorted(stray)}")
+    return _contracted_checked(model)
+
+
+def _contracted_checked(model: SurfaceModel) -> SurfaceModel:
+    """The contracted-set checks of `_validated`, in order. A model that
+    passes is marked `_checked`, an attribute that is not a dataclass field,
+    so equality, hash and repr ignore it."""
     contracted = sorted(model.contracted)
     for name in contracted:
         if model.self_int(name) >= 0:
@@ -178,7 +190,22 @@ def _validated(model: SurfaceModel) -> SurfaceModel:
             f"contracted configuration {contracted} spans {len(contracted)} negative directions; "
             f"rank {model.rank} allows at most {model.rank - 1}"
         )
+    object.__setattr__(model, "_checked", True)
     return model
+
+
+def _bordered(model: SurfaceModel, factor):
+    """`factor` (order, rows) bordered, O(k^2) a row, by each contracted curve
+    of `model` it lacks, sorted; None once negative definiteness fails."""
+    order, rows = factor
+    m = model.matrix
+    for name in sorted(model.contracted.difference(order)):
+        i = model.row(name)
+        rows = extend_factor(rows, [m[i][model.row(o)] for o in order] + [m[i][i]])
+        if rows is None:
+            return None
+        order += (name,)
+    return order, rows
 
 
 def new_projective_plane() -> SurfaceModel:
@@ -266,9 +293,22 @@ def blow_down_cascade(model: SurfaceModel, names) -> SurfaceModel:
 
 
 def declare_contracted(model: SurfaceModel, names) -> SurfaceModel:
-    """Extend the contracted set, validating Artin contractibility."""
+    """Extend the contracted set, validating Artin contractibility.
+
+    The new model keeps `model`'s rank, names and matrix tuple, all that the
+    matrix checks of `_validated` read, so for a model that came out of
+    `_validated` they cannot change outcome and are skipped. Only the
+    contracted-set checks run again, in `_validated`'s order and with its
+    messages, and the Sylvester test borders `model`'s factor with one row
+    per new curve. A model never validated gets the whole of `_validated`.
+    """
     names = frozenset(names)
     unknown = names - set(model.names)
     if unknown:
         raise ModelError(f"cannot contract unknown curves: {sorted(unknown)}")
-    return _validated(replace(model, contracted=model.contracted | names))
+    extended = replace(model, contracted=model.contracted | names)
+    if not getattr(model, "_checked", False):
+        return _validated(extended)
+    # seed the cached_property; the frozen dataclass forbids setattr
+    extended.__dict__["contracted_factor"] = _bordered(extended, model.contracted_factor)
+    return _contracted_checked(extended)

@@ -1,9 +1,12 @@
 """Exact linear algebra over the integers and rationals.
 
-No floats ever enter. There is one elimination: `negative_definite_factor`
-runs a fraction-free (Bareiss) pass, O(n^3), that is both the Sylvester
-test and an LU factorization; `solve_exact` replays it on a right-hand side
-and back-substitutes in integers, O(n^2). Every exact division is checked.
+No floats ever enter. There is one elimination, fraction-free (Bareiss)
+and without row swaps, grown one bordered row at a time: `extend_factor`
+adds a row and column to a symmetric matrix's factor in O(k^2), and
+`negative_definite_factor` is its fold over the rows, O(n^3). The factor is
+both the Sylvester test and an LU factorization; `solve_exact` replays it on
+a right-hand side and back-substitutes in integers, O(n^2). Every exact
+division of the elimination is checked.
 """
 
 from __future__ import annotations
@@ -12,35 +15,57 @@ from fractions import Fraction
 from math import lcm
 
 
+def extend_factor(factor: list[list[int]], border: list[int]) -> list[list[int]] | None:
+    """The factor of the symmetric matrix A bordered by one row, given
+    factor = negative_definite_factor(A) and the new row `border`: its
+    entries against A's rows in A's order, then the new diagonal entry.
+
+    The new column is replayed through the elimination exactly as
+    `solve_exact` replays a right-hand side, so entry j is the minor
+    m[j][n] of the bordered matrix; by symmetry it is also the multiplier
+    m[n][j] of the new row, and the new diagonal entry follows in the same
+    pass. The old entries are minors of A and do not move. Returns None if
+    the new pivot, det of the whole bordered matrix, fails the Sylvester
+    sign test; `factor` is never written.
+    """
+    n = len(factor)
+    if len(border) != n + 1:
+        raise ValueError("extend_factor needs one border entry per row of the factor, plus the diagonal")
+    c = list(border)
+    rows = factor + [c]  # the new row's multiplier at step k is c[k], by symmetry
+    prev = 1
+    for k in range(n):
+        pivot = factor[k][k]
+        ck = c[k]
+        for i in range(k + 1, n + 1):
+            num = c[i] * pivot - rows[i][k] * ck
+            if num % prev:
+                raise ValueError("inexact Bareiss division; not an integer matrix")
+            c[i] = num // prev
+        prev = pivot
+    pivot = c[n]
+    if pivot == 0 or (pivot > 0) != (n % 2 == 1):
+        return None
+    return [row + [ck] for row, ck in zip(factor, c)] + [c]
+
+
 def negative_definite_factor(matrix: list[list[int]]) -> list[list[int]] | None:
     """Sylvester test: (-1)^k det(leading k x k minor) > 0 for every k.
 
-    One Bareiss elimination without row swaps: after step k the pivot
-    m[k][k] is the determinant of the leading (k+1) x (k+1) minor, so every
-    sign comes out of a single pass. A zero pivot is a zero minor, which
-    fails the test, so no row swap is ever needed. Returns None at the first
-    bad pivot; otherwise the eliminated matrix: U on and above the diagonal
-    and, below it, the multiplier each row was eliminated with (step k never
-    writes column k). The empty matrix is vacuously negative definite.
+    The Bareiss elimination of a symmetric matrix without row swaps, built
+    by bordering one row at a time: pivot m[k][k] is the determinant of the
+    leading (k+1) x (k+1) minor, so every sign comes out of a single pass. A
+    zero pivot is a zero minor, which fails the test, so no row swap is ever
+    needed. Returns None at the first bad pivot; otherwise the eliminated
+    matrix: U on and above the diagonal and, below it, the multiplier each
+    row was eliminated with. The empty matrix is vacuously negative definite.
     """
-    n = len(matrix)
-    m = [list(row) for row in matrix]
-    prev = 1
-    for k in range(n):
-        pivot = m[k][k]
-        if pivot == 0 or (pivot > 0) != (k % 2 == 1):
+    factor: list[list[int]] | None = []
+    for k, row in enumerate(matrix):
+        factor = extend_factor(factor, row[: k + 1])
+        if factor is None:
             return None
-        top = m[k]
-        for i in range(k + 1, n):
-            row = m[i]
-            lead = row[k]
-            for j in range(k + 1, n):
-                num = row[j] * pivot - lead * top[j]
-                if num % prev:
-                    raise ValueError("inexact Bareiss division; not an integer matrix")
-                row[j] = num // prev
-        prev = pivot
-    return m
+    return factor
 
 
 def is_negative_definite_matrix(matrix: list[list[int]]) -> bool:

@@ -41,6 +41,10 @@ from .singularities import QDivisor
 _NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
 _RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
 
+# Building a model takes O(n^3) time in its n blow-ups, so a huge scenario
+# would run for minutes; bundled, tested and benchmarked towers stay at 30.
+MAX_BLOWUPS = 200
+
 
 @dataclass(frozen=True)
 class BlowupStep:
@@ -115,6 +119,8 @@ def parse_scenario(text: str) -> Scenario:
     raw_blowups = doc.get("blowups", [])
     if not isinstance(raw_blowups, list):
         raise ScenarioError("blowups: expected a list")
+    if len(raw_blowups) > MAX_BLOWUPS:
+        raise ScenarioError(f"blowups: {len(raw_blowups)} blow-ups exceed the cap of {MAX_BLOWUPS}")
     for i, raw in enumerate(raw_blowups):
         field = f"blowups[{i}]"
         if not isinstance(raw, dict) or set(raw) != {"point", "name"}:

@@ -114,25 +114,26 @@ def pulled_back(model: SurfaceModel, terms) -> tuple[list[Fraction], list[int], 
     D*. With nothing contracted, x is [] and (v, d) is the row of D.
 
     The solve substitutes against the model's one factorization of the
-    contracted block; orthogonality is re-checked in integers on v. As
-    D*.E_i = C*.E_i = 0, the projection formula D*.C = D.C* holds for every
-    curve C, so one log pullback L* = K + B + sum g_i E_i gives every
-    (K + B).C* = L*.C.
+    contracted block, in the factor's own curve order; orthogonality is
+    re-checked in integers on v. As D*.E_i = C*.E_i = 0, the projection
+    formula D*.C = D.C* holds for every curve C, so one log pullback
+    L* = K + B + sum g_i E_i gives every (K + B).C* = L*.C.
     """
-    exceptional = sorted(model.contracted)
     factor = model.contracted_factor
     if factor is None:
-        raise ModelError(f"contracted configuration {exceptional} is not negative definite")
+        raise ModelError(f"contracted configuration {sorted(model.contracted)} is not negative definite")
+    order, lu = factor
     u, du = model.pairings(terms)
-    if not exceptional:
+    if not order:
         return [], u, du
-    rows = [model.row(e) for e in exceptional]
-    x = solve_exact(factor, [Fraction(-u[r], du) for r in rows])
-    v, d = model.pairings(terms + list(zip(rows, x)))
-    for e, r in zip(exceptional, rows):
+    rows = [model.row(e) for e in order]
+    y = solve_exact(lu, [Fraction(-u[r], du) for r in rows])
+    v, d = model.pairings(terms + list(zip(rows, y)))
+    by_name = sorted(zip(order, rows, y))
+    for e, r, _ in by_name:
         if v[r]:
             raise ModelError(f"solved pullback is not orthogonal to {e!r}; model inconsistent")
-    return x, v, d
+    return [x for _, _, x in by_name], v, d
 
 
 def pullback(model: SurfaceModel, divisor: QDivisor) -> QDivisor:

@@ -8,7 +8,7 @@ import pytest
 
 import logsurf.cli
 from logsurf.cli import main
-from logsurf.scenario import serialize_scenario, star_scenario
+from logsurf.scenario import MAX_BLOWUPS, serialize_scenario, star_scenario
 
 
 @pytest.fixture
@@ -199,6 +199,15 @@ class TestVerify:
         # argparse-level failure: --seed missing
         assert main(["verify-thm31", "--trials", "2", "--epsilon", "0"]) == 2
 
+    def test_blowup_cap_exits_2(self, monkeypatch, capsys):
+        def never(**kwargs):
+            raise AssertionError("verify ran past the blow-up cap")
+
+        monkeypatch.setattr(logsurf.cli, "verify_smooth_start_runs", never)
+        argv = ["verify-thm31", "--trials", "1", "--seed", "1", "--epsilon", "0"]
+        assert main(argv + ["--max-blowups", str(MAX_BLOWUPS + 1)]) == 2
+        assert f"exceeds the cap of {MAX_BLOWUPS} blow-ups" in capsys.readouterr().err
+
 
 class TestDot:
     def test_contracted_star(self, bundled, capsys):
@@ -264,6 +273,13 @@ class TestErrorPaths:
         path.write_text('{"base": "P2", "epsilon": "3/0"}', encoding="utf-8")
         assert main(["classify", str(path)]) == 2
         assert "zero denominator" in capsys.readouterr().err
+
+    def test_oversized_scenario(self, tmp_path, capsys):
+        blowups = [{"point": "general", "name": f"G{i}"} for i in range(MAX_BLOWUPS + 1)]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"base": "P2", "blowups": blowups}), encoding="utf-8")
+        assert main(["build", str(path)]) == 2
+        assert f"exceed the cap of {MAX_BLOWUPS}" in capsys.readouterr().err
 
     def test_argparse_failures(self, capsys):
         assert main([]) == 2

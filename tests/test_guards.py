@@ -18,8 +18,8 @@ SCRIPT = r"""
 from fractions import Fraction
 
 from logsurf.dualgraph import WeightedDualGraph, build_dual_graph
-from logsurf.lattice import PointSpec, SurfaceModel, _validated
-from logsurf.linalg import is_negative_definite_matrix, solve_exact
+from logsurf.lattice import PointSpec, SurfaceModel, _validated, declare_contracted
+from logsurf.linalg import extend_factor, is_negative_definite_matrix, solve_exact
 from logsurf.singularities import QDivisor, minimal_resolution, pullback, total_discrepancy_snc
 from oracles import coordinate_model
 
@@ -37,13 +37,21 @@ two_at_rank_1 = SurfaceModel(
     matrix=((9, -1, -1), (-1, -1, 0), (-1, 0, -1)),
     contracted=frozenset({"A", "B"}),
 )
+# validated smooth parents, so declare_contracted takes the bordered path
+line = _validated(coordinate_model(1, (-3,), {"L": (1,)}))
+meeting_once = _validated(coordinate_model(3, (-3, 1, 1), {"E1": (0, 1, 0), "L": (1, -1, -1)}))
+two_at_rank_1_smooth = _validated(SurfaceModel(rank=1, names=("A", "B"), matrix=two_at_rank_1.matrix))
 meeting_negatively = SurfaceModel(rank=3, names=("A", "B"), matrix=((7, 0, 0), (0, -2, -1), (0, -1, -2)))
 A, B = ("A", -2, Fraction(0)), ("B", -2, Fraction(0))
 guards = {
     "bareiss": lambda: is_negative_definite_matrix([[-2, 1, 1], [1, -2, 1], [1, 1, -2.5]]),
+    "bordered-bareiss": lambda: extend_factor([[-2, 1], [1, 3]], [1, 1, -2.5]),
     "back-substitution": lambda: solve_exact([[2, 1], [0, 1]], [1, 0]),
     "validated": lambda: _validated(SurfaceModel(rank=2, names=("A",), matrix=((8, 0), (1, -1)))),
     "hodge-index": lambda: _validated(two_at_rank_1),
+    "bordered-self-intersection": lambda: declare_contracted(line, ["L"]),
+    "bordered-not-negative-definite": lambda: declare_contracted(declare_contracted(meeting_once, ["E1"]), ["L"]),
+    "bordered-hodge-index": lambda: declare_contracted(two_at_rank_1_smooth, ["A", "B"]),
     "no-factor": lambda: pullback(positive_line, QDivisor.from_map({"L": 1})),
     "genus": lambda: minimal_resolution(nodal),
     "snc-endpoint": lambda: total_discrepancy_snc({"a": 1}, [("a", "b")]),
@@ -79,9 +87,16 @@ def test_guards_raise_under_python_O():
     assert out.stdout.splitlines() == [
         "asserts: off",
         "bareiss: ValueError: inexact Bareiss division; not an integer matrix",
+        "bordered-bareiss: ValueError: inexact Bareiss division; not an integer matrix",
         "back-substitution: ValueError: inexact back-substitution; not a Bareiss factor",
         "validated: ModelError: intersection matrix is not a symmetric integer matrix at (0, 1)",
         "hodge-index: NotNegativeDefiniteError: contracted configuration ['A', 'B'] spans 2 "
+        "negative directions; rank 1 allows at most 0",
+        "bordered-self-intersection: NotNegativeDefiniteError: contracted curve 'L' has "
+        "self-intersection 1 >= 0",
+        "bordered-not-negative-definite: NotNegativeDefiniteError: contracted configuration "
+        "['E1', 'L'] is not negative definite",
+        "bordered-hodge-index: NotNegativeDefiniteError: contracted configuration ['A', 'B'] spans 2 "
         "negative directions; rank 1 allows at most 0",
         "no-factor: ModelError: contracted configuration ['H'] is not negative definite",
         "genus: ModelError: curve 'N' is not a smooth rational class (genus != 0)",

@@ -8,6 +8,7 @@ from logsurf.errors import ModelError, ScenarioError
 from logsurf.lattice import PointSpec
 from logsurf.scenario import (
     BUNDLED,
+    MAX_BLOWUPS,
     BlowupStep,
     Scenario,
     build_model,
@@ -127,6 +128,22 @@ class TestParseScenario:
         with pytest.raises(ScenarioError) as exc:
             parse_scenario(text)
         assert needle in str(exc.value).replace('"', "'")
+
+
+def general_blowups(count):
+    return [{"point": "general", "name": f"G{i}"} for i in range(count)]
+
+
+class TestSizeCap:
+    def test_cap_is_inclusive(self):
+        blowups = general_blowups(MAX_BLOWUPS)
+        sc = parse_scenario(doc(blowups=blowups, contract=[], boundary={}))
+        assert len(sc.blowups) == MAX_BLOWUPS
+
+    def test_one_more_is_rejected(self):
+        text = doc(blowups=general_blowups(MAX_BLOWUPS + 1), contract=[], boundary={})
+        with pytest.raises(ScenarioError, match=f"{MAX_BLOWUPS + 1} blow-ups exceed the cap of {MAX_BLOWUPS}"):
+            parse_scenario(text)
 
 
 class TestSerialize:

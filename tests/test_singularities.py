@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -31,7 +32,14 @@ from logsurf.singularities import (
     pullback,
     total_discrepancy_snc,
 )
-from oracles import coordinate_model, gauss_solve, stepwise_minimal_resolution
+from oracles import (
+    CoordinateTower,
+    charpoly_negdef,
+    coordinate_model,
+    gauss_solve,
+    pairing,
+    stepwise_minimal_resolution,
+)
 
 
 def fork_model(n0, orders=(2, 3, 6), extra=3, **kw):
@@ -154,21 +162,31 @@ class TestPullback:
             log_discrepancies(model, QDivisor.zero())
 
     def test_each_model_factors_its_block_once(self, monkeypatch):
-        blocks = []
+        # a model declared from a validated parent borders the parent's
+        # factor, one row per new curve, and no solve factors again
+        full, bordered = [], []
+        factor, extend = lattice.negative_definite_factor, lattice.extend_factor
 
-        def counting(matrix):
-            blocks.append([list(row) for row in matrix])
+        def counting_factor(matrix):
+            full.append(len(matrix))
             return factor(matrix)
 
-        factor = lattice.negative_definite_factor
-        monkeypatch.setattr(lattice, "negative_definite_factor", counting)
-        model = fork_model(4, (2, 2, 3), extra=2)  # validated on the way
-        built = len(blocks)
+        def counting_extend(rows, border):
+            bordered.append(len(border))
+            return extend(rows, border)
+
+        monkeypatch.setattr(lattice, "negative_definite_factor", counting_factor)
+        monkeypatch.setattr(lattice, "extend_factor", counting_extend)
+        scenario = star_scenario(4, (2, 2, 3), 2)
+        smooth = build_model(replace(scenario, contract=()))  # validated on the way
+        full.clear()
+        model = declare_contracted(smooth, scenario.contract[0][:2])
+        model = declare_contracted(model, scenario.contract[0][2:])
+        assert full == [] and bordered == [1, 2, 3, 4]
         for c in (1, F(1, 2), F(2, 3)):
             pullback(model, QDivisor.from_map({"D": c}))
         log_discrepancies(model, QDivisor.from_map({"D": F(1, 2)}))
-        assert len(blocks) == built
-        assert blocks.count(model.gram(sorted(model.contracted))) == 1
+        assert full == [] and bordered == [1, 2, 3, 4]
 
     def test_negativity_lemma_guard(self):
         # unvalidated: the contracted line H is not negative definite, so
@@ -340,6 +358,87 @@ def tower_from(ops, mask):
             ] or [PointSpec.general()]
         model = blow_up(model, choices[pick % len(choices)], f"C{i}")
     return declare_contracted(model, [n for k, n in enumerate(model.tracked) if mask >> k & 1])
+
+
+def line_tower(ops):
+    """TOWER_OPS's tower built in coordinates, with a line L tracked from
+    the start, as a raw model that never went through `_validated`. L lets a
+    contracted set fail: it keeps self-intersection >= 0 through one blow-up
+    on it, and with enough blow-ups on it can join the exceptional curves in
+    a block that is not negative definite."""
+    tower = CoordinateTower()
+    tower.curves["L"] = (1,)
+    for i, (kind, pick) in enumerate(ops):
+        names = sorted(tower.curves)
+        meeting = [
+            pair
+            for pair in combinations(names, 2)
+            if pairing(tower.curves[pair[0]], tower.curves[pair[1]]) >= 1
+        ]
+        if kind == "on":
+            through = (names[pick % len(names)],)
+        elif kind == "at" and meeting:
+            through = meeting[pick % len(meeting)]
+        else:
+            through = ()
+        tower.blow_up(through, f"C{i}")
+    return coordinate_model(tower.rank, tower.canonical, tower.curves)
+
+
+def outcome(build):
+    try:
+        return build()
+    except LogSurfError as exc:
+        return exc
+
+
+class TestBorderedDeclaration:
+    """declare_contracted on a validated model borders its parent's factor.
+    The oracles: the raw model with the same contracted set validated from
+    scratch, the characteristic polynomial for negative definiteness, and
+    Gauss-Jordan on the name-ordered Gram block for the solves."""
+
+    @settings(max_examples=200)
+    @given(TOWER_OPS, st.data())
+    def test_matches_validation_from_scratch(self, ops, data):
+        raw = line_tower(ops)
+        order = data.draw(st.permutations(raw.names))
+        sizes = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=len(order)))
+        model = _validated(raw)
+        start = 0
+        for size in sizes:
+            batch = order[start : start + size]
+            start += size
+            if not batch:
+                break
+            contracted = model.contracted | frozenset(batch)
+            expected = outcome(lambda: _validated(replace(raw, contracted=contracted)))
+            got = outcome(lambda: declare_contracted(model, batch))
+            # a real tower's block fails exactly when it is not negative definite
+            assert isinstance(got, LogSurfError) != charpoly_negdef(raw.gram(sorted(contracted)))
+            if isinstance(expected, LogSurfError):
+                assert (type(got), str(got)) == (type(expected), str(expected))
+                return
+            assert (got.rank, got.names, got.matrix, got.contracted) == (
+                expected.rank,
+                expected.names,
+                expected.matrix,
+                expected.contracted,
+            )
+            model = got
+            exceptional = sorted(model.contracted)
+            gram = model.gram(exceptional)
+            rest = [n for n in model.tracked if n not in model.contracted]
+            if rest:
+                divisor = QDivisor.from_map({n: 1 for n in rest})
+                rhs = [-sum(model.intersection(n, e) for n in rest) for e in exceptional]
+                assert list(pullback(model, divisor).coefficients) == list(
+                    zip(exceptional, gauss_solve(gram, rhs))
+                )
+            g = gauss_solve(gram, [-model.k_dot(e) for e in exceptional])
+            assert log_discrepancies(model, QDivisor.zero()).boundary_part.coefficients == tuple(
+                zip(exceptional, g)
+            )
 
 
 class TestMinimalResolutionOracle:
