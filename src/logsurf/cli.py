@@ -25,7 +25,6 @@ from .mmp import (
 )
 from .scenario import MAX_BLOWUPS, build_model, build_state, load_scenario, parse_rational
 from .singularities import (
-    NEG_INFINITY,
     QDivisor,
     SingularityClass,
     classify,
@@ -39,12 +38,8 @@ def _fmt_q(value) -> str:
 
 
 def _json_q(value):
-    # rationals travel as "p/q" strings, never floats
-    if value is None:
-        return None
-    if value == NEG_INFINITY:
-        return "-inf"
-    return str(value)
+    # rationals travel as "p/q" strings, never floats; NEG_INFINITY as "-inf"
+    return None if value is None else str(value)
 
 
 def _print_table(header, rows) -> None:

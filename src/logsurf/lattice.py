@@ -253,23 +253,31 @@ def blow_down_cascade(model: SurfaceModel, names) -> SurfaceModel:
     """Blow down the first of `names` with C.C = K.C = -1 in the current
     matrix, again and again until none is left; `model` itself if none is.
 
-    One pass, in place, on a copy of the matrix. Blowing down e is the
-    update M + g g^T with g the column of e: only entries where g_i and g_j
-    are both nonzero move (K, e and the curves meeting e), and e's row and
-    column become zero, so e is never picked again. Only the result goes
-    through `_validated`; for a validated input no check is lost. The update
-    projects onto e-perp: K.K and the rank move together, the matrix stays
-    symmetric and integral, entries between curves only grow (by
-    (D.e)(D'.e) >= 0), and the contracted block left is the Schur complement
-    of e.e = -1 in a negative definite block. A round can newly break only
-    genus, as C.C + K.C of D moves by (D.e)(D.e - 1), or rank 1; the first
-    round that does ends the pass, and `_validated` then fails with the
-    message that blowing down one model at a time gives.
+    One pass, in place, on a copy of the matrix, made only once a curve is
+    ready. Blowing down e is the update M + g g^T with g the column of e:
+    only entries where g_i and g_j are both nonzero move (K, e and the
+    curves meeting e), and e's row and column become zero, so e is never
+    picked again. Only the result goes through `_validated`; for a validated
+    input no check is lost. The update projects onto e-perp: K.K and the
+    rank move together, the matrix stays symmetric and integral, entries
+    between curves only grow (by (D.e)(D'.e) >= 0), and the contracted block
+    left is the Schur complement of e.e = -1 in a negative definite block.
+    A round can newly break only genus, as C.C + K.C of D moves by
+    (D.e)(D.e - 1), or rank 1; the first round that does ends the pass, and
+    `_validated` then fails with the message that blowing down one model at
+    a time gives.
     """
-    rows = [list(row) for row in model.matrix]
     order = [model.row(n) for n in names]
+
+    def ready(rows):
+        return next((i for i in order if rows[i][i] == rows[K_ROW][i] == -1), None)
+
+    e = ready(model.matrix)
+    if e is None:
+        return model
+    rows = [list(row) for row in model.matrix]
     dropped = []
-    while (e := next((i for i in order if rows[i][i] == rows[K_ROW][i] == -1), None)) is not None:
+    while e is not None:
         dropped.append(e)
         g = [(i, x) for i, x in enumerate(rows[e]) if x]
         for i, gi in g:
@@ -279,8 +287,7 @@ def blow_down_cascade(model: SurfaceModel, names) -> SurfaceModel:
         broken = any(rows[i][i] + rows[K_ROW][i] != -2 for i, _ in g if i not in (K_ROW, e))
         if broken or len(dropped) == model.rank:
             break
-    if not dropped:
-        return model
+        e = ready(rows)
     keep = [i for i in range(len(rows)) if i not in dropped]
     return _validated(
         SurfaceModel(

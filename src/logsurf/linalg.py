@@ -1,18 +1,16 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers: integers in, integers out.
 
-No floats ever enter. There is one elimination, fraction-free (Bareiss)
-and without row swaps, grown one bordered row at a time: `extend_factor`
-adds a row and column to a symmetric matrix's factor in O(k^2), and
-`negative_definite_factor` is its fold over the rows, O(n^3). The factor is
-both the Sylvester test and an LU factorization; `solve_exact` replays it on
-a right-hand side and back-substitutes in integers, O(n^2). Every exact
-division of the elimination is checked.
+No float or Fraction ever enters. There is one elimination, fraction-free
+(Bareiss) and without row swaps, grown one bordered row at a time:
+`extend_factor` adds a row and column to a symmetric matrix's factor in
+O(k^2), and `negative_definite_factor` is its fold over the rows, O(n^3).
+The factor is both the Sylvester test and an LU factorization;
+`solve_exact` replays it on an integer right-hand side and back-substitutes,
+O(n^2), returning the solution as integer numerators over det(A) (Cramer's
+rule). Every exact division of the elimination is checked.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-from math import lcm
 
 
 def extend_factor(factor: list[list[int]], border: list[int]) -> list[list[int]] | None:
@@ -73,20 +71,20 @@ def is_negative_definite_matrix(matrix: list[list[int]]) -> bool:
     return negative_definite_factor(matrix) is not None
 
 
-def solve_exact(factor: list[list[int]], rhs: list[Fraction | int]) -> list[Fraction]:
-    """Solve A x = rhs exactly, given factor = negative_definite_factor(A).
+def solve_exact(factor: list[list[int]], rhs: list[int]) -> tuple[list[int], int]:
+    """(y, det) with A y = det b, given factor = negative_definite_factor(A)
+    and an integer right-hand side b; det = det(A), and x = y / det.
 
-    Scales the rhs to integers and replays the elimination on it (exact:
-    each entry is a minor of [A | rhs]). Then y = det(A) x is integral by
-    Cramer's rule, so the back-substitution runs in integers with checked
-    exact divisions; only x = y / (det(A) scale) makes Fractions. `factor`
-    is never written.
+    Replays the elimination on b (exact: each entry is a minor of [A | b]),
+    then back-substitutes: y = det(A) x is integral by Cramer's rule, so
+    every step stays in integers, with checked exact divisions. det has the
+    sign (-1)^n of a negative definite A; callers that want a positive
+    denominator negate both. `factor` is never written.
     """
     n = len(factor)
     if len(rhs) != n:
         raise ValueError("solve_exact needs one right-hand side per row of the factor")
-    scale = lcm(*(b.denominator for b in rhs))
-    c = [b.numerator * (scale // b.denominator) for b in rhs]
+    c = list(rhs)
     det = 1  # the last pivot so far; after the loop, det(A)
     for k in range(n):
         pivot = factor[k][k]
@@ -101,4 +99,4 @@ def solve_exact(factor: list[list[int]], rhs: list[Fraction | int]) -> list[Frac
         if num % row[i]:
             raise ValueError("inexact back-substitution; not a Bareiss factor")
         y[i] = num // row[i]
-    return [Fraction(yi, det * scale) for yi in y]
+    return y, det

@@ -34,7 +34,6 @@ from .singularities import (
     divisor_terms,
     log_coefficients,
     minimal_resolution,
-    pullback,
     pulled_back,
 )
 
@@ -110,13 +109,14 @@ def parse_strategy(text: str):
 
 
 def _pulled_back_curve(model: SurfaceModel, name: str):
-    """Terms and row (v, d) of the pullback C* of a tracked curve, solved by
-    `pullback` (negativity lemma included) when C meets the contracted set."""
+    """The pullback C* of a tracked curve over one denominator d > 0: the
+    terms of d C* and its row (v, d), from one `pulled_back` solve
+    (negativity lemma included) when C meets the contracted set."""
     r = model.row(name)
     if not any(model.intersection(name, e) for e in model.contracted):
         return [(r, 1)], model.matrix[r], 1  # C* = C
-    terms = [(r, 1)] + divisor_terms(model, pullback(model, QDivisor.from_map({name: 1})))
-    return (terms, *model.pairings(terms))
+    x, v, d = pulled_back(model, [(r, 1)])
+    return [(r, d)] + list(zip(map(model.row, sorted(model.contracted)), x)), v, d
 
 
 def extremal_pairing(model: SurfaceModel, boundary: QDivisor, name: str) -> Fraction:

@@ -1,9 +1,12 @@
 """Pullbacks, discrepancies, and epsilon-classification of contractions.
 
-All solves are exact. The classification routines see a surface through its
-tracked resolution: the contracted set defines the singularities, boundary
-curves contribute their own coefficients, and everything is compared against
-the -1 + epsilon thresholds with exact rationals.
+All solves are exact and run in integers: a pullback is integer numerators
+over one positive denominator, and Fractions are made only for the values
+the public functions return. The classification routines see a surface
+through its tracked resolution: the contracted set defines the
+singularities, boundary curves contribute their own coefficients, and
+everything is compared against the -1 + epsilon thresholds with exact
+rationals.
 """
 
 from __future__ import annotations
@@ -11,12 +14,31 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
+from numbers import Rational
 
 from .errors import ModelError, MultiEdgeError
 from .lattice import K_ROW, SurfaceModel, blow_down_cascade
 from .linalg import solve_exact
 
-NEG_INFINITY = float("-inf")
+
+@total_ordering
+class _NegInfinity:
+    """Exact negative infinity: below every rational number, equal only to
+    itself. It prints as -inf, the spelling `--json` gives it."""
+
+    __slots__ = ()
+
+    def __lt__(self, other):
+        if other is self:
+            return False
+        return True if isinstance(other, Rational) else NotImplemented
+
+    def __repr__(self):
+        return "-inf"
+
+
+NEG_INFINITY = _NegInfinity()
 
 EPS_LOG_TERMINAL = "eps-log-terminal"
 EPS_LOG_CANONICAL = "eps-log-canonical"
@@ -86,7 +108,7 @@ class LogPullback:
 
 @dataclass(frozen=True)
 class SingularityClass:
-    total_discrepancy: Fraction | float | None
+    total_discrepancy: Fraction | _NegInfinity | None
     classification: str
     mr_total_discrepancy: Fraction
     mr_classification: str
@@ -108,14 +130,20 @@ def divisor_terms(model: SurfaceModel, divisor: QDivisor) -> list[tuple[int, Fra
     return [(model.row(name), c) for name, c in divisor.coefficients]
 
 
-def pulled_back(model: SurfaceModel, terms) -> tuple[list[Fraction], list[int], int]:
+def pulled_back(model: SurfaceModel, terms) -> tuple[list[int], list[int], int]:
     """Pullback D* = D + sum x_i E_i of a combination D of rows, orthogonal
-    to every contracted E_j: x (curves in name order) and the row (v, d) of
-    D*. With nothing contracted, x is [] and (v, d) is the row of D.
+    to every contracted E_j, over one denominator d > 0: the numerators d x
+    (curves in name order) and the row v of d D*, so v[j] / d is D*.(row j).
+    With nothing contracted, x is [] and (v, d) is the row of D.
 
-    The solve substitutes against the model's one factorization of the
-    contracted block, in the factor's own curve order; orthogonality is
-    re-checked in integers on v. As D*.E_i = C*.E_i = 0, the projection
+    One integer solve against the model's factorization of the contracted
+    block, in the factor's own curve order. With (u, du) the row of D it
+    gives A y = det(A) (-u on the contracted rows); det has the sign of
+    (-1)^k, so y and det are negated when it is negative. Then d = det du,
+    and D*'s row is built from D's as v = det u + sum y_i (row of E_i), with
+    orthogonality re-checked in integers on v's contracted entries. For an
+    effective D (curves only, coefficients >= 0) the negativity lemma,
+    x >= 0, is checked here too. As D*.E_i = C*.E_i = 0, the projection
     formula D*.C = D.C* holds for every curve C, so one log pullback
     L* = K + B + sum g_i E_i gives every (K + B).C* = L*.C.
     """
@@ -126,32 +154,47 @@ def pulled_back(model: SurfaceModel, terms) -> tuple[list[Fraction], list[int], 
     u, du = model.pairings(terms)
     if not order:
         return [], u, du
+    m = model.matrix
     rows = [model.row(e) for e in order]
-    y = solve_exact(lu, [Fraction(-u[r], du) for r in rows])
-    v, d = model.pairings(terms + list(zip(rows, y)))
+    y, det = solve_exact(lu, [-u[r] for r in rows])
+    if det < 0:
+        y, det = [-yi for yi in y], -det
+    v = [det * a for a in u]
+    for r, yi in zip(rows, y):
+        if yi:
+            v = [a + yi * b for a, b in zip(v, m[r])]
     by_name = sorted(zip(order, rows, y))
     for e, r, _ in by_name:
         if v[r]:
             raise ModelError(f"solved pullback is not orthogonal to {e!r}; model inconsistent")
-    return [x for _, _, x in by_name], v, d
+    x = [yi for _, _, yi in by_name]
+    if min(x) < 0 and all(r != K_ROW and c >= 0 for r, c in terms):
+        raise ModelError("negativity lemma violated; model inconsistent")
+    return x, v, det * du
 
 
 def pullback(model: SurfaceModel, divisor: QDivisor) -> QDivisor:
     """Numerical pullback coefficients c_i with (D + sum c_i E_i).E_j = 0.
 
     The divisor must be supported away from the contracted set. Effective
-    divisors get non-negative coefficients; that sign is re-checked on the
-    solution.
+    divisors get non-negative coefficients; `pulled_back` re-checks that
+    sign on the solution.
     """
     for name in divisor.names:
         if name not in model.names:
             raise ModelError(f"divisor names unknown curve {name!r}")
         if name in model.contracted:
             raise ModelError(f"divisor curve {name!r} is contracted")
-    coeffs, _, _ = pulled_back(model, divisor_terms(model, divisor))
-    if all(c >= 0 for _, c in divisor.coefficients) and any(c < 0 for c in coeffs):
-        raise ModelError("negativity lemma violated; model inconsistent")
-    return QDivisor(tuple(zip(sorted(model.contracted), coeffs)))
+    x, _, d = pulled_back(model, divisor_terms(model, divisor))
+    return QDivisor(tuple(zip(sorted(model.contracted), [Fraction(xi, d) for xi in x])))
+
+
+def _log_part(model: SurfaceModel, boundary: QDivisor) -> list[tuple[str, Fraction]]:
+    """(E_i, g_i) in name order, with K + (boundary) + sum g_i E_i
+    orthogonal to every contracted E_j."""
+    _check_boundary(model, boundary)
+    x, _, d = pulled_back(model, [(K_ROW, 1)] + divisor_terms(model, boundary))
+    return list(zip(sorted(model.contracted), [Fraction(xi, d) for xi in x]))
 
 
 def log_discrepancies(model: SurfaceModel, boundary: QDivisor) -> LogPullback:
@@ -161,19 +204,18 @@ def log_discrepancies(model: SurfaceModel, boundary: QDivisor) -> LogPullback:
     for every contracted E_j, and returns both g_i and the discrepancies
     a_i = -g_i.
     """
-    _check_boundary(model, boundary)
-    exceptional = sorted(model.contracted)
-    g, _, _ = pulled_back(model, [(K_ROW, 1)] + divisor_terms(model, boundary))
-    boundary_part = QDivisor(tuple(zip(exceptional, g)))
-    discrepancies = QDivisor(tuple((n, -gi) for n, gi in zip(exceptional, g)))
-    return LogPullback(boundary_part=boundary_part, discrepancies=discrepancies)
+    g = _log_part(model, boundary)
+    return LogPullback(
+        boundary_part=QDivisor(tuple(g)),
+        discrepancies=QDivisor(tuple([(n, -gi) for n, gi in g])),
+    )
 
 
 def log_coefficients(model: SurfaceModel, boundary: QDivisor) -> dict[str, Fraction]:
     """Coefficients of the log pullback of the modeled pair: boundary curves
     keep their nonzero coefficients, contracted curves get their solved g_i."""
     out = {name: c for name, c in boundary.coefficients if c}
-    out.update(log_discrepancies(model, boundary).boundary_part.coefficients)
+    out.update(_log_part(model, boundary))
     return out
 
 
@@ -188,13 +230,13 @@ def minimal_resolution(model: SurfaceModel) -> SurfaceModel:
     return blow_down_cascade(model, sorted(model.contracted))
 
 
-def total_discrepancy_snc(coefficients, edges) -> Fraction | float:
+def total_discrepancy_snc(coefficients, edges) -> Fraction | _NegInfinity:
     """Total discrepancy of a simple normal crossing configuration.
 
     `coefficients` maps vertex name -> coefficient b (so the discrepancy
     of the vertex itself is -b); `edges` lists transverse intersection
     points as name pairs. Any coefficient above 1 sinks the total to
-    negative infinity. Otherwise node blow-ups can only produce
+    NEG_INFINITY, which is exact, not a float. Otherwise node blow-ups can only produce
     coefficients b_i + b_j - 1 and deeper candidates never undercut the
     first level, so the total is
     min(1, min_i(-b_i), min over edges (1 - b_i - b_j)).

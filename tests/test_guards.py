@@ -2,7 +2,8 @@
 
 The script below runs in a `python -O` subprocess, where every `assert`
 statement is removed, and prints the exception each guard raises. The
-package itself holds no `assert` statement at all.
+package itself holds no `assert` statement at all, and `linalg` never
+touches a Fraction.
 """
 
 import ast
@@ -41,6 +42,13 @@ two_at_rank_1 = SurfaceModel(
 line = _validated(coordinate_model(1, (-3,), {"L": (1,)}))
 meeting_once = _validated(coordinate_model(3, (-3, 1, 1), {"E1": (0, 1, 0), "L": (1, -1, -1)}))
 two_at_rank_1_smooth = _validated(SurfaceModel(rank=1, names=("A", "B"), matrix=two_at_rank_1.matrix))
+# the raw model of test_negativity_lemma_guard: x_A = 2/3, x_B = -1/3 for D
+negative_solution = SurfaceModel(
+    rank=4,
+    names=("A", "B", "D"),
+    matrix=((6, 0, 0, -1), (0, -2, -1, 1), (0, -1, -2, 0), (-1, 1, 0, -1)),
+    contracted=frozenset({"A", "B"}),
+)
 meeting_negatively = SurfaceModel(rank=3, names=("A", "B"), matrix=((7, 0, 0), (0, -2, -1), (0, -1, -2)))
 A, B = ("A", -2, Fraction(0)), ("B", -2, Fraction(0))
 guards = {
@@ -53,6 +61,7 @@ guards = {
     "bordered-not-negative-definite": lambda: declare_contracted(declare_contracted(meeting_once, ["E1"]), ["L"]),
     "bordered-hodge-index": lambda: declare_contracted(two_at_rank_1_smooth, ["A", "B"]),
     "no-factor": lambda: pullback(positive_line, QDivisor.from_map({"L": 1})),
+    "negativity-lemma": lambda: pullback(negative_solution, QDivisor.from_map({"D": 1})),
     "genus": lambda: minimal_resolution(nodal),
     "snc-endpoint": lambda: total_discrepancy_snc({"a": 1}, [("a", "b")]),
     "qdivisor-order": lambda: QDivisor((("B", Fraction(1)), ("A", Fraction(1)))),
@@ -99,6 +108,7 @@ def test_guards_raise_under_python_O():
         "bordered-hodge-index: NotNegativeDefiniteError: contracted configuration ['A', 'B'] spans 2 "
         "negative directions; rank 1 allows at most 0",
         "no-factor: ModelError: contracted configuration ['H'] is not negative definite",
+        "negativity-lemma: ModelError: negativity lemma violated; model inconsistent",
         "genus: ModelError: curve 'N' is not a smooth rational class (genus != 0)",
         "snc-endpoint: ModelError: edge endpoint is not a vertex",
         "qdivisor-order: ValueError: divisor names must be sorted and distinct: ['B', 'A']",
@@ -119,5 +129,19 @@ def test_package_has_no_assert_statement():
         for path in sorted((SRC / "logsurf").rglob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_linalg_uses_no_fraction():
+    # integers in, integers out: Fractions are made only at the API edge
+    path = SRC / "logsurf" / "linalg.py"
+    found = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Name) and node.id == "Fraction")
+        or (isinstance(node, ast.Attribute) and node.attr == "Fraction")
+        or (isinstance(node, ast.ImportFrom) and node.module == "fractions")
+        or (isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names))
     ]
     assert found == []

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -108,25 +109,47 @@ class TestDeterminant:
         assert det_bareiss(m) == -1
 
 
-def solve(matrix, rhs):
-    return solve_exact(negative_definite_factor(matrix), rhs)
+def solution(matrix, rhs):
+    """x = y / det from solve_exact on an integer rhs, after checking
+    A y = det b straight against the inputs and det against the oracle."""
+    y, det = solve_exact(negative_definite_factor(matrix), rhs)
+    assert all(type(v) is int for v in y + [det])
+    assert det == det_bareiss(matrix)
+    for row, b in zip(matrix, rhs):
+        assert sum(a * yi for a, yi in zip(row, y)) == det * b
+    return [Fraction(yi, det) for yi in y]
+
+
+def integral(rhs):
+    """A rational rhs scaled by the lcm of its denominators."""
+    scale = lcm(*(b.denominator for b in rhs))
+    return [int(b * scale) for b in rhs]
 
 
 class TestSolveExact:
     def test_known_system(self):
         # -2x + y = -3, x - 2y = 0
-        assert solve([[-2, 1], [1, -2]], [-3, 0]) == [Fraction(2), Fraction(1)]
+        assert solve_exact(negative_definite_factor([[-2, 1], [1, -2]]), [-3, 0]) == ([6, 3], 3)
+        assert solution([[-2, 1], [1, -2]], [-3, 0]) == [Fraction(2), Fraction(1)]
 
     def test_singular_and_indefinite_have_no_factor(self):
         assert negative_definite_factor([[-1, 1], [1, -1]]) is None  # det 0
         assert negative_definite_factor([[-1, 2], [2, -1]]) is None  # det -3
 
     def test_fractional_rhs(self):
-        x = solve([[-2, 0], [0, -3]], [Fraction(1, 3), Fraction(1, 2)])
-        assert x == [Fraction(-1, 6), Fraction(-1, 6)]
+        # (1/3, 1/2) scaled by 6: the solution scales with it
+        assert integral([Fraction(1, 3), Fraction(1, 2)]) == [2, 3]
+        x = solution([[-2, 0], [0, -3]], [2, 3])
+        assert x == [6 * Fraction(-1, 6), 6 * Fraction(-1, 6)]
+        assert solution([[-2, 0], [0, -3]], [1, 1]) == [Fraction(-1, 2), Fraction(-1, 3)]
+
+    def test_odd_size_has_negative_det(self):
+        # det of a negative definite k x k block has the sign of (-1)^k
+        assert solve_exact(negative_definite_factor([[-2]]), [1]) == ([1], -2)
+        assert solve_exact(negative_definite_factor([[-2, 1, 0], [1, -2, 1], [0, 1, -2]]), [0, 0, 1])[1] == -4
 
     def test_empty(self):
-        assert solve([], []) == []
+        assert solve_exact([], []) == ([], 1)
 
     def test_against_gauss_seeded(self):
         rng = random.Random(515)
@@ -138,16 +161,12 @@ class TestSolveExact:
                 m[i][i] = rng.randint(-7, -1)
                 for j in range(i + 1, n):
                     m[i][j] = m[j][i] = rng.randint(-2, 2)
-            rhs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+            rhs = integral([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)])
             factor = negative_definite_factor(m)
             if not minor_signs_negdef(m):
                 assert factor is None
                 continue
-            x = solve_exact(factor, rhs)
-            assert x == gauss_solve(m, rhs)
-            # residual check straight against the inputs
-            for row, b in zip(m, rhs):
-                assert sum(a * xi for a, xi in zip(row, x)) == b
+            assert solution(m, rhs) == gauss_solve(m, rhs)
             solved += 1
         assert solved > 60  # the loop must mostly exercise the solvable path
 
@@ -165,8 +184,8 @@ class TestSolveExact:
             return
         kept = [list(row) for row in factor]
         rational = st.fractions(min_value=-20, max_value=20, max_denominator=12)
-        rhs = data.draw(st.lists(rational, min_size=len(m), max_size=len(m)))
-        assert solve_exact(factor, rhs) == gauss_solve(m, rhs)
+        rhs = integral(data.draw(st.lists(rational, min_size=len(m), max_size=len(m))))
+        assert solution(m, rhs) == gauss_solve(m, rhs)
         assert factor == kept
 
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -9,8 +10,10 @@ from hypothesis import strategies as st
 from logsurf import mmp
 from logsurf.errors import LogSurfError, ModelError, ScenarioError
 from logsurf.lattice import (
+    K_ROW,
     PointSpec,
     _validated,
+    blow_down,
     blow_up,
     declare_contracted,
     new_projective_plane,
@@ -46,12 +49,15 @@ from logsurf.singularities import (
     QDivisor,
     SingularityClass,
     classify,
+    divisor_terms,
     log_coefficients,
+    log_discrepancies,
     minimal_resolution,
     pullback,
+    pulled_back,
 )
 from oracles import coordinate_model, mumford_pairings, pairwise_ranking
-from test_singularities import TOWER_OPS, tower_from
+from test_singularities import TOWER_OPS, line_tower, tower_from
 
 SEED = 20260821
 
@@ -202,6 +208,70 @@ class TestRankingOracle:
             assert_ranking_matches(state.surface, state.boundary)
 
 
+def chain_start(chain):
+    """S1 .. S_chain a contracted chain of (-2)-curves with T1 meeting its
+    end, T2 on T1 and T3 at a general point: the q44 harness's start."""
+    model = new_projective_plane()
+    model = blow_up(model, PointSpec.general(), "S1")
+    for i in range(chain):
+        child = f"S{i + 2}" if i + 1 < chain else "T1"
+        model = blow_up(model, PointSpec.on_curve(f"S{i + 1}"), child)
+    model = blow_up(model, PointSpec.on_curve("T1"), "T2")
+    model = blow_up(model, PointSpec.general(), "T3")
+    return declare_contracted(model, [f"S{i + 1}" for i in range(chain)])
+
+
+class TestOddBlockSign:
+    """det of a negative definite k x k block has the sign of (-1)^k, so an
+    odd block hands pulled_back a negative det. It must still return d > 0:
+    the ranking reads signs straight off the row's numerators."""
+
+    @pytest.mark.parametrize("chain", [1, 2, 3])
+    def test_denominator_is_positive_and_ranking_holds(self, chain):
+        model = chain_start(chain)
+        boundary = QDivisor.from_map({"T1": F(1, 2), "T2": F(1, 3)})
+        _, factor = model.contracted_factor
+        assert (factor[-1][-1] < 0) == (chain % 2 == 1)  # the last pivot is det
+        log = [(K_ROW, 1)] + divisor_terms(model, boundary)
+        for terms in (log, [(model.row("T1"), 1)]):
+            x, v, d = pulled_back(model, terms)
+            assert d > 0 and len(x) == chain
+        # T1 meets the chain, so its C*.C* comes from its own solve
+        expected = pairwise_ranking(model, boundary.as_map())
+        assert [name for name, _, _ in expected] == ["T3", "T2", "T1"]
+        state = MmpState(surface=model, boundary=boundary)
+        assert [(c.name, c.extremal_value, c.self_int) for c in step_candidates(state)] == expected
+
+
+class TestMetamorphic:
+    """A blow-up at a general point meets nothing tracked."""
+
+    @settings(max_examples=100)
+    @given(TOWER_OPS)
+    def test_general_blow_up_then_blow_down_is_the_identity(self, ops):
+        model = tower_from(ops, 0)
+        assert blow_down(blow_up(model, PointSpec.general(), "G"), "G") == model
+
+    @settings(max_examples=100)
+    @given(
+        TOWER_OPS,
+        st.integers(0, 2**16 - 1),
+        st.lists(st.integers(0, 6), min_size=16, max_size=16),
+        st.sampled_from((F(0), F(1, 7))),
+    )
+    def test_general_blow_up_keeps_the_singularities(self, ops, mask, sixths, epsilon):
+        model = tower_from(ops, mask)
+        blown = declare_contracted(blow_up(tower_from(ops, 0), PointSpec.general(), "G"), model.contracted)
+        free = [n for n in model.tracked if n not in model.contracted]
+        boundary = QDivisor.from_map({n: F(k, 6) for n, k in zip(free, sixths) if k})
+        assert classify(blown, boundary, epsilon) == classify(model, boundary, epsilon)
+        assert log_discrepancies(blown, boundary) == log_discrepancies(model, boundary)
+        before = step_candidates(MmpState(surface=model, boundary=boundary))
+        after = step_candidates(MmpState(surface=blown, boundary=boundary))
+        assert [c for c in after if c.name != "G"] == before
+        assert [(c.extremal_value, c.self_int) for c in after if c.name == "G"] == [(F(-1), F(-1))]
+
+
 class TestContract:
     def test_contract_drops_rho_and_boundary(self):
         st = threshold_state()
@@ -342,6 +412,47 @@ class TestIntersectionTowerRuns:
             assert result.audit.ok, (trial, result.audit.violations)
             assert isinstance(result.outcome, (MinimalOverTracked, MoriFiberSignal, Exhausted))
         assert at_total >= 150  # the stream really blows up intersection points
+
+
+def line_or_plane_tower(rng):
+    """A tower of 1-8 blow-ups, over a tracked line L (`line_tower`, with a
+    quarter of the blow-ups on L) or over the plane alone (`tower_from`),
+    each half the time."""
+    ops = []
+    for i in range(rng.randint(1, 8)):
+        kind = rng.choice(("general", "on", "at", "line"))
+        # L sorts after every C<i>, so pick i is L at step i
+        ops.append(("on", i) if kind == "line" else (kind, rng.randrange(10**6)))
+    return _validated(line_tower(ops)) if rng.random() < 0.5 else tower_from(ops, 0)
+
+
+class TestRunOutcomeCoverage:
+    """A test-only stream that ends runs in every outcome. Each trial walks
+    one random contraction order to its end, then runs a random prefix of
+    it as a NamedOrder (the whole walk half the time). A short prefix ends
+    Exhausted. A whole walk over the plane contracts every curve and ends
+    MinimalOverTracked; over a line, what is left at the end is a class
+    with C.C > 0, a MoriFiberSignal."""
+
+    def test_every_outcome_with_clean_audits(self):
+        epsilon = F(1, 7)
+        grid = _coefficient_grid(1 - epsilon)
+        counts = Counter()
+        for trial in range(160):
+            rng = random.Random(20261018 * 1_000_003 + trial)
+            model = line_or_plane_tower(rng)
+            boundary = QDivisor.from_map({n: c for n in model.tracked if (c := rng.choice(grid))})
+            state = walk = MmpState(surface=model, boundary=boundary)
+            order = []
+            while contractible := [c.name for c in step_candidates(walk) if c.self_int < 0]:
+                order.append(rng.choice(contractible))
+                walk = contract(walk, order[-1])
+            prefix = tuple(order[: rng.choice((len(order), rng.randint(0, len(order))))])
+            result = run(state, NamedOrder(prefix), epsilon)
+            assert result.audit.ok, (trial, result.audit.violations)
+            assert [s.contracted_curve for s in result.steps] == list(prefix)
+            counts[type(result.outcome).__name__] += 1
+        assert counts == {"Exhausted": 58, "MinimalOverTracked": 50, "MoriFiberSignal": 52}
 
 
 class TestAuditViolations:

@@ -155,7 +155,7 @@ class TestPullback:
     def test_wrong_solution_raises_model_error(self, monkeypatch):
         # the solve is re-verified by pairing, with no assert that -O strips
         model = fork_model(3)
-        monkeypatch.setattr(singularities, "solve_exact", lambda gram, rhs: [F(0)] * len(rhs))
+        monkeypatch.setattr(singularities, "solve_exact", lambda factor, rhs: ([0] * len(rhs), 1))
         with pytest.raises(ModelError, match="not orthogonal"):
             pullback(model, QDivisor.from_map({"D": 1}))
         with pytest.raises(ModelError, match="not orthogonal"):
@@ -514,6 +514,19 @@ class TestSncFormula:
     def test_coefficient_above_one_sinks(self):
         assert total_discrepancy_snc({"A": F(7, 6)}, []) == NEG_INFINITY
 
+    def test_neg_infinity_is_exact(self):
+        # below every rational, equal only to itself; never a float
+        assert not isinstance(NEG_INFINITY, float)
+        for q in (F(-10**30), F(-1), 0, F(1, 7)):
+            assert NEG_INFINITY < q and q > NEG_INFINITY and NEG_INFINITY <= q
+            assert not (NEG_INFINITY >= q or NEG_INFINITY == q or q < NEG_INFINITY)
+        assert NEG_INFINITY == NEG_INFINITY and NEG_INFINITY <= NEG_INFINITY
+        assert not NEG_INFINITY < NEG_INFINITY
+        assert min(F(-5), NEG_INFINITY) is NEG_INFINITY
+        assert str(NEG_INFINITY) == "-inf"
+        with pytest.raises(TypeError):
+            NEG_INFINITY < float("-inf")
+
     def test_edge_term_ties_at_coefficient_one(self):
         # crossing of two full-coefficient curves: 1 - 1 - 1 = -1, matching the vertices
         assert total_discrepancy_snc({"A": 1, "B": 1}, [("A", "B")]) == -1
@@ -596,6 +609,30 @@ class TestClassify:
         assert sc.total_discrepancy == NEG_INFINITY
         assert sc.classification == NOT_LOG_CANONICAL
         assert sc.mr_total_discrepancy == F(-54, 49)
+
+    def test_no_classification_holds_a_float(self):
+        cases = [
+            (fork_model(5, (2, 2, 2), contract_extra=True), QDivisor.zero()),  # NEG_INFINITY
+            (fork_model(5, (2, 2, 2)), QDivisor.from_map({"D": F(6, 7)})),  # NEG_INFINITY
+            (double_point_model(), QDivisor.zero()),  # None
+            (fork_model(3), QDivisor.zero()),
+            (new_projective_plane(), QDivisor.zero()),
+        ]
+        rng = random.Random(8811)
+        for _ in range(40):
+            ops = [(rng.choice(("general", "on", "at")), rng.randrange(10**6)) for _ in range(rng.randint(1, 10))]
+            model = tower_from(ops, rng.randrange(2**10))
+            free = [n for n in model.tracked if n not in model.contracted]
+            cases.append((model, QDivisor.from_map({n: F(rng.randint(0, 6), 6) for n in free})))
+        kinds = set()
+        for model, boundary in cases:
+            for epsilon in (0, F(1, 7)):
+                sc = classify(model, boundary, epsilon)
+                total = sc.total_discrepancy
+                assert total is None or total is NEG_INFINITY or type(total) is F
+                assert type(sc.mr_total_discrepancy) is F and type(sc.epsilon) is F
+                kinds.add(total if total is None or total is NEG_INFINITY else F)
+        assert kinds == {None, NEG_INFINITY, F}
 
     def test_unclassifiable_double_intersection(self):
         sc = classify(double_point_model(), QDivisor.zero(), 0)
