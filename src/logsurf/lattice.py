@@ -257,15 +257,17 @@ def blow_down_cascade(model: SurfaceModel, names) -> SurfaceModel:
     ready. Blowing down e is the update M + g g^T with g the column of e:
     only entries where g_i and g_j are both nonzero move (K, e and the
     curves meeting e), and e's row and column become zero, so e is never
-    picked again. Only the result goes through `_validated`; for a validated
-    input no check is lost. The update projects onto e-perp: K.K and the
-    rank move together, the matrix stays symmetric and integral, entries
-    between curves only grow (by (D.e)(D'.e) >= 0), and the contracted block
-    left is the Schur complement of e.e = -1 in a negative definite block.
-    A round can newly break only genus, as C.C + K.C of D moves by
+    picked again. The update projects onto e-perp: K.K and the rank move
+    together, the matrix stays symmetric and integral, entries between
+    curves only grow (by (D.e)(D'.e) >= 0), and the contracted block left
+    is the Schur complement of e.e = -1 in a negative definite block. A
+    round can newly break only genus, as C.C + K.C of D moves by
     (D.e)(D.e - 1), or rank 1; the first round that does ends the pass, and
     `_validated` then fails with the message that blowing down one model at
-    a time gives.
+    a time gives. So a `_checked` input whose pass broke nothing needs only
+    `_contracted_checked`, which also marks the result `_checked`; a
+    never-validated input, or a broken pass, goes through the whole
+    `_validated`.
     """
     order = [model.row(n) for n in names]
 
@@ -284,19 +286,22 @@ def blow_down_cascade(model: SurfaceModel, names) -> SurfaceModel:
             row = rows[i]
             for j, gj in g:
                 row[j] += gi * gj
-        broken = any(rows[i][i] + rows[K_ROW][i] != -2 for i, _ in g if i not in (K_ROW, e))
-        if broken or len(dropped) == model.rank:
+        broken = len(dropped) == model.rank or any(
+            rows[i][i] + rows[K_ROW][i] != -2 for i, _ in g if i not in (K_ROW, e)
+        )
+        if broken:
             break
         e = ready(rows)
     keep = [i for i in range(len(rows)) if i not in dropped]
-    return _validated(
-        SurfaceModel(
-            rank=model.rank - len(dropped),
-            names=tuple([model.names[i - 1] for i in keep[1:]]),
-            matrix=_frozen([[rows[i][j] for j in keep] for i in keep]),
-            contracted=model.contracted.difference(model.names[i - 1] for i in dropped),
-        )
+    result = SurfaceModel(
+        rank=model.rank - len(dropped),
+        names=tuple([model.names[i - 1] for i in keep[1:]]),
+        matrix=_frozen([[rows[i][j] for j in keep] for i in keep]),
+        contracted=model.contracted.difference(model.names[i - 1] for i in dropped),
     )
+    if broken or not getattr(model, "_checked", False):
+        return _validated(result)
+    return _contracted_checked(result)
 
 
 def declare_contracted(model: SurfaceModel, names) -> SurfaceModel:

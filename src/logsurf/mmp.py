@@ -14,6 +14,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import ModelError, NotNegativeDefiniteError, ScenarioError
 from .lattice import (
@@ -30,9 +31,9 @@ from .singularities import (
     NOT_LOG_CANONICAL,
     QDivisor,
     _check_boundary,
+    _log_numerators,
     classify,
     divisor_terms,
-    log_coefficients,
     minimal_resolution,
     pulled_back,
 )
@@ -138,17 +139,16 @@ def contracted_self_intersection(model: SurfaceModel, name: str) -> Fraction:
 def step_candidates(state: MmpState) -> list[Candidate]:
     """Tracked non-contracted curves with (K + boundary).C < 0, most negative
     first, names breaking ties. Values are read off the row of one log
-    pullback, zero on the contracted set; only candidates solve for C.C."""
+    pullback, zero on the contracted set, and ranked by their integer
+    numerators over its one denominator d > 0; only candidates solve for
+    C.C."""
     model = state.surface
     _, v, d = pulled_back(model, [(K_ROW, 1)] + divisor_terms(model, state.boundary))
-    out = []
-    for name in model.tracked:
-        r = model.row(name)
-        if v[r] < 0:
-            self_int = contracted_self_intersection(model, name)
-            out.append(Candidate(name=name, extremal_value=Fraction(v[r], d), self_int=self_int))
-    out.sort(key=lambda c: (c.extremal_value, c.name))
-    return out
+    keys = sorted((v[r], name) for r, name in enumerate(model.names, 1) if v[r] < 0)
+    return [
+        Candidate(name=name, extremal_value=Fraction(x, d), self_int=contracted_self_intersection(model, name))
+        for x, name in keys
+    ]
 
 
 def _apply_contraction(state: MmpState, cand: Candidate) -> tuple[MmpState, str]:
@@ -276,6 +276,12 @@ def audit_run(run_record: MmpRun, initial: MmpState, epsilon) -> AuditReport:
     (d) when the pullback support of the contracted curve on the current
     minimal resolution has no (-1)-curve, the boundary meets the curve
     negatively. Violations are reported, never raised.
+
+    Checks (a) and (d) compare integers: (a) the log coefficients'
+    numerators over their step's one denominator, cross-multiplied, and
+    (d) the boundary pairing's numerator; a Fraction is made only for a
+    reported value. The boundary was checked when `initial` was built, and
+    a replay step only drops the contracted curve from it.
     """
     epsilon = Fraction(epsilon)
     violations = []
@@ -290,7 +296,7 @@ def audit_run(run_record: MmpRun, initial: MmpState, epsilon) -> AuditReport:
         )
     shadow = initial.surface
     boundary = initial.boundary
-    prev_coeffs = log_coefficients(shadow, boundary)
+    prev, prev_d = _log_numerators(shadow, boundary)
     mr = None  # minimal resolution of shadow, carried from the last classification
     rho_sequence = [initial_rho]
     audit_steps = []
@@ -307,8 +313,10 @@ def audit_run(run_record: MmpRun, initial: MmpState, epsilon) -> AuditReport:
             terms, v, d = _pulled_back_curve(mr, name)
             m = mr.matrix
             step3_applicable = not any(m[r][r] == m[K_ROW][r] == -1 for r, c in terms if c > 0)
-            step3_value = Fraction(sum(c * v[mr.row(n)] for n, c in boundary.coefficients), d)
-            step3_ok = (not step3_applicable) or step3_value < 0
+            db = lcm(*(c.denominator for _, c in boundary.coefficients))
+            pairing = sum(c.numerator * (db // c.denominator) * v[mr.row(n)] for n, c in boundary.coefficients)
+            step3_value = Fraction(pairing, d * db)
+            step3_ok = (not step3_applicable) or pairing < 0
         except ModelError as exc:
             step3_applicable, step3_value, step3_ok = False, None, False
             violations.append(f"step3: step {i} ({name!r}): replay failed: {exc}")
@@ -322,19 +330,15 @@ def audit_run(run_record: MmpRun, initial: MmpState, epsilon) -> AuditReport:
             violations.append(f"effectivity: step {i} ({name!r}): replay failed: {exc}")
             break
         boundary = boundary.without(name)
-        new_coeffs = log_coefficients(shadow, boundary)
-        bad = sorted(
-            n
-            for n in set(prev_coeffs) | set(new_coeffs)
-            if new_coeffs.get(n, Fraction(0)) > prev_coeffs.get(n, Fraction(0))
-        )
+        new, new_d = _log_numerators(shadow, boundary)
+        bad = sorted(n for n in prev.keys() | new.keys() if new.get(n, 0) * prev_d > prev.get(n, 0) * new_d)
         effectivity_ok = not bad
         for n in bad:
             violations.append(
                 f"effectivity: step {i} ({name!r}): coefficient of {n!r} rises from "
-                f"{prev_coeffs.get(n, Fraction(0))} to {new_coeffs.get(n, Fraction(0))}"
+                f"{Fraction(prev.get(n, 0), prev_d)} to {Fraction(new.get(n, 0), new_d)}"
             )
-        prev_coeffs = new_coeffs
+        prev, prev_d = new, new_d
         rho_after = shadow.rank - len(shadow.contracted)
         if rho_after != rho_before - 1:
             violations.append(f"rho: step {i} ({name!r}): rank drops {rho_before} -> {rho_after}")

@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
+from math import lcm
 from numbers import Rational
 
 from .errors import ModelError, MultiEdgeError
@@ -116,12 +117,13 @@ class SingularityClass:
 
 
 def _check_boundary(model: SurfaceModel, boundary: QDivisor) -> None:
+    rows = model._rows
     for name, c in boundary.coefficients:
-        if name not in model.names:
+        if name not in rows:
             raise ModelError(f"boundary names unknown curve {name!r}")
-        if name in model.contracted and c != 0:
+        if c.numerator and name in model.contracted:
             raise ModelError(f"boundary curve {name!r} is contracted; fold it into the pullback instead")
-        if not (0 <= c <= 1):
+        if not (0 <= c.numerator <= c.denominator):
             raise ModelError(f"boundary coefficient {c} on {name!r} outside [0, 1]")
 
 
@@ -189,12 +191,18 @@ def pullback(model: SurfaceModel, divisor: QDivisor) -> QDivisor:
     return QDivisor(tuple(zip(sorted(model.contracted), [Fraction(xi, d) for xi in x])))
 
 
-def _log_part(model: SurfaceModel, boundary: QDivisor) -> list[tuple[str, Fraction]]:
-    """(E_i, g_i) in name order, with K + (boundary) + sum g_i E_i
-    orthogonal to every contracted E_j."""
-    _check_boundary(model, boundary)
-    x, _, d = pulled_back(model, [(K_ROW, 1)] + divisor_terms(model, boundary))
-    return list(zip(sorted(model.contracted), [Fraction(xi, d) for xi in x]))
+def _log_numerators(model: SurfaceModel, boundary: QDivisor) -> tuple[dict[str, int], int]:
+    """The log pullback's coefficients as integer numerators over one
+    denominator d > 0: nonzero boundary curves first, in name order, then
+    the contracted curves' solved g_i, in name order. `pairings` clears
+    every boundary denominator into d, so a boundary coefficient c is the
+    integer c.numerator (d // c.denominator) over the same d. The boundary
+    is not checked here."""
+    terms = [(model.row(name), c) for name, c in boundary.coefficients if c.numerator]
+    x, _, d = pulled_back(model, [(K_ROW, 1)] + terms)
+    out = {name: c.numerator * (d // c.denominator) for name, c in boundary.coefficients if c.numerator}
+    out.update(zip(sorted(model.contracted), x))
+    return out, d
 
 
 def log_discrepancies(model: SurfaceModel, boundary: QDivisor) -> LogPullback:
@@ -202,21 +210,24 @@ def log_discrepancies(model: SurfaceModel, boundary: QDivisor) -> LogPullback:
 
     Finds g_i with (K + boundary strict transform + sum g_i E_i).E_j = 0
     for every contracted E_j, and returns both g_i and the discrepancies
-    a_i = -g_i.
+    a_i = -g_i, read off `_log_numerators`.
     """
-    g = _log_part(model, boundary)
+    _check_boundary(model, boundary)
+    n, d = _log_numerators(model, boundary)
+    g = [(name, n[name]) for name in sorted(model.contracted)]
     return LogPullback(
-        boundary_part=QDivisor(tuple(g)),
-        discrepancies=QDivisor(tuple([(n, -gi) for n, gi in g])),
+        boundary_part=QDivisor(tuple([(name, Fraction(x, d)) for name, x in g])),
+        discrepancies=QDivisor(tuple([(name, Fraction(-x, d)) for name, x in g])),
     )
 
 
 def log_coefficients(model: SurfaceModel, boundary: QDivisor) -> dict[str, Fraction]:
     """Coefficients of the log pullback of the modeled pair: boundary curves
-    keep their nonzero coefficients, contracted curves get their solved g_i."""
-    out = {name: c for name, c in boundary.coefficients if c}
-    out.update(_log_part(model, boundary))
-    return out
+    keep their nonzero coefficients, contracted curves get their solved g_i.
+    The Fractions of `_log_numerators`' integers over their one denominator."""
+    _check_boundary(model, boundary)
+    n, d = _log_numerators(model, boundary)
+    return {name: Fraction(x, d) for name, x in n.items()}
 
 
 def minimal_resolution(model: SurfaceModel) -> SurfaceModel:
@@ -230,6 +241,23 @@ def minimal_resolution(model: SurfaceModel) -> SurfaceModel:
     return blow_down_cascade(model, sorted(model.contracted))
 
 
+def _snc_total(numerators: dict[str, int], d: int, edges) -> int | None:
+    """Numerator over d of the SNC total discrepancy of vertices with
+    coefficients n / d, joined by `edges`, ((a, b), multiplicity) pairs
+    between distinct vertices: min(d, -n_i, d - n_a - n_b over edges).
+    None stands for NEG_INFINITY, any n_i > d. An edge of multiplicity 2 or
+    more raises MultiEdgeError, before any coefficient is looked at."""
+    for (a, b), k in edges:
+        if k >= 2:
+            raise MultiEdgeError(f"multiple intersection points between {a!r} and {b!r}")
+    if any(n > d for n in numerators.values()):
+        return None
+    best = min([d] + [-n for n in numerators.values()])
+    for (a, b), _ in edges:
+        best = min(best, d - numerators[a] - numerators[b])
+    return best
+
+
 def total_discrepancy_snc(coefficients, edges) -> Fraction | _NegInfinity:
     """Total discrepancy of a simple normal crossing configuration.
 
@@ -240,33 +268,34 @@ def total_discrepancy_snc(coefficients, edges) -> Fraction | _NegInfinity:
     coefficients b_i + b_j - 1 and deeper candidates never undercut the
     first level, so the total is
     min(1, min_i(-b_i), min over edges (1 - b_i - b_j)).
+    The coefficients are put over one denominator and handed to the
+    integer rule `classify` uses.
     """
-    b = {name: Fraction(c) for name, c in dict(coefficients).items()}
+    coeffs = {name: Fraction(c) for name, c in dict(coefficients).items()}
     counts = Counter()
-    for a, d in edges:
-        if a == d:
+    for a, b in edges:
+        if a == b:
             raise MultiEdgeError(f"vertex {a!r} meets itself; not simple normal crossing")
-        if a not in b or d not in b:
+        if a not in coeffs or b not in coeffs:
             raise ModelError("edge endpoint is not a vertex")
-        counts[tuple(sorted((a, d)))] += 1
-    multi = [pair for pair, k in counts.items() if k >= 2]
-    if multi:
-        raise MultiEdgeError(f"multiple intersection points between {multi[0][0]!r} and {multi[0][1]!r}")
-    if any(c > 1 for c in b.values()):
-        return NEG_INFINITY
-    best = Fraction(1)
-    for c in b.values():
-        best = min(best, -c)
-    for a, d in counts:
-        best = min(best, 1 - b[a] - b[d])
-    return best
+        counts[tuple(sorted((a, b)))] += 1
+    d = lcm(*(c.denominator for c in coeffs.values()))
+    numerators = {name: c.numerator * (d // c.denominator) for name, c in coeffs.items()}
+    total = _snc_total(numerators, d, counts.items())
+    return NEG_INFINITY if total is None else Fraction(total, d)
 
 
-def _threshold_label(total, epsilon: Fraction) -> str:
-    bar = Fraction(-1) + epsilon
-    if total > bar:
+def _threshold_label(total: int | None, d: int, epsilon) -> str:
+    """The label of the total total / d (None: NEG_INFINITY) against the bar
+    -1 + epsilon, compared in integers after scaling both by
+    epsilon.denominator d."""
+    if total is None:
+        return NOT_LOG_CANONICAL
+    lhs = total * epsilon.denominator
+    bar = (epsilon.numerator - epsilon.denominator) * d
+    if lhs > bar:
         return EPS_LOG_TERMINAL
-    if total == bar:
+    if lhs == bar:
         return EPS_LOG_CANONICAL
     return NOT_LOG_CANONICAL
 
@@ -280,35 +309,48 @@ def classify(model: SurfaceModel, boundary: QDivisor, epsilon) -> SingularityCla
     A multi-edge configuration cannot be treated as simple normal crossing
     and comes back unclassifiable (total None); the MR numbers are still
     exact.
+
+    Every comparison runs on `_log_numerators`' integers over their one
+    denominator d: the MR total is min(d, -n_i), the SNC total is
+    `_snc_total`'s, and each label compares against -1 + epsilon in
+    integers. Fractions are made only for the returned fields. The
+    boundary is checked once, on `model`: a curve with a nonzero
+    coefficient is never contracted, so the resolution keeps it, and zero
+    coefficients are no boundary at all.
     """
     epsilon = Fraction(epsilon)
-    if not (0 <= epsilon <= 1):
+    if not (0 <= epsilon.numerator <= epsilon.denominator):
         raise ModelError(f"epsilon {epsilon} outside [0, 1]")
     _check_boundary(model, boundary)
     mr = minimal_resolution(model)
-    coefficients = log_coefficients(mr, boundary)
-    mr_total = min([-c for c in coefficients.values()] + [Fraction(1)])
-    vertex_names = sorted(coefficients)
+    numerators, d = _log_numerators(mr, boundary)
+    mr_total = min([d] + [-n for n in numerators.values()])
+    m = mr.matrix
+    vertices = sorted(numerators)
+    rows = [mr.row(name) for name in vertices]
     edges = []
-    for i, a in enumerate(vertex_names):
-        for d in vertex_names[i + 1 :]:
-            edges.extend([(a, d)] * mr.intersection(a, d))
+    for i, (a, ra) in enumerate(zip(vertices, rows)):
+        for b, rb in zip(vertices[i + 1 :], rows[i + 1 :]):
+            if m[ra][rb]:
+                edges.append(((a, b), m[ra][rb]))
     try:
-        total = total_discrepancy_snc(coefficients, edges)
+        total = _snc_total(numerators, d, edges)
     except MultiEdgeError:
         return SingularityClass(
             total_discrepancy=None,
             classification=UNCLASSIFIABLE_SNC,
-            mr_total_discrepancy=mr_total,
-            mr_classification=_threshold_label(mr_total, epsilon),
+            mr_total_discrepancy=Fraction(mr_total, d),
+            mr_classification=_threshold_label(mr_total, d, epsilon),
             epsilon=epsilon,
         )
-    if total > mr_total:  # the total ranges over strictly more divisors
-        raise ModelError(f"total discrepancy {total} exceeds the MR total {mr_total}; model inconsistent")
+    if total is not None and total > mr_total:  # the total ranges over strictly more divisors
+        raise ModelError(
+            f"total discrepancy {Fraction(total, d)} exceeds the MR total {Fraction(mr_total, d)}; model inconsistent"
+        )
     return SingularityClass(
-        total_discrepancy=total,
-        classification=_threshold_label(total, epsilon),
-        mr_total_discrepancy=mr_total,
-        mr_classification=_threshold_label(mr_total, epsilon),
+        total_discrepancy=NEG_INFINITY if total is None else Fraction(total, d),
+        classification=_threshold_label(total, d, epsilon),
+        mr_total_discrepancy=Fraction(mr_total, d),
+        mr_classification=_threshold_label(mr_total, d, epsilon),
         epsilon=epsilon,
     )

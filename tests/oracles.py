@@ -5,9 +5,9 @@ Fraction, the bilinear pairing as a double sum, one Mumford pullback per
 curve for the extremal ranking, cofactor determinants, a determinant per
 leading minor, characteristic polynomials, a bounded blow-up search for
 total discrepancies, the coordinate model of a blown-up plane (classes as
-vectors in the diagonal basis) and a minimal resolution that builds and
-validates every intermediate model. Slow and obvious beats fast and clever
-for an oracle.
+vectors in the diagonal basis), a minimal resolution that builds and
+validates every intermediate model and a classifier that compares
+Fractions. Slow and obvious beats fast and clever for an oracle.
 """
 
 from fractions import Fraction
@@ -15,6 +15,14 @@ from operator import mul
 
 from logsurf.errors import ModelError
 from logsurf.lattice import SurfaceModel, _validated
+from logsurf.singularities import (
+    EPS_LOG_CANONICAL,
+    EPS_LOG_TERMINAL,
+    NEG_INFINITY,
+    NOT_LOG_CANONICAL,
+    UNCLASSIFIABLE_SNC,
+    SingularityClass,
+)
 
 
 def pairing(u, v):
@@ -282,3 +290,48 @@ def snc_search_oracle(coefficients, edges, max_blowups=4):
             next_edges = (es - {(i, j)}) | {(i, k), (j, k)}
             stack.append((coeffs + (new,), frozenset(next_edges), depth + 1))
     return Fraction(min(best, 6), 6)
+
+
+def _fraction_label(total, epsilon):
+    bar = Fraction(-1) + epsilon
+    if total is NEG_INFINITY or total < bar:
+        return NOT_LOG_CANONICAL
+    return EPS_LOG_TERMINAL if total > bar else EPS_LOG_CANONICAL
+
+
+def fraction_classify(model, boundary, epsilon):
+    """The epsilon-classification of (model, boundary) in Fractions
+    throughout, as `classify` once computed it: the stepwise minimal
+    resolution, the log pullback's g_i by Gauss-Jordan on its contracted
+    Gram block (right-hand sides through `dot`), the MR total
+    min(1, -b_i), the SNC total min(1, -b_i, 1 - b_a - b_b over edges)
+    (NEG_INFINITY if any b_i > 1, None with a multiple intersection), and
+    each label a Fraction comparison against -1 + epsilon. `boundary` is a
+    QDivisor the caller has checked."""
+    epsilon = Fraction(epsilon)
+    mr = stepwise_minimal_resolution(model)
+    coefficients = {n: c for n, c in boundary.coefficients if c}
+    exceptional = sorted(mr.contracted)
+    if exceptional:
+        log = [(0, Fraction(1))] + [(mr.row(n), c) for n, c in coefficients.items()]
+        rhs = [-dot(mr, log, [(mr.row(e), 1)]) for e in exceptional]
+        coefficients.update(zip(exceptional, gauss_solve(mr.gram(exceptional), rhs)))
+    mr_total = min([-c for c in coefficients.values()] + [Fraction(1)])
+    vertices = sorted(coefficients)
+    pairs = [(a, b, mr.intersection(a, b)) for i, a in enumerate(vertices) for b in vertices[i + 1 :]]
+    if any(k >= 2 for _, _, k in pairs):
+        total, label = None, UNCLASSIFIABLE_SNC
+    else:
+        if any(c > 1 for c in coefficients.values()):
+            total = NEG_INFINITY
+        else:
+            edge_terms = [1 - coefficients[a] - coefficients[b] for a, b, k in pairs if k == 1]
+            total = min([mr_total] + edge_terms)
+        label = _fraction_label(total, epsilon)
+    return SingularityClass(
+        total_discrepancy=total,
+        classification=label,
+        mr_total_discrepancy=mr_total,
+        mr_classification=_fraction_label(mr_total, epsilon),
+        epsilon=epsilon,
+    )

@@ -2,8 +2,9 @@
 
 The script below runs in a `python -O` subprocess, where every `assert`
 statement is removed, and prints the exception each guard raises. The
-package itself holds no `assert` statement at all, and `linalg` never
-touches a Fraction.
+package itself holds no `assert` statement at all; `linalg`, the integer
+classification core and audit check (a)'s comparison never touch a
+Fraction.
 """
 
 import ast
@@ -133,15 +134,46 @@ def test_package_has_no_assert_statement():
     assert found == []
 
 
-def test_linalg_uses_no_fraction():
-    # integers in, integers out: Fractions are made only at the API edge
-    path = SRC / "logsurf" / "linalg.py"
-    found = [
+def names_fraction(tree):
+    """Line numbers where `tree` names a Fraction or imports fractions."""
+    return [
         node.lineno
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for node in ast.walk(tree)
         if (isinstance(node, ast.Name) and node.id == "Fraction")
         or (isinstance(node, ast.Attribute) and node.attr == "Fraction")
         or (isinstance(node, ast.ImportFrom) and node.module == "fractions")
         or (isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names))
     ]
-    assert found == []
+
+
+def functions(module):
+    path = SRC / "logsurf" / module
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def test_linalg_uses_no_fraction():
+    # integers in, integers out: Fractions are made only at the API edge
+    path = SRC / "logsurf" / "linalg.py"
+    assert names_fraction(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_classification_core_uses_no_fraction():
+    # the log coefficients, the SNC total and the threshold rule run on
+    # integer numerators over one denominator
+    core = functions("singularities.py")
+    for name in ("_log_numerators", "_snc_total", "_threshold_label"):
+        assert names_fraction(core[name]) == [], name
+
+
+def test_audit_effectivity_comparison_uses_no_fraction():
+    # check (a) cross-multiplies numerators; a Fraction is made only for a
+    # violation's text
+    audit = functions("mmp.py")["audit_run"]
+    bad = [
+        node.value
+        for node in ast.walk(audit)
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["bad"]
+    ]
+    assert len(bad) == 1
+    assert names_fraction(bad[0]) == []

@@ -499,6 +499,28 @@ class TestAuditViolations:
         result = run(a1_state(), MostNegativeFirst())
         assert all(s.effectivity_ok for s in result.audit.steps)
 
+    def test_rising_coefficient_violation_text(self):
+        # A is a (-3)-curve with K.A = 1 and X a (-2)-curve on it; contracting
+        # them, against the MMP's sign, raises their log coefficients. Y keeps
+        # its boundary coefficient 1/2 over a new denominator at each step.
+        model = new_projective_plane()
+        for name, point in (("A", PointSpec.general()), ("X", PointSpec.on_curve("A"))):
+            model = blow_up(model, point, name)
+        for name, point in (("Y", PointSpec.on_curve("X")), ("Z", PointSpec.on_curve("A"))):
+            model = blow_up(model, point, name)
+        assert (model.self_int("A"), model.k_dot("A"), model.self_int("X")) == (-3, 1, -2)
+        initial = MmpState(surface=model, boundary=QDivisor.from_map({"Y": F(1, 2)}))
+        report = audit_run(self.fake_run(["A", "X"]), initial, 0)
+        assert report.violations == (
+            "step3: step 0 ('A'): pullback support has no (-1)-curve but boundary pairing 0 >= 0",
+            "effectivity: step 0 ('A'): coefficient of 'A' rises from 0 to 1/3",
+            "step3: step 1 ('X'): pullback support has no (-1)-curve but boundary pairing 1/2 >= 0",
+            "effectivity: step 1 ('X'): coefficient of 'A' rises from 1/3 to 1/2",
+            "effectivity: step 1 ('X'): coefficient of 'X' rises from 0 to 1/2",
+        )
+        assert [s.effectivity_ok for s in report.steps] == [False, False]
+        assert [s.step3_value for s in report.steps] == [0, F(1, 2)]
+
 
 def fresh_audit_steps(steps, initial, epsilon):
     """Every AuditStep of an honest run, replayed on the initial lattice with

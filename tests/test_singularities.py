@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations
@@ -27,6 +28,7 @@ from logsurf.singularities import (
     UNCLASSIFIABLE_SNC,
     QDivisor,
     classify,
+    log_coefficients,
     log_discrepancies,
     minimal_resolution,
     pullback,
@@ -36,8 +38,10 @@ from oracles import (
     CoordinateTower,
     charpoly_negdef,
     coordinate_model,
+    fraction_classify,
     gauss_solve,
     pairing,
+    snc_search_oracle,
     stepwise_minimal_resolution,
 )
 
@@ -253,16 +257,41 @@ class TestLogDiscrepancies:
         for name in lp.boundary_part.names:
             assert lp.discrepancies.coefficient(name) == -lp.boundary_part.coefficient(name)
 
-    def test_boundary_validation(self):
+    @pytest.mark.parametrize(
+        "boundary, message",
+        [
+            ({"E0": F(1, 2)}, "boundary curve 'E0' is contracted; fold it into the pullback instead"),
+            ({"nope": F(1, 2)}, "boundary names unknown curve 'nope'"),
+            ({"D": F(3, 2)}, "boundary coefficient 3/2 on 'D' outside [0, 1]"),
+            ({"D": F(7, 6)}, "boundary coefficient 7/6 on 'D' outside [0, 1]"),
+            ({"D": F(-1, 2)}, "boundary coefficient -1/2 on 'D' outside [0, 1]"),
+            ({"D": F(-1, 6), "nope": 1}, "boundary coefficient -1/6 on 'D' outside [0, 1]"),
+        ],
+    )
+    def test_boundary_validation(self, boundary, message):
         model = fork_model(3)
-        with pytest.raises(ModelError):
-            log_discrepancies(model, QDivisor.from_map({"E0": F(1, 2)}))  # contracted
-        with pytest.raises(ModelError):
-            log_discrepancies(model, QDivisor.from_map({"nope": F(1, 2)}))
-        with pytest.raises(ModelError):
-            log_discrepancies(model, QDivisor.from_map({"D": F(3, 2)}))  # above 1
-        with pytest.raises(ModelError):
-            log_discrepancies(model, QDivisor.from_map({"D": F(-1, 2)}))
+        for call in (log_discrepancies, log_coefficients, lambda m, b: classify(m, b, 0)):
+            with pytest.raises(ModelError) as exc:
+                call(model, QDivisor.from_map(boundary))
+            assert str(exc.value) == message
+
+    def test_boundary_bounds_are_closed(self):
+        # 0 and 1 are allowed, and a zero on a contracted curve is no boundary
+        model = fork_model(3)
+        plain = classify(model, QDivisor.from_map({"D": 1}), 0)
+        assert plain == classify(model, QDivisor.from_map({"D": 1, "E0": 0, "E1": 0}), 0)
+        assert plain.total_discrepancy == NEG_INFINITY
+        assert log_coefficients(model, QDivisor.from_map({"D": 0})) == log_coefficients(model, QDivisor.zero())
+
+    def test_zero_boundary_on_a_resolved_curve(self):
+        # B is a contracted (-1)-curve, so the minimal resolution drops it;
+        # its zero coefficient is no boundary there either
+        model = new_projective_plane()
+        model = blow_up(model, PointSpec.general(), "A")
+        model = blow_up(model, PointSpec.on_curve("A"), "B")
+        model = declare_contracted(model, ["A", "B"])
+        assert "B" not in minimal_resolution(model).names
+        assert classify(model, QDivisor.from_map({"B": 0}), 0) == classify(model, QDivisor.zero(), 0)
 
     def test_smooth_model_empty(self):
         model = new_projective_plane()
@@ -329,6 +358,9 @@ def assert_matches_stepwise(model):
         expected.matrix,
         expected.contracted,
     )
+    # a model that was blown down comes back marked checked, whether it went
+    # through _validated or only _contracted_checked
+    assert mr is model or getattr(mr, "_checked", False)
     return mr
 
 
@@ -448,7 +480,51 @@ class TestMinimalResolutionOracle:
     @settings(max_examples=300)
     @given(TOWER_OPS, st.integers(0, 2**16 - 1))
     def test_random_towers_and_contracted_sets(self, ops, mask):
-        assert_matches_stepwise(tower_from(ops, mask))
+        model = tower_from(ops, mask)
+        assert getattr(model, "_checked", False)
+        assert getattr(assert_matches_stepwise(model), "_checked", False)
+
+    @settings(max_examples=150)
+    @given(TOWER_OPS, st.integers(0, 2**16 - 1))
+    def test_never_validated_inputs(self, ops, mask):
+        # raw models, L included, whose contracted set may fail the
+        # contracted-set checks; a valid one resolves as its validated copy
+        raw = line_tower(ops)
+        raw = replace(raw, contracted=frozenset(n for k, n in enumerate(raw.tracked) if mask >> k & 1))
+        assert not hasattr(raw, "_checked")
+        valid = outcome(lambda: _validated(replace(raw)))
+        got = outcome(lambda: minimal_resolution(raw))
+        if got is raw:  # nothing was ready
+            return
+        if isinstance(valid, LogSurfError):
+            assert type(got) is type(valid)
+            return
+        expected = minimal_resolution(valid)
+        assert getattr(got, "_checked", False)
+        assert (got.rank, got.names, got.matrix, got.contracted) == (
+            expected.rank,
+            expected.names,
+            expected.matrix,
+            expected.contracted,
+        )
+
+    def test_never_validated_input_gets_every_check(self):
+        # A and B meet negatively, which no blow-down of E touches; a raw
+        # model must still fail on it after the pass
+        tower = new_projective_plane()
+        for name in ("A", "B", "E"):
+            tower = blow_up(tower, PointSpec.general(), name)
+        matrix = [list(row) for row in tower.matrix]
+        matrix[1][2] = matrix[2][1] = -1
+        raw = SurfaceModel(
+            rank=tower.rank,
+            names=tower.names,
+            matrix=tuple(map(tuple, matrix)),
+            contracted=frozenset({"E"}),
+        )
+        with pytest.raises(ModelError) as exc:
+            minimal_resolution(raw)
+        assert str(exc.value) == "tracked curves 'A' and 'B' have negative intersection"
 
     # A contracted (-1)-curve E meeting a tracked curve twice: blowing E down
     # leaves that curve with arithmetic genus 1. The classes live in the
@@ -699,3 +775,78 @@ class TestClassify:
             assert classify(model, boundary, F(1, 7)) == sc  # deterministic
             checked += 1
         assert checked >= 30
+
+
+class TestIntegerClassifier:
+    """classify's integers against fraction_classify, the Fraction
+    classifier on the stepwise resolution with a Gauss-Jordan log pullback,
+    and total_discrepancy_snc against the blow-up search."""
+
+    EPSILONS = (F(0), F(1, 7), F(1, 4), F(1))
+    GRID = sorted({F(k, 6) for k in range(7)} | {F(k, 7) for k in range(8)} | {F(k, 4) for k in range(5)})
+
+    def tower_cases(self, rng, count):
+        for _ in range(count):
+            ops = [(rng.choice(("general", "on", "at")), rng.randrange(10**6)) for _ in range(rng.randint(1, 9))]
+            model = tower_from(ops, rng.randrange(2**9))
+            free = [n for n in model.tracked if n not in model.contracted and rng.random() < 0.6]
+            yield model, QDivisor.from_map({n: rng.choice(self.GRID) for n in free})
+
+    def star_cases(self, rng, count):
+        made = 0
+        while made < count:
+            k = rng.randint(2, 4)
+            try:
+                model = fork_model(
+                    rng.randint(k, k + 4),
+                    [rng.randint(2, 5) for _ in range(k)],
+                    rng.randint(1, 4),
+                    contract_extra=rng.random() < 0.2,
+                )
+            except LogSurfError:  # an infeasible star or a block that is not negative definite
+                continue
+            made += 1
+            free = [n for n in model.tracked if n not in model.contracted]
+            picked = [n for n in free if n == "D" or rng.random() < 0.2]
+            yield model, QDivisor.from_map({n: rng.choice(self.GRID) for n in picked})
+
+    def test_matches_the_fraction_classifier(self):
+        rng = random.Random(90417)
+        cases = [
+            (double_point_model(), QDivisor.zero()),
+            (fork_model(5, (2, 2, 2)), QDivisor.from_map({"D": F(6, 7)})),
+            *self.tower_cases(rng, 80),
+            *self.star_cases(rng, 60),
+        ]
+        labels, totals = Counter(), Counter()
+        for model, boundary in cases:
+            for epsilon in self.EPSILONS:
+                got = classify(model, boundary, epsilon)
+                assert got == fraction_classify(model, boundary, epsilon)
+                labels[got.classification] += 1
+                labels[got.mr_classification] += 1
+                total = got.total_discrepancy
+                totals["None" if total is None else "-inf" if total is NEG_INFINITY else "rational"] += 1
+        assert set(labels) == {EPS_LOG_TERMINAL, EPS_LOG_CANONICAL, NOT_LOG_CANONICAL, UNCLASSIFIABLE_SNC}
+        assert set(totals) == {"None", "-inf", "rational"}
+        # the threshold's equality case must be reached with a boundary and
+        # with epsilon > 0, or a >= mutant at the bar could pass
+        canonical_with_boundary = [
+            (model, boundary, epsilon)
+            for model, boundary in cases
+            if boundary.support
+            for epsilon in self.EPSILONS[1:]
+            if classify(model, boundary, epsilon).classification == EPS_LOG_CANONICAL
+        ]
+        assert canonical_with_boundary
+
+    def test_snc_total_matches_the_blow_up_search(self):
+        rng = random.Random(90418)
+        for _ in range(120):
+            size = rng.randint(1, 4)
+            coefficients = [F(rng.randint(0, 6), 6) for _ in range(size)]
+            pairs = list(combinations(range(size), 2))
+            edges = [pair for pair in pairs if rng.random() < 0.5]
+            named = {f"v{i}": c for i, c in enumerate(coefficients)}
+            got = total_discrepancy_snc(named, [(f"v{a}", f"v{b}") for a, b in edges])
+            assert got == snc_search_oracle(coefficients, edges, max_blowups=3)
