@@ -220,6 +220,14 @@ def blow_up(model: SurfaceModel, point: PointSpec, exc_name: str) -> SurfaceMode
     for the curves named in the point spec (strict transforms) and 0
     otherwise. So the old block loses s s^T, E pairs with R as -s_R, and
     E.E = -1. Only smooth models (empty contracted set) may be blown up.
+
+    Nothing `_validated` checks can newly fail, so a `_checked` input needs
+    only `_contracted_checked`. E's name is new; the matrix stays symmetric
+    and integral; K.K drops by one as the rank grows by one; C.C + K.C
+    moves by -s_C^2 - s_C = 0, and E.E + K.E = -2. C.D drops by one only
+    when both pass through the point, an intersection point where C.D >= 1
+    was checked, and E.C = -s_C is 0 or 1. The contracted set is empty. A
+    never-validated input gets the whole `_validated`, with its messages.
     """
     if model.contracted:
         raise ModelError("cannot blow up a model with contracted curves")
@@ -236,9 +244,10 @@ def blow_up(model: SurfaceModel, point: PointSpec, exc_name: str) -> SurfaceMode
     s = [1] + [-1 if i in through else 0 for i in range(1, len(model.matrix))]
     rows = [[x - si * sj for x, sj in zip(row, s)] + [-si] for row, si in zip(model.matrix, s)]
     rows.append([-si for si in s] + [-1])
-    return _validated(
-        SurfaceModel(rank=model.rank + 1, names=model.names + (exc_name,), matrix=_frozen(rows))
-    )
+    blown = SurfaceModel(rank=model.rank + 1, names=model.names + (exc_name,), matrix=_frozen(rows))
+    if not getattr(model, "_checked", False):
+        return _validated(blown)
+    return _contracted_checked(blown)
 
 
 def blow_down(model: SurfaceModel, exc_name: str) -> SurfaceModel:

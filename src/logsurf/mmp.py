@@ -14,6 +14,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from .errors import ModelError, NotNegativeDefiniteError, ScenarioError
@@ -31,6 +32,7 @@ from .singularities import (
     NOT_LOG_CANONICAL,
     QDivisor,
     _check_boundary,
+    _classified,
     _log_numerators,
     classify,
     divisor_terms,
@@ -40,6 +42,7 @@ from .singularities import (
 
 CASTELNUOVO = "castelnuovo"
 ARTIN_TYPE = "artin-type"
+_NO_BOUNDARY = QDivisor.zero()
 
 
 @dataclass(frozen=True)
@@ -136,19 +139,26 @@ def contracted_self_intersection(model: SurfaceModel, name: str) -> Fraction:
     return Fraction(v[model.row(name)], d)
 
 
+def _ranked(model: SurfaceModel, boundary: QDivisor) -> tuple[list[tuple[int, str]], int]:
+    """Sorted keys (v[r], name) of the curves with (K + boundary).C < 0, v
+    the row of the log pullback over its one denominator d > 0, and d. As v
+    is zero on the contracted set, no contracted curve is ranked."""
+    _, v, d = pulled_back(model, [(K_ROW, 1)] + divisor_terms(model, boundary))
+    return sorted((v[r], name) for r, name in enumerate(model.names, 1) if v[r] < 0), d
+
+
+def _candidate(model: SurfaceModel, key: tuple[int, str], d: int) -> Candidate:
+    x, name = key
+    return Candidate(name=name, extremal_value=Fraction(x, d), self_int=contracted_self_intersection(model, name))
+
+
 def step_candidates(state: MmpState) -> list[Candidate]:
     """Tracked non-contracted curves with (K + boundary).C < 0, most negative
-    first, names breaking ties. Values are read off the row of one log
-    pullback, zero on the contracted set, and ranked by their integer
-    numerators over its one denominator d > 0; only candidates solve for
-    C.C."""
+    first, names breaking ties: `_ranked`'s keys, every one with its C.C
+    solved. `run` solves C.C only for the candidates its strategy reads."""
     model = state.surface
-    _, v, d = pulled_back(model, [(K_ROW, 1)] + divisor_terms(model, state.boundary))
-    keys = sorted((v[r], name) for r, name in enumerate(model.names, 1) if v[r] < 0)
-    return [
-        Candidate(name=name, extremal_value=Fraction(x, d), self_int=contracted_self_intersection(model, name))
-        for x, name in keys
-    ]
+    keys, d = _ranked(model, state.boundary)
+    return [_candidate(model, key, d) for key in keys]
 
 
 def _apply_contraction(state: MmpState, cand: Candidate) -> tuple[MmpState, str]:
@@ -221,34 +231,48 @@ class MmpRun:
 def run(state: MmpState, strategy, epsilon=Fraction(0)) -> MmpRun:
     """Drive contractions until nef-over-tracked, a fiber-space signal, or an
     exhausted named strategy; then audit the whole run against the initial
-    state."""
+    state.
+
+    Each step ranks through `_ranked` but solves C.C only for the
+    candidates its strategy reads: the curve a named strategy wants, or
+    those in rank order up to the first contractible one. The outcome is
+    the one the full `step_candidates` list gives, and skipping a candidate
+    loses no reachable error. A validated model's contracted block is
+    negative definite with non-negative off-diagonal entries, so a curve
+    off it pulls back exactly orthogonal with x >= 0, and neither check in
+    `pulled_back` can fail. Every model a step makes is `_checked`; a
+    never-validated start gets the full list once, for its checks.
+    """
     epsilon = Fraction(epsilon)
     initial = state
     steps = []
     queue = list(strategy.names) if isinstance(strategy, NamedOrder) else None
+    if not getattr(state.surface, "_checked", False):
+        step_candidates(state)
     while True:
-        cands = step_candidates(state)
-        if not cands:
+        model = state.surface
+        keys, d = _ranked(model, state.boundary)
+        if not keys:
             outcome = MinimalOverTracked()
             break
-        contractible = [c for c in cands if c.self_int < 0]
-        if not contractible:
-            best = cands[0]
-            outcome = MoriFiberSignal(curve=best.name, self_int=best.self_int)
-            break
-        if queue is None:
-            cand = contractible[0]
-        else:
-            if not queue:
-                outcome = Exhausted()
+        wanted = [key for key in keys if queue and key[1] == queue[0]]
+        cand = _candidate(model, wanted[0], d) if wanted else None
+        if cand is None or cand.self_int >= 0:
+            lazy = (_candidate(model, key, d) for key in keys)  # C.C is solved as each is read
+            top = next(lazy)
+            cand = top if top.self_int < 0 else next((c for c in lazy if c.self_int < 0), None)
+            if cand is None:
+                outcome = MoriFiberSignal(curve=top.name, self_int=top.self_int)
                 break
-            wanted = queue.pop(0)
-            matches = [c for c in contractible if c.name == wanted]
-            if not matches:
+            if queue is not None:
+                if not queue:
+                    outcome = Exhausted()
+                    break
                 raise ScenarioError(
-                    f"strategy names {wanted!r} but it is not a contractible candidate at step {state.step_index}"
+                    f"strategy names {queue[0]!r} but it is not a contractible candidate at step {state.step_index}"
                 )
-            cand = matches[0]
+        if queue:
+            queue.pop(0)
         state, kind = _apply_contraction(state, cand)
         steps.append(
             MmpStep(
@@ -280,8 +304,12 @@ def audit_run(run_record: MmpRun, initial: MmpState, epsilon) -> AuditReport:
     Checks (a) and (d) compare integers: (a) the log coefficients'
     numerators over their step's one denominator, cross-multiplied, and
     (d) the boundary pairing's numerator; a Fraction is made only for a
-    reported value. The boundary was checked when `initial` was built, and
-    a replay step only drops the contracted curve from it.
+    reported value. Check (c) reads only the label, so it takes it from
+    `classify`'s integer core, `_classified`, on the one resolution of the
+    new model, which the next step's check (d) reuses: no second
+    resolution pass and no Fraction. The boundary was checked when
+    `initial` was built, and a replay step only drops the contracted curve
+    from it.
     """
     epsilon = Fraction(epsilon)
     violations = []
@@ -345,7 +373,7 @@ def audit_run(run_record: MmpRun, initial: MmpState, epsilon) -> AuditReport:
         rho_sequence.append(rho_after)
         try:
             mr = minimal_resolution(shadow)
-            label = classify(mr, QDivisor.zero(), epsilon).classification
+            label = _classified(mr, _NO_BOUNDARY, epsilon)[0]
         except ModelError as exc:
             mr, label = None, f"error: {exc}"
         if check_classification and label != EPS_LOG_TERMINAL:
@@ -391,11 +419,13 @@ class VerificationReport:
         return not self.violations
 
 
-def _coefficient_grid(cap: Fraction) -> list[Fraction]:
-    # multiples of 1/6 up to the cap, and the cap itself so the bound is tight
+@lru_cache(maxsize=32)
+def _coefficient_grid(cap: Fraction) -> tuple[Fraction, ...]:
+    # multiples of 1/6 up to the cap, and the cap itself so the bound is
+    # tight; a tuple, since every caller shares the cached value
     grid = {Fraction(k, 6) for k in range(7) if Fraction(k, 6) <= cap}
     grid.add(cap)
-    return sorted(grid)
+    return tuple(sorted(grid))
 
 
 def _random_tower(rng: random.Random, max_blowups: int) -> SurfaceModel:

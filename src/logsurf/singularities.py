@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
+from itertools import combinations
 from math import lcm
 from numbers import Rational
 
@@ -243,19 +244,19 @@ def minimal_resolution(model: SurfaceModel) -> SurfaceModel:
 
 def _snc_total(numerators: dict[str, int], d: int, edges) -> int | None:
     """Numerator over d of the SNC total discrepancy of vertices with
-    coefficients n / d, joined by `edges`, ((a, b), multiplicity) pairs
-    between distinct vertices: min(d, -n_i, d - n_a - n_b over edges).
-    None stands for NEG_INFINITY, any n_i > d. An edge of multiplicity 2 or
-    more raises MultiEdgeError, before any coefficient is looked at."""
+    coefficients n / d, joined by `edges`, ((a, b), intersection) pairs
+    of distinct vertices: min(d, -n_i). None stands for NEG_INFINITY,
+    any n_i > d. An edge of multiplicity 2 or more raises MultiEdgeError,
+    before any coefficient is looked at.
+
+    An edge's own term d - n_a - n_b never lowers the minimum: with every
+    n_i <= d it is at least -max(n_a, n_b), a vertex term."""
     for (a, b), k in edges:
         if k >= 2:
             raise MultiEdgeError(f"multiple intersection points between {a!r} and {b!r}")
     if any(n > d for n in numerators.values()):
         return None
-    best = min([d] + [-n for n in numerators.values()])
-    for (a, b), _ in edges:
-        best = min(best, d - numerators[a] - numerators[b])
-    return best
+    return min([d] + [-n for n in numerators.values()])
 
 
 def total_discrepancy_snc(coefficients, edges) -> Fraction | _NegInfinity:
@@ -267,9 +268,9 @@ def total_discrepancy_snc(coefficients, edges) -> Fraction | _NegInfinity:
     NEG_INFINITY, which is exact, not a float. Otherwise node blow-ups can only produce
     coefficients b_i + b_j - 1 and deeper candidates never undercut the
     first level, so the total is
-    min(1, min_i(-b_i), min over edges (1 - b_i - b_j)).
-    The coefficients are put over one denominator and handed to the
-    integer rule `classify` uses.
+    min(1, min_i(-b_i), min over edges (1 - b_i - b_j)), in which no edge
+    term undercuts its worse vertex. The coefficients are put over one
+    denominator and handed to the integer rule `classify` uses.
     """
     coeffs = {name: Fraction(c) for name, c in dict(coefficients).items()}
     counts = Counter()
@@ -300,6 +301,27 @@ def _threshold_label(total: int | None, d: int, epsilon) -> str:
     return NOT_LOG_CANONICAL
 
 
+def _classified(mr: SurfaceModel, boundary: QDivisor, epsilon) -> tuple[str, int | None, int, int]:
+    """`classify`'s integer core on a resolved model: (label, total,
+    mr_total, d), the totals numerators over the log pullback's one
+    denominator d. The MR total is min(d, -n_i) and the SNC total
+    `_snc_total`'s, None for NEG_INFINITY or, labelled UNCLASSIFIABLE_SNC,
+    for a multi-edge configuration. `epsilon` is a Fraction, range-checked
+    here; the boundary is not checked."""
+    if not (0 <= epsilon.numerator <= epsilon.denominator):
+        raise ModelError(f"epsilon {epsilon} outside [0, 1]")
+    numerators, d = _log_numerators(mr, boundary)
+    mr_total = min([d] + [-n for n in numerators.values()])
+    m = mr.matrix
+    rows = [(name, mr.row(name)) for name in sorted(numerators)]
+    edges = [((a, b), m[i][j]) for (a, i), (b, j) in combinations(rows, 2)]
+    try:
+        total = _snc_total(numerators, d, edges)
+    except MultiEdgeError:
+        return UNCLASSIFIABLE_SNC, None, mr_total, d
+    return _threshold_label(total, d, epsilon), total, mr_total, d
+
+
 def classify(model: SurfaceModel, boundary: QDivisor, epsilon) -> SingularityClass:
     """Epsilon-classification of the modeled pair, total and MR variants.
 
@@ -310,46 +332,23 @@ def classify(model: SurfaceModel, boundary: QDivisor, epsilon) -> SingularityCla
     and comes back unclassifiable (total None); the MR numbers are still
     exact.
 
-    Every comparison runs on `_log_numerators`' integers over their one
-    denominator d: the MR total is min(d, -n_i), the SNC total is
-    `_snc_total`'s, and each label compares against -1 + epsilon in
-    integers. Fractions are made only for the returned fields. The
+    Every comparison runs in integers in `_classified`; this wrapper
+    resolves the model and makes Fractions only for the returned fields.
+    A rational SNC total equals the MR total (see `_snc_total`). The
     boundary is checked once, on `model`: a curve with a nonzero
     coefficient is never contracted, so the resolution keeps it, and zero
     coefficients are no boundary at all.
     """
     epsilon = Fraction(epsilon)
-    if not (0 <= epsilon.numerator <= epsilon.denominator):
-        raise ModelError(f"epsilon {epsilon} outside [0, 1]")
     _check_boundary(model, boundary)
-    mr = minimal_resolution(model)
-    numerators, d = _log_numerators(mr, boundary)
-    mr_total = min([d] + [-n for n in numerators.values()])
-    m = mr.matrix
-    vertices = sorted(numerators)
-    rows = [mr.row(name) for name in vertices]
-    edges = []
-    for i, (a, ra) in enumerate(zip(vertices, rows)):
-        for b, rb in zip(vertices[i + 1 :], rows[i + 1 :]):
-            if m[ra][rb]:
-                edges.append(((a, b), m[ra][rb]))
-    try:
-        total = _snc_total(numerators, d, edges)
-    except MultiEdgeError:
-        return SingularityClass(
-            total_discrepancy=None,
-            classification=UNCLASSIFIABLE_SNC,
-            mr_total_discrepancy=Fraction(mr_total, d),
-            mr_classification=_threshold_label(mr_total, d, epsilon),
-            epsilon=epsilon,
-        )
-    if total is not None and total > mr_total:  # the total ranges over strictly more divisors
-        raise ModelError(
-            f"total discrepancy {Fraction(total, d)} exceeds the MR total {Fraction(mr_total, d)}; model inconsistent"
-        )
+    label, total, mr_total, d = _classified(minimal_resolution(model), boundary, epsilon)
+    if total is not None:
+        total = Fraction(total, d)
+    elif label != UNCLASSIFIABLE_SNC:
+        total = NEG_INFINITY
     return SingularityClass(
-        total_discrepancy=NEG_INFINITY if total is None else Fraction(total, d),
-        classification=_threshold_label(total, d, epsilon),
+        total_discrepancy=total,
+        classification=label,
         mr_total_discrepancy=Fraction(mr_total, d),
         mr_classification=_threshold_label(mr_total, d, epsilon),
         epsilon=epsilon,

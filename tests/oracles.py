@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: textbook Gaussian elimination over
 Fraction, the bilinear pairing as a double sum, one Mumford pullback per
-curve for the extremal ranking, cofactor determinants, a determinant per
+curve for the extremal ranking, an MMP loop that solves C.C for every
+candidate at every step, cofactor determinants, a determinant per
 leading minor, characteristic polynomials, a bounded blow-up search for
 total discrepancies, the coordinate model of a blown-up plane (classes as
 vectors in the diagonal basis), a minimal resolution that builds and
@@ -13,15 +14,28 @@ Fractions. Slow and obvious beats fast and clever for an oracle.
 from fractions import Fraction
 from operator import mul
 
-from logsurf.errors import ModelError
+from logsurf.errors import ModelError, ScenarioError
 from logsurf.lattice import SurfaceModel, _validated
+from logsurf.mmp import (
+    Exhausted,
+    MinimalOverTracked,
+    MmpRun,
+    MmpStep,
+    MoriFiberSignal,
+    NamedOrder,
+    _apply_contraction,
+    audit_run,
+    step_candidates,
+)
 from logsurf.singularities import (
     EPS_LOG_CANONICAL,
     EPS_LOG_TERMINAL,
     NEG_INFINITY,
     NOT_LOG_CANONICAL,
     UNCLASSIFIABLE_SNC,
+    QDivisor,
     SingularityClass,
+    classify,
 )
 
 
@@ -335,3 +349,49 @@ def fraction_classify(model, boundary, epsilon):
         mr_classification=_fraction_label(mr_total, epsilon),
         epsilon=epsilon,
     )
+
+
+def eager_run(state, strategy, epsilon=Fraction(0)):
+    """The MMP loop of `mmp.run` with every step's whole `step_candidates`
+    list built, C.C solved for each candidate, and the outcome read off
+    that list; the same audit at the end."""
+    epsilon = Fraction(epsilon)
+    initial = state
+    steps = []
+    queue = list(strategy.names) if isinstance(strategy, NamedOrder) else None
+    while True:
+        cands = step_candidates(state)
+        if not cands:
+            outcome = MinimalOverTracked()
+            break
+        contractible = [c for c in cands if c.self_int < 0]
+        if not contractible:
+            outcome = MoriFiberSignal(curve=cands[0].name, self_int=cands[0].self_int)
+            break
+        if queue is None:
+            cand = contractible[0]
+        else:
+            if not queue:
+                outcome = Exhausted()
+                break
+            wanted = queue.pop(0)
+            matches = [c for c in contractible if c.name == wanted]
+            if not matches:
+                raise ScenarioError(
+                    f"strategy names {wanted!r} but it is not a contractible candidate at step {state.step_index}"
+                )
+            cand = matches[0]
+        state, kind = _apply_contraction(state, cand)
+        steps.append(
+            MmpStep(
+                contracted_curve=cand.name,
+                extremal_value=cand.extremal_value,
+                self_int=cand.self_int,
+                kind=kind,
+                post_classification=classify(state.surface, QDivisor.zero(), epsilon),
+            )
+        )
+        if len(steps) > initial.rho - 1:
+            raise ModelError(f"run took {len(steps)} steps from rho {initial.rho}; rho - 1 is the most")
+    partial = MmpRun(steps=tuple(steps), outcome=outcome, audit=None)
+    return MmpRun(steps=tuple(steps), outcome=outcome, audit=audit_run(partial, initial, epsilon))

@@ -3,8 +3,8 @@
 The script below runs in a `python -O` subprocess, where every `assert`
 statement is removed, and prints the exception each guard raises. The
 package itself holds no `assert` statement at all; `linalg`, the integer
-classification core and audit check (a)'s comparison never touch a
-Fraction.
+classification core (the label core that audit check (c) reads included)
+and audit check (a)'s comparison never touch a Fraction.
 """
 
 import ast
@@ -20,7 +20,7 @@ SCRIPT = r"""
 from fractions import Fraction
 
 from logsurf.dualgraph import WeightedDualGraph, build_dual_graph
-from logsurf.lattice import PointSpec, SurfaceModel, _validated, declare_contracted
+from logsurf.lattice import PointSpec, SurfaceModel, _validated, blow_up, declare_contracted
 from logsurf.linalg import extend_factor, is_negative_definite_matrix, solve_exact
 from logsurf.singularities import QDivisor, minimal_resolution, pullback, total_discrepancy_snc
 from oracles import coordinate_model
@@ -57,6 +57,7 @@ guards = {
     "bordered-bareiss": lambda: extend_factor([[-2, 1], [1, 3]], [1, 1, -2.5]),
     "back-substitution": lambda: solve_exact([[2, 1], [0, 1]], [1, 0]),
     "validated": lambda: _validated(SurfaceModel(rank=2, names=("A",), matrix=((8, 0), (1, -1)))),
+    "raw-blow-up": lambda: blow_up(SurfaceModel(rank=2, names=("A",), matrix=((8, 0), (1, -1))), PointSpec.general(), "E"),
     "hodge-index": lambda: _validated(two_at_rank_1),
     "bordered-self-intersection": lambda: declare_contracted(line, ["L"]),
     "bordered-not-negative-definite": lambda: declare_contracted(declare_contracted(meeting_once, ["E1"]), ["L"]),
@@ -100,6 +101,7 @@ def test_guards_raise_under_python_O():
         "bordered-bareiss: ValueError: inexact Bareiss division; not an integer matrix",
         "back-substitution: ValueError: inexact back-substitution; not a Bareiss factor",
         "validated: ModelError: intersection matrix is not a symmetric integer matrix at (0, 1)",
+        "raw-blow-up: ModelError: intersection matrix is not a symmetric integer matrix at (0, 1)",
         "hodge-index: NotNegativeDefiniteError: contracted configuration ['A', 'B'] spans 2 "
         "negative directions; rank 1 allows at most 0",
         "bordered-self-intersection: NotNegativeDefiniteError: contracted curve 'L' has "
@@ -159,10 +161,10 @@ def test_linalg_uses_no_fraction():
 
 
 def test_classification_core_uses_no_fraction():
-    # the log coefficients, the SNC total and the threshold rule run on
-    # integer numerators over one denominator
+    # the log coefficients, the SNC total, the threshold rule and the label
+    # core the audit reads run on integer numerators over one denominator
     core = functions("singularities.py")
-    for name in ("_log_numerators", "_snc_total", "_threshold_label"):
+    for name in ("_log_numerators", "_snc_total", "_threshold_label", "_classified"):
         assert names_fraction(core[name]) == [], name
 
 

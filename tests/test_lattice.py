@@ -16,6 +16,7 @@ from logsurf.lattice import (
     new_projective_plane,
 )
 from oracles import CoordinateTower, charpoly_negdef, coordinate_model, pairing
+from test_singularities import TOWER_OPS, tower_point
 
 
 def tower(*steps):
@@ -303,6 +304,65 @@ class TestInvariants:
     def test_hand_built_plane_with_line(self):
         m = _validated(coordinate_model(1, (-3,), {"H": (1,)}))
         assert m.self_int("H") == 1 and m.genus("H") == 0
+
+
+class TestCheckedBlowUp:
+    """blow_up of a `_checked` model skips `_validated`, whose checks it
+    cannot fail; a raw model still gets every one of them."""
+
+    @settings(max_examples=200)
+    @given(TOWER_OPS, st.booleans())
+    def test_matches_validation_from_scratch(self, ops, over_line):
+        model = _validated(coordinate_model(1, (-3,), {"L": (1,)})) if over_line else new_projective_plane()
+        for i, (kind, pick) in enumerate(ops):
+            blown = blow_up(model, tower_point(model, kind, pick), f"C{i}")
+            assert getattr(blown, "_checked", False)
+            expected = _validated(SurfaceModel(rank=blown.rank, names=blown.names, matrix=blown.matrix))
+            assert blown == expected
+            model = blown
+
+    RAW_CASES = {
+        "asymmetric": (
+            with_entries(A_B, {(0, 1): 1}),
+            PointSpec.general(),
+            "intersection matrix is not a symmetric integer matrix at (0, 1)",
+        ),
+        "not-integer": (
+            with_entries(A_B, {(2, 2): -1.0}),
+            PointSpec.general(),
+            "intersection matrix is not a symmetric integer matrix at (2, 2)",
+        ),
+        "negative": (
+            with_entries(A_B, {(1, 2): -1, (2, 1): -1}),
+            PointSpec.on_curve("B"),
+            "tracked curves 'A' and 'B' have negative intersection",
+        ),
+        "genus": (
+            with_entries(A_B, {(1, 1): -3}),
+            PointSpec.on_curve("A"),
+            "curve 'A' is not a smooth rational class (genus != 0)",
+        ),
+        "k-squared": (
+            SurfaceModel(rank=4, names=A_B.names, matrix=A_B.matrix),
+            PointSpec.general(),
+            "K.K = 6 but rank 5 needs 5",
+        ),
+        "rank": (SurfaceModel(rank=-1, names=A_B.names, matrix=A_B.matrix), PointSpec.general(), "rank 0 < 1"),
+        "names": (
+            SurfaceModel(rank=3, names=("A", "A"), matrix=A_B.matrix),
+            PointSpec.general(),
+            "tracked curve names repeat",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(RAW_CASES))
+    def test_raw_input_gets_every_check(self, case):
+        # the messages are those of blowing up and then validating from scratch
+        raw, point, message = self.RAW_CASES[case]
+        assert not hasattr(raw, "_checked")
+        with pytest.raises(ModelError) as exc:
+            blow_up(raw, point, "E")
+        assert str(exc.value) == message
 
 
 POINT_KINDS = ("general", "on", "at")

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logsurf import mmp
+from logsurf import lattice, mmp
 from logsurf.errors import LogSurfError, ModelError, ScenarioError
 from logsurf.lattice import (
     K_ROW,
     PointSpec,
+    SurfaceModel,
     _validated,
     blow_down,
     blow_up,
@@ -42,7 +43,7 @@ from logsurf.mmp import (
     step_candidates,
     verify_smooth_start_runs,
 )
-from logsurf.scenario import build_state, bundled_scenario
+from logsurf.scenario import build_model, build_state, bundled_scenario, star_scenario
 from logsurf.singularities import (
     EPS_LOG_TERMINAL,
     NOT_LOG_CANONICAL,
@@ -56,8 +57,8 @@ from logsurf.singularities import (
     pullback,
     pulled_back,
 )
-from oracles import coordinate_model, mumford_pairings, pairwise_ranking
-from test_singularities import TOWER_OPS, line_tower, tower_from
+from oracles import coordinate_model, eager_run, mumford_pairings, pairwise_ranking
+from test_singularities import TOWER_OPS, line_tower, outcome, tower_from
 
 SEED = 20260821
 
@@ -455,6 +456,148 @@ class TestRunOutcomeCoverage:
         assert counts == {"Exhausted": 58, "MinimalOverTracked": 50, "MoriFiberSignal": 52}
 
 
+def lazy_and_eager(ops, base, sixths, epsilon, choose, integer):
+    """Run one TOWER_OPS tower with `run` and with `eager_run`, which solves
+    C.C for every candidate, and require the same MmpRun or the same error.
+    The tower is over the plane, over a tracked line L, or over L never
+    validated (`base` 0, 1, 2). The strategy is most-negative, or a
+    NamedOrder prefix of a random contraction order, at times with one more
+    random name. `choose` and `integer` draw the random choices. Returns
+    the outcome's or the error's type name."""
+    model = tower_from(ops, 0) if base == 0 else line_tower(ops)
+    model = _validated(model) if base == 1 else model
+    boundary = QDivisor.from_map({n: F(k, 6) for n, k in zip(model.tracked, sixths) if k})
+    state = walk = MmpState(surface=model, boundary=boundary)
+    if integer(0, 2) == 0:
+        strategy = MostNegativeFirst()
+    else:
+        order = []
+        while contractible := [c.name for c in step_candidates(walk) if c.self_int < 0]:
+            order.append(choose(contractible))
+            walk = contract(walk, order[-1])
+        prefix = order[: integer(0, len(order))] + ([choose(model.tracked)] if integer(0, 3) == 0 else [])
+        strategy = NamedOrder(tuple(prefix))
+    got = outcome(lambda: run(state, strategy, epsilon))
+    expected = outcome(lambda: eager_run(state, strategy, epsilon))
+    if isinstance(expected, LogSurfError):
+        assert (type(got), str(got)) == (type(expected), str(expected))
+        return type(expected).__name__
+    assert got == expected
+    return type(got.outcome).__name__
+
+
+class TestLazyCandidates:
+    """`run` solves C.C only for the candidates its strategy reads; the
+    oracle `eager_run` solves it for all of them at every step."""
+
+    EPSILONS = (F(0), F(1, 7), F(1, 4))
+
+    @settings(max_examples=120)
+    @given(
+        TOWER_OPS,
+        st.integers(0, 2),
+        st.lists(st.integers(0, 6), min_size=17, max_size=17),
+        st.sampled_from(EPSILONS),
+        st.data(),
+    )
+    def test_matches_the_eager_loop(self, ops, base, sixths, epsilon, data):
+        def choose(seq):
+            return data.draw(st.sampled_from(seq))
+
+        def integer(lo, hi):
+            return data.draw(st.integers(lo, hi))
+
+        lazy_and_eager(ops, base, sixths, epsilon, choose, integer)
+
+    def test_never_validated_start_gets_every_check(self):
+        # raw: A.B = -1, so D, which meets A, pulls back with x_B = -1/3 < 0.
+        # G ranks first and is contractible, so only a full ranking solves D.
+        model = SurfaceModel(
+            rank=5,
+            names=("A", "B", "D", "G"),
+            matrix=(
+                (5, 0, 0, -1, -1),
+                (0, -2, -1, 1, 0),
+                (0, -1, -2, 0, 0),
+                (-1, 1, 0, -1, 0),
+                (-1, 0, 0, 0, -1),
+            ),
+            contracted=frozenset({"A", "B"}),
+        )
+        state = MmpState(surface=model, boundary=QDivisor.from_map({"G": F(1, 2)}))
+        for runner in (run, eager_run):
+            with pytest.raises(ModelError) as exc:
+                runner(state, MostNegativeFirst())
+            assert str(exc.value) == "negativity lemma violated; model inconsistent"
+
+    def test_seeded_stream_reaches_every_outcome(self):
+        rng = random.Random(20261019)
+        counts = Counter()
+        for _ in range(120):
+            ops = [(rng.choice(("general", "on", "at")), rng.randrange(10**6)) for _ in range(rng.randint(1, 10))]
+            sixths = [rng.randint(0, 6) for _ in range(17)]
+            epsilon = rng.choice(self.EPSILONS)
+            counts[lazy_and_eager(ops, rng.randrange(3), sixths, epsilon, rng.choice, rng.randint)] += 1
+        assert set(counts) == {"MinimalOverTracked", "MoriFiberSignal", "Exhausted", "ScenarioError"}
+
+
+def counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call's arguments."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestSavedWork:
+    """Work that nothing reads stays undone: C.C for candidates the strategy
+    skips, `_validated` for blow-ups of a checked model, and a full
+    `classify` in the audit."""
+
+    def test_one_self_intersection_per_step(self, monkeypatch):
+        calls = counting(monkeypatch, mmp, "contracted_self_intersection")
+        report = verify_smooth_start_runs(40, SEED, F(1, 7), max_blowups=12)
+        assert report.outcome_counts == (("MinimalOverTracked", 40),)
+        assert len(calls) == report.total_steps > 200
+        calls.clear()
+        result = run(fiber_signal_state(), MostNegativeFirst())
+        assert isinstance(result.outcome, MoriFiberSignal) and len(calls) == 1
+
+    def test_one_validation_per_tower(self, monkeypatch):
+        calls = counting(monkeypatch, lattice, "_validated")
+        rng = random.Random(SEED)
+        for _ in range(20):
+            calls.clear()
+            mmp._random_tower(rng, 30)
+            assert len(calls) == 1
+        calls.clear()
+        build_model(star_scenario(5, (2, 2, 2), 3))
+        assert len(calls) == 1
+
+    def test_audit_makes_no_classify_call(self, monkeypatch):
+        rng = random.Random(SEED + 5)
+        grid = _coefficient_grid(F(6, 7))
+        steps = 0
+        for _ in range(20):
+            model = mmp._random_tower(rng, 12)
+            boundary = QDivisor.from_map({n: c for n in model.tracked if (c := rng.choice(grid))})
+            initial = MmpState(surface=model, boundary=boundary)
+            result = run(initial, MostNegativeFirst(), F(1, 7))
+            with monkeypatch.context() as patch:
+                classified = counting(patch, mmp, "classify")
+                resolved = counting(patch, mmp, "minimal_resolution")
+                assert audit_run(result, initial, F(1, 7)) == result.audit
+            # one resolution per surface the replay meets, none of them twice
+            assert classified == [] and len(resolved) == len(result.steps) + 1
+            steps += len(result.steps)
+        assert steps > 100
+
+
 class TestAuditViolations:
     def fake_run(self, names):
         steps = tuple(
@@ -494,6 +637,19 @@ class TestAuditViolations:
         assert not report.ok
         assert any(v.startswith("effectivity:") and "replay failed" in v for v in report.violations)
         assert any(v.startswith("step3:") for v in report.violations)
+
+    def test_out_of_range_epsilon_label(self):
+        # check (c) reports the label core's epsilon error as classify raised it
+        model = new_projective_plane()
+        for name, point in (("A", PointSpec.general()), ("B", PointSpec.on_curve("A"))):
+            model = blow_up(model, point, name)
+        report = audit_run(self.fake_run(["B", "A"]), MmpState(surface=model, boundary=QDivisor.zero()), 2)
+        assert [s.classification for s in report.steps] == ["error: epsilon 2 outside [0, 1]"] * 2
+        assert report.violations == tuple(
+            f"classification: step {i} ({n!r}): surface classifies error: epsilon 2 outside [0, 1], "
+            "expected eps-log-terminal"
+            for i, n in enumerate("BA")
+        )
 
     def test_honest_runs_have_effectivity(self):
         result = run(a1_state(), MostNegativeFirst())
@@ -591,6 +747,19 @@ class TestAuditReplay:
 
 
 class TestHarnesses:
+    def test_coefficient_grid(self):
+        sixths = tuple(F(k, 6) for k in range(7))
+        expected = {
+            F(0): sixths,
+            F(1, 7): sixths[:6] + (F(6, 7),),
+            F(1, 4): sixths[:5] + (F(3, 4),),
+            F(1): (F(0),),
+        }
+        for epsilon, grid in expected.items():
+            got = _coefficient_grid(1 - epsilon)
+            assert type(got) is tuple and got == grid
+            assert _coefficient_grid(1 - epsilon) is got  # computed once per cap
+
     def test_verification_is_deterministic(self):
         a = verify_smooth_start_runs(15, SEED, F(1, 4))
         b = verify_smooth_start_runs(15, SEED, F(1, 4))

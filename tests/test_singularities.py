@@ -27,6 +27,7 @@ from logsurf.singularities import (
     NOT_LOG_CANONICAL,
     UNCLASSIFIABLE_SNC,
     QDivisor,
+    _classified,
     classify,
     log_coefficients,
     log_discrepancies,
@@ -371,24 +372,29 @@ TOWER_OPS = st.lists(
 )
 
 
+def tower_point(model, kind, pick):
+    """The blow-up point one TOWER_OPS entry picks on `model`."""
+    names = model.tracked
+    if kind == "general" or not names:
+        choices = [PointSpec.general()]
+    elif kind == "on":
+        choices = [PointSpec.on_curve(n) for n in names]
+    else:
+        choices = [
+            PointSpec.at_intersection(a, b)
+            for a, b in combinations(names, 2)
+            if model.intersection(a, b) >= 1
+        ] or [PointSpec.general()]
+    return choices[pick % len(choices)]
+
+
 def tower_from(ops, mask):
     """The tower of blow-ups that TOWER_OPS drew, with the curves whose bit
     is set in `mask` (tracked name order) contracted: every subset of a
     tower's exceptional curves is negative definite."""
     model = new_projective_plane()
     for i, (kind, pick) in enumerate(ops):
-        names = model.tracked
-        if kind == "general" or not names:
-            choices = [PointSpec.general()]
-        elif kind == "on":
-            choices = [PointSpec.on_curve(n) for n in names]
-        else:
-            choices = [
-                PointSpec.at_intersection(a, b)
-                for a, b in combinations(names, 2)
-                if model.intersection(a, b) >= 1
-            ] or [PointSpec.general()]
-        model = blow_up(model, choices[pick % len(choices)], f"C{i}")
+        model = blow_up(model, tower_point(model, kind, pick), f"C{i}")
     return declare_contracted(model, [n for k, n in enumerate(model.tracked) if mask >> k & 1])
 
 
@@ -839,6 +845,34 @@ class TestIntegerClassifier:
             if classify(model, boundary, epsilon).classification == EPS_LOG_CANONICAL
         ]
         assert canonical_with_boundary
+
+    def test_label_core_matches_classify(self):
+        # the audit's check (c) reads the label off _classified on a model it
+        # has resolved, with no boundary; the Fraction classifier is the oracle
+        rng = random.Random(90419)
+        zero = QDivisor.zero()
+        cases = [
+            (double_point_model(), zero),
+            (fork_model(3), zero),
+            (fork_model(5, (2, 2, 2)), QDivisor.from_map({"D": F(6, 7)})),
+            *self.tower_cases(rng, 60),
+            *self.star_cases(rng, 60),
+        ]
+        labels = Counter()
+        for model, boundary in cases:
+            mr = minimal_resolution(model)
+            for b in (zero, boundary):
+                for epsilon in self.EPSILONS:
+                    label = _classified(mr, b, epsilon)[0]
+                    assert label == classify(model, b, epsilon).classification
+                    assert label == fraction_classify(model, b, epsilon).classification
+                    if b is zero:
+                        labels[label] += 1
+            for epsilon in (F(2), F(-1, 7)):
+                with pytest.raises(ModelError) as exc:
+                    _classified(mr, zero, epsilon)
+                assert str(exc.value) == f"epsilon {epsilon} outside [0, 1]"
+        assert set(labels) == {EPS_LOG_TERMINAL, EPS_LOG_CANONICAL, NOT_LOG_CANONICAL, UNCLASSIFIABLE_SNC}
 
     def test_snc_total_matches_the_blow_up_search(self):
         rng = random.Random(90418)
