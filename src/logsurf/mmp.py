@@ -5,19 +5,22 @@ tracked curve with negative extremal pairing: a (-1)-curve on a smooth
 surface is blown down (Castelnuovo), anything else joins the contracted set
 after a negative-definiteness check (Artin type). The auditor replays the
 whole run on the initial lattice and verifies the effectivity, rank-drop,
-classification, and support conditions that make the loop sound.
+classification, and support conditions that make the loop sound. Each
+intermediate surface is classified once, by the auditor on its replayed
+model; `run` reports that class, the run's own model having the same
+minimal resolution.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .errors import ModelError, NotNegativeDefiniteError, ScenarioError
+from .errors import LogSurfError, ModelError, NotNegativeDefiniteError, ScenarioError
 from .lattice import (
     K_ROW,
     PointSpec,
@@ -32,8 +35,8 @@ from .singularities import (
     NOT_LOG_CANONICAL,
     QDivisor,
     _check_boundary,
-    _classified,
     _log_numerators,
+    _singularity_class,
     classify,
     divisor_terms,
     minimal_resolution,
@@ -204,6 +207,7 @@ class AuditStep:
     step3_applicable: bool
     step3_value: Fraction | None
     step3_ok: bool
+    post_classification: object
 
 
 @dataclass(frozen=True)
@@ -235,59 +239,76 @@ def run(state: MmpState, strategy, epsilon=Fraction(0)) -> MmpRun:
 
     Each step ranks through `_ranked` but solves C.C only for the
     candidates its strategy reads: the curve a named strategy wants, or
-    those in rank order up to the first contractible one. The outcome is
-    the one the full `step_candidates` list gives, and skipping a candidate
-    loses no reachable error. A validated model's contracted block is
-    negative definite with non-negative off-diagonal entries, so a curve
-    off it pulls back exactly orthogonal with x >= 0, and neither check in
-    `pulled_back` can fail. Every model a step makes is `_checked`; a
-    never-validated start gets the full list once, for its checks.
+    those in rank order up to the first contractible one. No reachable
+    error is lost: a checked model's contracted block is negative definite
+    with non-negative off-diagonal entries, so neither check in
+    `pulled_back` can fail on a curve off it. A never-validated start gets
+    the full `step_candidates` list once, for its checks.
+
+    The loop classifies nothing. A step's `post_classification` is the
+    audit's, made on the replay's shadow model (the initial lattice with
+    the same curves contracted); it is `classify` of the run's own model,
+    as a normal surface has one minimal resolution and both models resolve
+    to it. Where the audit has no class, or the run raised, the run's
+    models are classified instead (`_post_classifications`).
     """
     epsilon = Fraction(epsilon)
     initial = state
-    steps = []
+    made = []  # (candidate, kind) of each step
     queue = list(strategy.names) if isinstance(strategy, NamedOrder) else None
     if not getattr(state.surface, "_checked", False):
         step_candidates(state)
-    while True:
-        model = state.surface
-        keys, d = _ranked(model, state.boundary)
-        if not keys:
-            outcome = MinimalOverTracked()
-            break
-        wanted = [key for key in keys if queue and key[1] == queue[0]]
-        cand = _candidate(model, wanted[0], d) if wanted else None
-        if cand is None or cand.self_int >= 0:
-            lazy = (_candidate(model, key, d) for key in keys)  # C.C is solved as each is read
-            top = next(lazy)
-            cand = top if top.self_int < 0 else next((c for c in lazy if c.self_int < 0), None)
-            if cand is None:
-                outcome = MoriFiberSignal(curve=top.name, self_int=top.self_int)
+    try:
+        while True:
+            model = state.surface
+            keys, d = _ranked(model, state.boundary)
+            if not keys:
+                outcome = MinimalOverTracked()
                 break
-            if queue is not None:
-                if not queue:
-                    outcome = Exhausted()
+            wanted = [key for key in keys if queue and key[1] == queue[0]]
+            cand = _candidate(model, wanted[0], d) if wanted else None
+            if cand is None or cand.self_int >= 0:
+                lazy = (_candidate(model, key, d) for key in keys)  # C.C is solved as each is read
+                top = next(lazy)
+                cand = top if top.self_int < 0 else next((c for c in lazy if c.self_int < 0), None)
+                if cand is None:
+                    outcome = MoriFiberSignal(curve=top.name, self_int=top.self_int)
                     break
-                raise ScenarioError(
-                    f"strategy names {queue[0]!r} but it is not a contractible candidate at step {state.step_index}"
-                )
-        if queue:
-            queue.pop(0)
-        state, kind = _apply_contraction(state, cand)
-        steps.append(
-            MmpStep(
-                contracted_curve=cand.name,
-                extremal_value=cand.extremal_value,
-                self_int=cand.self_int,
-                kind=kind,
-                post_classification=classify(state.surface, QDivisor.zero(), epsilon),
-            )
-        )
-        if len(steps) > initial.rho - 1:
-            raise ModelError(f"run took {len(steps)} steps from rho {initial.rho}; rho - 1 is the most")
-    partial = MmpRun(steps=tuple(steps), outcome=outcome, audit=None)
-    audit = audit_run(partial, initial, epsilon)
-    return MmpRun(steps=tuple(steps), outcome=outcome, audit=audit)
+                if queue is not None:
+                    if not queue:
+                        outcome = Exhausted()
+                        break
+                    raise ScenarioError(
+                        f"strategy names {queue[0]!r} but it is not a contractible candidate at step {state.step_index}"
+                    )
+            if queue:
+                queue.pop(0)
+            state, kind = _apply_contraction(state, cand)
+            made.append((cand, kind))
+            if len(made) > initial.rho - 1:
+                raise ModelError(f"run took {len(made)} steps from rho {initial.rho}; rho - 1 is the most")
+        steps = tuple(MmpStep(c.name, c.extremal_value, c.self_int, kind, None) for c, kind in made)
+        audit = audit_run(MmpRun(steps=steps, outcome=outcome, audit=None), initial, epsilon)
+    except LogSurfError:
+        _post_classifications(initial, made, epsilon, ())  # an earlier step's error comes first
+        raise
+    classes = _post_classifications(initial, made, epsilon, [s.post_classification for s in audit.steps])
+    steps = tuple(replace(s, post_classification=c) for s, c in zip(steps, classes))
+    return MmpRun(steps=steps, outcome=outcome, audit=audit)
+
+
+def _post_classifications(initial: MmpState, made, epsilon: Fraction, known) -> list:
+    """Each step's class: the audit's `known[i]` where it is not None, else
+    `classify` of the step's own model, rebuilt by replaying `made`. So the
+    first step that cannot be classified raises, as it did in the loop."""
+    if len(known) == len(made) and None not in known:
+        return list(known)
+    state, out = initial, []
+    for i, (cand, _) in enumerate(made):
+        state, _ = _apply_contraction(state, cand)
+        post = known[i] if i < len(known) else None
+        out.append(classify(state.surface, _NO_BOUNDARY, epsilon) if post is None else post)
+    return out
 
 
 def audit_run(run_record: MmpRun, initial: MmpState, epsilon) -> AuditReport:
@@ -304,12 +325,12 @@ def audit_run(run_record: MmpRun, initial: MmpState, epsilon) -> AuditReport:
     Checks (a) and (d) compare integers: (a) the log coefficients'
     numerators over their step's one denominator, cross-multiplied, and
     (d) the boundary pairing's numerator; a Fraction is made only for a
-    reported value. Check (c) reads only the label, so it takes it from
-    `classify`'s integer core, `_classified`, on the one resolution of the
-    new model, which the next step's check (d) reuses: no second
-    resolution pass and no Fraction. The boundary was checked when
-    `initial` was built, and a replay step only drops the contracted curve
-    from it.
+    reported value. Check (c) classifies the one resolution of the new
+    shadow model, which the next step's check (d) reuses, and keeps the
+    class (None if it raised) for `run` to report: both models resolve to
+    the one minimal resolution. Nothing here reads the run's models. The
+    boundary was checked when `initial` was built, and a replay step only
+    drops the contracted curve from it.
     """
     epsilon = Fraction(epsilon)
     violations = []
@@ -319,9 +340,7 @@ def audit_run(run_record: MmpRun, initial: MmpState, epsilon) -> AuditReport:
     check_classification = smooth_start and coefficients_bounded
     initial_rho = initial.rho
     if len(run_record.steps) > max(initial_rho - 1, 0):
-        violations.append(
-            f"bound: run has {len(run_record.steps)} steps, limit {initial_rho - 1}"
-        )
+        violations.append(f"bound: run has {len(run_record.steps)} steps, limit {initial_rho - 1}")
     shadow = initial.surface
     boundary = initial.boundary
     prev, prev_d = _log_numerators(shadow, boundary)
@@ -373,25 +392,17 @@ def audit_run(run_record: MmpRun, initial: MmpState, epsilon) -> AuditReport:
         rho_sequence.append(rho_after)
         try:
             mr = minimal_resolution(shadow)
-            label = _classified(mr, _NO_BOUNDARY, epsilon)[0]
+            post = _singularity_class(mr, _NO_BOUNDARY, epsilon)
+            label = post.classification
         except ModelError as exc:
-            mr, label = None, f"error: {exc}"
+            mr, post, label = None, None, f"error: {exc}"
         if check_classification and label != EPS_LOG_TERMINAL:
             violations.append(
                 f"classification: step {i} ({name!r}): surface classifies {label}, "
                 f"expected {EPS_LOG_TERMINAL}"
             )
         audit_steps.append(
-            AuditStep(
-                curve=name,
-                rho_before=rho_before,
-                rho_after=rho_after,
-                effectivity_ok=effectivity_ok,
-                classification=label,
-                step3_applicable=step3_applicable,
-                step3_value=step3_value,
-                step3_ok=step3_ok,
-            )
+            AuditStep(name, rho_before, rho_after, effectivity_ok, label, step3_applicable, step3_value, step3_ok, post)
         )
     return AuditReport(
         initial_rho=initial_rho,
@@ -526,19 +537,10 @@ def search_canonical_starts(config: SearchConfig, trials, seed) -> SearchReport:
         )
         model = new_projective_plane()
         chain_names = [f"S{i + 1}" for i in range(chain)]
-        built = 0
-        if chain:
-            # S1 .. S_chain end up as a contracted chain of (-2)-curves
-            model = blow_up(model, PointSpec.general(), "S1")
-            for i in range(chain):
-                parent = f"S{i + 1}"
-                child = f"S{i + 2}" if i + 1 < chain else "T1"
-                model = blow_up(model, PointSpec.on_curve(parent), child)
-            built = chain + 1
-        else:
-            model = blow_up(model, PointSpec.general(), "T1")
-            built = 1
-        extra = rng.randint(0, max(config.max_blowups - built, 0))
+        # S1 .. S_chain end up as a contracted chain of (-2)-curves, T1 meets its end
+        for i, name in enumerate(chain_names + ["T1"]):
+            model = blow_up(model, PointSpec.on_curve(chain_names[i - 1]) if i else PointSpec.general(), name)
+        extra = rng.randint(0, max(config.max_blowups - chain - 1, 0))
         for i in range(extra):
             allowed = [n for n in model.tracked if n not in chain_names]
             if not allowed or rng.random() < 0.5:
@@ -552,19 +554,11 @@ def search_canonical_starts(config: SearchConfig, trials, seed) -> SearchReport:
         if start.total_discrepancy is None or start.total_discrepancy < 0:  # canonical by construction
             raise ModelError(f"trial {trial}: start surface classifies {start.classification}, not canonical")
         canonical_starts += 1
-        coeffs = {
-            n: rng.choice(grid)
-            for n in model.tracked
-            if n not in model.contracted
-        }
+        coeffs = {n: rng.choice(grid) for n in model.tracked if n not in model.contracted}
         boundary = QDivisor.from_map({n: c for n, c in coeffs.items() if c != 0})
         result = run(MmpState(surface=model, boundary=boundary), MostNegativeFirst())
         total_steps += len(result.steps)
-        bad = [
-            s
-            for s in result.steps
-            if s.post_classification.classification == NOT_LOG_CANONICAL
-        ]
+        bad = [s for s in result.steps if s.post_classification.classification == NOT_LOG_CANONICAL]
         if bad:
             runs_with += 1
             not_lc_steps += len(bad)

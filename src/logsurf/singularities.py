@@ -322,26 +322,10 @@ def _classified(mr: SurfaceModel, boundary: QDivisor, epsilon) -> tuple[str, int
     return _threshold_label(total, d, epsilon), total, mr_total, d
 
 
-def classify(model: SurfaceModel, boundary: QDivisor, epsilon) -> SingularityClass:
-    """Epsilon-classification of the modeled pair, total and MR variants.
-
-    Works on the minimal resolution: exceptional coefficients come from the
-    log pullback there, boundary curves contribute their own coefficients,
-    and the total discrepancy is the SNC minimum over that configuration.
-    A multi-edge configuration cannot be treated as simple normal crossing
-    and comes back unclassifiable (total None); the MR numbers are still
-    exact.
-
-    Every comparison runs in integers in `_classified`; this wrapper
-    resolves the model and makes Fractions only for the returned fields.
-    A rational SNC total equals the MR total (see `_snc_total`). The
-    boundary is checked once, on `model`: a curve with a nonzero
-    coefficient is never contracted, so the resolution keeps it, and zero
-    coefficients are no boundary at all.
-    """
-    epsilon = Fraction(epsilon)
-    _check_boundary(model, boundary)
-    label, total, mr_total, d = _classified(minimal_resolution(model), boundary, epsilon)
+def _singularity_class(mr: SurfaceModel, boundary: QDivisor, epsilon: Fraction) -> SingularityClass:
+    """`classify` of a resolved model, the boundary unchecked: `_classified`'s
+    integers, made Fractions. Audit check (c) calls it on its resolution."""
+    label, total, mr_total, d = _classified(mr, boundary, epsilon)
     if total is not None:
         total = Fraction(total, d)
     elif label != UNCLASSIFIABLE_SNC:
@@ -353,3 +337,20 @@ def classify(model: SurfaceModel, boundary: QDivisor, epsilon) -> SingularityCla
         mr_classification=_threshold_label(mr_total, d, epsilon),
         epsilon=epsilon,
     )
+
+
+def classify(model: SurfaceModel, boundary: QDivisor, epsilon) -> SingularityClass:
+    """Epsilon-classification of the modeled pair, total and MR variants.
+
+    Works on the minimal resolution: exceptional coefficients come from the
+    log pullback there, boundary curves keep their own, and the total
+    discrepancy is the SNC minimum over that configuration. A multi-edge
+    configuration is unclassifiable (total None); the MR numbers are still
+    exact. Every comparison runs in integers (`_classified`), and a
+    rational SNC total equals the MR total (see `_snc_total`). The
+    boundary is checked once, on `model`: a curve with a nonzero
+    coefficient is never contracted, so the resolution keeps it.
+    """
+    epsilon = Fraction(epsilon)
+    _check_boundary(model, boundary)
+    return _singularity_class(minimal_resolution(model), boundary, epsilon)

@@ -354,7 +354,8 @@ def fraction_classify(model, boundary, epsilon):
 def eager_run(state, strategy, epsilon=Fraction(0)):
     """The MMP loop of `mmp.run` with every step's whole `step_candidates`
     list built, C.C solved for each candidate, and the outcome read off
-    that list; the same audit at the end."""
+    that list; the same audit at the end. Each step classifies the run's
+    own model, where `run` reports the audit replay's class."""
     epsilon = Fraction(epsilon)
     initial = state
     steps = []

@@ -1,5 +1,7 @@
 import random
+import re
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logsurf import lattice, mmp
+from logsurf import lattice, mmp, singularities
 from logsurf.errors import LogSurfError, ModelError, ScenarioError
 from logsurf.lattice import (
     K_ROW,
@@ -273,6 +275,83 @@ class TestMetamorphic:
         assert [(c.extremal_value, c.self_int) for c in after if c.name == "G"] == [(F(-1), F(-1))]
 
 
+QUOTED = re.compile(r"'([^']*)'")
+
+
+def renamed_state(state, rename):
+    """`state` with every tracked curve renamed; rows keep their places."""
+    m = state.surface
+    model = _validated(
+        SurfaceModel(m.rank, tuple(rename[n] for n in m.names), m.matrix, frozenset(rename[n] for n in m.contracted))
+    )
+    return MmpState(surface=model, boundary=QDivisor.from_map({rename[n]: c for n, c in state.boundary.coefficients}))
+
+
+def renamed_text(text, rename):
+    """`text` with each quoted curve name renamed."""
+    return QUOTED.sub(lambda m: repr(rename.get(m.group(1), m.group(1))), text)
+
+
+def renamed_report(audit, rename):
+    return replace(
+        audit,
+        steps=tuple(replace(a, curve=rename[a.curve]) for a in audit.steps),
+        violations=tuple(renamed_text(v, rename) for v in audit.violations),
+    )
+
+
+def renamed_result(result, rename):
+    """An MmpRun, or a LogSurfError, with every curve name in it renamed."""
+    if isinstance(result, LogSurfError):
+        return type(result), renamed_text(str(result), rename)
+    out = result.outcome
+    return MmpRun(
+        steps=tuple(replace(s, contracted_curve=rename[s.contracted_curve]) for s in result.steps),
+        outcome=replace(out, curve=rename[out.curve]) if isinstance(out, MoriFiberSignal) else out,
+        audit=renamed_report(result.audit, rename),
+    )
+
+
+class TestRenaming:
+    """Names only break ties, in their sorted order, so a renaming that
+    keeps that order changes `run` and `audit_run` only by the renaming:
+    steps, outcome, audit steps and violation texts."""
+
+    @settings(max_examples=60)
+    @given(
+        TOWER_OPS,
+        st.booleans(),
+        st.lists(st.integers(0, 6), min_size=17, max_size=17),
+        st.sampled_from((F(0), F(1, 7), F(1, 4))),
+        st.data(),
+    )
+    def test_order_preserving_renaming(self, ops, line, sixths, epsilon, data):
+        if line:
+            model = _validated(line_tower(ops))
+        else:
+            model = tower_from(ops, data.draw(st.integers(0, (1 << len(ops)) - 1)))
+        free = [n for n in model.tracked if n not in model.contracted]
+        state = MmpState(surface=model, boundary=QDivisor.from_map({n: F(k, 6) for n, k in zip(free, sixths) if k}))
+        size = len(model.names)
+        new = data.draw(st.lists(st.text("AZaz09_", min_size=1, max_size=3), min_size=size, max_size=size, unique=True))
+        rename = dict(zip(model.tracked, sorted(new)))
+        same = {n: n for n in new}
+        other = renamed_state(state, rename)
+        names = data.draw(st.lists(st.sampled_from(model.tracked), max_size=len(model.tracked) + 1))
+        renamed_names = tuple(rename[n] for n in names)
+        for strategy, renamed_strategy in (
+            (MostNegativeFirst(), MostNegativeFirst()),
+            (NamedOrder(tuple(names)), NamedOrder(renamed_names)),
+        ):
+            expected = renamed_result(outcome(lambda: run(state, strategy, epsilon)), rename)
+            assert renamed_result(outcome(lambda: run(other, renamed_strategy, epsilon)), same) == expected
+        # any list of names, honest or not, so that violations are texts too
+        fake = [MmpStep(n, F(-1), F(-1), ARTIN_TYPE, None) for n in names]
+        report = audit_run(MmpRun(steps=tuple(fake), outcome=Exhausted(), audit=None), state, epsilon)
+        renamed_fake = tuple(replace(step, contracted_curve=rename[step.contracted_curve]) for step in fake)
+        assert audit_run(MmpRun(renamed_fake, Exhausted(), None), other, epsilon) == renamed_report(report, rename)
+
+
 class TestContract:
     def test_contract_drops_rho_and_boundary(self):
         st = threshold_state()
@@ -351,6 +430,26 @@ class TestRun:
         assert result.outcome == MoriFiberSignal(curve="H", self_int=F(1))
         assert result.steps == ()
         assert result.audit.ok
+
+    def test_out_of_range_epsilon_raises_at_the_first_step(self):
+        # classifying the first step's surface raises, before the bad name
+        # the second step would reject
+        state = a1_state()
+        with pytest.raises(ScenarioError, match="strategy names 'nope'"):
+            run(state, NamedOrder(("C1", "nope")))
+        for epsilon in (2, F(-1, 2)):
+            for strategy in (MostNegativeFirst(), NamedOrder(("C1",)), NamedOrder(("C1", "nope"))):
+                with pytest.raises(ModelError) as exc:
+                    run(state, strategy, epsilon)
+                assert type(exc.value) is ModelError
+                assert str(exc.value) == f"epsilon {F(epsilon)} outside [0, 1]"
+
+    def test_out_of_range_epsilon_without_steps_returns(self):
+        for state, strategy in ((fiber_signal_state(), MostNegativeFirst()), (a1_state(), NamedOrder(()))):
+            result = run(state, strategy, 2)
+            assert result.steps == () and result.audit.ok
+            assert result.audit.epsilon == 2
+            assert isinstance(result.outcome, (MoriFiberSignal, Exhausted))
 
     def test_seeded_towers_obey_step_bound(self):
         rng = random.Random(SEED)
@@ -456,17 +555,54 @@ class TestRunOutcomeCoverage:
         assert counts == {"Exhausted": 58, "MinimalOverTracked": 50, "MoriFiberSignal": 52}
 
 
-def lazy_and_eager(ops, base, sixths, epsilon, choose, integer):
-    """Run one TOWER_OPS tower with `run` and with `eager_run`, which solves
-    C.C for every candidate, and require the same MmpRun or the same error.
-    The tower is over the plane, over a tracked line L, or over L never
-    validated (`base` 0, 1, 2). The strategy is most-negative, or a
-    NamedOrder prefix of a random contraction order, at times with one more
-    random name. `choose` and `integer` draw the random choices. Returns
-    the outcome's or the error's type name."""
+STAR_STARTS = ((3, (2, 3, 6), 3), (4, (2, 2, 3), 2), (5, (2, 2, 2), 3), (7, (2, 3, 6), 3))
+
+
+def chain_tower(ops, chain):
+    """A start built as `search_canonical_starts` builds one: a chain
+    S1..S<chain> ending in T1, TOWER_OPS's blow-ups kept off the chain, and
+    the chain, (-2)-curves, contracted."""
+    model = blow_up(new_projective_plane(), PointSpec.general(), "S1")
+    for i in range(chain):
+        model = blow_up(model, PointSpec.on_curve(f"S{i + 1}"), f"S{i + 2}" if i + 1 < chain else "T1")
+    chain_names = [f"S{i + 1}" for i in range(chain)]
+    for i, (kind, pick) in enumerate(ops):
+        off = [n for n in model.tracked if n not in chain_names]
+        point = PointSpec.on_curve(off[pick % len(off)]) if kind == "on" else PointSpec.general()
+        model = blow_up(model, point, f"T{i + 2}")
+    return declare_contracted(model, chain_names)
+
+
+def start_model(ops, base, integer):
+    """The start `lazy_and_eager` runs from: TOWER_OPS's tower over the
+    plane, over a tracked line L, or over L never validated (`base` 0, 1,
+    2); singular, a contracted (-2)-chain of 1-3 curves as in
+    `search_canonical_starts` (3), the plane tower with a random subset of
+    its curves contracted, every one negative definite (4), or a
+    `star_scenario` start, ops unused (5)."""
+    if base == 3:
+        return chain_tower(ops, integer(1, 3))
+    if base == 4:
+        return tower_from(ops, integer(0, (1 << len(ops)) - 1))
+    if base == 5:
+        n0, branches, extra = STAR_STARTS[integer(0, len(STAR_STARTS) - 1)]
+        return build_model(star_scenario(n0, branches, extra))
     model = tower_from(ops, 0) if base == 0 else line_tower(ops)
-    model = _validated(model) if base == 1 else model
-    boundary = QDivisor.from_map({n: F(k, 6) for n, k in zip(model.tracked, sixths) if k})
+    return _validated(model) if base == 1 else model
+
+
+def lazy_and_eager(ops, base, sixths, epsilon, choose, integer):
+    """Run one `start_model` start with `run` and with `eager_run`, which
+    solves C.C for every candidate and classifies each step's own model,
+    and require the same MmpRun or the same error. The non-contracted
+    curves get the boundary coefficients `sixths`. The strategy is
+    most-negative, or a NamedOrder prefix of a random contraction order, at
+    times with one more random name. `choose` and `integer` draw the random
+    choices. Returns the outcome's or the error's type name."""
+    model = start_model(ops, base, integer)
+    boundary = QDivisor.from_map(
+        {n: F(k, 6) for n, k in zip(model.tracked, sixths) if k and n not in model.contracted}
+    )
     state = walk = MmpState(surface=model, boundary=boundary)
     if integer(0, 2) == 0:
         strategy = MostNegativeFirst()
@@ -487,15 +623,17 @@ def lazy_and_eager(ops, base, sixths, epsilon, choose, integer):
 
 
 class TestLazyCandidates:
-    """`run` solves C.C only for the candidates its strategy reads; the
-    oracle `eager_run` solves it for all of them at every step."""
+    """`run` solves C.C only for the candidates its strategy reads and takes
+    each step's class from the audit's replay; the oracle `eager_run`
+    solves C.C for all of them at every step and classifies the run's own
+    models."""
 
     EPSILONS = (F(0), F(1, 7), F(1, 4))
 
     @settings(max_examples=120)
     @given(
         TOWER_OPS,
-        st.integers(0, 2),
+        st.integers(0, 5),
         st.lists(st.integers(0, 6), min_size=17, max_size=17),
         st.sampled_from(EPSILONS),
         st.data(),
@@ -539,6 +677,17 @@ class TestLazyCandidates:
             epsilon = rng.choice(self.EPSILONS)
             counts[lazy_and_eager(ops, rng.randrange(3), sixths, epsilon, rng.choice, rng.randint)] += 1
         assert set(counts) == {"MinimalOverTracked", "MoriFiberSignal", "Exhausted", "ScenarioError"}
+        # singular starts: a (-2)-chain, a contracted subset, a star
+        singular = set()
+        for _ in range(90):
+            ops = [(rng.choice(("general", "on", "at")), rng.randrange(10**6)) for _ in range(rng.randint(1, 10))]
+            sixths = [rng.randint(0, 6) for _ in range(17)]
+            epsilon = rng.choice(self.EPSILONS)
+            base = rng.randrange(3, 6)
+            singular.add((base, lazy_and_eager(ops, base, sixths, epsilon, rng.choice, rng.randint)))
+        assert singular == {
+            (base, name) for base in (3, 4, 5) for name in ("MinimalOverTracked", "Exhausted", "ScenarioError")
+        }
 
 
 def counting(monkeypatch, module, name):
@@ -556,8 +705,38 @@ def counting(monkeypatch, module, name):
 
 class TestSavedWork:
     """Work that nothing reads stays undone: C.C for candidates the strategy
-    skips, `_validated` for blow-ups of a checked model, and a full
-    `classify` in the audit."""
+    skips, `_validated` for blow-ups of a checked model, a full `classify`
+    in the audit, and a second classification of each surface in `run`."""
+
+    def test_each_surface_classified_once(self, monkeypatch):
+        lengths = []
+        real_run = mmp.run
+
+        def recorded(*args, **kwargs):
+            result = real_run(*args, **kwargs)
+            lengths.append(len(result.steps))
+            return result
+
+        monkeypatch.setattr(mmp, "run", recorded)
+        classified = counting(monkeypatch, mmp, "classify")
+        resolved = counting(monkeypatch, mmp, "minimal_resolution")
+        resolved_in_classify = counting(monkeypatch, singularities, "minimal_resolution")
+        cores = counting(monkeypatch, singularities, "_classified")
+        for harness, starts in (
+            (lambda: verify_smooth_start_runs(40, SEED, F(1, 7), max_blowups=12), 0),
+            (lambda: search_canonical_starts(SearchConfig(), 40, SEED), 40),
+        ):
+            for calls in (lengths, classified, resolved, resolved_in_classify, cores):
+                calls.clear()
+            harness()
+            steps = sum(lengths)
+            assert len(lengths) == 40 and steps > 150
+            # `run` classifies nothing; q44 checks each start once
+            assert len(classified) == len(resolved_in_classify) == starts
+            # the audit resolves each surface it replays once: steps + 1 a run
+            assert len(resolved) == sum(n + 1 for n in lengths if n)
+            # and classifies each step's surface once
+            assert len(cores) == steps + starts
 
     def test_one_self_intersection_per_step(self, monkeypatch):
         calls = counting(monkeypatch, mmp, "contracted_self_intersection")
@@ -680,8 +859,8 @@ class TestAuditViolations:
 
 def fresh_audit_steps(steps, initial, epsilon):
     """Every AuditStep of an honest run, replayed on the initial lattice with
-    declare_contracted, resolving each shadow model and solving the curve's
-    pullback afresh at every step. The boundary pairing comes from two
+    declare_contracted, resolving and classifying each shadow model and
+    solving the curve's pullback afresh at every step. The boundary pairing comes from two
     extremal pairings, (K + B).C* - K.C*, each with its own solve. Returns
     the steps and how many resolutions differed from their shadow model."""
     shadow, boundary = initial.surface, initial.boundary
@@ -701,16 +880,18 @@ def fresh_audit_steps(steps, initial, epsilon):
         rises = [n for n in set(prev) | set(new) if new.get(n, F(0)) > prev.get(n, F(0))]
         prev = new
         rho_after = shadow.rank - len(shadow.contracted)
+        post = classify(shadow, QDivisor.zero(), epsilon)
         out.append(
             AuditStep(
                 curve=name,
                 rho_before=rho,
                 rho_after=rho_after,
                 effectivity_ok=not rises,
-                classification=classify(shadow, QDivisor.zero(), epsilon).classification,
+                classification=post.classification,
                 step3_applicable=applicable,
                 step3_value=value,
                 step3_ok=(not applicable) or value < 0,
+                post_classification=post,
             )
         )
         rho = rho_after
