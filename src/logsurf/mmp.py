@@ -3,28 +3,29 @@
 A state is a surface model plus a boundary divisor. Each step contracts one
 tracked curve with negative extremal pairing: a (-1)-curve on a smooth
 surface is blown down (Castelnuovo), anything else joins the contracted set
-after a negative-definiteness check (Artin type). The auditor replays the
-whole run on the initial lattice and verifies the effectivity, rank-drop,
-classification, and support conditions that make the loop sound. Each
-intermediate surface is classified once, by the auditor on its replayed
-model; `run` reports that class, the run's own model having the same
-minimal resolution.
+after a negative-definiteness check (Artin type). The auditor replays each
+step on the initial lattice as the run makes it and verifies the
+effectivity, rank-drop, classification, and support conditions that make
+the loop sound. Each intermediate surface is classified once, by the
+auditor on its replayed model; `run` reports that class, the run's own
+model having the same minimal resolution.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .errors import LogSurfError, ModelError, NotNegativeDefiniteError, ScenarioError
+from .errors import ModelError, NotNegativeDefiniteError, ScenarioError
 from .lattice import (
     K_ROW,
     PointSpec,
     SurfaceModel,
+    _validated,
     blow_down,
     blow_up,
     declare_contracted,
@@ -55,6 +56,8 @@ class MmpState:
     step_index: int = 0
 
     def __post_init__(self):
+        if not getattr(self.surface, "_checked", False):
+            _validated(self.surface)  # a hand-built surface is checked once, here
         _check_boundary(self.surface, self.boundary)
 
     @property
@@ -184,11 +187,13 @@ def _apply_contraction(state: MmpState, cand: Candidate) -> tuple[MmpState, str]
 
 
 def contract(state: MmpState, name: str) -> MmpState:
-    """One contraction step; the curve must be a contractible candidate."""
-    matches = [c for c in step_candidates(state) if c.name == name]
-    if not matches:
+    """One contraction step; the curve must be a contractible candidate. It
+    is ranked through `_ranked`, and C.C is solved for it alone."""
+    keys, d = _ranked(state.surface, state.boundary)
+    key = next((key for key in keys if key[1] == name), None)
+    if key is None:
         raise ModelError(f"{name!r} is not an extremal candidate (needs (K + boundary).C < 0)")
-    cand = matches[0]
+    cand = _candidate(state.surface, key, d)
     if cand.self_int >= 0:
         raise ModelError(
             f"{name!r} has self-intersection {cand.self_int} >= 0; it signals a fiber space, not a contraction"
@@ -234,81 +239,74 @@ class MmpRun:
 
 def run(state: MmpState, strategy, epsilon=Fraction(0)) -> MmpRun:
     """Drive contractions until nef-over-tracked, a fiber-space signal, or an
-    exhausted named strategy; then audit the whole run against the initial
-    state.
+    exhausted named strategy, auditing each step as it is made.
 
     Each step ranks through `_ranked` but solves C.C only for the
     candidates its strategy reads: the curve a named strategy wants, or
     those in rank order up to the first contractible one. No reachable
-    error is lost: a checked model's contracted block is negative definite
-    with non-negative off-diagonal entries, so neither check in
-    `pulled_back` can fail on a curve off it. A never-validated start gets
-    the full `step_candidates` list once, for its checks.
+    error is lost: `MmpState` checked the start, so every model's
+    contracted block is negative definite with non-negative off-diagonal
+    entries, and neither check in `pulled_back` can fail on a curve off it.
 
-    The loop classifies nothing. A step's `post_classification` is the
-    audit's, made on the replay's shadow model (the initial lattice with
-    the same curves contracted); it is `classify` of the run's own model,
-    as a normal surface has one minimal resolution and both models resolve
-    to it. Where the audit has no class, or the run raised, the run's
-    models are classified instead (`_post_classifications`).
+    Right after each contraction, `audit_step` checks it on the shadow pair
+    (the initial lattice with the same curves contracted), as `audit_run`
+    does. A step's `post_classification` is the audit's class of the
+    shadow model; it is `classify` of the run's own model, as a normal
+    surface has one minimal resolution and both models resolve to it.
+    Where the audit has no class, the run's model is classified, so an
+    error there raises at the step that meets it.
     """
     epsilon = Fraction(epsilon)
     initial = state
-    made = []  # (candidate, kind) of each step
+    smooth, bounded = _gate(initial, epsilon)
+    pair, steps, audited, violations = (initial.surface, initial.boundary, None, None), [], [], []
     queue = list(strategy.names) if isinstance(strategy, NamedOrder) else None
-    if not getattr(state.surface, "_checked", False):
-        step_candidates(state)
-    try:
-        while True:
-            model = state.surface
-            keys, d = _ranked(model, state.boundary)
-            if not keys:
-                outcome = MinimalOverTracked()
+    while True:
+        model = state.surface
+        keys, d = _ranked(model, state.boundary)
+        if not keys:
+            outcome = MinimalOverTracked()
+            break
+        wanted = [key for key in keys if queue and key[1] == queue[0]]
+        cand = _candidate(model, wanted[0], d) if wanted else None
+        if cand is None or cand.self_int >= 0:
+            lazy = (_candidate(model, key, d) for key in keys)  # C.C is solved as each is read
+            top = next(lazy)
+            cand = top if top.self_int < 0 else next((c for c in lazy if c.self_int < 0), None)
+            if cand is None:
+                outcome = MoriFiberSignal(curve=top.name, self_int=top.self_int)
                 break
-            wanted = [key for key in keys if queue and key[1] == queue[0]]
-            cand = _candidate(model, wanted[0], d) if wanted else None
-            if cand is None or cand.self_int >= 0:
-                lazy = (_candidate(model, key, d) for key in keys)  # C.C is solved as each is read
-                top = next(lazy)
-                cand = top if top.self_int < 0 else next((c for c in lazy if c.self_int < 0), None)
-                if cand is None:
-                    outcome = MoriFiberSignal(curve=top.name, self_int=top.self_int)
+            if queue is not None:
+                if not queue:
+                    outcome = Exhausted()
                     break
-                if queue is not None:
-                    if not queue:
-                        outcome = Exhausted()
-                        break
-                    raise ScenarioError(
-                        f"strategy names {queue[0]!r} but it is not a contractible candidate at step {state.step_index}"
-                    )
-            if queue:
-                queue.pop(0)
-            state, kind = _apply_contraction(state, cand)
-            made.append((cand, kind))
-            if len(made) > initial.rho - 1:
-                raise ModelError(f"run took {len(made)} steps from rho {initial.rho}; rho - 1 is the most")
-        steps = tuple(MmpStep(c.name, c.extremal_value, c.self_int, kind, None) for c, kind in made)
-        audit = audit_run(MmpRun(steps=steps, outcome=outcome, audit=None), initial, epsilon)
-    except LogSurfError:
-        _post_classifications(initial, made, epsilon, ())  # an earlier step's error comes first
-        raise
-    classes = _post_classifications(initial, made, epsilon, [s.post_classification for s in audit.steps])
-    steps = tuple(replace(s, post_classification=c) for s, c in zip(steps, classes))
-    return MmpRun(steps=steps, outcome=outcome, audit=audit)
+                raise ScenarioError(
+                    f"strategy names {queue[0]!r} but it is not a contractible candidate at step {state.step_index}"
+                )
+        if queue:
+            queue.pop(0)
+        state, kind = _apply_contraction(state, cand)
+        post = None
+        if pair is not None:  # None once the replay cannot go on
+            pair, step = audit_step(pair, cand.name, len(steps), epsilon, smooth and bounded, violations)
+            if step is not None:
+                audited.append(step)
+                post = step.post_classification
+        if post is None:
+            post = classify(state.surface, _NO_BOUNDARY, epsilon)
+        steps.append(MmpStep(cand.name, cand.extremal_value, cand.self_int, kind, post))
+        if len(steps) > initial.rho - 1:
+            raise ModelError(f"run took {len(steps)} steps from rho {initial.rho}; rho - 1 is the most")
+    rho_sequence = (initial.rho, *(s.rho_after for s in audited))
+    audit = AuditReport(initial.rho, rho_sequence, smooth, bounded, epsilon, tuple(audited), tuple(violations))
+    return MmpRun(steps=tuple(steps), outcome=outcome, audit=audit)
 
 
-def _post_classifications(initial: MmpState, made, epsilon: Fraction, known) -> list:
-    """Each step's class: the audit's `known[i]` where it is not None, else
-    `classify` of the step's own model, rebuilt by replaying `made`. So the
-    first step that cannot be classified raises, as it did in the loop."""
-    if len(known) == len(made) and None not in known:
-        return list(known)
-    state, out = initial, []
-    for i, (cand, _) in enumerate(made):
-        state, _ = _apply_contraction(state, cand)
-        post = known[i] if i < len(known) else None
-        out.append(classify(state.surface, _NO_BOUNDARY, epsilon) if post is None else post)
-    return out
+def _gate(initial: MmpState, epsilon: Fraction) -> tuple[bool, bool]:
+    """Whether check (c) applies, computed once a run: a smooth start, and
+    boundary coefficients at most 1 - epsilon."""
+    cap = Fraction(1) - epsilon
+    return not initial.surface.contracted, all(c <= cap for _, c in initial.boundary.coefficients)
 
 
 def audit_run(run_record: MmpRun, initial: MmpState, epsilon) -> AuditReport:
@@ -322,97 +320,93 @@ def audit_run(run_record: MmpRun, initial: MmpState, epsilon) -> AuditReport:
     minimal resolution has no (-1)-curve, the boundary meets the curve
     negatively. Violations are reported, never raised.
 
+    The run's curves are folded through `audit_step`, the check `run` makes
+    after each contraction. Nothing here reads the run's models.
+    """
+    epsilon = Fraction(epsilon)
+    smooth, bounded = _gate(initial, epsilon)
+    violations = []
+    if len(run_record.steps) > max(initial.rho - 1, 0):
+        violations.append(f"bound: run has {len(run_record.steps)} steps, limit {initial.rho - 1}")
+    pair, audited = (initial.surface, initial.boundary, None, None), []
+    for i, step in enumerate(run_record.steps):
+        pair, audit = audit_step(pair, step.contracted_curve, i, epsilon, smooth and bounded, violations)
+        if audit is None:
+            break
+        audited.append(audit)
+    rho_sequence = (initial.rho, *(s.rho_after for s in audited))
+    return AuditReport(initial.rho, rho_sequence, smooth, bounded, epsilon, tuple(audited), tuple(violations))
+
+
+def audit_step(pair, name: str, i: int, epsilon: Fraction, gate: bool, violations: list):
+    """Checks (a)-(d) of step i, which contracts `name`, on the shadow pair
+    before it: (model, boundary, log numerators and their denominator or
+    None, minimal resolution or None). Check (c) applies where `gate`.
+    Appends what it finds to `violations` and returns the pair after the
+    step and its AuditStep, both None where the replay cannot go on.
+
     Checks (a) and (d) compare integers: (a) the log coefficients'
     numerators over their step's one denominator, cross-multiplied, and
     (d) the boundary pairing's numerator; a Fraction is made only for a
     reported value. Check (c) classifies the one resolution of the new
     shadow model, which the next step's check (d) reuses, and keeps the
-    class (None if it raised) for `run` to report: both models resolve to
-    the one minimal resolution. Nothing here reads the run's models. The
-    boundary was checked when `initial` was built, and a replay step only
-    drops the contracted curve from it.
+    class (None if it raised) for `run` to report. The boundary was
+    checked when the initial state was built, and a step only drops the
+    contracted curve from it.
     """
-    epsilon = Fraction(epsilon)
-    violations = []
-    smooth_start = not initial.surface.contracted
-    cap = Fraction(1) - epsilon
-    coefficients_bounded = all(c <= cap for _, c in initial.boundary.coefficients)
-    check_classification = smooth_start and coefficients_bounded
-    initial_rho = initial.rho
-    if len(run_record.steps) > max(initial_rho - 1, 0):
-        violations.append(f"bound: run has {len(run_record.steps)} steps, limit {initial_rho - 1}")
-    shadow = initial.surface
-    boundary = initial.boundary
-    prev, prev_d = _log_numerators(shadow, boundary)
-    mr = None  # minimal resolution of shadow, carried from the last classification
-    rho_sequence = [initial_rho]
-    audit_steps = []
-    for i, step in enumerate(run_record.steps):
-        name = step.contracted_curve
-        rho_before = rho_sequence[-1]
-        if name in shadow.contracted:
-            violations.append(f"rho: step {i} contracts already-contracted curve {name!r}")
-            break
-        # (d) support condition on the minimal resolution of the current state
-        try:
-            if mr is None:
-                mr = minimal_resolution(shadow)
-            terms, v, d = _pulled_back_curve(mr, name)
-            m = mr.matrix
-            step3_applicable = not any(m[r][r] == m[K_ROW][r] == -1 for r, c in terms if c > 0)
-            db = lcm(*(c.denominator for _, c in boundary.coefficients))
-            pairing = sum(c.numerator * (db // c.denominator) * v[mr.row(n)] for n, c in boundary.coefficients)
-            step3_value = Fraction(pairing, d * db)
-            step3_ok = (not step3_applicable) or pairing < 0
-        except ModelError as exc:
-            step3_applicable, step3_value, step3_ok = False, None, False
-            violations.append(f"step3: step {i} ({name!r}): replay failed: {exc}")
-        if not step3_ok and step3_value is not None:
-            violations.append(
-                f"step3: step {i} ({name!r}): pullback support has no (-1)-curve but boundary pairing {step3_value} >= 0"
-            )
-        try:
-            shadow = declare_contracted(shadow, [name])
-        except NotNegativeDefiniteError as exc:
-            violations.append(f"effectivity: step {i} ({name!r}): replay failed: {exc}")
-            break
-        boundary = boundary.without(name)
-        new, new_d = _log_numerators(shadow, boundary)
-        bad = sorted(n for n in prev.keys() | new.keys() if new.get(n, 0) * prev_d > prev.get(n, 0) * new_d)
-        effectivity_ok = not bad
-        for n in bad:
-            violations.append(
-                f"effectivity: step {i} ({name!r}): coefficient of {n!r} rises from "
-                f"{Fraction(prev.get(n, 0), prev_d)} to {Fraction(new.get(n, 0), new_d)}"
-            )
-        prev, prev_d = new, new_d
-        rho_after = shadow.rank - len(shadow.contracted)
-        if rho_after != rho_before - 1:
-            violations.append(f"rho: step {i} ({name!r}): rank drops {rho_before} -> {rho_after}")
-        rho_sequence.append(rho_after)
-        try:
+    shadow, boundary, numerators, mr = pair
+    prev, prev_d = numerators or _log_numerators(shadow, boundary)
+    rho_before = shadow.rank - len(shadow.contracted)
+    if name in shadow.contracted:
+        violations.append(f"rho: step {i} contracts already-contracted curve {name!r}")
+        return None, None
+    # (d) support condition on the minimal resolution of the current state
+    try:
+        if mr is None:
             mr = minimal_resolution(shadow)
-            post = _singularity_class(mr, _NO_BOUNDARY, epsilon)
-            label = post.classification
-        except ModelError as exc:
-            mr, post, label = None, None, f"error: {exc}"
-        if check_classification and label != EPS_LOG_TERMINAL:
-            violations.append(
-                f"classification: step {i} ({name!r}): surface classifies {label}, "
-                f"expected {EPS_LOG_TERMINAL}"
-            )
-        audit_steps.append(
-            AuditStep(name, rho_before, rho_after, effectivity_ok, label, step3_applicable, step3_value, step3_ok, post)
+        terms, v, d = _pulled_back_curve(mr, name)
+        m = mr.matrix
+        step3_applicable = not any(m[r][r] == m[K_ROW][r] == -1 for r, c in terms if c > 0)
+        db = lcm(*(c.denominator for _, c in boundary.coefficients))
+        pairing = sum(c.numerator * (db // c.denominator) * v[mr.row(n)] for n, c in boundary.coefficients)
+        step3_value = Fraction(pairing, d * db)
+        step3_ok = (not step3_applicable) or pairing < 0
+    except ModelError as exc:
+        step3_applicable, step3_value, step3_ok = False, None, False
+        violations.append(f"step3: step {i} ({name!r}): replay failed: {exc}")
+    if not step3_ok and step3_value is not None:
+        violations.append(
+            f"step3: step {i} ({name!r}): pullback support has no (-1)-curve but boundary pairing {step3_value} >= 0"
         )
-    return AuditReport(
-        initial_rho=initial_rho,
-        rho_sequence=tuple(rho_sequence),
-        smooth_start=smooth_start,
-        coefficients_bounded=coefficients_bounded,
-        epsilon=epsilon,
-        steps=tuple(audit_steps),
-        violations=tuple(violations),
-    )
+    try:
+        shadow = declare_contracted(shadow, [name])
+    except NotNegativeDefiniteError as exc:
+        violations.append(f"effectivity: step {i} ({name!r}): replay failed: {exc}")
+        return None, None
+    boundary = boundary.without(name)
+    new, new_d = _log_numerators(shadow, boundary)
+    bad = sorted(n for n in prev.keys() | new.keys() if new.get(n, 0) * prev_d > prev.get(n, 0) * new_d)
+    for n in bad:
+        violations.append(
+            f"effectivity: step {i} ({name!r}): coefficient of {n!r} rises from "
+            f"{Fraction(prev.get(n, 0), prev_d)} to {Fraction(new.get(n, 0), new_d)}"
+        )
+    rho_after = shadow.rank - len(shadow.contracted)
+    if rho_after != rho_before - 1:
+        violations.append(f"rho: step {i} ({name!r}): rank drops {rho_before} -> {rho_after}")
+    try:
+        mr = minimal_resolution(shadow)
+        post = _singularity_class(mr, _NO_BOUNDARY, epsilon)
+        label = post.classification
+    except ModelError as exc:
+        mr, post, label = None, None, f"error: {exc}"
+    if gate and label != EPS_LOG_TERMINAL:
+        violations.append(
+            f"classification: step {i} ({name!r}): surface classifies {label}, "
+            f"expected {EPS_LOG_TERMINAL}"
+        )
+    step = AuditStep(name, rho_before, rho_after, not bad, label, step3_applicable, step3_value, step3_ok, post)
+    return (shadow, boundary, (new, new_d), mr), step
 
 
 @dataclass(frozen=True)

@@ -38,8 +38,8 @@ from .lattice import (
 from .mmp import MmpState, parse_strategy
 from .singularities import QDivisor
 
-_NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+_NAME_RE = re.compile(r"[A-Za-z0-9_]+")
+_RATIONAL_RE = re.compile(r"-?\d+(/\d+)?")
 
 # Building a model takes O(n^3) time in its n blow-ups, so a huge scenario
 # would run for minutes; bundled, tested and benchmarked towers stay at 30.
@@ -63,9 +63,9 @@ class Scenario:
 
 
 def parse_rational(text, field: str) -> Fraction:
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):  # JSON true is no rational
         return Fraction(text)
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise ScenarioError(f"{field}: malformed rational {text!r} (expected \"p/q\")")
     try:
         return Fraction(text)
@@ -74,7 +74,7 @@ def parse_rational(text, field: str) -> Fraction:
 
 
 def _check_name(name, field: str) -> str:
-    if not isinstance(name, str) or not _NAME_RE.match(name):
+    if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
         raise ScenarioError(f"{field}: bad curve name {name!r}")
     return name
 
@@ -106,6 +106,8 @@ def parse_scenario(text: str) -> Scenario:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ScenarioError("invalid JSON: arrays or objects nested too deeply") from None
     if not isinstance(doc, dict):
         raise ScenarioError("scenario must be a JSON object")
     unknown = set(doc) - {"base", "blowups", "contract", "boundary", "epsilon", "strategy"}

@@ -274,6 +274,21 @@ class TestErrorPaths:
         assert main(["classify", str(path)]) == 2
         assert "zero denominator" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text,needle",
+        [
+            ("[" * 200_000, "error: invalid JSON: arrays or objects nested too deeply"),
+            ('{"base": "P2", "epsilon": true}', "error: epsilon: malformed rational True"),
+            ('{"base": "P2", "blowups": [{"point": "general", "name": "E1\\n"}]}', "bad curve name 'E1\\n'"),
+        ],
+        ids=["deep-nesting", "boolean-epsilon", "newline-name"],
+    )
+    def test_malformed_input_exits_2(self, tmp_path, capsys, text, needle):
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["build", str(path)]) == 2
+        assert needle in capsys.readouterr().err
+
     def test_oversized_scenario(self, tmp_path, capsys):
         blowups = [{"point": "general", "name": f"G{i}"} for i in range(MAX_BLOWUPS + 1)]
         path = tmp_path / "huge.json"

@@ -170,8 +170,8 @@ def test_classification_core_uses_no_fraction():
 
 def test_audit_effectivity_comparison_uses_no_fraction():
     # check (a) cross-multiplies numerators; a Fraction is made only for a
-    # violation's text
-    audit = functions("mmp.py")["audit_run"]
+    # violation's text; `audit_run` folds the per-step check that holds it
+    audit = functions("mmp.py")["audit_step"]
     bad = [
         node.value
         for node in ast.walk(audit)

@@ -373,6 +373,56 @@ class TestContract:
             contract(fiber_signal_state(), "H")
 
 
+class TestContractLookup:
+    """`contract` ranks through `_ranked` and solves C.C for the named curve
+    alone; the result is that of a lookup in the whole `step_candidates`."""
+
+    @staticmethod
+    def listed_contract(state, name):
+        matches = [c for c in step_candidates(state) if c.name == name]
+        if not matches:
+            raise ModelError(f"{name!r} is not an extremal candidate (needs (K + boundary).C < 0)")
+        if matches[0].self_int >= 0:
+            raise ModelError(
+                f"{name!r} has self-intersection {matches[0].self_int} >= 0; "
+                "it signals a fiber space, not a contraction"
+            )
+        return mmp._apply_contraction(state, matches[0])[0]
+
+    @pytest.mark.parametrize("scenario", ["triple_fork_236", "quad_fork_threshold", "quad_fork_star"])
+    def test_every_name_matches_a_full_lookup(self, scenario):
+        state = build_state(bundled_scenario(scenario))
+        assert state.surface.contracted  # the lookup also meets contracted names
+        contracted = 0
+        for name in state.surface.tracked:
+            expected = outcome(lambda: self.listed_contract(state, name))
+            got = outcome(lambda: contract(state, name))
+            if isinstance(expected, LogSurfError):
+                assert (type(got), str(got)) == (type(expected), str(expected))
+            else:
+                assert got == expected
+                contracted += 1
+        assert contracted > 0
+
+    def test_fiber_signal_error_matches(self):
+        state = fiber_signal_state()
+        got = outcome(lambda: contract(state, "H"))
+        expected = outcome(lambda: self.listed_contract(state, "H"))
+        assert "signals a fiber space" in str(expected)
+        assert (type(got), str(got)) == (type(expected), str(expected))
+
+    def test_one_self_intersection_per_contract(self, monkeypatch):
+        state = threshold_state()
+        assert len(step_candidates(state)) > 1
+        calls = counting(monkeypatch, mmp, "contracted_self_intersection")
+        contract(state, "D")
+        assert calls == [(state.surface, "D")]
+        calls.clear()
+        with pytest.raises(ModelError):
+            contract(fiber_signal_state(), "H")
+        assert len(calls) == 1
+
+
 class TestRun:
     def test_castelnuovo_step_on_smooth_surface(self):
         model = blow_up(new_projective_plane(), PointSpec.general(), "E")
@@ -443,6 +493,27 @@ class TestRun:
                     run(state, strategy, epsilon)
                 assert type(exc.value) is ModelError
                 assert str(exc.value) == f"epsilon {F(epsilon)} outside [0, 1]"
+
+    def test_out_of_range_epsilon_fails_after_the_first_contraction(self, monkeypatch):
+        # each step is audited as it is made, so the first step's class is
+        # missing before any later contraction or replay runs
+        applied = counting(monkeypatch, mmp, "_apply_contraction")
+        resolved = counting(monkeypatch, mmp, "minimal_resolution")
+        resolved_in_classify = counting(monkeypatch, singularities, "minimal_resolution")
+        with pytest.raises(ModelError, match=re.escape("epsilon 2 outside [0, 1]")):
+            run(a1_state(), MostNegativeFirst(), 2)
+        # the audit's check (d) and (c) resolutions, then `classify`'s own
+        assert (len(applied), len(resolved), len(resolved_in_classify)) == (1, 2, 1)
+
+    def test_state_validates_a_hand_built_surface(self):
+        for matrix, message in (
+            (((9, 0), (0, -2)), "K.K = 9 but rank 2 needs 8"),
+            (((8, 0), (1, -1)), "intersection matrix is not a symmetric integer matrix at (0, 1)"),
+        ):
+            raw = SurfaceModel(rank=2, names=("A",), matrix=matrix)
+            with pytest.raises(ModelError) as exc:
+                MmpState(surface=raw, boundary=QDivisor.zero())
+            assert (type(exc.value), str(exc.value)) == (ModelError, message)
 
     def test_out_of_range_epsilon_without_steps_returns(self):
         for state, strategy in ((fiber_signal_state(), MostNegativeFirst()), (a1_state(), NamedOrder(()))):
@@ -648,8 +719,9 @@ class TestLazyCandidates:
         lazy_and_eager(ops, base, sixths, epsilon, choose, integer)
 
     def test_never_validated_start_gets_every_check(self):
-        # raw: A.B = -1, so D, which meets A, pulls back with x_B = -1/3 < 0.
-        # G ranks first and is contractible, so only a full ranking solves D.
+        # raw: A.B = -1, so D, which meets A, would pull back with x_B = -1/3
+        # < 0. G ranks first and is contractible, so a lazy ranking would
+        # never solve D; `MmpState` validates the raw surface first.
         model = SurfaceModel(
             rank=5,
             names=("A", "B", "D", "G"),
@@ -662,11 +734,9 @@ class TestLazyCandidates:
             ),
             contracted=frozenset({"A", "B"}),
         )
-        state = MmpState(surface=model, boundary=QDivisor.from_map({"G": F(1, 2)}))
-        for runner in (run, eager_run):
-            with pytest.raises(ModelError) as exc:
-                runner(state, MostNegativeFirst())
-            assert str(exc.value) == "negativity lemma violated; model inconsistent"
+        with pytest.raises(ModelError) as exc:
+            MmpState(surface=model, boundary=QDivisor.from_map({"G": F(1, 2)}))
+        assert str(exc.value) == "tracked curves 'A' and 'B' have negative intersection"
 
     def test_seeded_stream_reaches_every_outcome(self):
         rng = random.Random(20261019)

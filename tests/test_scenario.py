@@ -47,7 +47,7 @@ class TestParseRational:
         assert parse_rational("-2", "x") == -2
         assert parse_rational("0", "x") == 0
 
-    @pytest.mark.parametrize("bad", ["1.5", "1/2/3", "", "a", "1 / 2", None, 1.5, [1]])
+    @pytest.mark.parametrize("bad", ["1.5", "1/2/3", "", "a", "1 / 2", None, 1.5, [1], "1/2\n", "3\n", True, False])
     def test_rejects_everything_else(self, bad):
         with pytest.raises(ScenarioError, match="malformed rational"):
             parse_rational(bad, "x")
@@ -117,6 +117,13 @@ class TestParseScenario:
             (doc(boundary={"C": "1/0"}), "zero denominator"),
             (doc(epsilon="9/8"), "epsilon 9/8 outside"),
             (doc(epsilon="x"), "malformed rational"),
+            (doc(epsilon=True), "epsilon: malformed rational True"),
+            (doc(epsilon=False), "epsilon: malformed rational False"),
+            (doc(epsilon="1/7\n"), "malformed rational"),
+            (doc(boundary={"C": True}), "boundary[C]: malformed rational True"),
+            (doc(boundary={"C": False}), "boundary[C]: malformed rational False"),
+            (doc(blowups=[{"point": "general", "name": "E1\n"}]), "bad curve name 'E1\\n'"),
+            (doc(boundary={"C\n": "1/2"}), "bad curve name"),
             (doc(epsilon="3/0"), "zero denominator"),
             (doc(strategy=7), "strategy: expected a string"),
             (doc(strategy="bogus"), "unknown strategy"),
@@ -128,6 +135,15 @@ class TestParseScenario:
         with pytest.raises(ScenarioError) as exc:
             parse_scenario(text)
         assert needle in str(exc.value).replace('"', "'")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 200_000, '{"base": "P2", "blowups": ' + "[" * 5000 + "]" * 5000 + "}"],
+        ids=["bare", "in-blowups"],
+    )
+    def test_deep_nesting_is_a_scenario_error(self, text):
+        with pytest.raises(ScenarioError, match="^invalid JSON: arrays or objects nested too deeply$"):
+            parse_scenario(text)
 
 
 def general_blowups(count):
