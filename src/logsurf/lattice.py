@@ -172,9 +172,8 @@ def _validated(model: SurfaceModel) -> SurfaceModel:
 
 
 def _contracted_checked(model: SurfaceModel) -> SurfaceModel:
-    """The contracted-set checks of `_validated`, in order. A model that
-    passes is marked `_checked`, an attribute that is not a dataclass field,
-    so equality, hash and repr ignore it."""
+    """The contracted-set checks of `_validated`, in order. A passing model is
+    marked `_checked`, not a dataclass field, so ==, hash and repr ignore it."""
     contracted = sorted(model.contracted)
     for name in contracted:
         if model.self_int(name) >= 0:
@@ -192,6 +191,11 @@ def _contracted_checked(model: SurfaceModel) -> SurfaceModel:
         )
     object.__setattr__(model, "_checked", True)
     return model
+
+
+def _trusted(model: SurfaceModel) -> SurfaceModel:
+    """The builders' one entry check: `model`, validated unless `_checked`."""
+    return model if getattr(model, "_checked", False) else _validated(model)
 
 
 def _bordered(model: SurfaceModel, factor):
@@ -220,15 +224,13 @@ def blow_up(model: SurfaceModel, point: PointSpec, exc_name: str) -> SurfaceMode
     for the curves named in the point spec (strict transforms) and 0
     otherwise. So the old block loses s s^T, E pairs with R as -s_R, and
     E.E = -1. Only smooth models (empty contracted set) may be blown up.
-
-    Nothing `_validated` checks can newly fail, so a `_checked` input needs
-    only `_contracted_checked`. E's name is new; the matrix stays symmetric
-    and integral; K.K drops by one as the rank grows by one; C.C + K.C
-    moves by -s_C^2 - s_C = 0, and E.E + K.E = -2. C.D drops by one only
-    when both pass through the point, an intersection point where C.D >= 1
-    was checked, and E.C = -s_C is 0 or 1. The contracted set is empty. A
-    never-validated input gets the whole `_validated`, with its messages.
+    Past `_trusted`, no `_validated` check can newly fail: E's name is new,
+    the matrix stays symmetric and integral, K.K drops as the rank grows,
+    C.C + K.C moves by -s_C^2 - s_C = 0 and E.E + K.E = -2, C.D drops by one
+    only at a checked intersection point (C.D >= 1), E.C = -s_C is 0 or 1,
+    and nothing is contracted.
     """
+    model = _trusted(model)
     if model.contracted:
         raise ModelError("cannot blow up a model with contracted curves")
     if exc_name in model._rows:
@@ -245,14 +247,13 @@ def blow_up(model: SurfaceModel, point: PointSpec, exc_name: str) -> SurfaceMode
     rows = [[x - si * sj for x, sj in zip(row, s)] + [-si] for row, si in zip(model.matrix, s)]
     rows.append([-si for si in s] + [-1])
     blown = SurfaceModel(rank=model.rank + 1, names=model.names + (exc_name,), matrix=_frozen(rows))
-    if not getattr(model, "_checked", False):
-        return _validated(blown)
     return _contracted_checked(blown)
 
 
 def blow_down(model: SurfaceModel, exc_name: str) -> SurfaceModel:
     """Contract a (-1)-curve e to a smooth point: every other row D, K included,
     becomes D + (D.e)e, e's row and column go, and the rank drops by one."""
+    model = _trusted(model)
     if model.self_int(exc_name) != -1 or model.k_dot(exc_name) != -1:
         raise ModelError(f"{exc_name!r} is not a (-1)-curve; cannot blow down")
     return blow_down_cascade(model, [exc_name])
@@ -271,13 +272,11 @@ def blow_down_cascade(model: SurfaceModel, names) -> SurfaceModel:
     curves only grow (by (D.e)(D'.e) >= 0), and the contracted block left
     is the Schur complement of e.e = -1 in a negative definite block. A
     round can newly break only genus, as C.C + K.C of D moves by
-    (D.e)(D.e - 1), or rank 1; the first round that does ends the pass, and
-    `_validated` then fails with the message that blowing down one model at
-    a time gives. So a `_checked` input whose pass broke nothing needs only
-    `_contracted_checked`, which also marks the result `_checked`; a
-    never-validated input, or a broken pass, goes through the whole
-    `_validated`.
+    (D.e)(D.e - 1), or rank 1. The first round that does ends the pass in
+    `_validated`, with the message of one blow-down at a time; past
+    `_trusted`, an unbroken pass needs only `_contracted_checked`.
     """
+    model = _trusted(model)
     order = [model.row(n) for n in names]
 
     def ready(rows):
@@ -308,28 +307,23 @@ def blow_down_cascade(model: SurfaceModel, names) -> SurfaceModel:
         matrix=_frozen([[rows[i][j] for j in keep] for i in keep]),
         contracted=model.contracted.difference(model.names[i - 1] for i in dropped),
     )
-    if broken or not getattr(model, "_checked", False):
-        return _validated(result)
-    return _contracted_checked(result)
+    return _validated(result) if broken else _contracted_checked(result)
 
 
 def declare_contracted(model: SurfaceModel, names) -> SurfaceModel:
     """Extend the contracted set, validating Artin contractibility.
 
-    The new model keeps `model`'s rank, names and matrix tuple, all that the
-    matrix checks of `_validated` read, so for a model that came out of
-    `_validated` they cannot change outcome and are skipped. Only the
-    contracted-set checks run again, in `_validated`'s order and with its
-    messages, and the Sylvester test borders `model`'s factor with one row
-    per new curve. A model never validated gets the whole of `_validated`.
+    Past `_trusted`, the new model keeps all that the matrix checks of
+    `_validated` read (rank, names, matrix), so only the contracted-set
+    checks run again, in order and with their messages, the Sylvester test
+    bordering `model`'s factor with one row per new curve.
     """
+    model = _trusted(model)
     names = frozenset(names)
     unknown = names - set(model.names)
     if unknown:
         raise ModelError(f"cannot contract unknown curves: {sorted(unknown)}")
     extended = replace(model, contracted=model.contracted | names)
-    if not getattr(model, "_checked", False):
-        return _validated(extended)
     # seed the cached_property; the frozen dataclass forbids setattr
     extended.__dict__["contracted_factor"] = _bordered(extended, model.contracted_factor)
     return _contracted_checked(extended)

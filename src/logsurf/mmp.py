@@ -25,7 +25,7 @@ from .lattice import (
     K_ROW,
     PointSpec,
     SurfaceModel,
-    _validated,
+    _trusted,
     blow_down,
     blow_up,
     declare_contracted,
@@ -51,13 +51,14 @@ _NO_BOUNDARY = QDivisor.zero()
 
 @dataclass(frozen=True)
 class MmpState:
+    """A surface and its boundary; a hand-built surface is validated here, as in every builder."""
+
     surface: SurfaceModel
     boundary: QDivisor
     step_index: int = 0
 
     def __post_init__(self):
-        if not getattr(self.surface, "_checked", False):
-            _validated(self.surface)  # a hand-built surface is checked once, here
+        _trusted(self.surface)
         _check_boundary(self.surface, self.boundary)
 
     @property

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -39,7 +40,7 @@ from .mmp import MmpState, parse_strategy
 from .singularities import QDivisor
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+")
-_RATIONAL_RE = re.compile(r"-?\d+(/\d+)?")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 # Building a model takes O(n^3) time in its n blow-ups, so a huge scenario
 # would run for minutes; bundled, tested and benchmarked towers stay at 30.
@@ -71,6 +72,8 @@ def parse_rational(text, field: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ScenarioError(f"{field}: zero denominator in {text!r}") from None
+    except ValueError:  # a term past the interpreter's int digit limit
+        raise ScenarioError(f"{field}: rational has a term over {sys.get_int_max_str_digits()} digits") from None
 
 
 def _check_name(name, field: str) -> str:
@@ -108,6 +111,8 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     except RecursionError:
         raise ScenarioError("invalid JSON: arrays or objects nested too deeply") from None
+    except ValueError:  # an integer past the interpreter's int digit limit
+        raise ScenarioError(f"invalid JSON: integer over {sys.get_int_max_str_digits()} digits") from None
     if not isinstance(doc, dict):
         raise ScenarioError("scenario must be a JSON object")
     unknown = set(doc) - {"base", "blowups", "contract", "boundary", "epsilon", "strategy"}

@@ -280,8 +280,18 @@ class TestErrorPaths:
             ("[" * 200_000, "error: invalid JSON: arrays or objects nested too deeply"),
             ('{"base": "P2", "epsilon": true}', "error: epsilon: malformed rational True"),
             ('{"base": "P2", "blowups": [{"point": "general", "name": "E1\\n"}]}', "bad curve name 'E1\\n'"),
+            ('{"base": "P2", "epsilon": "١/٧"}', "error: epsilon: malformed rational '١/٧'"),
+            ('{"base": "P2", "epsilon": ' + "1" * 5001 + "}", "error: invalid JSON: integer over"),
+            ('{"base": "P2", "epsilon": "1/' + "7" * 5001 + '"}', "error: epsilon: rational has a term over"),
         ],
-        ids=["deep-nesting", "boolean-epsilon", "newline-name"],
+        ids=[
+            "deep-nesting",
+            "boolean-epsilon",
+            "newline-name",
+            "non-ascii-digits",
+            "long-json-integer",
+            "long-rational",
+        ],
     )
     def test_malformed_input_exits_2(self, tmp_path, capsys, text, needle):
         path = tmp_path / "bad.json"

@@ -4,7 +4,9 @@ The script below runs in a `python -O` subprocess, where every `assert`
 statement is removed, and prints the exception each guard raises. The
 package itself holds no `assert` statement at all; `linalg`, the integer
 classification core (the label core that audit check (c) reads included)
-and audit check (a)'s comparison never touch a Fraction.
+and audit check (a)'s comparison never touch a Fraction. Only
+`lattice._trusted` reads the `_checked` flag, so the builders keep one
+path for raw and checked models.
 """
 
 import ast
@@ -39,7 +41,7 @@ two_at_rank_1 = SurfaceModel(
     matrix=((9, -1, -1), (-1, -1, 0), (-1, 0, -1)),
     contracted=frozenset({"A", "B"}),
 )
-# validated smooth parents, so declare_contracted takes the bordered path
+# smooth parents, whose factor declare_contracted borders
 line = _validated(coordinate_model(1, (-3,), {"L": (1,)}))
 meeting_once = _validated(coordinate_model(3, (-3, 1, 1), {"E1": (0, 1, 0), "L": (1, -1, -1)}))
 two_at_rank_1_smooth = _validated(SurfaceModel(rank=1, names=("A", "B"), matrix=two_at_rank_1.matrix))
@@ -179,3 +181,38 @@ def test_audit_effectivity_comparison_uses_no_fraction():
     ]
     assert len(bad) == 1
     assert names_fraction(bad[0]) == []
+
+
+def flag_uses(attr):
+    """(module, innermost function, "read" or "set") for each use of the
+    attribute `attr` in the package: `x.attr`, or `attr` as a string
+    constant, as in `getattr(x, "attr")` or `object.__setattr__(x, "attr", v)`."""
+    uses = []
+    for path in sorted((SRC / "logsurf").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == attr:
+                sets = not isinstance(node.ctx, ast.Load)
+            elif isinstance(node, ast.Constant) and node.value == attr:
+                up = parent[node]
+                called = getattr(up.func, "attr", getattr(up.func, "id", None)) if isinstance(up, ast.Call) else None
+                sets = called in ("setattr", "__setattr__", "delattr") or (
+                    isinstance(up, ast.Subscript) and not isinstance(up.ctx, ast.Load)
+                )
+            else:
+                continue
+            scope = parent.get(node)
+            while scope is not None and not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = parent.get(scope)
+            uses.append((path.stem, getattr(scope, "name", "<module>"), "set" if sets else "read"))
+    return uses
+
+
+def test_checked_flag_has_one_reader_and_one_writer():
+    # one trust boundary: the builders' entry check alone reads the flag,
+    # and the contracted-set checks that end every validation alone set it
+    assert sorted(flag_uses("_checked")) == [
+        ("lattice", "_contracted_checked", "set"),
+        ("lattice", "_trusted", "read"),
+    ]

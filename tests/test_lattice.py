@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -308,7 +309,8 @@ class TestInvariants:
 
 class TestCheckedBlowUp:
     """blow_up of a `_checked` model skips `_validated`, whose checks it
-    cannot fail; a raw model still gets every one of them."""
+    cannot fail; a raw model gets every one of them at entry, so the
+    messages describe the input, not the blown-up model."""
 
     @settings(max_examples=200)
     @given(TOWER_OPS, st.booleans())
@@ -345,9 +347,9 @@ class TestCheckedBlowUp:
         "k-squared": (
             SurfaceModel(rank=4, names=A_B.names, matrix=A_B.matrix),
             PointSpec.general(),
-            "K.K = 6 but rank 5 needs 5",
+            "K.K = 7 but rank 4 needs 6",
         ),
-        "rank": (SurfaceModel(rank=-1, names=A_B.names, matrix=A_B.matrix), PointSpec.general(), "rank 0 < 1"),
+        "rank": (SurfaceModel(rank=-1, names=A_B.names, matrix=A_B.matrix), PointSpec.general(), "rank -1 < 1"),
         "names": (
             SurfaceModel(rank=3, names=("A", "A"), matrix=A_B.matrix),
             PointSpec.general(),
@@ -355,9 +357,24 @@ class TestCheckedBlowUp:
         ),
     }
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda m: blow_up(m, PointSpec.on_curve("Z"), "E"),
+            lambda m: blow_up(replace(m, contracted=frozenset({"A"})), PointSpec.general(), "E"),
+            lambda m: declare_contracted(m, ["Z"]),
+            lambda m: declare_contracted(m, ["A"]),
+        ],
+        ids=["blow_up-unknown-curve", "blow_up-contracted", "declare-unknown-curve", "declare"],
+    )
+    def test_raw_input_is_checked_before_the_arguments(self, build):
+        with pytest.raises(ModelError) as exc:
+            build(with_entries(A_B, {(0, 1): 1}))
+        assert str(exc.value) == "intersection matrix is not a symmetric integer matrix at (0, 1)"
+
     @pytest.mark.parametrize("case", sorted(RAW_CASES))
     def test_raw_input_gets_every_check(self, case):
-        # the messages are those of blowing up and then validating from scratch
+        # the messages are those of validating the input as given
         raw, point, message = self.RAW_CASES[case]
         assert not hasattr(raw, "_checked")
         with pytest.raises(ModelError) as exc:

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction as F
 from importlib import resources
 
@@ -21,6 +22,8 @@ from logsurf.scenario import (
     star_scenario,
 )
 from logsurf.singularities import QDivisor
+
+DIGITS = sys.get_int_max_str_digits()  # longest integer literal int() accepts
 
 
 def doc(**overrides):
@@ -47,7 +50,9 @@ class TestParseRational:
         assert parse_rational("-2", "x") == -2
         assert parse_rational("0", "x") == 0
 
-    @pytest.mark.parametrize("bad", ["1.5", "1/2/3", "", "a", "1 / 2", None, 1.5, [1], "1/2\n", "3\n", True, False])
+    @pytest.mark.parametrize(
+        "bad", ["1.5", "1/2/3", "", "a", "1 / 2", None, 1.5, [1], "1/2\n", "3\n", True, False, "١/٧", "１/７"]
+    )
     def test_rejects_everything_else(self, bad):
         with pytest.raises(ScenarioError, match="malformed rational"):
             parse_rational(bad, "x")
@@ -144,6 +149,20 @@ class TestParseScenario:
     def test_deep_nesting_is_a_scenario_error(self, text):
         with pytest.raises(ScenarioError, match="^invalid JSON: arrays or objects nested too deeply$"):
             parse_scenario(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"base": "P2", "epsilon": ' + "1" * (DIGITS + 1) + "}", f"invalid JSON: integer over {DIGITS} digits"),
+            (doc(epsilon="1/" + "7" * (DIGITS + 1)), f"epsilon: rational has a term over {DIGITS} digits"),
+            (doc(boundary={"C": "1" * (DIGITS + 1) + "/7"}), f"boundary[C]: rational has a term over {DIGITS} digits"),
+        ],
+        ids=["json-number", "epsilon", "boundary"],
+    )
+    def test_over_long_integers_are_scenario_errors(self, text, message):
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(text)
+        assert str(exc.value) == message
 
 
 def general_blowups(count):

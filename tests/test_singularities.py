@@ -15,6 +15,7 @@ from logsurf.lattice import (
     PointSpec,
     SurfaceModel,
     _validated,
+    blow_down,
     blow_up,
     declare_contracted,
     new_projective_plane,
@@ -39,6 +40,7 @@ from oracles import (
     CoordinateTower,
     charpoly_negdef,
     coordinate_model,
+    dense_blow_down,
     fraction_classify,
     gauss_solve,
     pairing,
@@ -500,10 +502,10 @@ class TestMinimalResolutionOracle:
         assert not hasattr(raw, "_checked")
         valid = outcome(lambda: _validated(replace(raw)))
         got = outcome(lambda: minimal_resolution(raw))
-        if got is raw:  # nothing was ready
-            return
         if isinstance(valid, LogSurfError):
-            assert type(got) is type(valid)
+            assert (type(got), str(got)) == (type(valid), str(valid))
+            return
+        if got is raw:  # nothing was ready
             return
         expected = minimal_resolution(valid)
         assert getattr(got, "_checked", False)
@@ -516,7 +518,7 @@ class TestMinimalResolutionOracle:
 
     def test_never_validated_input_gets_every_check(self):
         # A and B meet negatively, which no blow-down of E touches; a raw
-        # model must still fail on it after the pass
+        # model fails on it at entry, before the pass
         tower = new_projective_plane()
         for name in ("A", "B", "E"):
             tower = blow_up(tower, PointSpec.general(), name)
@@ -571,17 +573,76 @@ class TestMinimalResolutionOracle:
         assert str(exc) == f"curve {broken!r} is not a smooth rational class (genus != 0)"
 
     def test_rank_floor_matches_the_stepwise_oracle(self):
-        # two contracted disjoint (-1)-curves at rank 1, which no blown-up
-        # plane carries (_validated rejects them by the Hodge index); the
-        # pass stops where the rank reaches 0
-        model = SurfaceModel(
+        # a (-1)-curve at rank 1, which no blown-up plane carries but which
+        # _validated, with no full inertia test, lets through; the pass
+        # stops where the rank reaches 0, as one dense blow-down does
+        model = _validated(SurfaceModel(rank=1, names=("A",), matrix=((9, -1), (-1, -1))))
+        for blow in (blow_down, dense_blow_down):
+            with pytest.raises(ModelError) as exc:
+                blow(model, "A")
+            assert str(exc.value) == "rank 0 < 1"
+        # two such curves contracted fail at entry, by the Hodge index
+        raw = SurfaceModel(
             rank=1,
             names=("A", "B"),
             matrix=((9, -1, -1), (-1, -1, 0), (-1, 0, -1)),
             contracted=frozenset({"A", "B"}),
         )
-        exc = assert_matches_stepwise(model)
-        assert str(exc) == "rank 0 < 1"
+        with pytest.raises(NotNegativeDefiniteError) as exc:
+            minimal_resolution(raw)
+        assert str(exc.value) == (
+            "contracted configuration ['A', 'B'] spans 2 negative directions; rank 1 allows at most 0"
+        )
+
+    SHORT_ROW = SurfaceModel(rank=2, names=("A",), matrix=((8, -1), (-1,)))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda m: blow_down(m, "A"),
+            minimal_resolution,
+            lambda m: classify(m, QDivisor.zero(), 0),
+        ],
+        ids=["blow_down", "minimal_resolution", "classify"],
+    )
+    def test_short_row_fails_at_entry(self, build):
+        with pytest.raises(ModelError) as exc:
+            build(self.SHORT_ROW)
+        assert str(exc.value) == "intersection matrix is not 2 x 2"
+
+
+class TestRawCopies:
+    """Every builder validates a raw model at entry, so a raw copy of a
+    checked model builds what the model builds, or fails as it fails."""
+
+    @settings(max_examples=150)
+    @given(TOWER_OPS, st.integers(0, 2**16 - 1), st.data())
+    def test_raw_copy_builds_as_the_checked_model(self, ops, mask, data):
+        model = tower_from(ops, mask if data.draw(st.booleans()) else 0)
+        kind = data.draw(st.sampled_from(("general", "on", "at")))
+        point = tower_point(model, kind, data.draw(st.integers(0, 10**6)))
+        down = data.draw(st.sampled_from(model.tracked))
+        batch = data.draw(st.lists(st.sampled_from(model.tracked), max_size=3))
+        builds = {
+            "blow_up": lambda m: blow_up(m, point, "X"),
+            "blow_down": lambda m: blow_down(m, down),
+            "declare_contracted": lambda m: declare_contracted(m, batch),
+            "minimal_resolution": minimal_resolution,
+        }
+        for op, build in builds.items():
+            raw = replace(model)
+            assert not hasattr(raw, "_checked")
+            expected, got = outcome(lambda: build(model)), outcome(lambda: build(raw))
+            if isinstance(expected, LogSurfError):
+                assert (type(got), str(got)) == (type(expected), str(expected)), op
+                continue
+            assert getattr(got, "_checked", False), op
+            assert (got.rank, got.names, got.matrix, got.contracted) == (
+                expected.rank,
+                expected.names,
+                expected.matrix,
+                expected.contracted,
+            ), op
 
 
 class TestSncFormula:
