@@ -5,8 +5,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import ModelError
+from .lattice import _trusted
 from .linalg import is_negative_definite_matrix
 
 CHAIN = "chain"
@@ -69,18 +71,12 @@ class GraphShape:
 
 
 def build_dual_graph(model, names) -> WeightedDualGraph:
-    """Dual graph of the named tracked curves with current intersections."""
+    """Dual graph of the named tracked curves with current intersections; a
+    hand-built model is validated first, so none is negative."""
+    model = _trusted(model)
     names = sorted(set(names))
-    for n in names:
-        model.row(n)  # raises ModelError on unknown names
     vertices = tuple((n, model.self_int(n), model.genus(n)) for n in names)
-    edges = []
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            mult = model.intersection(a, b)
-            if mult < 0:
-                raise ModelError(f"tracked curves {a!r} and {b!r} have negative intersection")
-            edges.extend([(a, b)] * mult)
+    edges = [(a, b) for a, b in combinations(names, 2) for _ in range(model.intersection(a, b))]
     return WeightedDualGraph(vertices=vertices, edges=tuple(sorted(edges)))
 
 

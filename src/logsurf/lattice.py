@@ -13,11 +13,12 @@ entry of the matrix or a linear combination of its rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import lcm
+from operator import itemgetter
 
 from .errors import ModelError, NotNegativeDefiniteError
 from .linalg import extend_factor, negative_definite_factor
@@ -121,22 +122,21 @@ class SurfaceModel:
         factor = negative_definite_factor(self.gram(order))
         return None if factor is None else (order, factor)
 
-    def pairings(self, terms) -> tuple[list[int], int]:
+    def pairings(self, terms, cols) -> tuple[list[int], int]:
         """Row (v, d) of a rational combination of rows, given as (row,
-        coefficient) pairs with K_ROW for K: v[j] / d is its pairing with row
-        j. Denominators are cleared once; v is an integer sum of rows."""
+        coefficient) pairs with K_ROW for K, on the columns `cols`: v[j] / d
+        is its pairing with row cols[j]. Denominators are cleared once."""
         d = lcm(*(c.denominator for _, c in terms))
-        v = [0] * len(self.matrix)
+        v = [0] * len(cols)
         for i, c in terms:
-            a = c.numerator * (d // c.denominator)
-            v = [x + a * y for x, y in zip(v, self.matrix[i])]
+            a, row = c.numerator * (d // c.denominator), self.matrix[i]
+            v = [x + a * row[j] for x, j in zip(v, cols)]
         return v, d
 
 
-def _frozen(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
-    # tuple() of a list allocates the exact size; tuple() of a generator
-    # grows from a guess and strands CPython's per-size tuple free lists
-    return tuple([tuple(row) for row in rows])
+def _picker(idx):
+    """`operator.itemgetter(*idx)`, which runs in C, but a tuple for one index too."""
+    return itemgetter(*idx) if len(idx) > 1 else lambda row: (row[idx[0]],)
 
 
 def _validated(model: SurfaceModel) -> SurfaceModel:
@@ -223,7 +223,10 @@ def blow_up(model: SurfaceModel, point: PointSpec, exc_name: str) -> SurfaceMode
     Every old row R becomes R + s_R E, with s_K = +1 (K' = K + E), s_C = -1
     for the curves named in the point spec (strict transforms) and 0
     otherwise. So the old block loses s s^T, E pairs with R as -s_R, and
-    E.E = -1. Only smooth models (empty contracted set) may be blown up.
+    E.E = -1. Only K's row and those of the curves through the point are
+    rewritten; every other row is its old tuple plus a 0, so the cost is
+    O(n) Python work and an O(n^2) copy in C. Only smooth models may be
+    blown up.
     Past `_trusted`, no `_validated` check can newly fail: E's name is new,
     the matrix stays symmetric and integral, K.K drops as the rank grows,
     C.C + K.C moves by -s_C^2 - s_C = 0 and E.E + K.E = -2, C.D drops by one
@@ -242,11 +245,17 @@ def blow_up(model: SurfaceModel, point: PointSpec, exc_name: str) -> SurfaceMode
         a, b = point.names
         if model.intersection(a, b) < 1:
             raise ModelError(f"curves {a!r} and {b!r} do not meet; no intersection to blow up")
-    through = {model.row(n) for n in point.names}
-    s = [1] + [-1 if i in through else 0 for i in range(1, len(model.matrix))]
-    rows = [[x - si * sj for x, sj in zip(row, s)] + [-si] for row, si in zip(model.matrix, s)]
-    rows.append([-si for si in s] + [-1])
-    blown = SurfaceModel(rank=model.rank + 1, names=model.names + (exc_name,), matrix=_frozen(rows))
+    s = {K_ROW: 1, **{model.row(n): -1 for n in point.names}}
+    rows = [row + (0,) for row in model.matrix]
+    e = [0] * len(rows) + [-1]
+    for i, si in s.items():
+        row = list(rows[i])
+        for j, sj in s.items():
+            row[j] -= si * sj
+        row[-1] = e[i] = -si
+        rows[i] = tuple(row)
+    rows.append(tuple(e))
+    blown = SurfaceModel(rank=model.rank + 1, names=model.names + (exc_name,), matrix=tuple(rows))
     return _contracted_checked(blown)
 
 
@@ -263,16 +272,17 @@ def blow_down_cascade(model: SurfaceModel, names) -> SurfaceModel:
     """Blow down the first of `names` with C.C = K.C = -1 in the current
     matrix, again and again until none is left; `model` itself if none is.
 
-    One pass, in place, on a copy of the matrix, made only once a curve is
-    ready. Blowing down e is the update M + g g^T with g the column of e:
-    only entries where g_i and g_j are both nonzero move (K, e and the
-    curves meeting e), and e's row and column become zero, so e is never
-    picked again. The update projects onto e-perp: K.K and the rank move
-    together, the matrix stays symmetric and integral, entries between
-    curves only grow (by (D.e)(D'.e) >= 0), and the contracted block left
-    is the Schur complement of e.e = -1 in a negative definite block. A
-    round can newly break only genus, as C.C + K.C of D moves by
-    (D.e)(D.e - 1), or rank 1. The first round that does ends the pass in
+    One pass over the old rows; a row is copied only in a round that moves
+    it. Blowing down e is the update M + g g^T with g the column of e: only
+    entries where g_i and g_j are both nonzero move (K, e and the curves
+    meeting e), and e's row and column become zero, so e is never picked
+    again. The kept columns are picked by `_picker`: O(n) Python work a
+    round and an O(n^2) copy in C. The update projects onto e-perp: K.K and
+    the rank move together, the matrix stays symmetric and integral,
+    entries between curves only grow (by (D.e)(D'.e) >= 0), and the
+    contracted block left is the Schur complement of e.e = -1 in a negative
+    definite block. A round can newly break only genus, as C.C + K.C of D
+    moves by (D.e)(D.e - 1), or rank 1. The first round that does ends the pass in
     `_validated`, with the message of one blow-down at a time; past
     `_trusted`, an unbroken pass needs only `_contracted_checked`.
     """
@@ -285,13 +295,13 @@ def blow_down_cascade(model: SurfaceModel, names) -> SurfaceModel:
     e = ready(model.matrix)
     if e is None:
         return model
-    rows = [list(row) for row in model.matrix]
+    rows = list(model.matrix)
     dropped = []
     while e is not None:
         dropped.append(e)
         g = [(i, x) for i, x in enumerate(rows[e]) if x]
         for i, gi in g:
-            row = rows[i]
+            row = rows[i] = list(rows[i])
             for j, gj in g:
                 row[j] += gi * gj
         broken = len(dropped) == model.rank or any(
@@ -301,10 +311,11 @@ def blow_down_cascade(model: SurfaceModel, names) -> SurfaceModel:
             break
         e = ready(rows)
     keep = [i for i in range(len(rows)) if i not in dropped]
+    pick = _picker(keep)  # keep is [K_ROW] alone for a rank-1 result
     result = SurfaceModel(
         rank=model.rank - len(dropped),
         names=tuple([model.names[i - 1] for i in keep[1:]]),
-        matrix=_frozen([[rows[i][j] for j in keep] for i in keep]),
+        matrix=tuple([pick(rows[i]) for i in keep]),
         contracted=model.contracted.difference(model.names[i - 1] for i in dropped),
     )
     return _validated(result) if broken else _contracted_checked(result)
@@ -320,10 +331,10 @@ def declare_contracted(model: SurfaceModel, names) -> SurfaceModel:
     """
     model = _trusted(model)
     names = frozenset(names)
-    unknown = names - set(model.names)
+    unknown = names.difference(model._rows)
     if unknown:
         raise ModelError(f"cannot contract unknown curves: {sorted(unknown)}")
-    extended = replace(model, contracted=model.contracted | names)
+    extended = SurfaceModel(model.rank, model.names, model.matrix, model.contracted | names)
     # seed the cached_property; the frozen dataclass forbids setattr
     extended.__dict__["contracted_factor"] = _bordered(extended, model.contracted_factor)
     return _contracted_checked(extended)

@@ -119,39 +119,40 @@ def parse_strategy(text: str):
     raise ScenarioError(f"unknown strategy {text!r}")
 
 
-def _pulled_back_curve(model: SurfaceModel, name: str):
+def _pulled_back_curve(model: SurfaceModel, name: str, cols):
     """The pullback C* of a tracked curve over one denominator d > 0: the
-    terms of d C* and its row (v, d), from one `pulled_back` solve
-    (negativity lemma included) when C meets the contracted set."""
+    terms of d C* and its row (v, d) on the columns `cols`, solved by
+    `pulled_back` (negativity lemma included) when C meets the contracted set."""
     r = model.row(name)
     if not any(model.intersection(name, e) for e in model.contracted):
-        return [(r, 1)], model.matrix[r], 1  # C* = C
-    x, v, d = pulled_back(model, [(r, 1)])
+        return [(r, 1)], [model.matrix[r][j] for j in cols], 1  # C* = C
+    x, v, d = pulled_back(model, [(r, 1)], cols)
     return [(r, d)] + list(zip(map(model.row, sorted(model.contracted)), x)), v, d
 
 
 def extremal_pairing(model: SurfaceModel, boundary: QDivisor, name: str) -> Fraction:
     """(K + boundary).C on the modeled surface: (K + B).C* = L*.C, read off
-    the row of the log pullback L* (see `pulled_back`)."""
+    C's entry of the log pullback L*'s row (see `pulled_back`)."""
     if name in model.contracted:
         raise ModelError(f"curve {name!r} is contracted; it has no extremal pairing")
     r = model.row(name)
-    _, v, d = pulled_back(model, [(K_ROW, 1)] + divisor_terms(model, boundary))
-    return Fraction(v[r], d)
+    _, v, d = pulled_back(model, [(K_ROW, 1)] + divisor_terms(model, boundary), (r,))
+    return Fraction(v[0], d)
 
 
 def contracted_self_intersection(model: SurfaceModel, name: str) -> Fraction:
     """C.C on the modeled surface (not on the resolution): C*.C* = C*.C."""
-    _, v, d = _pulled_back_curve(model, name)
-    return Fraction(v[model.row(name)], d)
+    _, v, d = _pulled_back_curve(model, name, (model.row(name),))
+    return Fraction(v[0], d)
 
 
 def _ranked(model: SurfaceModel, boundary: QDivisor) -> tuple[list[tuple[int, str]], int]:
-    """Sorted keys (v[r], name) of the curves with (K + boundary).C < 0, v
-    the row of the log pullback over its one denominator d > 0, and d. As v
-    is zero on the contracted set, no contracted curve is ranked."""
-    _, v, d = pulled_back(model, [(K_ROW, 1)] + divisor_terms(model, boundary))
-    return sorted((v[r], name) for r, name in enumerate(model.names, 1) if v[r] < 0), d
+    """Sorted keys (x, name) of the non-contracted curves with (K +
+    boundary).C = x / d < 0: x is the curve's entry of the log pullback's
+    row over its one denominator d > 0, returned too."""
+    live = [name for name in model.names if name not in model.contracted]
+    _, v, d = pulled_back(model, [(K_ROW, 1)] + divisor_terms(model, boundary), list(map(model.row, live)))
+    return sorted((x, name) for x, name in zip(v, live) if x < 0), d
 
 
 def _candidate(model: SurfaceModel, key: tuple[int, str], d: int) -> Candidate:
@@ -354,6 +355,15 @@ def audit_step(pair, name: str, i: int, epsilon: Fraction, gate: bool, violation
     class (None if it raised) for `run` to report. The boundary was
     checked when the initial state was built, and a step only drops the
     contracted curve from it.
+
+    The resolution is carried: the new one is `minimal_resolution` of the
+    old one with `name` declared contracted, which borders the old factor
+    and blows down only what `name` frees. It equals the new shadow's: a
+    normal surface has one minimal resolution, and rows keep their original
+    order. Its checks pass once they passed on the shadow: the bordered
+    pivot's Schur complement is C*^2 < 0 on both, C.C <= C*^2, and rho is
+    the same. The whole shadow is resolved only where none is carried or
+    the old shadow was its own; a class that raises keeps the resolution.
     """
     shadow, boundary, numerators, mr = pair
     prev, prev_d = numerators or _log_numerators(shadow, boundary)
@@ -365,11 +375,11 @@ def audit_step(pair, name: str, i: int, epsilon: Fraction, gate: bool, violation
     try:
         if mr is None:
             mr = minimal_resolution(shadow)
-        terms, v, d = _pulled_back_curve(mr, name)
+        terms, v, d = _pulled_back_curve(mr, name, [mr.row(n) for n in boundary.names])
         m = mr.matrix
         step3_applicable = not any(m[r][r] == m[K_ROW][r] == -1 for r, c in terms if c > 0)
         db = lcm(*(c.denominator for _, c in boundary.coefficients))
-        pairing = sum(c.numerator * (db // c.denominator) * v[mr.row(n)] for n, c in boundary.coefficients)
+        pairing = sum(c.numerator * (db // c.denominator) * vn for (_, c), vn in zip(boundary.coefficients, v))
         step3_value = Fraction(pairing, d * db)
         step3_ok = (not step3_applicable) or pairing < 0
     except ModelError as exc:
@@ -380,7 +390,7 @@ def audit_step(pair, name: str, i: int, epsilon: Fraction, gate: bool, violation
             f"step3: step {i} ({name!r}): pullback support has no (-1)-curve but boundary pairing {step3_value} >= 0"
         )
     try:
-        shadow = declare_contracted(shadow, [name])
+        shadow, old = declare_contracted(shadow, [name]), shadow
     except NotNegativeDefiniteError as exc:
         violations.append(f"effectivity: step {i} ({name!r}): replay failed: {exc}")
         return None, None
@@ -395,12 +405,13 @@ def audit_step(pair, name: str, i: int, epsilon: Fraction, gate: bool, violation
     rho_after = shadow.rank - len(shadow.contracted)
     if rho_after != rho_before - 1:
         violations.append(f"rho: step {i} ({name!r}): rank drops {rho_before} -> {rho_after}")
+    carried, mr, post = (None if mr is old else mr), None, None
     try:
-        mr = minimal_resolution(shadow)
+        mr = minimal_resolution(shadow if carried is None else declare_contracted(carried, [name]))
         post = _singularity_class(mr, _NO_BOUNDARY, epsilon)
         label = post.classification
     except ModelError as exc:
-        mr, post, label = None, None, f"error: {exc}"
+        label = f"error: {exc}"
     if gate and label != EPS_LOG_TERMINAL:
         violations.append(
             f"classification: step {i} ({name!r}): surface classifies {label}, "

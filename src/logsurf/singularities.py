@@ -18,9 +18,10 @@ from functools import total_ordering
 from itertools import combinations
 from math import lcm
 from numbers import Rational
+from operator import mul
 
 from .errors import ModelError, MultiEdgeError
-from .lattice import K_ROW, SurfaceModel, blow_down_cascade
+from .lattice import K_ROW, SurfaceModel, _picker, _trusted, blow_down_cascade
 from .linalg import solve_exact
 
 
@@ -129,51 +130,50 @@ def _check_boundary(model: SurfaceModel, boundary: QDivisor) -> None:
 
 
 def divisor_terms(model: SurfaceModel, divisor: QDivisor) -> list[tuple[int, Fraction]]:
-    """A divisor as (row, coefficient) pairs for SurfaceModel.pairings."""
+    """A divisor as (row, coefficient) pairs for `pulled_back`."""
     return [(model.row(name), c) for name, c in divisor.coefficients]
 
 
-def pulled_back(model: SurfaceModel, terms) -> tuple[list[int], list[int], int]:
+def pulled_back(model: SurfaceModel, terms, cols) -> tuple[list[int], list[int], int]:
     """Pullback D* = D + sum x_i E_i of a combination D of rows, orthogonal
     to every contracted E_j, over one denominator d > 0: the numerators d x
-    (curves in name order) and the row v of d D*, so v[j] / d is D*.(row j).
-    With nothing contracted, x is [] and (v, d) is the row of D.
+    (curves in name order) and D*'s row v on the columns `cols`, so v[j] / d
+    is D*.(row cols[j]). With nothing contracted, x is [] and D* = D.
 
-    One integer solve against the model's factorization of the contracted
-    block, in the factor's own curve order. With (u, du) the row of D it
-    gives A y = det(A) (-u on the contracted rows); det has the sign of
-    (-1)^k, so y and det are negated when it is negative. Then d = det du,
-    and D*'s row is built from D's as v = det u + sum y_i (row of E_i), with
-    orthogonality re-checked in integers on v's contracted entries. For an
-    effective D (curves only, coefficients >= 0) the negativity lemma,
-    x >= 0, is checked here too. As D*.E_i = C*.E_i = 0, the projection
-    formula D*.C = D.C* holds for every curve C, so one log pullback
-    L* = K + B + sum g_i E_i gives every (K + B).C* = L*.C.
+    One integer solve against the factorization of the k x k contracted
+    block, in the factor's curve order. With (u, du) D's row on the
+    contracted columns, then `cols`, it gives A y = det(A) (-u on the
+    contracted columns); det has the sign of (-1)^k, so y and det are
+    negated when it is negative. Then d = det du and v = det u + sum y_i
+    (row of E_i), re-checked to be zero on the contracted columns: O((k +
+    len(cols)) (|terms| + k)), so callers ask only for the rows they read.
+    For an effective D (curves only, coefficients >= 0) the negativity
+    lemma, x >= 0, is checked too. As D*.E_i = 0, the projection formula
+    D*.C = D.C* holds for every curve C, so one log pullback L* = K + B +
+    sum g_i E_i gives every (K + B).C* = L*.C.
     """
     factor = model.contracted_factor
     if factor is None:
         raise ModelError(f"contracted configuration {sorted(model.contracted)} is not negative definite")
     order, lu = factor
-    u, du = model.pairings(terms)
     if not order:
-        return [], u, du
-    m = model.matrix
+        return [], *model.pairings(terms, cols)
     rows = [model.row(e) for e in order]
-    y, det = solve_exact(lu, [-u[r] for r in rows])
+    cols = rows + list(cols)
+    u, du = model.pairings(terms, cols)
+    k, m = len(rows), model.matrix
+    y, det = solve_exact(lu, [-a for a in u[:k]])
     if det < 0:
         y, det = [-yi for yi in y], -det
-    v = [det * a for a in u]
-    for r, yi in zip(rows, y):
-        if yi:
-            v = [a + yi * b for a, b in zip(v, m[r])]
-    by_name = sorted(zip(order, rows, y))
-    for e, r, _ in by_name:
-        if v[r]:
-            raise ModelError(f"solved pullback is not orthogonal to {e!r}; model inconsistent")
-    x = [yi for _, _, yi in by_name]
+    pick = _picker(rows)  # by symmetry, (sum y_i E_i).(row j) = y . (row j's contracted entries)
+    v = [det * a + sum(map(mul, y, pick(m[j]))) for a, j in zip(u, cols)]
+    if any(v[:k]):
+        e = min(e for e, a in zip(order, v) if a)
+        raise ModelError(f"solved pullback is not orthogonal to {e!r}; model inconsistent")
+    x = [yi for _, yi in sorted(zip(order, y))]
     if min(x) < 0 and all(r != K_ROW and c >= 0 for r, c in terms):
         raise ModelError("negativity lemma violated; model inconsistent")
-    return x, v, det * du
+    return x, v[k:], det * du
 
 
 def pullback(model: SurfaceModel, divisor: QDivisor) -> QDivisor:
@@ -181,26 +181,27 @@ def pullback(model: SurfaceModel, divisor: QDivisor) -> QDivisor:
 
     The divisor must be supported away from the contracted set. Effective
     divisors get non-negative coefficients; `pulled_back` re-checks that
-    sign on the solution.
+    sign on the solution. A hand-built model is validated first.
     """
+    model = _trusted(model)
     for name in divisor.names:
         if name not in model.names:
             raise ModelError(f"divisor names unknown curve {name!r}")
         if name in model.contracted:
             raise ModelError(f"divisor curve {name!r} is contracted")
-    x, _, d = pulled_back(model, divisor_terms(model, divisor))
+    x, _, d = pulled_back(model, divisor_terms(model, divisor), ())
     return QDivisor(tuple(zip(sorted(model.contracted), [Fraction(xi, d) for xi in x])))
 
 
 def _log_numerators(model: SurfaceModel, boundary: QDivisor) -> tuple[dict[str, int], int]:
     """The log pullback's coefficients as integer numerators over one
     denominator d > 0: nonzero boundary curves first, in name order, then
-    the contracted curves' solved g_i, in name order. `pairings` clears
+    the contracted curves' solved g_i, in name order. `pulled_back` clears
     every boundary denominator into d, so a boundary coefficient c is the
     integer c.numerator (d // c.denominator) over the same d. The boundary
     is not checked here."""
     terms = [(model.row(name), c) for name, c in boundary.coefficients if c.numerator]
-    x, _, d = pulled_back(model, [(K_ROW, 1)] + terms)
+    x, _, d = pulled_back(model, [(K_ROW, 1)] + terms, ())
     out = {name: c.numerator * (d // c.denominator) for name, c in boundary.coefficients if c.numerator}
     out.update(zip(sorted(model.contracted), x))
     return out, d
@@ -213,6 +214,7 @@ def log_discrepancies(model: SurfaceModel, boundary: QDivisor) -> LogPullback:
     for every contracted E_j, and returns both g_i and the discrepancies
     a_i = -g_i, read off `_log_numerators`.
     """
+    model = _trusted(model)
     _check_boundary(model, boundary)
     n, d = _log_numerators(model, boundary)
     g = [(name, n[name]) for name in sorted(model.contracted)]
@@ -226,6 +228,7 @@ def log_coefficients(model: SurfaceModel, boundary: QDivisor) -> dict[str, Fract
     """Coefficients of the log pullback of the modeled pair: boundary curves
     keep their nonzero coefficients, contracted curves get their solved g_i.
     The Fractions of `_log_numerators`' integers over their one denominator."""
+    model = _trusted(model)
     _check_boundary(model, boundary)
     n, d = _log_numerators(model, boundary)
     return {name: Fraction(x, d) for name, x in n.items()}

@@ -6,7 +6,8 @@ curve for the extremal ranking, an MMP loop that solves C.C for every
 candidate at every step, cofactor determinants, a determinant per
 leading minor, characteristic polynomials, a bounded blow-up search for
 total discrepancies, the coordinate model of a blown-up plane (classes as
-vectors in the diagonal basis), a minimal resolution that builds and
+vectors in the diagonal basis), blow-ups and blow-downs that update every
+matrix entry, a minimal resolution that builds and
 validates every intermediate model and a classifier that compares
 Fractions. Slow and obvious beats fast and clever for an oracle.
 """
@@ -115,6 +116,17 @@ def dense_blow_down(model, name):
             contracted=model.contracted - {name},
         )
     )
+
+
+def dense_blow_up(model, point, exc_name):
+    """Blow up with the update over every entry: with s_K = 1, s_C = -1 for
+    the curves through the point and 0 otherwise, row R becomes R - s_R s
+    and pairs with E as -s_R, and E.E = -1. No checks."""
+    through = {model.row(n) for n in point.names}
+    s = [1] + [-1 if i in through else 0 for i in range(1, len(model.matrix))]
+    rows = [tuple([x - si * sj for x, sj in zip(row, s)] + [-si]) for row, si in zip(model.matrix, s)]
+    rows.append(tuple([-si for si in s] + [-1]))
+    return SurfaceModel(rank=model.rank + 1, names=model.names + (exc_name,), matrix=tuple(rows))
 
 
 def stepwise_minimal_resolution(model):

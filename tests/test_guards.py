@@ -24,7 +24,7 @@ from fractions import Fraction
 from logsurf.dualgraph import WeightedDualGraph, build_dual_graph
 from logsurf.lattice import PointSpec, SurfaceModel, _validated, blow_up, declare_contracted
 from logsurf.linalg import extend_factor, is_negative_definite_matrix, solve_exact
-from logsurf.singularities import QDivisor, minimal_resolution, pullback, total_discrepancy_snc
+from logsurf.singularities import QDivisor, minimal_resolution, pulled_back, total_discrepancy_snc
 from oracles import coordinate_model
 
 try:
@@ -45,7 +45,9 @@ two_at_rank_1 = SurfaceModel(
 line = _validated(coordinate_model(1, (-3,), {"L": (1,)}))
 meeting_once = _validated(coordinate_model(3, (-3, 1, 1), {"E1": (0, 1, 0), "L": (1, -1, -1)}))
 two_at_rank_1_smooth = _validated(SurfaceModel(rank=1, names=("A", "B"), matrix=two_at_rank_1.matrix))
-# the raw model of test_negativity_lemma_guard: x_A = 2/3, x_B = -1/3 for D
+# raw models reach the solve core `pulled_back` directly; the public
+# `pullback` validates them first. The model of test_negativity_lemma_guard:
+# x_A = 2/3, x_B = -1/3 for D
 negative_solution = SurfaceModel(
     rank=4,
     names=("A", "B", "D"),
@@ -64,8 +66,8 @@ guards = {
     "bordered-self-intersection": lambda: declare_contracted(line, ["L"]),
     "bordered-not-negative-definite": lambda: declare_contracted(declare_contracted(meeting_once, ["E1"]), ["L"]),
     "bordered-hodge-index": lambda: declare_contracted(two_at_rank_1_smooth, ["A", "B"]),
-    "no-factor": lambda: pullback(positive_line, QDivisor.from_map({"L": 1})),
-    "negativity-lemma": lambda: pullback(negative_solution, QDivisor.from_map({"D": 1})),
+    "no-factor": lambda: pulled_back(positive_line, [(positive_line.row("L"), 1)], ()),
+    "negativity-lemma": lambda: pulled_back(negative_solution, [(negative_solution.row("D"), 1)], ()),
     "genus": lambda: minimal_resolution(nodal),
     "snc-endpoint": lambda: total_discrepancy_snc({"a": 1}, [("a", "b")]),
     "qdivisor-order": lambda: QDivisor((("B", Fraction(1)), ("A", Fraction(1)))),

@@ -8,15 +8,24 @@ from hypothesis import strategies as st
 
 from logsurf.errors import ModelError, NotNegativeDefiniteError
 from logsurf.lattice import (
+    AT_INTERSECTION,
     PointSpec,
     SurfaceModel,
     _validated,
     blow_down,
+    blow_down_cascade,
     blow_up,
     declare_contracted,
     new_projective_plane,
 )
-from oracles import CoordinateTower, charpoly_negdef, coordinate_model, pairing
+from oracles import (
+    CoordinateTower,
+    charpoly_negdef,
+    coordinate_model,
+    dense_blow_up,
+    pairing,
+    stepwise_minimal_resolution,
+)
 from test_singularities import TOWER_OPS, tower_point
 
 
@@ -167,6 +176,48 @@ class TestBlowDown:
         assert m.self_int("A") == -1
         m = blow_down(m, "A")
         assert m.rank == 1 and m.k_squared == 9 and not m.tracked
+
+
+class TestRowLocalUpdates:
+    """`blow_up` rewrites only K's row and the rows through the point, and
+    `blow_down_cascade` picks the kept columns with `itemgetter`; both
+    against the dense formulas of `oracles`."""
+
+    @staticmethod
+    def grow(ops):
+        """Blow up TOWER_OPS's points one by one, each checked against
+        `dense_blow_up`; returns the tower and the point kinds used."""
+        model, kinds = new_projective_plane(), set()
+        for i, (kind, pick) in enumerate(ops):
+            point = tower_point(model, kind, pick)
+            expected = dense_blow_up(model, point, f"C{i}")
+            model = blow_up(model, point, f"C{i}")
+            assert model == expected
+            assert type(model.matrix) is tuple and all(type(row) is tuple for row in model.matrix)
+            kinds.add(point.kind)
+        return model, kinds
+
+    @settings(max_examples=200)
+    @given(TOWER_OPS)
+    def test_blow_up_matches_the_dense_formula(self, ops):
+        self.grow(ops)
+
+    def test_seeded_towers_reach_every_point_kind(self):
+        rng = random.Random(1414)
+        kinds = set()
+        for _ in range(40):
+            ops = [(rng.choice(("general", "on", "at")), rng.randrange(10**6)) for _ in range(rng.randint(1, 12))]
+            kinds |= self.grow(ops)[1]
+        assert AT_INTERSECTION in kinds and len(kinds) == 3
+
+    def test_cascade_down_to_rank_one(self):
+        # A (-2) meeting B (-1), both contracted: blowing B down makes A a
+        # (-1)-curve, and blowing A down leaves K alone, one kept column
+        model = declare_contracted(A_B, ["A", "B"])
+        resolved = blow_down_cascade(model, ["A", "B"])
+        assert (resolved.rank, resolved.names, resolved.matrix, resolved.contracted) == (1, (), ((9,),), frozenset())
+        assert resolved == stepwise_minimal_resolution(model)
+        assert getattr(resolved, "_checked", False)
 
 
 class TestContractedSet:

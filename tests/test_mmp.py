@@ -205,7 +205,7 @@ class TestRankingOracle:
     def test_log_row_without_its_exceptional_part_is_caught(self, monkeypatch):
         # the mutant ranks by (K + B).C instead of L*.C: D meets the
         # contracted star, so its value moves
-        monkeypatch.setattr(mmp, "pulled_back", lambda model, terms: ([], *model.pairings(terms)))
+        monkeypatch.setattr(mmp, "pulled_back", lambda model, terms, cols: ([], *model.pairings(terms, cols)))
         state = threshold_state()
         with pytest.raises(AssertionError):
             assert_ranking_matches(state.surface, state.boundary)
@@ -237,8 +237,8 @@ class TestOddBlockSign:
         assert (factor[-1][-1] < 0) == (chain % 2 == 1)  # the last pivot is det
         log = [(K_ROW, 1)] + divisor_terms(model, boundary)
         for terms in (log, [(model.row("T1"), 1)]):
-            x, v, d = pulled_back(model, terms)
-            assert d > 0 and len(x) == chain
+            x, v, d = pulled_back(model, terms, ())
+            assert d > 0 and len(x) == chain and v == []
         # T1 meets the chain, so its C*.C* comes from its own solve
         expected = pairwise_ranking(model, boundary.as_map())
         assert [name for name, _, _ in expected] == ["T3", "T2", "T1"]
@@ -846,6 +846,50 @@ class TestSavedWork:
             steps += len(result.steps)
         assert steps > 100
 
+    def test_audit_resolves_the_carried_resolution(self, monkeypatch):
+        # after step 0 the audit resolves its last resolution with the new
+        # curve contracted, never the whole shadow model again
+        rng = random.Random(SEED + 7)
+        grid = _coefficient_grid(F(6, 7))
+        real, smaller = mmp.minimal_resolution, 0
+        for _ in range(20):
+            model = mmp._random_tower(rng, 12)
+            boundary = QDivisor.from_map({n: c for n in model.tracked if (c := rng.choice(grid))})
+            initial = MmpState(surface=model, boundary=boundary)
+            result = run(initial, MostNegativeFirst(), F(1, 7))
+            resolved = []
+
+            def recorded(m):
+                out = real(m)
+                resolved.append((m.rank, out.rank))
+                return out
+
+            with monkeypatch.context() as patch:
+                patch.setattr(mmp, "minimal_resolution", recorded)
+                assert audit_run(result, initial, F(1, 7)) == result.audit
+            assert len(resolved) == len(result.steps) + 1 and resolved[0][0] == model.rank
+            assert [before for before, _ in resolved[1:]] == [after for _, after in resolved[:-1]]
+            smaller += sum(before < model.rank for before, _ in resolved[1:])
+        assert smaller > 100
+
+    def test_classification_error_keeps_the_resolution(self, monkeypatch):
+        # epsilon 2 makes every check (c) raise; the resolution it was given
+        # is kept, so the audit still resolves steps + 1 models a run
+        rng = random.Random(SEED + 8)
+        runs = 0
+        for _ in range(12):
+            initial = MmpState(surface=mmp._random_tower(rng, 10), boundary=QDivisor.zero())
+            result = run(initial, MostNegativeFirst())
+            if len(result.steps) < 2:
+                continue
+            with monkeypatch.context() as patch:
+                resolved = counting(patch, mmp, "minimal_resolution")
+                report = audit_run(result, initial, 2)
+            assert len(resolved) == len(result.steps) + 1
+            assert {s.classification for s in report.steps} == {"error: epsilon 2 outside [0, 1]"}
+            runs += 1
+        assert runs >= 6
+
 
 class TestAuditViolations:
     def fake_run(self, names):
@@ -995,6 +1039,35 @@ class TestAuditReplay:
             resolved += count
         # the replay must reach steps whose shadow model needs resolving
         assert checked > 200 and resolved > 150
+
+    @pytest.mark.parametrize("seed, base", enumerate(["chain_start", 3, 4, 5]))
+    def test_singular_starts_carry_the_shadow_resolution(self, seed, base):
+        # a (-2)-chain start, a contracted subset of a tower, a star: at
+        # every step the audit's carried resolution is the one of its
+        # shadow model, and the audit matches a fresh replay
+        rng = random.Random(SEED + seed)
+        steps = carried = 0
+        for trial in range(30):
+            ops = [(rng.choice(("general", "on", "at")), rng.randrange(10**6)) for _ in range(rng.randint(1, 10))]
+            model = chain_start(rng.randint(1, 3)) if base == "chain_start" else start_model(ops, base, rng.randint)
+            free = [n for n in model.tracked if n not in model.contracted]
+            boundary = QDivisor.from_map({n: F(k, 6) for n in free if (k := rng.randint(0, 6))})
+            initial = MmpState(surface=model, boundary=boundary)
+            epsilon = (F(0), F(1, 7), F(1, 4))[trial % 3]
+            result = run(initial, MostNegativeFirst(), epsilon)
+            smooth, bounded = mmp._gate(initial, epsilon)
+            pair, violations = (model, boundary, None, None), []
+            for i, step in enumerate(result.steps):
+                pair, audit = mmp.audit_step(pair, step.contracted_curve, i, epsilon, smooth and bounded, violations)
+                shadow, _, _, mr = pair
+                assert audit == result.audit.steps[i]
+                assert mr == minimal_resolution(shadow)
+                carried += mr.rank < shadow.rank
+            assert tuple(violations) == result.audit.violations
+            assert list(result.audit.steps) == fresh_audit_steps(result.steps, initial, epsilon)[0]
+            steps += len(result.steps)
+        # the replay must reach shadow models that need resolving
+        assert steps > 60 and carried > steps * 3 // 4
 
 
 class TestHarnesses:

@@ -34,6 +34,7 @@ from logsurf.singularities import (
     log_discrepancies,
     minimal_resolution,
     pullback,
+    pulled_back,
     total_discrepancy_snc,
 )
 from oracles import (
@@ -196,13 +197,14 @@ class TestPullback:
         assert full == [] and bordered == [1, 2, 3, 4]
 
     def test_negativity_lemma_guard(self):
-        # unvalidated: the contracted line H is not negative definite, so
-        # there is no factor to solve against
+        # the solve core on raw models, which the public `pullback` would
+        # reject at entry: the contracted line H is not negative definite,
+        # so there is no factor to solve against
         model = coordinate_model(1, (-3,), {"H": (1,), "L": (1,)}, {"H"})
         with pytest.raises(ModelError, match="not negative definite"):
-            pullback(model, QDivisor.from_map({"L": 1}))
-        # unvalidated: A.B = -1 keeps the block negative definite (det 3), but
-        # D.A = 1, D.B = 0 solve to x_A = 2/3, x_B = -1/3 < 0
+            pulled_back(model, [(model.row("L"), F(1))], ())
+        # A.B = -1 keeps the block negative definite (det 3), but D.A = 1,
+        # D.B = 0 solve to x_A = 2/3, x_B = -1/3 < 0
         model = SurfaceModel(
             rank=4,
             names=("A", "B", "D"),
@@ -210,7 +212,32 @@ class TestPullback:
             contracted=frozenset({"A", "B"}),
         )
         with pytest.raises(ModelError, match="negativity lemma"):
+            pulled_back(model, [(model.row("D"), F(1))], ())
+        with pytest.raises(ModelError, match="negative intersection"):
             pullback(model, QDivisor.from_map({"D": 1}))
+
+    # a short, asymmetric matrix: A's row has one entry too few
+    RAW_SHORT = SurfaceModel(
+        rank=3,
+        names=("A", "B"),
+        matrix=((7, 0, 0), (0, -2), (0, 1, -1)),
+        contracted=frozenset({"A"}),
+    )
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda m: pullback(m, QDivisor.from_map({"B": 1})),
+            lambda m: log_discrepancies(m, QDivisor.zero()),
+            lambda m: log_coefficients(m, QDivisor.zero()),
+            lambda m: build_dual_graph(m, ["A", "B"]),
+        ],
+        ids=["pullback", "log_discrepancies", "log_coefficients", "build_dual_graph"],
+    )
+    def test_raw_model_is_validated_at_entry(self, read):
+        with pytest.raises(ModelError) as exc:
+            read(self.RAW_SHORT)
+        assert str(exc.value) == "intersection matrix is not 3 x 3"
 
 
 class TestLogDiscrepancies:
