@@ -2,13 +2,15 @@
 
 A state is a surface model plus a boundary divisor. Each step contracts one
 tracked curve with negative extremal pairing: a (-1)-curve on a smooth
-surface is blown down (Castelnuovo), anything else joins the contracted set
-after a negative-definiteness check (Artin type). The auditor replays each
-step on the initial lattice as the run makes it and verifies the
-effectivity, rank-drop, classification, and support conditions that make
-the loop sound. Each intermediate surface is classified once, by the
-auditor on its replayed model; `run` reports that class, the run's own
-model having the same minimal resolution.
+surface is Castelnuovo, anything else is Artin type. `contract` makes one
+step on the state's own model: it blows a Castelnuovo curve down and
+declares any other contracted after a negative-definiteness check. `run`
+keeps one state, the auditor's pair: the initial lattice with the
+contracted set declared contracted, and its minimal resolution. Each step
+is ranked on that resolution, then `audit_step` verifies the effectivity,
+rank-drop, classification and support conditions that make the loop sound
+and returns the next pair, so each intermediate surface is built and
+classified once.
 """
 
 from __future__ import annotations
@@ -149,9 +151,12 @@ def contracted_self_intersection(model: SurfaceModel, name: str) -> Fraction:
 def _ranked(model: SurfaceModel, boundary: QDivisor) -> tuple[list[tuple[int, str]], int]:
     """Sorted keys (x, name) of the non-contracted curves with (K +
     boundary).C = x / d < 0: x is the curve's entry of the log pullback's
-    row over its one denominator d > 0, returned too."""
+    row over its one denominator d > 0, returned too. A boundary curve with
+    coefficient 0 adds nothing and may be missing from `model` (a resolution
+    blows contracted curves down)."""
     live = [name for name in model.names if name not in model.contracted]
-    _, v, d = pulled_back(model, [(K_ROW, 1)] + divisor_terms(model, boundary), list(map(model.row, live)))
+    terms = [(K_ROW, 1)] + [(model.row(name), c) for name, c in boundary.coefficients if c]
+    _, v, d = pulled_back(model, terms, list(map(model.row, live)))
     return sorted((x, name) for x, name in zip(v, live) if x < 0), d
 
 
@@ -169,39 +174,26 @@ def step_candidates(state: MmpState) -> list[Candidate]:
     return [_candidate(model, key, d) for key in keys]
 
 
-def _apply_contraction(state: MmpState, cand: Candidate) -> tuple[MmpState, str]:
-    model = state.surface
-    name = cand.name
-    if not model.contracted and model.self_int(name) == -1 and model.k_dot(name) == -1:
-        new_model = blow_down(model, name)
-        kind = CASTELNUOVO
-    else:
-        new_model = declare_contracted(model, [name])
-        kind = ARTIN_TYPE
-    new_state = MmpState(
-        surface=new_model,
-        boundary=state.boundary.without(name),
-        step_index=state.step_index + 1,
-    )
-    if new_state.rho != state.rho - 1:
-        raise ModelError(f"contracting {name!r} dropped rho {state.rho} -> {new_state.rho}, not by one")
-    return new_state, kind
-
-
 def contract(state: MmpState, name: str) -> MmpState:
-    """One contraction step; the curve must be a contractible candidate. It
-    is ranked through `_ranked`, and C.C is solved for it alone."""
-    keys, d = _ranked(state.surface, state.boundary)
+    """One contraction step on the state's own model; the curve must be a
+    contractible candidate. It is ranked through `_ranked`, and C.C is
+    solved for it alone. A (-1)-curve on a smooth surface is blown down,
+    any other curve declared contracted; either way rho drops by one."""
+    model = state.surface
+    keys, d = _ranked(model, state.boundary)
     key = next((key for key in keys if key[1] == name), None)
     if key is None:
         raise ModelError(f"{name!r} is not an extremal candidate (needs (K + boundary).C < 0)")
-    cand = _candidate(state.surface, key, d)
+    cand = _candidate(model, key, d)
     if cand.self_int >= 0:
         raise ModelError(
             f"{name!r} has self-intersection {cand.self_int} >= 0; it signals a fiber space, not a contraction"
         )
-    new_state, _ = _apply_contraction(state, cand)
-    return new_state
+    if model.contracted or cand.self_int != -1:
+        model = declare_contracted(model, [name])
+    else:
+        model = blow_down(model, name)
+    return MmpState(surface=model, boundary=state.boundary.without(name), step_index=state.step_index + 1)
 
 
 @dataclass(frozen=True)
@@ -243,29 +235,38 @@ def run(state: MmpState, strategy, epsilon=Fraction(0)) -> MmpRun:
     """Drive contractions until nef-over-tracked, a fiber-space signal, or an
     exhausted named strategy, auditing each step as it is made.
 
-    Each step ranks through `_ranked` but solves C.C only for the
-    candidates its strategy reads: the curve a named strategy wants, or
-    those in rank order up to the first contractible one. No reachable
-    error is lost: `MmpState` checked the start, so every model's
-    contracted block is negative definite with non-negative off-diagonal
-    entries, and neither check in `pulled_back` can fail on a curve off it.
+    The run keeps one state, the audit's shadow pair (model, boundary, log
+    numerators, resolution): the initial lattice with the curves contracted
+    so far declared contracted, and its carried minimal resolution. Each
+    step ranks through `_ranked` on that resolution (on the start surface at
+    step 0, before one is carried) and solves C.C only for the candidates
+    its strategy reads: the curve a named strategy wants, or those in rank
+    order up to the first contractible one. (K + B).C and C.C are numbers on
+    the surface, L*.C* and C*.C* on any model of it by the projection
+    formula, so every model of the pair gives the same values, and names
+    break ties. The step is Castelnuovo while the start was smooth, every
+    earlier step was Castelnuovo and C.C = -1 (K.C = -1 then follows from
+    genus 0); otherwise it is Artin type.
 
-    Right after each contraction, `audit_step` checks it on the shadow pair
-    (the initial lattice with the same curves contracted), as `audit_run`
-    does. A step's `post_classification` is the audit's class of the
-    shadow model; it is `classify` of the run's own model, as a normal
-    surface has one minimal resolution and both models resolve to it.
-    Where the audit has no class, the run's model is classified, so an
-    error there raises at the step that meets it.
+    `audit_step` then checks the step, as `audit_run` does, and returns the
+    next pair. A step's `post_classification` is the audit's class of the
+    new surface; where the audit has none, the new shadow is classified, so
+    the error raises at the step that meets it. Where the replay cannot go
+    on, the audit's violation is raised as a `ModelError`. No reachable
+    error is lost: `MmpState` checked the start, every model the audit
+    builds is checked by construction, and each step adds one curve to the
+    shadow's contracted set, which the Hodge index check caps at rank - 1,
+    so a run makes at most rho - 1 steps.
     """
     epsilon = Fraction(epsilon)
-    initial = state
-    smooth, bounded = _gate(initial, epsilon)
-    pair, steps, audited, violations = (initial.surface, initial.boundary, None, None), [], [], []
+    smooth, bounded = _gate(state, epsilon)
+    pair, steps, audited, violations = (state.surface, state.boundary, None, None), [], [], []
     queue = list(strategy.names) if isinstance(strategy, NamedOrder) else None
+    castelnuovo = smooth
     while True:
-        model = state.surface
-        keys, d = _ranked(model, state.boundary)
+        shadow, boundary, _, mr = pair
+        model = shadow if mr is None else mr
+        keys, d = _ranked(model, boundary)
         if not keys:
             outcome = MinimalOverTracked()
             break
@@ -283,24 +284,21 @@ def run(state: MmpState, strategy, epsilon=Fraction(0)) -> MmpRun:
                     outcome = Exhausted()
                     break
                 raise ScenarioError(
-                    f"strategy names {queue[0]!r} but it is not a contractible candidate at step {state.step_index}"
+                    f"strategy names {queue[0]!r} but it is not a contractible candidate "
+                    f"at step {state.step_index + len(steps)}"
                 )
         if queue:
             queue.pop(0)
-        state, kind = _apply_contraction(state, cand)
-        post = None
-        if pair is not None:  # None once the replay cannot go on
-            pair, step = audit_step(pair, cand.name, len(steps), epsilon, smooth and bounded, violations)
-            if step is not None:
-                audited.append(step)
-                post = step.post_classification
-        if post is None:
-            post = classify(state.surface, _NO_BOUNDARY, epsilon)
+        pair, step = audit_step(pair, cand.name, len(steps), epsilon, smooth and bounded, violations)
+        if step is None:
+            raise ModelError(violations[-1])
+        audited.append(step)
+        post = step.post_classification or classify(pair[0], _NO_BOUNDARY, epsilon)
+        castelnuovo = castelnuovo and cand.self_int == -1
+        kind = CASTELNUOVO if castelnuovo else ARTIN_TYPE
         steps.append(MmpStep(cand.name, cand.extremal_value, cand.self_int, kind, post))
-        if len(steps) > initial.rho - 1:
-            raise ModelError(f"run took {len(steps)} steps from rho {initial.rho}; rho - 1 is the most")
-    rho_sequence = (initial.rho, *(s.rho_after for s in audited))
-    audit = AuditReport(initial.rho, rho_sequence, smooth, bounded, epsilon, tuple(audited), tuple(violations))
+    rho_sequence = (state.rho, *(s.rho_after for s in audited))
+    audit = AuditReport(state.rho, rho_sequence, smooth, bounded, epsilon, tuple(audited), tuple(violations))
     return MmpRun(steps=tuple(steps), outcome=outcome, audit=audit)
 
 

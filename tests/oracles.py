@@ -18,14 +18,16 @@ from operator import mul
 from logsurf.errors import ModelError, ScenarioError
 from logsurf.lattice import SurfaceModel, _validated
 from logsurf.mmp import (
+    ARTIN_TYPE,
+    CASTELNUOVO,
     Exhausted,
     MinimalOverTracked,
     MmpRun,
     MmpStep,
     MoriFiberSignal,
     NamedOrder,
-    _apply_contraction,
     audit_run,
+    contract,
     step_candidates,
 )
 from logsurf.singularities import (
@@ -141,6 +143,53 @@ def stepwise_minimal_resolution(model):
         if not ready:
             return model
         model = dense_blow_down(model, ready[0])
+
+
+def lt_by_dual_graph(model):
+    """Whether the modeled surface is log terminal at epsilon 0 with no
+    boundary, read off the dual graph of its minimal resolution alone, with
+    no solve (Kawamata 1988; Kollar-Mori 1998, section 4.1). Each connected
+    component of the contracted curves, all smooth rational, must be a
+    chain, or a star with three branches whose determinants d_i, of minus
+    each branch's Gram block by `cofactor_det`, satisfy 1/d_1 + 1/d_2 +
+    1/d_3 > 1. A cycle, a multi-edge or any other tree is not log terminal.
+    The matrix holds only pairwise intersections, so three curves through
+    one point cannot be represented: it would read as a triangle. No blow-up
+    point kind builds one, as a point lies on at most two tracked curves."""
+    mr = stepwise_minimal_resolution(model)
+    vertices = sorted(mr.contracted)
+    adjacent = {v: [w for w in vertices if w != v and mr.intersection(v, w)] for v in vertices}
+    if any(mr.intersection(v, w) > 1 for v in vertices for w in adjacent[v]):
+        return False
+
+    def component(start, removed=()):
+        seen, stack = {start}, [start]
+        while stack:
+            for w in adjacent[stack.pop()]:
+                if w not in seen and w not in removed:
+                    seen.add(w)
+                    stack.append(w)
+        return seen
+
+    done = set()
+    for root in vertices:
+        if root in done:
+            continue
+        part = component(root)
+        done |= part
+        if sum(len(adjacent[v]) for v in part) != 2 * (len(part) - 1):
+            return False  # a cycle
+        centres = [v for v in part if len(adjacent[v]) > 2]
+        if not centres:
+            continue  # a chain
+        if len(centres) > 1 or len(adjacent[centres[0]]) != 3:
+            return False
+        dets = []
+        for branch in (component(b, removed=centres) for b in adjacent[centres[0]]):
+            dets.append(cofactor_det([[-x for x in row] for row in mr.gram(sorted(branch))]))
+        if sum(Fraction(1, d) for d in dets) <= 1:
+            return False
+    return True
 
 
 def gauss_solve(matrix, rhs):
@@ -364,10 +413,12 @@ def fraction_classify(model, boundary, epsilon):
 
 
 def eager_run(state, strategy, epsilon=Fraction(0)):
-    """The MMP loop of `mmp.run` with every step's whole `step_candidates`
-    list built, C.C solved for each candidate, and the outcome read off
-    that list; the same audit at the end. Each step classifies the run's
-    own model, where `run` reports the audit replay's class."""
+    """The MMP loop of `mmp.run` on a second chain of models: every step's
+    whole `step_candidates` list built on the state's own model, C.C solved
+    for each candidate, the outcome read off that list, and the step made
+    by `contract`, Castelnuovo where it blew the curve down. Each step
+    classifies that model, where `run` reports the audit replay's class;
+    the same audit at the end."""
     epsilon = Fraction(epsilon)
     initial = state
     steps = []
@@ -394,7 +445,8 @@ def eager_run(state, strategy, epsilon=Fraction(0)):
                     f"strategy names {wanted!r} but it is not a contractible candidate at step {state.step_index}"
                 )
             cand = matches[0]
-        state, kind = _apply_contraction(state, cand)
+        before, state = state, contract(state, cand.name)
+        kind = CASTELNUOVO if state.surface.rank < before.surface.rank else ARTIN_TYPE
         steps.append(
             MmpStep(
                 contracted_curve=cand.name,

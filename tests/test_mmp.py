@@ -375,7 +375,8 @@ class TestContract:
 
 class TestContractLookup:
     """`contract` ranks through `_ranked` and solves C.C for the named curve
-    alone; the result is that of a lookup in the whole `step_candidates`."""
+    alone; the result is that of a lookup in the whole `step_candidates`,
+    then a blow-down of a (-1)-curve on a smooth surface or a declaration."""
 
     @staticmethod
     def listed_contract(state, name):
@@ -387,7 +388,12 @@ class TestContractLookup:
                 f"{name!r} has self-intersection {matches[0].self_int} >= 0; "
                 "it signals a fiber space, not a contraction"
             )
-        return mmp._apply_contraction(state, matches[0])[0]
+        model = state.surface
+        if not model.contracted and model.self_int(name) == -1 and model.k_dot(name) == -1:
+            model = blow_down(model, name)
+        else:
+            model = declare_contracted(model, [name])
+        return MmpState(surface=model, boundary=state.boundary.without(name), step_index=state.step_index + 1)
 
     @pytest.mark.parametrize("scenario", ["triple_fork_236", "quad_fork_threshold", "quad_fork_star"])
     def test_every_name_matches_a_full_lookup(self, scenario):
@@ -497,13 +503,55 @@ class TestRun:
     def test_out_of_range_epsilon_fails_after_the_first_contraction(self, monkeypatch):
         # each step is audited as it is made, so the first step's class is
         # missing before any later contraction or replay runs
-        applied = counting(monkeypatch, mmp, "_apply_contraction")
+        declared = counting(monkeypatch, mmp, "declare_contracted")
         resolved = counting(monkeypatch, mmp, "minimal_resolution")
         resolved_in_classify = counting(monkeypatch, singularities, "minimal_resolution")
         with pytest.raises(ModelError, match=re.escape("epsilon 2 outside [0, 1]")):
             run(a1_state(), MostNegativeFirst(), 2)
-        # the audit's check (d) and (c) resolutions, then `classify`'s own
-        assert (len(applied), len(resolved), len(resolved_in_classify)) == (1, 2, 1)
+        # the audit's one declaration, its check (d) and (c) resolutions,
+        # then `classify`'s own
+        assert (len(declared), len(resolved), len(resolved_in_classify)) == (1, 2, 1)
+
+    def test_replay_failure_raises_the_audit_violation(self):
+        # A.A = -1 on a rank-1 model breaks the Hodge index: declaring A
+        # contracted fails, and the run raises what the audit reports
+        model = _validated(SurfaceModel(rank=1, names=("A",), matrix=((9, -1), (-1, -1))))
+        with pytest.raises(ModelError) as exc:
+            run(MmpState(surface=model, boundary=QDivisor.zero()), MostNegativeFirst())
+        assert (type(exc.value), str(exc.value)) == (
+            ModelError,
+            "effectivity: step 0 ('A'): replay failed: contracted configuration ['A'] spans 1 negative "
+            "directions; rank 1 allows at most 0",
+        )
+
+    def test_kind_stays_artin_on_a_smooth_again_surface(self):
+        # E1 and E2 resolve away after step 1, so D is a (-1)-curve on a
+        # smooth surface; the kind still follows the earlier Artin steps
+        model = blow_up(new_projective_plane(), PointSpec.general(), "E1")
+        model = blow_up(model, PointSpec.on_curve("E1"), "E2")
+        model = blow_up(model, PointSpec.general(), "D")
+        state = MmpState(surface=model, boundary=QDivisor.from_map({"E1": F(1, 2)}))
+        result = run(state, parse_strategy("named:E1,E2,D"))
+        assert [(s.contracted_curve, s.kind) for s in result.steps] == [
+            ("E1", ARTIN_TYPE),
+            ("E2", ARTIN_TYPE),
+            ("D", ARTIN_TYPE),
+        ]
+        assert result.steps[2].self_int == -1 and result.audit.ok
+        pair, violations = (model, state.boundary, None, None), []
+        for i, name in enumerate(("E1", "E2")):
+            pair, _ = mmp.audit_step(pair, name, i, F(0), True, violations)
+        assert pair[3].contracted == frozenset() and pair[3].names == ("D",)
+
+    def test_scenario_error_counts_steps_from_the_start_index(self):
+        model = new_projective_plane()
+        for name in ("E0", "E1", "E2"):
+            model = blow_up(model, PointSpec.general(), name)
+        state = contract(MmpState(surface=model, boundary=QDivisor.zero()), "E0")
+        assert state.step_index == 1
+        with pytest.raises(ScenarioError) as exc:
+            run(state, parse_strategy("named:E1,nope"))
+        assert str(exc.value) == "strategy names 'nope' but it is not a contractible candidate at step 2"
 
     def test_state_validates_a_hand_built_surface(self):
         for matrix, message in (
@@ -738,6 +786,17 @@ class TestLazyCandidates:
             MmpState(surface=model, boundary=QDivisor.from_map({"G": F(1, 2)}))
         assert str(exc.value) == "tracked curves 'A' and 'B' have negative intersection"
 
+    def test_zero_boundary_on_a_resolved_curve(self):
+        # B is contracted with boundary coefficient 0 and a (-1)-curve, so
+        # the resolution `run` ranks on has no row for it
+        model = blow_up(new_projective_plane(), PointSpec.general(), "A")
+        model = blow_up(model, PointSpec.on_curve("A"), "B")
+        model = declare_contracted(blow_up(model, PointSpec.general(), "C"), ["B"])
+        state = MmpState(surface=model, boundary=QDivisor.from_map({"B": 0, "C": F(1, 2)}))
+        result = run(state, MostNegativeFirst())
+        assert result == eager_run(state, MostNegativeFirst())
+        assert [s.contracted_curve for s in result.steps] == ["C", "A"]
+
     def test_seeded_stream_reaches_every_outcome(self):
         rng = random.Random(20261019)
         counts = Counter()
@@ -807,6 +866,42 @@ class TestSavedWork:
             assert len(resolved) == sum(n + 1 for n in lengths if n)
             # and classifies each step's surface once
             assert len(cores) == steps + starts
+
+    def test_run_keeps_one_model_chain(self, monkeypatch):
+        # `run` contracts on the audit's pair: no blow-down, no state after
+        # the start, and only the declarations `audit_run` makes
+        assert not hasattr(mmp, "_apply_contraction")
+        blown = counting(monkeypatch, mmp, "blow_down")
+        declared = counting(monkeypatch, mmp, "declare_contracted")
+        states = []
+        real_state_check, real_run = MmpState.__post_init__, mmp.run
+
+        def counted_state_check(self):
+            states.append(self)
+            real_state_check(self)
+
+        per_run = []
+
+        def recorded(state, strategy, epsilon=F(0)):
+            for calls in (blown, declared, states):
+                calls.clear()
+            result = real_run(state, strategy, epsilon)
+            work = (len(blown), len(states), len(declared))
+            declared.clear()
+            assert audit_run(result, state, epsilon) == result.audit
+            per_run.append((work, (0, 0, len(declared)), len(result.steps)))
+            return result
+
+        monkeypatch.setattr(MmpState, "__post_init__", counted_state_check)
+        monkeypatch.setattr(mmp, "run", recorded)
+        for harness in (
+            lambda: verify_smooth_start_runs(40, SEED, F(1, 7), max_blowups=12),
+            lambda: search_canonical_starts(SearchConfig(), 40, SEED),
+        ):
+            per_run.clear()
+            harness()
+            assert len(per_run) == 40 and sum(steps for *_, steps in per_run) > 150
+            assert all(work == expected for work, expected, _ in per_run)
 
     def test_one_self_intersection_per_step(self, monkeypatch):
         calls = counting(monkeypatch, mmp, "contracted_self_intersection")

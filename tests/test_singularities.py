@@ -2,7 +2,7 @@ import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from logsurf import lattice, singularities
 from logsurf.dualgraph import build_dual_graph, graph_shape
-from logsurf.errors import LogSurfError, ModelError, MultiEdgeError, NotNegativeDefiniteError
+from logsurf.errors import LogSurfError, ModelError, MultiEdgeError, NotNegativeDefiniteError, ScenarioError
 from logsurf.lattice import (
     PointSpec,
     SurfaceModel,
@@ -44,6 +44,7 @@ from oracles import (
     dense_blow_down,
     fraction_classify,
     gauss_solve,
+    lt_by_dual_graph,
     pairing,
     snc_search_oracle,
     stepwise_minimal_resolution,
@@ -972,3 +973,73 @@ class TestIntegerClassifier:
             named = {f"v{i}": c for i, c in enumerate(coefficients)}
             got = total_discrepancy_snc(named, [(f"v{a}", f"v{b}") for a, b in edges])
             assert got == snc_search_oracle(coefficients, edges, max_blowups=3)
+
+
+def every_tower(max_blowups):
+    """Every tower of 1..max_blowups blow-ups: each blow-up at a general
+    point, on any tracked curve, or at any intersection point of two."""
+    towers = []
+
+    def grow(model, depth):
+        if depth:
+            towers.append(model)
+        if depth == max_blowups:
+            return
+        names = model.tracked
+        points = [PointSpec.general(), *map(PointSpec.on_curve, names)] + [
+            PointSpec.at_intersection(a, b) for a, b in combinations(names, 2) if model.intersection(a, b) >= 1
+        ]
+        for point in points:
+            grow(blow_up(model, point, f"C{depth}"), depth + 1)
+
+    grow(new_projective_plane(), 0)
+    return towers
+
+
+class TestDualGraphOracle:
+    """`lt_by_dual_graph` reads log terminality off the resolution graph
+    with no solve; `classify` at epsilon 0 must agree with it."""
+
+    @staticmethod
+    def classified_lt(model):
+        return classify(model, QDivisor.zero(), 0).classification == EPS_LOG_TERMINAL
+
+    def test_every_contracted_subset_of_small_towers(self):
+        # every subset of a tower's exceptional curves is contractible
+        cases = 0
+        for model in every_tower(5):
+            names = model.tracked
+            for mask in range(1, 1 << len(names)):
+                contracted = declare_contracted(model, [n for k, n in enumerate(names) if mask >> k & 1])
+                assert lt_by_dual_graph(contracted) is self.classified_lt(contracted) is True
+                cases += 1
+        assert cases == 8857
+
+    def test_star_grid(self):
+        builds = not_lt = 0
+        for centre in range(2, 9):
+            for k in (2, 3, 4):
+                for branches in combinations_with_replacement(range(2, 7), k):
+                    for extra in (1, 2, 3):
+                        for contract_extra in (False, True):
+                            scenario = (centre, branches, extra)
+                            try:
+                                model = build_model(star_scenario(*scenario, contract_extra=contract_extra))
+                            except ScenarioError:
+                                continue
+                            lt = lt_by_dual_graph(model)
+                            assert lt == self.classified_lt(model), (scenario, contract_extra)
+                            builds += 1
+                            not_lt += not lt
+        assert (builds, not_lt) == (3864, 3194)
+
+    def test_cycle_and_multi_edge_are_not_log_terminal(self):
+        # three lines H - (four points each, disjoint sets): pairwise meeting
+        # (-3)-curves, a cycle; and two (-3)-curves meeting twice
+        lines = {
+            f"L{i}": (1,) + tuple(-1 if 4 * i <= j < 4 * i + 4 else 0 for j in range(12)) for i in range(3)
+        }
+        cycle = _validated(coordinate_model(13, (-3,) + (1,) * 12, lines, set(lines)))
+        assert [cycle.intersection("L0", n) for n in ("L0", "L1", "L2")] == [-3, 1, 1]
+        for model in (cycle, double_point_model()):
+            assert lt_by_dual_graph(model) is self.classified_lt(model) is False
