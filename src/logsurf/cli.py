@@ -103,7 +103,7 @@ def _cmd_classify(args) -> int:
 def _cmd_discrepancies(args) -> int:
     scenario = load_scenario(args.scenario)
     model = build_model(scenario)
-    table = log_discrepancies(model, QDivisor.zero()).discrepancies
+    table = log_discrepancies(model, QDivisor.zero())
     if args.json:
         print(json.dumps({n: str(a) for n, a in table.coefficients}, indent=2))
         return 0

@@ -1,4 +1,4 @@
-"""Weighted dual graphs of curve configurations and shape recognition."""
+"""Weighted dual graphs of curve configurations, their Sylvester test and shape recognition."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from itertools import combinations
 
 from .errors import ModelError
 from .lattice import _trusted
-from .linalg import is_negative_definite_matrix
+from .linalg import negative_definite_factor
 
 CHAIN = "chain"
 FORK = "fork"
@@ -81,7 +81,7 @@ def build_dual_graph(model, names) -> WeightedDualGraph:
 
 
 def is_negative_definite(g: WeightedDualGraph) -> bool:
-    return is_negative_definite_matrix(g.intersection_matrix())
+    return negative_definite_factor(g.intersection_matrix()) is not None
 
 
 def graph_shape(g: WeightedDualGraph) -> GraphShape:

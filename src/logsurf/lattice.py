@@ -168,26 +168,26 @@ def _validated(model: SurfaceModel) -> SurfaceModel:
     stray = model.contracted - set(names)
     if stray:
         raise ModelError(f"contracted names not tracked: {sorted(stray)}")
-    return _contracted_checked(model)
+    return _contracted_checked(model, model.contracted)
 
 
-def _contracted_checked(model: SurfaceModel) -> SurfaceModel:
-    """The contracted-set checks of `_validated`, in order. A passing model is
-    marked `_checked`, not a dataclass field, so ==, hash and repr ignore it."""
-    contracted = sorted(model.contracted)
-    for name in contracted:
+def _contracted_checked(model: SurfaceModel, new) -> SurfaceModel:
+    """The contracted-set checks of `_validated`, in order, reading C.C only
+    for the `new` curves; the caller knows the others are negative. A passing
+    model is marked `_checked`, not a field, so ==, hash and repr ignore it."""
+    for name in sorted(new):
         if model.self_int(name) >= 0:
             raise NotNegativeDefiniteError(
                 f"contracted curve {name!r} has self-intersection {model.self_int(name)} >= 0"
             )
     if model.contracted_factor is None:
         raise NotNegativeDefiniteError(
-            f"contracted configuration {contracted} is not negative definite"
+            f"contracted configuration {sorted(model.contracted)} is not negative definite"
         )
-    if len(contracted) > model.rank - 1:  # Hodge index: signature (1, rank - 1)
+    if len(model.contracted) > model.rank - 1:  # Hodge index: signature (1, rank - 1)
         raise NotNegativeDefiniteError(
-            f"contracted configuration {contracted} spans {len(contracted)} negative directions; "
-            f"rank {model.rank} allows at most {model.rank - 1}"
+            f"contracted configuration {sorted(model.contracted)} spans {len(model.contracted)} negative "
+            f"directions; rank {model.rank} allows at most {model.rank - 1}"
         )
     object.__setattr__(model, "_checked", True)
     return model
@@ -256,7 +256,7 @@ def blow_up(model: SurfaceModel, point: PointSpec, exc_name: str) -> SurfaceMode
         rows[i] = tuple(row)
     rows.append(tuple(e))
     blown = SurfaceModel(rank=model.rank + 1, names=model.names + (exc_name,), matrix=tuple(rows))
-    return _contracted_checked(blown)
+    return _contracted_checked(blown, ())
 
 
 def blow_down(model: SurfaceModel, exc_name: str) -> SurfaceModel:
@@ -284,7 +284,9 @@ def blow_down_cascade(model: SurfaceModel, names) -> SurfaceModel:
     definite block. A round can newly break only genus, as C.C + K.C of D
     moves by (D.e)(D.e - 1), or rank 1. The first round that does ends the pass in
     `_validated`, with the message of one blow-down at a time; past
-    `_trusted`, an unbroken pass needs only `_contracted_checked`.
+    `_trusted`, an unbroken pass needs only `_contracted_checked`, and no C.C
+    if only contracted curves drop: a Schur complement keeps its diagonal
+    negative. A curve outside the set can raise a contracted C.C to 0.
     """
     model = _trusted(model)
     order = [model.row(n) for n in names]
@@ -318,7 +320,8 @@ def blow_down_cascade(model: SurfaceModel, names) -> SurfaceModel:
         matrix=tuple([pick(rows[i]) for i in keep]),
         contracted=model.contracted.difference(model.names[i - 1] for i in dropped),
     )
-    return _validated(result) if broken else _contracted_checked(result)
+    new = () if model.contracted.issuperset(names) else result.contracted
+    return _validated(result) if broken else _contracted_checked(result, new)
 
 
 def declare_contracted(model: SurfaceModel, names) -> SurfaceModel:
@@ -337,4 +340,4 @@ def declare_contracted(model: SurfaceModel, names) -> SurfaceModel:
     extended = SurfaceModel(model.rank, model.names, model.matrix, model.contracted | names)
     # seed the cached_property; the frozen dataclass forbids setattr
     extended.__dict__["contracted_factor"] = _bordered(extended, model.contracted_factor)
-    return _contracted_checked(extended)
+    return _contracted_checked(extended, names)

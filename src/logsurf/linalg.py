@@ -66,11 +66,6 @@ def negative_definite_factor(matrix: list[list[int]]) -> list[list[int]] | None:
     return factor
 
 
-def is_negative_definite_matrix(matrix: list[list[int]]) -> bool:
-    """The Sylvester test alone, for callers that solve nothing."""
-    return negative_definite_factor(matrix) is not None
-
-
 def solve_exact(factor: list[list[int]], rhs: list[int]) -> tuple[list[int], int]:
     """(y, det) with A y = det b, given factor = negative_definite_factor(A)
     and an integer right-hand side b; det = det(A), and x = y / det.

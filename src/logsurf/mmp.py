@@ -1,16 +1,17 @@
 """Contraction loop on a tracked configuration, with a per-step auditor.
 
-A state is a surface model plus a boundary divisor. Each step contracts one
-tracked curve with negative extremal pairing: a (-1)-curve on a smooth
-surface is Castelnuovo, anything else is Artin type. `contract` makes one
-step on the state's own model: it blows a Castelnuovo curve down and
-declares any other contracted after a negative-definiteness check. `run`
-keeps one state, the auditor's pair: the initial lattice with the
-contracted set declared contracted, and its minimal resolution. Each step
-is ranked on that resolution, then `audit_step` verifies the effectivity,
-rank-drop, classification and support conditions that make the loop sound
-and returns the next pair, so each intermediate surface is built and
-classified once.
+A state is a surface model plus a boundary divisor, which it stores
+checked and without zero coefficients. Each step contracts one tracked
+curve with negative extremal pairing: a (-1)-curve on a smooth surface is
+Castelnuovo, anything else is Artin type. `contract` makes one step on the
+state's own model: it blows a Castelnuovo curve down and declares any
+other contracted after a negative-definiteness check. `run` keeps one
+state, the auditor's pair: the initial lattice with the contracted set
+declared contracted, and its minimal resolution. Each step is ranked on
+that resolution, then `audit_step` verifies the effectivity, rank-drop,
+classification and support conditions that make the loop sound and returns
+the next pair, so each intermediate surface is built and classified once.
+The two randomized harnesses draw their towers through `_random_blowups`.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ class MmpState:
 
     def __post_init__(self):
         _trusted(self.surface)
-        _check_boundary(self.surface, self.boundary)
+        object.__setattr__(self, "boundary", _check_boundary(self.surface, self.boundary))
 
     @property
     def rho(self) -> int:
@@ -151,12 +152,10 @@ def contracted_self_intersection(model: SurfaceModel, name: str) -> Fraction:
 def _ranked(model: SurfaceModel, boundary: QDivisor) -> tuple[list[tuple[int, str]], int]:
     """Sorted keys (x, name) of the non-contracted curves with (K +
     boundary).C = x / d < 0: x is the curve's entry of the log pullback's
-    row over its one denominator d > 0, returned too. A boundary curve with
-    coefficient 0 adds nothing and may be missing from `model` (a resolution
-    blows contracted curves down)."""
+    row over its one denominator d > 0, returned too. `MmpState` dropped the
+    boundary's zero coefficients, so each of its curves is on `model`."""
     live = [name for name in model.names if name not in model.contracted]
-    terms = [(K_ROW, 1)] + [(model.row(name), c) for name, c in boundary.coefficients if c]
-    _, v, d = pulled_back(model, terms, list(map(model.row, live)))
+    _, v, d = pulled_back(model, [(K_ROW, 1)] + divisor_terms(model, boundary), list(map(model.row, live)))
     return sorted((x, name) for x, name in zip(v, live) if x < 0), d
 
 
@@ -259,7 +258,7 @@ def run(state: MmpState, strategy, epsilon=Fraction(0)) -> MmpRun:
     so a run makes at most rho - 1 steps.
     """
     epsilon = Fraction(epsilon)
-    smooth, bounded = _gate(state, epsilon)
+    smooth, bounded = gate = _gate(state, epsilon)
     pair, steps, audited, violations = (state.surface, state.boundary, None, None), [], [], []
     queue = list(strategy.names) if isinstance(strategy, NamedOrder) else None
     castelnuovo = smooth
@@ -297,9 +296,7 @@ def run(state: MmpState, strategy, epsilon=Fraction(0)) -> MmpRun:
         castelnuovo = castelnuovo and cand.self_int == -1
         kind = CASTELNUOVO if castelnuovo else ARTIN_TYPE
         steps.append(MmpStep(cand.name, cand.extremal_value, cand.self_int, kind, post))
-    rho_sequence = (state.rho, *(s.rho_after for s in audited))
-    audit = AuditReport(state.rho, rho_sequence, smooth, bounded, epsilon, tuple(audited), tuple(violations))
-    return MmpRun(steps=tuple(steps), outcome=outcome, audit=audit)
+    return MmpRun(steps=tuple(steps), outcome=outcome, audit=_report(state, gate, epsilon, audited, violations))
 
 
 def _gate(initial: MmpState, epsilon: Fraction) -> tuple[bool, bool]:
@@ -307,6 +304,12 @@ def _gate(initial: MmpState, epsilon: Fraction) -> tuple[bool, bool]:
     boundary coefficients at most 1 - epsilon."""
     cap = Fraction(1) - epsilon
     return not initial.surface.contracted, all(c <= cap for _, c in initial.boundary.coefficients)
+
+
+def _report(initial: MmpState, gate: tuple[bool, bool], epsilon: Fraction, audited, violations) -> AuditReport:
+    """The AuditReport of the steps `audited` from `initial`, `gate` its `_gate`."""
+    rho_sequence = (initial.rho, *(s.rho_after for s in audited))
+    return AuditReport(initial.rho, rho_sequence, *gate, epsilon, tuple(audited), tuple(violations))
 
 
 def audit_run(run_record: MmpRun, initial: MmpState, epsilon) -> AuditReport:
@@ -324,7 +327,7 @@ def audit_run(run_record: MmpRun, initial: MmpState, epsilon) -> AuditReport:
     after each contraction. Nothing here reads the run's models.
     """
     epsilon = Fraction(epsilon)
-    smooth, bounded = _gate(initial, epsilon)
+    smooth, bounded = gate = _gate(initial, epsilon)
     violations = []
     if len(run_record.steps) > max(initial.rho - 1, 0):
         violations.append(f"bound: run has {len(run_record.steps)} steps, limit {initial.rho - 1}")
@@ -334,8 +337,7 @@ def audit_run(run_record: MmpRun, initial: MmpState, epsilon) -> AuditReport:
         if audit is None:
             break
         audited.append(audit)
-    rho_sequence = (initial.rho, *(s.rho_after for s in audited))
-    return AuditReport(initial.rho, rho_sequence, smooth, bounded, epsilon, tuple(audited), tuple(violations))
+    return _report(initial, gate, epsilon, audited, violations)
 
 
 def audit_step(pair, name: str, i: int, epsilon: Fraction, gate: bool, violations: list):
@@ -443,17 +445,19 @@ def _coefficient_grid(cap: Fraction) -> tuple[Fraction, ...]:
     return tuple(sorted(grid))
 
 
-def _random_tower(rng: random.Random, max_blowups: int) -> SurfaceModel:
-    model = new_projective_plane()
-    count = rng.randint(1, max_blowups)
-    for i in range(count):
-        tracked = model.tracked
-        if not tracked or rng.random() < 0.5:
-            point = PointSpec.general()
-        else:
-            point = PointSpec.on_curve(rng.choice(tracked))
-        model = blow_up(model, point, f"C{i + 1}")
+def _random_blowups(rng: random.Random, model: SurfaceModel, names, avoid=()) -> SurfaceModel:
+    """`model` blown up once per name, in order: at a general point, or with
+    probability 1/2 on a tracked curve outside `avoid`, drawn uniformly."""
+    for name in names:
+        allowed = [n for n in model.tracked if n not in avoid]
+        on_curve = allowed and rng.random() >= 0.5
+        model = blow_up(model, PointSpec.on_curve(rng.choice(allowed)) if on_curve else PointSpec.general(), name)
     return model
+
+
+def _random_tower(rng: random.Random, max_blowups: int) -> SurfaceModel:
+    names = [f"C{i + 1}" for i in range(rng.randint(1, max_blowups))]
+    return _random_blowups(rng, new_projective_plane(), names)
 
 
 def verify_smooth_start_runs(trials, seed, epsilon, max_blowups=10) -> VerificationReport:
@@ -477,9 +481,7 @@ def verify_smooth_start_runs(trials, seed, epsilon, max_blowups=10) -> Verificat
     for trial in range(trials):
         rng = random.Random(seed * 1_000_003 + trial)
         model = _random_tower(rng, max_blowups)
-        coeffs = {n: rng.choice(grid) for n in model.tracked}
-        boundary = QDivisor.from_map({n: c for n, c in coeffs.items() if c != 0})
-        state = MmpState(surface=model, boundary=boundary)
+        state = MmpState(surface=model, boundary=QDivisor.from_map({n: rng.choice(grid) for n in model.tracked}))
         result = run(state, MostNegativeFirst(), epsilon=epsilon)
         total_steps += len(result.steps)
         outcome_counts[type(result.outcome).__name__] += 1
@@ -545,21 +547,14 @@ def search_canonical_starts(config: SearchConfig, trials, seed) -> SearchReport:
         for i, name in enumerate(chain_names + ["T1"]):
             model = blow_up(model, PointSpec.on_curve(chain_names[i - 1]) if i else PointSpec.general(), name)
         extra = rng.randint(0, max(config.max_blowups - chain - 1, 0))
-        for i in range(extra):
-            allowed = [n for n in model.tracked if n not in chain_names]
-            if not allowed or rng.random() < 0.5:
-                point = PointSpec.general()
-            else:
-                point = PointSpec.on_curve(rng.choice(allowed))
-            model = blow_up(model, point, f"T{i + 2}")
+        model = _random_blowups(rng, model, [f"T{i + 2}" for i in range(extra)], chain_names)
         if chain:
             model = declare_contracted(model, chain_names)
         start = classify(model, QDivisor.zero(), Fraction(0))
         if start.total_discrepancy is None or start.total_discrepancy < 0:  # canonical by construction
             raise ModelError(f"trial {trial}: start surface classifies {start.classification}, not canonical")
         canonical_starts += 1
-        coeffs = {n: rng.choice(grid) for n in model.tracked if n not in model.contracted}
-        boundary = QDivisor.from_map({n: c for n, c in coeffs.items() if c != 0})
+        boundary = QDivisor.from_map({n: rng.choice(grid) for n in model.tracked if n not in model.contracted})
         result = run(MmpState(surface=model, boundary=boundary), MostNegativeFirst())
         total_steps += len(result.steps)
         bad = [s for s in result.steps if s.post_classification.classification == NOT_LOG_CANONICAL]

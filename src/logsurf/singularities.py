@@ -97,19 +97,6 @@ class QDivisor:
 
 
 @dataclass(frozen=True)
-class LogPullback:
-    """Exceptional data of a log pullback over the contracted set.
-
-    boundary_part holds the coefficients g_i making
-    K + (boundary strict transform) + sum g_i E_i orthogonal to every
-    contracted E_j; discrepancies are their negatives.
-    """
-
-    boundary_part: QDivisor
-    discrepancies: QDivisor
-
-
-@dataclass(frozen=True)
 class SingularityClass:
     total_discrepancy: Fraction | _NegInfinity | None
     classification: str
@@ -118,7 +105,9 @@ class SingularityClass:
     epsilon: Fraction
 
 
-def _check_boundary(model: SurfaceModel, boundary: QDivisor) -> None:
+def _check_boundary(model: SurfaceModel, boundary: QDivisor) -> QDivisor:
+    """`boundary` checked against `model`, without its zero coefficients: they
+    add nothing and may name a contracted curve that a resolution blows down."""
     rows = model._rows
     for name, c in boundary.coefficients:
         if name not in rows:
@@ -127,6 +116,7 @@ def _check_boundary(model: SurfaceModel, boundary: QDivisor) -> None:
             raise ModelError(f"boundary curve {name!r} is contracted; fold it into the pullback instead")
         if not (0 <= c.numerator <= c.denominator):
             raise ModelError(f"boundary coefficient {c} on {name!r} outside [0, 1]")
+    return QDivisor(tuple((name, c) for name, c in boundary.coefficients if c.numerator))
 
 
 def divisor_terms(model: SurfaceModel, divisor: QDivisor) -> list[tuple[int, Fraction]]:
@@ -207,31 +197,14 @@ def _log_numerators(model: SurfaceModel, boundary: QDivisor) -> tuple[dict[str, 
     return out, d
 
 
-def log_discrepancies(model: SurfaceModel, boundary: QDivisor) -> LogPullback:
-    """Solve for the exceptional part of the log pullback.
-
-    Finds g_i with (K + boundary strict transform + sum g_i E_i).E_j = 0
-    for every contracted E_j, and returns both g_i and the discrepancies
-    a_i = -g_i, read off `_log_numerators`.
+def log_discrepancies(model: SurfaceModel, boundary: QDivisor) -> QDivisor:
+    """The discrepancies a_i = -g_i of the contracted curves, where g_i
+    make (K + boundary strict transform + sum g_i E_i).E_j = 0 for every
+    contracted E_j, read off `_log_numerators`.
     """
     model = _trusted(model)
-    _check_boundary(model, boundary)
-    n, d = _log_numerators(model, boundary)
-    g = [(name, n[name]) for name in sorted(model.contracted)]
-    return LogPullback(
-        boundary_part=QDivisor(tuple([(name, Fraction(x, d)) for name, x in g])),
-        discrepancies=QDivisor(tuple([(name, Fraction(-x, d)) for name, x in g])),
-    )
-
-
-def log_coefficients(model: SurfaceModel, boundary: QDivisor) -> dict[str, Fraction]:
-    """Coefficients of the log pullback of the modeled pair: boundary curves
-    keep their nonzero coefficients, contracted curves get their solved g_i.
-    The Fractions of `_log_numerators`' integers over their one denominator."""
-    model = _trusted(model)
-    _check_boundary(model, boundary)
-    n, d = _log_numerators(model, boundary)
-    return {name: Fraction(x, d) for name, x in n.items()}
+    n, d = _log_numerators(model, _check_boundary(model, boundary))
+    return QDivisor(tuple([(name, Fraction(-n[name], d)) for name in sorted(model.contracted)]))
 
 
 def minimal_resolution(model: SurfaceModel) -> SurfaceModel:
@@ -355,5 +328,5 @@ def classify(model: SurfaceModel, boundary: QDivisor, epsilon) -> SingularityCla
     coefficient is never contracted, so the resolution keeps it.
     """
     epsilon = Fraction(epsilon)
-    _check_boundary(model, boundary)
+    boundary = _check_boundary(model, boundary)
     return _singularity_class(minimal_resolution(model), boundary, epsilon)

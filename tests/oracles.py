@@ -7,9 +7,10 @@ candidate at every step, cofactor determinants, a determinant per
 leading minor, characteristic polynomials, a bounded blow-up search for
 total discrepancies, the coordinate model of a blown-up plane (classes as
 vectors in the diagonal basis), blow-ups and blow-downs that update every
-matrix entry, a minimal resolution that builds and
-validates every intermediate model and a classifier that compares
-Fractions. Slow and obvious beats fast and clever for an oracle.
+matrix entry, a minimal resolution that builds and validates every
+intermediate model, log pullback coefficients by Gauss-Jordan and a
+classifier that compares Fractions. Slow and obvious beats fast and
+clever for an oracle.
 """
 
 from fractions import Fraction
@@ -374,23 +375,31 @@ def _fraction_label(total, epsilon):
     return EPS_LOG_TERMINAL if total > bar else EPS_LOG_CANONICAL
 
 
+def log_coefficients(model, boundary):
+    """The log pullback of (model, boundary) in Fractions, name ->
+    coefficient: the boundary's nonzero coefficients, and each contracted
+    curve's g_i by Gauss-Jordan on the contracted Gram block, right-hand
+    sides through `dot`. `boundary` is a QDivisor the caller has checked."""
+    coefficients = {n: c for n, c in boundary.coefficients if c}
+    exceptional = sorted(model.contracted)
+    if exceptional:
+        log = [(0, Fraction(1))] + [(model.row(n), c) for n, c in coefficients.items()]
+        rhs = [-dot(model, log, [(model.row(e), 1)]) for e in exceptional]
+        coefficients.update(zip(exceptional, gauss_solve(model.gram(exceptional), rhs)))
+    return coefficients
+
+
 def fraction_classify(model, boundary, epsilon):
     """The epsilon-classification of (model, boundary) in Fractions
     throughout, as `classify` once computed it: the stepwise minimal
-    resolution, the log pullback's g_i by Gauss-Jordan on its contracted
-    Gram block (right-hand sides through `dot`), the MR total
+    resolution, its `log_coefficients`, the MR total
     min(1, -b_i), the SNC total min(1, -b_i, 1 - b_a - b_b over edges)
     (NEG_INFINITY if any b_i > 1, None with a multiple intersection), and
     each label a Fraction comparison against -1 + epsilon. `boundary` is a
     QDivisor the caller has checked."""
     epsilon = Fraction(epsilon)
     mr = stepwise_minimal_resolution(model)
-    coefficients = {n: c for n, c in boundary.coefficients if c}
-    exceptional = sorted(mr.contracted)
-    if exceptional:
-        log = [(0, Fraction(1))] + [(mr.row(n), c) for n, c in coefficients.items()]
-        rhs = [-dot(mr, log, [(mr.row(e), 1)]) for e in exceptional]
-        coefficients.update(zip(exceptional, gauss_solve(mr.gram(exceptional), rhs)))
+    coefficients = log_coefficients(mr, boundary)
     mr_total = min([-c for c in coefficients.values()] + [Fraction(1)])
     vertices = sorted(coefficients)
     pairs = [(a, b, mr.intersection(a, b)) for i, a in enumerate(vertices) for b in vertices[i + 1 :]]

@@ -76,7 +76,7 @@ def test_criterion_1_fork_discrepancies_are_order_independent(gate):
     with gate(1):
         t0 = time.perf_counter()
         for _, model in fork_family():
-            table = log_discrepancies(model, QDivisor.zero()).discrepancies
+            table = log_discrepancies(model, QDivisor.zero())
             assert table.as_map() == {
                 "E0": F(-1),
                 "E1": F(-1, 2),

@@ -254,6 +254,15 @@ class TestContractedSet:
         assert down.self_int("A") == -2
         assert down.self_int("B") == -1
 
+    def test_blow_down_outside_the_set_rechecks_contracted_curves(self):
+        # the line L through the two centres is contracted; blowing E1 down
+        # raises L.L from -1 to 0 with genus kept, so the C.C check names L
+        m = _validated(coordinate_model(3, (-3, 1, 1), {"E1": (0, 1, 0), "E2": (0, 0, 1), "L": (1, -1, -1)}))
+        m = declare_contracted(m, ["L"])
+        with pytest.raises(NotNegativeDefiniteError) as exc:
+            blow_down(m, "E1")
+        assert str(exc.value) == "contracted curve 'L' has self-intersection 0 >= 0"
+
     def test_unknown_name(self):
         with pytest.raises(ModelError):
             declare_contracted(new_projective_plane(), ["E"])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from logsurf.linalg import is_negative_definite_matrix, negative_definite_factor, solve_exact
+from logsurf.linalg import negative_definite_factor, solve_exact
 from oracles import cofactor_det, charpoly_negdef, det_bareiss, gauss_solve, minor_signs_negdef, pairing
 
 
@@ -191,15 +191,15 @@ class TestSolveExact:
 
 class TestNegativeDefinite:
     def test_base_cases(self):
-        assert is_negative_definite_matrix([]) is True
-        assert is_negative_definite_matrix([[-1]]) is True
-        assert is_negative_definite_matrix([[0]]) is False
-        assert is_negative_definite_matrix([[1]]) is False
+        assert negative_definite_factor([]) is not None
+        assert negative_definite_factor([[-1]]) is not None
+        assert negative_definite_factor([[0]]) is None
+        assert negative_definite_factor([[1]]) is None
 
     def test_two_by_two(self):
-        assert is_negative_definite_matrix([[-2, 1], [1, -2]]) is True
-        assert is_negative_definite_matrix([[-1, 1], [1, -1]]) is False  # det 0
-        assert is_negative_definite_matrix([[-1, 2], [2, -1]]) is False
+        assert negative_definite_factor([[-2, 1], [1, -2]]) is not None
+        assert negative_definite_factor([[-1, 1], [1, -1]]) is None  # det 0
+        assert negative_definite_factor([[-1, 2], [2, -1]]) is None
 
     def test_an_chain(self):
         # chain of (-2)-curves: classical negative definite lattice
@@ -209,25 +209,25 @@ class TestNegativeDefinite:
                 m[i][i] = -2
                 if i + 1 < n:
                     m[i][i + 1] = m[i + 1][i] = 1
-            assert is_negative_definite_matrix(m)
+            assert negative_definite_factor(m) is not None
 
     @settings(max_examples=400)
     @given(SYMMETRIC)
     @example([[-2, 1, 0], [1, -2, 1], [0, 1, -2]])
     def test_one_pass_matches_per_minor_determinants(self, m):
-        assert is_negative_definite_matrix(m) == minor_signs_negdef(m)
+        assert (negative_definite_factor(m) is not None) == minor_signs_negdef(m)
 
     @settings(max_examples=200)
     @given(zero_leading_minor())
     @example([[-1, 1, 2], [1, -1, 3], [2, 3, -6]])
     def test_zero_leading_minor_is_rejected_like_the_per_minor_test(self, m):
         assert minor_signs_negdef(m) is False
-        assert is_negative_definite_matrix(m) is False
+        assert negative_definite_factor(m) is None
 
     def test_inexact_division_raises(self):
         # a non-integer entry breaks Bareiss divisibility; it must not pass silently
         with pytest.raises(ValueError):
-            is_negative_definite_matrix([[-2, 1, 1], [1, -2, 1], [1, 1, -2.5]])
+            negative_definite_factor([[-2, 1, 1], [1, -2, 1], [1, 1, -2.5]]) is not None
 
     def test_matches_charpoly_oracle_seeded(self):
         rng = random.Random(90125)
@@ -239,7 +239,7 @@ class TestNegativeDefinite:
                 m[i][i] = rng.randint(-6, 2)
                 for j in range(i + 1, n):
                     m[i][j] = m[j][i] = rng.randint(-2, 2)
-            got = is_negative_definite_matrix(m)
+            got = negative_definite_factor(m) is not None
             assert got == charpoly_negdef(m)
             agree_true += got
             agree_false += not got

@@ -53,13 +53,12 @@ from logsurf.singularities import (
     SingularityClass,
     classify,
     divisor_terms,
-    log_coefficients,
     log_discrepancies,
     minimal_resolution,
     pullback,
     pulled_back,
 )
-from oracles import coordinate_model, eager_run, mumford_pairings, pairwise_ranking
+from oracles import coordinate_model, eager_run, log_coefficients, mumford_pairings, pairwise_ranking
 from test_singularities import TOWER_OPS, line_tower, outcome, tower_from
 
 SEED = 20260821
@@ -788,14 +787,18 @@ class TestLazyCandidates:
 
     def test_zero_boundary_on_a_resolved_curve(self):
         # B is contracted with boundary coefficient 0 and a (-1)-curve, so
-        # the resolution `run` ranks on has no row for it
+        # the resolution `run` ranks on and audit check (d) reads has no row
+        # for it; the state drops the zero, so B is no boundary anywhere
         model = blow_up(new_projective_plane(), PointSpec.general(), "A")
         model = blow_up(model, PointSpec.on_curve("A"), "B")
         model = declare_contracted(blow_up(model, PointSpec.general(), "C"), ["B"])
         state = MmpState(surface=model, boundary=QDivisor.from_map({"B": 0, "C": F(1, 2)}))
+        plain = MmpState(surface=model, boundary=QDivisor.from_map({"C": F(1, 2)}))
+        assert state == plain
         result = run(state, MostNegativeFirst())
-        assert result == eager_run(state, MostNegativeFirst())
+        assert result == eager_run(state, MostNegativeFirst()) == run(plain, MostNegativeFirst())
         assert [s.contracted_curve for s in result.steps] == ["C", "A"]
+        assert result.audit.ok and audit_run(result, state, 0) == result.audit
 
     def test_seeded_stream_reaches_every_outcome(self):
         rng = random.Random(20261019)
@@ -1069,9 +1072,11 @@ class TestAuditViolations:
 def fresh_audit_steps(steps, initial, epsilon):
     """Every AuditStep of an honest run, replayed on the initial lattice with
     declare_contracted, resolving and classifying each shadow model and
-    solving the curve's pullback afresh at every step. The boundary pairing comes from two
-    extremal pairings, (K + B).C* - K.C*, each with its own solve. Returns
-    the steps and how many resolutions differed from their shadow model."""
+    solving the curve's pullback afresh at every step. Check (a) compares
+    the oracle's `log_coefficients`, solved in Fractions. The boundary
+    pairing comes from two extremal pairings, (K + B).C* - K.C*, each with
+    its own solve. Returns the steps and how many resolutions differed from
+    their shadow model."""
     shadow, boundary = initial.surface, initial.boundary
     prev = log_coefficients(shadow, boundary)
     rho, out, resolved = initial.rho, [], 0

@@ -30,7 +30,6 @@ from logsurf.singularities import (
     QDivisor,
     _classified,
     classify,
-    log_coefficients,
     log_discrepancies,
     minimal_resolution,
     pullback,
@@ -230,10 +229,9 @@ class TestPullback:
         [
             lambda m: pullback(m, QDivisor.from_map({"B": 1})),
             lambda m: log_discrepancies(m, QDivisor.zero()),
-            lambda m: log_coefficients(m, QDivisor.zero()),
             lambda m: build_dual_graph(m, ["A", "B"]),
         ],
-        ids=["pullback", "log_discrepancies", "log_coefficients", "build_dual_graph"],
+        ids=["pullback", "log_discrepancies", "build_dual_graph"],
     )
     def test_raw_model_is_validated_at_entry(self, read):
         with pytest.raises(ModelError) as exc:
@@ -245,7 +243,7 @@ class TestLogDiscrepancies:
     def test_fork_is_order_independent(self):
         for n0 in range(3, 13):
             lp = log_discrepancies(fork_model(n0), QDivisor.zero())
-            assert lp.discrepancies.as_map() == {
+            assert lp.as_map() == {
                 "E0": F(-1),
                 "E1": F(-1, 2),
                 "E2": F(-2, 3),
@@ -254,39 +252,34 @@ class TestLogDiscrepancies:
 
     def test_quad_fork_without_boundary(self):
         lp = log_discrepancies(fork_model(5, (2, 2, 2)), QDivisor.zero())
-        assert lp.boundary_part.as_map() == {
-            "E0": F(6, 7),
-            "E1": F(3, 7),
-            "E2": F(3, 7),
-            "E3": F(3, 7),
+        assert lp.as_map() == {
+            "E0": F(-6, 7),
+            "E1": F(-3, 7),
+            "E2": F(-3, 7),
+            "E3": F(-3, 7),
         }
 
     def test_quad_fork_with_boundary(self):
         lp = log_discrepancies(fork_model(5, (2, 2, 2)), QDivisor.from_map({"D": F(6, 7)}))
-        assert lp.boundary_part.as_map() == {
-            "E0": F(54, 49),
-            "E1": F(27, 49),
-            "E2": F(27, 49),
-            "E3": F(27, 49),
+        assert lp.as_map() == {
+            "E0": F(-54, 49),
+            "E1": F(-27, 49),
+            "E2": F(-27, 49),
+            "E3": F(-27, 49),
         }
 
     def test_quintuple_star(self):
         # the whole star contracted, divisor included: hand-eliminated values
         model = fork_model(5, (2, 2, 2), contract_extra=True)
         lp = log_discrepancies(model, QDivisor.zero())
-        assert lp.boundary_part.as_map() == {
-            "D": F(13, 19),
-            "E0": F(20, 19),
-            "E1": F(10, 19),
-            "E2": F(10, 19),
-            "E3": F(10, 19),
+        assert lp.as_map() == {
+            "D": F(-13, 19),
+            "E0": F(-20, 19),
+            "E1": F(-10, 19),
+            "E2": F(-10, 19),
+            "E3": F(-10, 19),
         }
-        assert lp.discrepancies.coefficient("E0") == F(-20, 19)
-
-    def test_discrepancies_negate_pullback_part(self):
-        lp = log_discrepancies(fork_model(7), QDivisor.zero())
-        for name in lp.boundary_part.names:
-            assert lp.discrepancies.coefficient(name) == -lp.boundary_part.coefficient(name)
+        assert lp.coefficient("E0") == F(-20, 19)
 
     @pytest.mark.parametrize(
         "boundary, message",
@@ -301,7 +294,7 @@ class TestLogDiscrepancies:
     )
     def test_boundary_validation(self, boundary, message):
         model = fork_model(3)
-        for call in (log_discrepancies, log_coefficients, lambda m, b: classify(m, b, 0)):
+        for call in (log_discrepancies, lambda m, b: classify(m, b, 0)):
             with pytest.raises(ModelError) as exc:
                 call(model, QDivisor.from_map(boundary))
             assert str(exc.value) == message
@@ -312,7 +305,7 @@ class TestLogDiscrepancies:
         plain = classify(model, QDivisor.from_map({"D": 1}), 0)
         assert plain == classify(model, QDivisor.from_map({"D": 1, "E0": 0, "E1": 0}), 0)
         assert plain.total_discrepancy == NEG_INFINITY
-        assert log_coefficients(model, QDivisor.from_map({"D": 0})) == log_coefficients(model, QDivisor.zero())
+        assert log_discrepancies(model, QDivisor.from_map({"D": 0})) == log_discrepancies(model, QDivisor.zero())
 
     def test_zero_boundary_on_a_resolved_curve(self):
         # B is a contracted (-1)-curve, so the minimal resolution drops it;
@@ -326,8 +319,7 @@ class TestLogDiscrepancies:
 
     def test_smooth_model_empty(self):
         model = new_projective_plane()
-        lp = log_discrepancies(model, QDivisor.zero())
-        assert lp.discrepancies == QDivisor.zero()
+        assert log_discrepancies(model, QDivisor.zero()) == QDivisor.zero()
 
 
 class TestMinimalResolution:
@@ -504,8 +496,8 @@ class TestBorderedDeclaration:
                     zip(exceptional, gauss_solve(gram, rhs))
                 )
             g = gauss_solve(gram, [-model.k_dot(e) for e in exceptional])
-            assert log_discrepancies(model, QDivisor.zero()).boundary_part.coefficients == tuple(
-                zip(exceptional, g)
+            assert log_discrepancies(model, QDivisor.zero()).coefficients == tuple(
+                (e, -x) for e, x in zip(exceptional, g)
             )
 
 
