@@ -284,9 +284,7 @@ def blow_down_cascade(model: SurfaceModel, names) -> SurfaceModel:
     definite block. A round can newly break only genus, as C.C + K.C of D
     moves by (D.e)(D.e - 1), or rank 1. The first round that does ends the pass in
     `_validated`, with the message of one blow-down at a time; past
-    `_trusted`, an unbroken pass needs only `_contracted_checked`, and no C.C
-    if only contracted curves drop: a Schur complement keeps its diagonal
-    negative. A curve outside the set can raise a contracted C.C to 0.
+    `_trusted`, an unbroken pass needs only `_contracted_checked`.
     """
     model = _trusted(model)
     order = [model.row(n) for n in names]
@@ -320,8 +318,7 @@ def blow_down_cascade(model: SurfaceModel, names) -> SurfaceModel:
         matrix=tuple([pick(rows[i]) for i in keep]),
         contracted=model.contracted.difference(model.names[i - 1] for i in dropped),
     )
-    new = () if model.contracted.issuperset(names) else result.contracted
-    return _validated(result) if broken else _contracted_checked(result, new)
+    return _validated(result) if broken else _contracted_checked(result, result.contracted)
 
 
 def declare_contracted(model: SurfaceModel, names) -> SurfaceModel:
