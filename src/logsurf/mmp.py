@@ -7,10 +7,10 @@ Castelnuovo, anything else is Artin type. `contract` makes one step on the
 state's own model: it blows a Castelnuovo curve down and declares any
 other contracted after a negative-definiteness check. `run` keeps one
 state, the auditor's pair: the initial lattice with the contracted set
-declared contracted, and its minimal resolution. Each step is ranked on
-that resolution, then `audit_step` verifies the effectivity, rank-drop,
-classification and support conditions that make the loop sound and returns
-the next pair, so each intermediate surface is built and classified once.
+declared contracted, its minimal resolution, and the ranking check (a)
+solved on it. A step reads that ranking, then `audit_step` verifies the
+effectivity, rank-drop, classification and support conditions and returns
+the next pair, so every surface is built, ranked and classified once.
 The two randomized harnesses draw their towers through `_random_blowups`.
 """
 
@@ -42,7 +42,6 @@ from .singularities import (
     _log_numerators,
     _singularity_class,
     classify,
-    divisor_terms,
     minimal_resolution,
     pulled_back,
 )
@@ -135,11 +134,10 @@ def _pulled_back_curve(model: SurfaceModel, name: str, cols):
 
 def extremal_pairing(model: SurfaceModel, boundary: QDivisor, name: str) -> Fraction:
     """(K + boundary).C on the modeled surface: (K + B).C* = L*.C, read off
-    C's entry of the log pullback L*'s row (see `pulled_back`)."""
+    C's entry of the log pullback L*'s row (see `_log_numerators`)."""
     if name in model.contracted:
         raise ModelError(f"curve {name!r} is contracted; it has no extremal pairing")
-    r = model.row(name)
-    _, v, d = pulled_back(model, [(K_ROW, 1)] + divisor_terms(model, boundary), (r,))
+    _, d, v = _log_numerators(model, boundary, (model.row(name),))
     return Fraction(v[0], d)
 
 
@@ -149,14 +147,14 @@ def contracted_self_intersection(model: SurfaceModel, name: str) -> Fraction:
     return Fraction(v[0], d)
 
 
-def _ranked(model: SurfaceModel, boundary: QDivisor) -> tuple[list[tuple[int, str]], int]:
-    """Sorted keys (x, name) of the non-contracted curves with (K +
-    boundary).C = x / d < 0: x is the curve's entry of the log pullback's
-    row over its one denominator d > 0, returned too. `MmpState` dropped the
-    boundary's zero coefficients, so each of its curves is on `model`."""
+def _ranked(model: SurfaceModel, boundary: QDivisor) -> tuple[dict[str, int], list[tuple[int, str]], int]:
+    """`_log_numerators` on the live rows: the numerators, the sorted keys
+    (x, name) of the non-contracted curves with (K + boundary).C = x / d < 0,
+    and d. `MmpState` dropped the boundary's zero coefficients, so each of
+    its curves is on `model`."""
     live = [name for name in model.names if name not in model.contracted]
-    _, v, d = pulled_back(model, [(K_ROW, 1)] + divisor_terms(model, boundary), list(map(model.row, live)))
-    return sorted((x, name) for x, name in zip(v, live) if x < 0), d
+    numerators, d, v = _log_numerators(model, boundary, list(map(model.row, live)))
+    return numerators, sorted((x, name) for x, name in zip(v, live) if x < 0), d
 
 
 def _candidate(model: SurfaceModel, key: tuple[int, str], d: int) -> Candidate:
@@ -169,7 +167,7 @@ def step_candidates(state: MmpState) -> list[Candidate]:
     first, names breaking ties: `_ranked`'s keys, every one with its C.C
     solved. `run` solves C.C only for the candidates its strategy reads."""
     model = state.surface
-    keys, d = _ranked(model, state.boundary)
+    _, keys, d = _ranked(model, state.boundary)
     return [_candidate(model, key, d) for key in keys]
 
 
@@ -179,7 +177,7 @@ def contract(state: MmpState, name: str) -> MmpState:
     solved for it alone. A (-1)-curve on a smooth surface is blown down,
     any other curve declared contracted; either way rho drops by one."""
     model = state.surface
-    keys, d = _ranked(model, state.boundary)
+    _, keys, d = _ranked(model, state.boundary)
     key = next((key for key in keys if key[1] == name), None)
     if key is None:
         raise ModelError(f"{name!r} is not an extremal candidate (needs (K + boundary).C < 0)")
@@ -234,18 +232,18 @@ def run(state: MmpState, strategy, epsilon=Fraction(0)) -> MmpRun:
     """Drive contractions until nef-over-tracked, a fiber-space signal, or an
     exhausted named strategy, auditing each step as it is made.
 
-    The run keeps one state, the audit's shadow pair (model, boundary, log
-    numerators, resolution): the initial lattice with the curves contracted
-    so far declared contracted, and its carried minimal resolution. Each
-    step ranks through `_ranked` on that resolution (on the start surface at
-    step 0, before one is carried) and solves C.C only for the candidates
-    its strategy reads: the curve a named strategy wants, or those in rank
-    order up to the first contractible one. (K + B).C and C.C are numbers on
-    the surface, L*.C* and C*.C* on any model of it by the projection
-    formula, so every model of the pair gives the same values, and names
-    break ties. The step is Castelnuovo while the start was smooth, every
-    earlier step was Castelnuovo and C.C = -1 (K.C = -1 then follows from
-    genus 0); otherwise it is Artin type.
+    The run keeps one state, the audit's pair from `_start`: the initial
+    lattice with the curves contracted so far declared contracted, its
+    boundary, check (a)'s `_ranked` solve on it and its carried minimal
+    resolution. A step reads its ranking off the pair, so `run` solves no
+    log pullback, and solves C.C on the resolution (the start surface at
+    step 0) only for the candidates its strategy reads: the curve a named
+    strategy wants, or those in rank order up to the first contractible
+    one. (K + B).C = L*.C* and C.C = C*.C* on any model of the surface, so
+    both models give the same Fractions; with one denominator per ranking
+    and names breaking ties, the same order. The step is Castelnuovo while
+    the start was smooth, every earlier step was Castelnuovo and C.C = -1
+    (K.C = -1 then follows from genus 0); otherwise it is Artin type.
 
     `audit_step` then checks the step, as `audit_run` does, and returns the
     next pair. A step's `post_classification` is the audit's class of the
@@ -259,13 +257,12 @@ def run(state: MmpState, strategy, epsilon=Fraction(0)) -> MmpRun:
     """
     epsilon = Fraction(epsilon)
     smooth, bounded = gate = _gate(state, epsilon)
-    pair, steps, audited, violations = (state.surface, state.boundary, None, None), [], [], []
+    pair, steps, audited, violations = _start(state), [], [], []
     queue = list(strategy.names) if isinstance(strategy, NamedOrder) else None
     castelnuovo = smooth
     while True:
-        shadow, boundary, _, mr = pair
+        shadow, _, (_, keys, d), mr = pair
         model = shadow if mr is None else mr
-        keys, d = _ranked(model, boundary)
         if not keys:
             outcome = MinimalOverTracked()
             break
@@ -297,6 +294,11 @@ def run(state: MmpState, strategy, epsilon=Fraction(0)) -> MmpRun:
         kind = CASTELNUOVO if castelnuovo else ARTIN_TYPE
         steps.append(MmpStep(cand.name, cand.extremal_value, cand.self_int, kind, post))
     return MmpRun(steps=tuple(steps), outcome=outcome, audit=_report(state, gate, epsilon, audited, violations))
+
+
+def _start(state: MmpState) -> tuple:
+    """The audit's pair before step 0: the start state, its `_ranked` solve, no resolution."""
+    return state.surface, state.boundary, _ranked(state.surface, state.boundary), None
 
 
 def _gate(initial: MmpState, epsilon: Fraction) -> tuple[bool, bool]:
@@ -331,7 +333,7 @@ def audit_run(run_record: MmpRun, initial: MmpState, epsilon) -> AuditReport:
     violations = []
     if len(run_record.steps) > max(initial.rho - 1, 0):
         violations.append(f"bound: run has {len(run_record.steps)} steps, limit {initial.rho - 1}")
-    pair, audited = (initial.surface, initial.boundary, None, None), []
+    pair, audited = _start(initial), []
     for i, step in enumerate(run_record.steps):
         pair, audit = audit_step(pair, step.contracted_curve, i, epsilon, smooth and bounded, violations)
         if audit is None:
@@ -341,11 +343,11 @@ def audit_run(run_record: MmpRun, initial: MmpState, epsilon) -> AuditReport:
 
 
 def audit_step(pair, name: str, i: int, epsilon: Fraction, gate: bool, violations: list):
-    """Checks (a)-(d) of step i, which contracts `name`, on the shadow pair
-    before it: (model, boundary, log numerators and their denominator or
-    None, minimal resolution or None). Check (c) applies where `gate`.
-    Appends what it finds to `violations` and returns the pair after the
-    step and its AuditStep, both None where the replay cannot go on.
+    """Checks (a)-(d) of step i, which contracts `name`, on the pair before
+    it, `_start`'s shape: (shadow model, boundary, `_ranked` triple, minimal
+    resolution or None). Check (c) applies where `gate`. Appends what it
+    finds to `violations` and returns the next pair, which carries check
+    (a)'s triple, and the AuditStep, both None where the replay cannot go on.
 
     Checks (a) and (d) compare integers: (a) the log coefficients'
     numerators over their step's one denominator, cross-multiplied, and
@@ -365,8 +367,7 @@ def audit_step(pair, name: str, i: int, epsilon: Fraction, gate: bool, violation
     the same. The whole shadow is resolved only where none is carried or
     the old shadow was its own; a class that raises keeps the resolution.
     """
-    shadow, boundary, numerators, mr = pair
-    prev, prev_d = numerators or _log_numerators(shadow, boundary)
+    shadow, boundary, (prev, _, prev_d), mr = pair
     rho_before = shadow.rank - len(shadow.contracted)
     if name in shadow.contracted:
         violations.append(f"rho: step {i} contracts already-contracted curve {name!r}")
@@ -395,7 +396,7 @@ def audit_step(pair, name: str, i: int, epsilon: Fraction, gate: bool, violation
         violations.append(f"effectivity: step {i} ({name!r}): replay failed: {exc}")
         return None, None
     boundary = boundary.without(name)
-    new, new_d = _log_numerators(shadow, boundary)
+    new, _, new_d = ranking = _ranked(shadow, boundary)
     bad = sorted(n for n in prev.keys() | new.keys() if new.get(n, 0) * prev_d > prev.get(n, 0) * new_d)
     for n in bad:
         violations.append(
@@ -418,7 +419,7 @@ def audit_step(pair, name: str, i: int, epsilon: Fraction, gate: bool, violation
             f"expected {EPS_LOG_TERMINAL}"
         )
     step = AuditStep(name, rho_before, rho_after, not bad, label, step3_applicable, step3_value, step3_ok, post)
-    return (shadow, boundary, (new, new_d), mr), step
+    return (shadow, boundary, ranking, mr), step
 
 
 @dataclass(frozen=True)

@@ -183,18 +183,17 @@ def pullback(model: SurfaceModel, divisor: QDivisor) -> QDivisor:
     return QDivisor(tuple(zip(sorted(model.contracted), [Fraction(xi, d) for xi in x])))
 
 
-def _log_numerators(model: SurfaceModel, boundary: QDivisor) -> tuple[dict[str, int], int]:
-    """The log pullback's coefficients as integer numerators over one
-    denominator d > 0: nonzero boundary curves first, in name order, then
-    the contracted curves' solved g_i, in name order. `pulled_back` clears
-    every boundary denominator into d, so a boundary coefficient c is the
-    integer c.numerator (d // c.denominator) over the same d. The boundary
-    is not checked here."""
-    terms = [(model.row(name), c) for name, c in boundary.coefficients if c.numerator]
-    x, _, d = pulled_back(model, [(K_ROW, 1)] + terms, ())
-    out = {name: c.numerator * (d // c.denominator) for name, c in boundary.coefficients if c.numerator}
+def _log_numerators(model: SurfaceModel, boundary: QDivisor, cols=()) -> tuple[dict[str, int], int, list[int]]:
+    """The one log pullback solve, L* = K + boundary + sum g_i E_i: its
+    coefficients as integer numerators over one denominator d > 0 (boundary
+    curves, then the contracted curves' g_i, each in name order), d, and
+    L*'s row on `cols` over d. `pulled_back` clears each boundary
+    denominator into d, so a coefficient c is c.numerator (d // c.denominator).
+    The boundary is not checked here; a checked one has no zero coefficient."""
+    x, v, d = pulled_back(model, [(K_ROW, 1)] + divisor_terms(model, boundary), cols)
+    out = {name: c.numerator * (d // c.denominator) for name, c in boundary.coefficients}
     out.update(zip(sorted(model.contracted), x))
-    return out, d
+    return out, d, v
 
 
 def log_discrepancies(model: SurfaceModel, boundary: QDivisor) -> QDivisor:
@@ -203,7 +202,7 @@ def log_discrepancies(model: SurfaceModel, boundary: QDivisor) -> QDivisor:
     contracted E_j, read off `_log_numerators`.
     """
     model = _trusted(model)
-    n, d = _log_numerators(model, _check_boundary(model, boundary))
+    n, d, _ = _log_numerators(model, _check_boundary(model, boundary))
     return QDivisor(tuple([(name, Fraction(-n[name], d)) for name in sorted(model.contracted)]))
 
 
@@ -286,7 +285,7 @@ def _classified(mr: SurfaceModel, boundary: QDivisor, epsilon) -> tuple[str, int
     here; the boundary is not checked."""
     if not (0 <= epsilon.numerator <= epsilon.denominator):
         raise ModelError(f"epsilon {epsilon} outside [0, 1]")
-    numerators, d = _log_numerators(mr, boundary)
+    numerators, d, _ = _log_numerators(mr, boundary)
     mr_total = min([d] + [-n for n in numerators.values()])
     m = mr.matrix
     rows = [(name, mr.row(name)) for name in sorted(numerators)]

@@ -6,7 +6,8 @@ package itself holds no `assert` statement at all; `linalg`, the integer
 classification core (the label core that audit check (c) reads included)
 and audit check (a)'s comparison never touch a Fraction. Only
 `lattice._trusted` reads the `_checked` flag, so the builders keep one
-path for raw and checked models.
+path for raw and checked models, and only `singularities._log_numerators`
+hands K's row to `pulled_back`, so every log pullback is one solve.
 """
 
 import ast
@@ -219,6 +220,30 @@ def test_checked_flag_has_one_reader_and_one_writer():
         ("lattice", "_contracted_checked", "set"),
         ("lattice", "_trusted", "read"),
     ]
+
+
+def k_row_pullbacks():
+    """(module, innermost function) of each `pulled_back` call that names
+    `K_ROW` in its arguments."""
+    found = []
+    for path in sorted((SRC / "logsurf").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            called = getattr(node.func, "attr", getattr(node.func, "id", None)) if isinstance(node, ast.Call) else None
+            arguments = [*node.args, *(k.value for k in node.keywords)] if called == "pulled_back" else []
+            if any(getattr(n, "id", getattr(n, "attr", None)) == "K_ROW" for a in arguments for n in ast.walk(a)):
+                scope = parent.get(node)
+                while scope is not None and not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    scope = parent.get(scope)
+                found.append((path.stem, getattr(scope, "name", "<module>")))
+    return found
+
+
+def test_one_function_solves_a_log_pullback():
+    # K + B is pulled back in `_log_numerators` alone; ranking, extremal
+    # pairings, audit check (a) and the classifier all read its solve
+    assert k_row_pullbacks() == [("singularities", "_log_numerators")]
 
 
 def test_public_names_are_listed_once():

@@ -537,7 +537,7 @@ class TestRun:
             ("D", ARTIN_TYPE),
         ]
         assert result.steps[2].self_int == -1 and result.audit.ok
-        pair, violations = (model, state.boundary, None, None), []
+        pair, violations = mmp._start(state), []
         for i, name in enumerate(("E1", "E2")):
             pair, _ = mmp.audit_step(pair, name, i, F(0), True, violations)
         assert pair[3].contracted == frozenset() and pair[3].names == ("D",)
@@ -787,7 +787,7 @@ class TestLazyCandidates:
 
     def test_zero_boundary_on_a_resolved_curve(self):
         # B is contracted with boundary coefficient 0 and a (-1)-curve, so
-        # the resolution `run` ranks on and audit check (d) reads has no row
+        # the resolution `run` solves C.C on and audit check (d) reads has no row
         # for it; the state drops the zero, so B is no boundary anywhere
         model = blow_up(new_projective_plane(), PointSpec.general(), "A")
         model = blow_up(model, PointSpec.on_curve("A"), "B")
@@ -905,6 +905,21 @@ class TestSavedWork:
             harness()
             assert len(per_run) == 40 and sum(steps for *_, steps in per_run) > 150
             assert all(work == expected for work, expected, _ in per_run)
+
+    def test_one_log_pullback_per_surface(self, monkeypatch):
+        # the start surface and each step's new shadow get one solve of K + B,
+        # which check (a) makes and `run` ranks off; check (c) makes one more
+        # on each resolution, and q44 classifies each start once
+        calls = [counting(monkeypatch, module, "pulled_back") for module in (singularities, mmp)]
+
+        def steps_and_solves(harness):
+            for made in calls:
+                made.clear()
+            steps = harness().total_steps
+            return steps, sum(terms[0][0] == K_ROW for made in calls for _, terms, _ in made)
+
+        assert steps_and_solves(lambda: verify_smooth_start_runs(40, 1, F(1, 7), 12)) == (296, 632)
+        assert steps_and_solves(lambda: search_canonical_starts(SearchConfig(), 40, 1)) == (169, 418)
 
     def test_one_self_intersection_per_step(self, monkeypatch):
         calls = counting(monkeypatch, mmp, "contracted_self_intersection")
@@ -1156,7 +1171,7 @@ class TestAuditReplay:
             epsilon = (F(0), F(1, 7), F(1, 4))[trial % 3]
             result = run(initial, MostNegativeFirst(), epsilon)
             smooth, bounded = mmp._gate(initial, epsilon)
-            pair, violations = (model, boundary, None, None), []
+            pair, violations = mmp._start(initial), []
             for i, step in enumerate(result.steps):
                 pair, audit = mmp.audit_step(pair, step.contracted_curve, i, epsilon, smooth and bounded, violations)
                 shadow, _, _, mr = pair

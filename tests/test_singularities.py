@@ -28,6 +28,7 @@ from logsurf.singularities import (
     NOT_LOG_CANONICAL,
     UNCLASSIFIABLE_SNC,
     QDivisor,
+    _check_boundary,
     _classified,
     classify,
     log_discrepancies,
@@ -944,7 +945,7 @@ class TestIntegerClassifier:
             mr = minimal_resolution(model)
             for b in (zero, boundary):
                 for epsilon in self.EPSILONS:
-                    label = _classified(mr, b, epsilon)[0]
+                    label = _classified(mr, _check_boundary(model, b), epsilon)[0]
                     assert label == classify(model, b, epsilon).classification
                     assert label == fraction_classify(model, b, epsilon).classification
                     if b is zero:
