@@ -7,10 +7,14 @@ Castelnuovo, anything else is Artin type. `contract` makes one step on the
 state's own model: it blows a Castelnuovo curve down and declares any
 other contracted after a negative-definiteness check. `run` keeps one
 state, the auditor's pair: the initial lattice with the contracted set
-declared contracted, its minimal resolution, and the ranking check (a)
-solved on it. A step reads that ranking, then `audit_step` verifies the
-effectivity, rank-drop, classification and support conditions and returns
-the next pair, so every surface is built, ranked and classified once.
+declared contracted (the shadow), its boundary, the log pullbacks of K + B
+and of K, solved once at the start, and its minimal resolution. A step
+ranks off the row of (K + B)* and solves the chosen curve's pullback C*,
+its one solve; `audit_step` verifies the effectivity, rank-drop,
+classification and support conditions, carries both log pullbacks across
+the contraction by a rank-one update through C*, re-checked against the
+matrix, and returns the next pair. So every surface is built and
+classified once, and no log pullback is solved after the start.
 The two randomized harnesses draw their towers through `_random_blowups`.
 """
 
@@ -21,7 +25,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 
 from .errors import ModelError, NotNegativeDefiniteError, ScenarioError
 from .lattice import (
@@ -39,6 +44,7 @@ from .singularities import (
     NOT_LOG_CANONICAL,
     QDivisor,
     _check_boundary,
+    _labelled,
     _log_numerators,
     _singularity_class,
     classify,
@@ -125,8 +131,8 @@ def _pulled_back_curve(model: SurfaceModel, name: str, cols):
     """The pullback C* of a tracked curve over one denominator d > 0: the
     terms of d C* and its row (v, d) on the columns `cols`, solved by
     `pulled_back` (negativity lemma included) when C meets the contracted set."""
-    r = model.row(name)
-    if not any(model.intersection(name, e) for e in model.contracted):
+    r, rows = model.row(name), model._rows
+    if not any(model.matrix[r][rows[e]] for e in model.contracted):
         return [(r, 1)], [model.matrix[r][j] for j in cols], 1  # C* = C
     x, v, d = pulled_back(model, [(r, 1)], cols)
     return [(r, d)] + list(zip(map(model.row, sorted(model.contracted)), x)), v, d
@@ -147,14 +153,24 @@ def contracted_self_intersection(model: SurfaceModel, name: str) -> Fraction:
     return Fraction(v[0], d)
 
 
-def _ranked(model: SurfaceModel, boundary: QDivisor) -> tuple[dict[str, int], list[tuple[int, str]], int]:
-    """`_log_numerators` on the live rows: the numerators, the sorted keys
-    (x, name) of the non-contracted curves with (K + boundary).C = x / d < 0,
-    and d. `MmpState` dropped the boundary's zero coefficients, so each of
-    its curves is on `model`."""
-    live = [name for name in model.names if name not in model.contracted]
-    numerators, d, v = _log_numerators(model, boundary, list(map(model.row, live)))
-    return numerators, sorted((x, name) for x, name in zip(v, live) if x < 0), d
+def _live(model: SurfaceModel) -> tuple[str, ...]:
+    """The non-contracted curves, in row order: the columns a log pullback's row is read on."""
+    return tuple(name for name in model.names if name not in model.contracted)
+
+
+def _ranked(live, row) -> list[tuple[int, str]]:
+    """The sorted keys (x, name) of the `live` curves with (K + B).C = x / d
+    < 0, `row` the numerators of L*'s row on them."""
+    return sorted((x, name) for x, name in zip(row, live) if x < 0)
+
+
+def _solved_ranking(model: SurfaceModel, boundary: QDivisor) -> tuple[list[tuple[int, str]], int]:
+    """`_ranked` off a fresh `_log_numerators` solve on `model`, and its d.
+    `MmpState` dropped the boundary's zero coefficients, so each of its
+    curves is on `model`."""
+    live = _live(model)
+    _, d, row = _log_numerators(model, boundary, list(map(model.row, live)))
+    return _ranked(live, row), d
 
 
 def _candidate(model: SurfaceModel, key: tuple[int, str], d: int) -> Candidate:
@@ -167,7 +183,7 @@ def step_candidates(state: MmpState) -> list[Candidate]:
     first, names breaking ties: `_ranked`'s keys, every one with its C.C
     solved. `run` solves C.C only for the candidates its strategy reads."""
     model = state.surface
-    _, keys, d = _ranked(model, state.boundary)
+    keys, d = _solved_ranking(model, state.boundary)
     return [_candidate(model, key, d) for key in keys]
 
 
@@ -177,7 +193,7 @@ def contract(state: MmpState, name: str) -> MmpState:
     solved for it alone. A (-1)-curve on a smooth surface is blown down,
     any other curve declared contracted; either way rho drops by one."""
     model = state.surface
-    _, keys, d = _ranked(model, state.boundary)
+    keys, d = _solved_ranking(model, state.boundary)
     key = next((key for key in keys if key[1] == name), None)
     if key is None:
         raise ModelError(f"{name!r} is not an extremal candidate (needs (K + boundary).C < 0)")
@@ -232,18 +248,19 @@ def run(state: MmpState, strategy, epsilon=Fraction(0)) -> MmpRun:
     """Drive contractions until nef-over-tracked, a fiber-space signal, or an
     exhausted named strategy, auditing each step as it is made.
 
-    The run keeps one state, the audit's pair from `_start`: the initial
-    lattice with the curves contracted so far declared contracted, its
-    boundary, check (a)'s `_ranked` solve on it and its carried minimal
-    resolution. A step reads its ranking off the pair, so `run` solves no
-    log pullback, and solves C.C on the resolution (the start surface at
-    step 0) only for the candidates its strategy reads: the curve a named
+    The run keeps one state, the audit's pair from `_start`: the shadow
+    (the initial lattice with the curves contracted so far declared
+    contracted), its boundary, the carried log pullbacks of K + B and K,
+    and the carried minimal resolution. A step ranks the live curves off
+    (K + B)*'s row, so `run` solves no log pullback, and solves C* on the
+    shadow only for the candidates its strategy reads: the curve a named
     strategy wants, or those in rank order up to the first contractible
-    one. (K + B).C = L*.C* and C.C = C*.C* on any model of the surface, so
-    both models give the same Fractions; with one denominator per ranking
-    and names breaking ties, the same order. The step is Castelnuovo while
-    the start was smooth, every earlier step was Castelnuovo and C.C = -1
-    (K.C = -1 then follows from genus 0); otherwise it is Artin type.
+    one. C.C = C*.C is read off C*'s row, and the chosen curve's solve is
+    handed to `audit_step`: one C* solve a step. The ranking has one
+    denominator and names break ties, so its order is a fresh solve's. The
+    step is Castelnuovo while the start was smooth, every earlier step was
+    Castelnuovo and C.C = -1 (K.C = -1 then follows from genus 0);
+    otherwise it is Artin type.
 
     `audit_step` then checks the step, as `audit_run` does, and returns the
     next pair. A step's `post_classification` is the audit's class of the
@@ -261,19 +278,19 @@ def run(state: MmpState, strategy, epsilon=Fraction(0)) -> MmpRun:
     queue = list(strategy.names) if isinstance(strategy, NamedOrder) else None
     castelnuovo = smooth
     while True:
-        shadow, _, (_, keys, d), mr = pair
-        model = shadow if mr is None else mr
+        shadow, _, ((coef, row), _, live), _ = pair
+        keys, d = _ranked(live, row), coef[K_ROW]
         if not keys:
             outcome = MinimalOverTracked()
             break
         wanted = [key for key in keys if queue and key[1] == queue[0]]
-        cand = _candidate(model, wanted[0], d) if wanted else None
-        if cand is None or cand.self_int >= 0:
-            lazy = (_candidate(model, key, d) for key in keys)  # C.C is solved as each is read
+        chosen = _solved(shadow, live, wanted[0], d) if wanted else None
+        if chosen is None or chosen[0].self_int >= 0:
+            lazy = (_solved(shadow, live, key, d) for key in keys)  # C* is solved as each is read
             top = next(lazy)
-            cand = top if top.self_int < 0 else next((c for c in lazy if c.self_int < 0), None)
-            if cand is None:
-                outcome = MoriFiberSignal(curve=top.name, self_int=top.self_int)
+            chosen = top if top[0].self_int < 0 else next((c for c in lazy if c[0].self_int < 0), None)
+            if chosen is None:
+                outcome = MoriFiberSignal(curve=top[0].name, self_int=top[0].self_int)
                 break
             if queue is not None:
                 if not queue:
@@ -285,7 +302,8 @@ def run(state: MmpState, strategy, epsilon=Fraction(0)) -> MmpRun:
                 )
         if queue:
             queue.pop(0)
-        pair, step = audit_step(pair, cand.name, len(steps), epsilon, smooth and bounded, violations)
+        cand, cstar = chosen
+        pair, step = audit_step(pair, cand.name, len(steps), epsilon, smooth and bounded, violations, cstar)
         if step is None:
             raise ModelError(violations[-1])
         audited.append(step)
@@ -296,9 +314,100 @@ def run(state: MmpState, strategy, epsilon=Fraction(0)) -> MmpRun:
     return MmpRun(steps=tuple(steps), outcome=outcome, audit=_report(state, gate, epsilon, audited, violations))
 
 
+def _solved(shadow: SurfaceModel, live, key: tuple[int, str], d: int) -> tuple[Candidate, tuple]:
+    """The candidate of a ranking key over d, and its C* solve on the
+    shadow over the `live` columns, from which C.C = C*.C is read."""
+    x, name = key
+    cstar = _pulled_back_curve(shadow, name, list(map(shadow.row, live)))
+    _, v, dc = cstar
+    return Candidate(name, Fraction(x, d), Fraction(v[live.index(name)], dc)), cstar
+
+
 def _start(state: MmpState) -> tuple:
-    """The audit's pair before step 0: the start state, its `_ranked` solve, no resolution."""
-    return state.surface, state.boundary, _ranked(state.surface, state.boundary), None
+    """The audit's pair before step 0: the start surface; its boundary as
+    integer numerators over one denominator db, (fixed, db); its two log
+    pullbacks, (K + B)* and K*, with the live names they are read on; and
+    no resolution. Both pullbacks are solved here by `_log_numerators`, the
+    run's only log-pullback solves; `audit_step` carries them. Each is held
+    as (coef, row): coef maps the row of K, of each boundary curve and of
+    each contracted curve to its coefficient in d L*, so coef[K_ROW] is the
+    denominator d, and row is L*'s row on the live curves over d."""
+    model, boundary, rows = state.surface, state.boundary, state.surface._rows
+    live = _live(model)
+    pullbacks = []
+    for b in (boundary, _NO_BOUNDARY):
+        numerators, d, row = _log_numerators(model, b, [rows[name] for name in live])
+        pullbacks.append(({K_ROW: d} | {rows[name]: x for name, x in numerators.items()}, row))
+    db = lcm(*(c.denominator for _, c in boundary.coefficients))
+    fixed = {name: c.numerator * (db // c.denominator) for name, c in boundary.coefficients}
+    return model, (fixed, db), (*pullbacks, live), None
+
+
+def _moved(old: SurfaceModel, pullback, cstar, at: int):
+    """A log pullback carried across the step that contracts the live curve
+    C at index `at`, given C*'s solve on the old shadow `old`: L_new* = L* +
+    a C* with a = -(L*.C) / (C*.C*), so L_new* is orthogonal to C and, as
+    L* and C* are, to the old contracted set. The pullback orthogonal to a
+    negative definite block is unique, so this is the solve of the new
+    shadow. With d L* = (coef, row) and dc C* = (t, v), s = -v[at] > 0 and
+    lc = d L*.C re-derived from the matrix (`_paired`), it is (s coef + lc
+    t, s row + lc v), reduced by the gcd. An lc that differs from the
+    carried row's entry, which `run` ranked and reported, raises."""
+    coef, row = pullback
+    terms, v, _ = cstar
+    lc = _paired(old, _dense(old, coef), terms[0][0])
+    if lc != row[at]:
+        raise ModelError(
+            f"carried log pullback pairs {row[at]}/{coef[K_ROW]} with {old.names[terms[0][0] - 1]!r}, "
+            f"the matrix {lc}/{coef[K_ROW]}; model inconsistent"
+        )
+    s = -v[at]
+    coef = {i: s * x for i, x in coef.items()}
+    for r, t in terms:
+        coef[r] = coef.get(r, 0) + lc * t
+    row = [s * a + lc * b for a, b in zip(row, v)]
+    del row[at]
+    g = gcd(*coef.values(), *row)
+    if g > 1:
+        coef, row = {i: x // g for i, x in coef.items()}, [a // g for a in row]
+    return coef, row
+
+
+def _dense(model: SurfaceModel, coef: dict[int, int]) -> list[int]:
+    """A carried pullback's coefficients as a list over all rows, zeros
+    included: `_paired` indexes it."""
+    dense = [0] * (len(model.names) + 1)
+    for i, x in coef.items():
+        dense[i] = x
+    return dense
+
+
+def _paired(model: SurfaceModel, dense: list[int], j: int) -> int:
+    """The pairing of the row combination `dense` with row j, summed over
+    column j's nonzero entries: O(degree), not O(n)."""
+    idx, values = model.nonzeros[j]
+    return sum(map(mul, map(dense.__getitem__, idx), values))
+
+
+def _rechecked(shadow: SurfaceModel, fixed: dict[str, int], db: int, pullback):
+    """`pullback`, checked against the shadow's matrix, as `pulled_back`
+    checks its own solve: each boundary curve's coefficient is its `fixed`
+    numerator over db, and L* is orthogonal to every contracted curve, each
+    pairing summed over that column's nonzero entries, O(sum of degrees).
+    These conditions fix the pullback, so a carried one that passes is the
+    solve's. A failure raises: the model is inconsistent."""
+    coef, _ = pullback
+    d, rows = coef[K_ROW], shadow._rows
+    for name, b in fixed.items():
+        if coef.get(rows[name], 0) * db != b * d:
+            raise ModelError(
+                f"carried log pullback drops boundary coefficient {Fraction(b, db)} of {name!r}; model inconsistent"
+            )
+    dense = _dense(shadow, coef)
+    off = [e for e in shadow.contracted if _paired(shadow, dense, rows[e])]
+    if off:
+        raise ModelError(f"carried log pullback is not orthogonal to {min(off)!r}; model inconsistent")
+    return pullback
 
 
 def _gate(initial: MmpState, epsilon: Fraction) -> tuple[bool, bool]:
@@ -342,21 +451,28 @@ def audit_run(run_record: MmpRun, initial: MmpState, epsilon) -> AuditReport:
     return _report(initial, gate, epsilon, audited, violations)
 
 
-def audit_step(pair, name: str, i: int, epsilon: Fraction, gate: bool, violations: list):
+def audit_step(pair, name: str, i: int, epsilon: Fraction, gate: bool, violations: list, cstar=None):
     """Checks (a)-(d) of step i, which contracts `name`, on the pair before
-    it, `_start`'s shape: (shadow model, boundary, `_ranked` triple, minimal
-    resolution or None). Check (c) applies where `gate`. Appends what it
-    finds to `violations` and returns the next pair, which carries check
-    (a)'s triple, and the AuditStep, both None where the replay cannot go on.
+    it, `_start`'s shape: (shadow model, boundary numerators (fixed, db),
+    ((K + B)*, K*, live names), minimal resolution or None). Check (c)
+    applies where `gate`. `cstar` is `name`'s C* solve on the shadow over
+    the live columns, which `run` made to read C.C; without it, it is
+    solved here. Appends what it finds to `violations` and returns the
+    next pair and the AuditStep, both None where the replay cannot go on.
 
-    Checks (a) and (d) compare integers: (a) the log coefficients'
-    numerators over their step's one denominator, cross-multiplied, and
-    (d) the boundary pairing's numerator; a Fraction is made only for a
-    reported value. Check (c) classifies the one resolution of the new
-    shadow model, which the next step's check (d) reuses, and keeps the
-    class (None if it raised) for `run` to report. The boundary was
-    checked when the initial state was built, and a step only drops the
-    contracted curve from it.
+    The step makes no log-pullback solve: `_moved` carries both pullbacks
+    through the one C* solve and `_rechecked` checks them against the new
+    shadow's matrix. Checks (a) and (d) compare integers: (a) the old and
+    new (K + B)* coefficients over their denominators, cross-multiplied,
+    and (d) the boundary pairing B.C*'s numerator, off C*'s row; a Fraction
+    is made only for a reported value. Check (d) reads C*'s support on the
+    resolution: a curve that survives there keeps its coefficient, as a
+    strict transform has coefficient 1 in a pullback. Check (c) labels the
+    new shadow's resolution with K*'s numerators on the curves it keeps
+    contracted, and keeps the class (None if it raised) for `run` to
+    report; the next step's check (d) reuses that resolution. The boundary
+    was checked when the initial state was built, and a step only drops
+    the contracted curve from it.
 
     The resolution is carried: the new one is `minimal_resolution` of the
     old one with `name` declared contracted, which borders the old factor
@@ -367,21 +483,23 @@ def audit_step(pair, name: str, i: int, epsilon: Fraction, gate: bool, violation
     the same. The whole shadow is resolved only where none is carried or
     the old shadow was its own; a class that raises keeps the resolution.
     """
-    shadow, boundary, (prev, _, prev_d), mr = pair
+    shadow, (fixed, db), (log, canonical, live), mr = pair
     rho_before = shadow.rank - len(shadow.contracted)
     if name in shadow.contracted:
         violations.append(f"rho: step {i} contracts already-contracted curve {name!r}")
         return None, None
+    if cstar is None:
+        cstar = _pulled_back_curve(shadow, name, list(map(shadow.row, live)))
+    terms, v, dc = cstar
     # (d) support condition on the minimal resolution of the current state
     try:
         if mr is None:
             mr = minimal_resolution(shadow)
-        terms, v, d = _pulled_back_curve(mr, name, [mr.row(n) for n in boundary.names])
-        m = mr.matrix
-        step3_applicable = not any(m[r][r] == m[K_ROW][r] == -1 for r, c in terms if c > 0)
-        db = lcm(*(c.denominator for _, c in boundary.coefficients))
-        pairing = sum(c.numerator * (db // c.denominator) * vn for (_, c), vn in zip(boundary.coefficients, v))
-        step3_value = Fraction(pairing, d * db)
+        m, kept = mr.matrix, mr._rows
+        support = [kept[n] for n in (shadow.names[r - 1] for r, c in terms if c > 0) if n in kept]
+        step3_applicable = not any(m[r][r] == m[K_ROW][r] == -1 for r in support)
+        pairing = sum(fixed[n] * x for n, x in zip(live, v) if n in fixed)
+        step3_value = Fraction(pairing, dc * db)
         step3_ok = (not step3_applicable) or pairing < 0
     except ModelError as exc:
         step3_applicable, step3_value, step3_ok = False, None, False
@@ -395,13 +513,19 @@ def audit_step(pair, name: str, i: int, epsilon: Fraction, gate: bool, violation
     except NotNegativeDefiniteError as exc:
         violations.append(f"effectivity: step {i} ({name!r}): replay failed: {exc}")
         return None, None
-    boundary = boundary.without(name)
-    new, _, new_d = ranking = _ranked(shadow, boundary)
-    bad = sorted(n for n in prev.keys() | new.keys() if new.get(n, 0) * prev_d > prev.get(n, 0) * new_d)
+    fixed, at = {n: b for n, b in fixed.items() if n != name}, live.index(name)
+    prev = log[0]
+    log = _rechecked(shadow, fixed, db, _moved(old, log, cstar, at))
+    canonical = _rechecked(shadow, {}, 1, _moved(old, canonical, cstar, at))
+    new, rows = log[0], shadow._rows
+    prev_d, new_d = prev[K_ROW], new[K_ROW]
+    bad = sorted(
+        shadow.names[r - 1] for r in prev.keys() | new.keys() if new.get(r, 0) * prev_d > prev.get(r, 0) * new_d
+    )
     for n in bad:
         violations.append(
             f"effectivity: step {i} ({name!r}): coefficient of {n!r} rises from "
-            f"{Fraction(prev.get(n, 0), prev_d)} to {Fraction(new.get(n, 0), new_d)}"
+            f"{Fraction(prev.get(rows[n], 0), prev_d)} to {Fraction(new.get(rows[n], 0), new_d)}"
         )
     rho_after = shadow.rank - len(shadow.contracted)
     if rho_after != rho_before - 1:
@@ -409,7 +533,9 @@ def audit_step(pair, name: str, i: int, epsilon: Fraction, gate: bool, violation
     carried, mr, post = (None if mr is old else mr), None, None
     try:
         mr = minimal_resolution(shadow if carried is None else declare_contracted(carried, [name]))
-        post = _singularity_class(mr, _NO_BOUNDARY, epsilon)
+        coef = canonical[0]
+        numerators = {n: coef[rows[n]] for n in mr.contracted}
+        post = _singularity_class(_labelled(mr, numerators, coef[K_ROW], epsilon), epsilon)
         label = post.classification
     except ModelError as exc:
         label = f"error: {exc}"
@@ -419,7 +545,7 @@ def audit_step(pair, name: str, i: int, epsilon: Fraction, gate: bool, violation
             f"expected {EPS_LOG_TERMINAL}"
         )
     step = AuditStep(name, rho_before, rho_after, not bad, label, step3_applicable, step3_value, step3_ok, post)
-    return (shadow, boundary, ranking, mr), step
+    return (shadow, (fixed, db), (log, canonical, live[:at] + live[at + 1 :]), mr), step
 
 
 @dataclass(frozen=True)

@@ -135,8 +135,10 @@ def pulled_back(model: SurfaceModel, terms, cols) -> tuple[list[int], list[int],
     contracted columns, then `cols`, it gives A y = det(A) (-u on the
     contracted columns); det has the sign of (-1)^k, so y and det are
     negated when it is negative. Then d = det du and v = det u + sum y_i
-    (row of E_i), re-checked to be zero on the contracted columns: O((k +
-    len(cols)) (|terms| + k)), so callers ask only for the rows they read.
+    (row of E_i) over the nonzero y_i, re-checked to be zero on the
+    contracted columns: O((k + len(cols)) (|terms| + k)), so callers ask
+    only for the rows they read. A curve's y is zero off the connected
+    component of the contracted set that it meets.
     For an effective D (curves only, coefficients >= 0) the negativity
     lemma, x >= 0, is checked too. As D*.E_i = 0, the projection formula
     D*.C = D.C* holds for every curve C, so one log pullback L* = K + B +
@@ -155,8 +157,10 @@ def pulled_back(model: SurfaceModel, terms, cols) -> tuple[list[int], list[int],
     y, det = solve_exact(lu, [-a for a in u[:k]])
     if det < 0:
         y, det = [-yi for yi in y], -det
-    pick = _picker(rows)  # by symmetry, (sum y_i E_i).(row j) = y . (row j's contracted entries)
-    v = [det * a + sum(map(mul, y, pick(m[j]))) for a, j in zip(u, cols)]
+    support = [i for i, yi in enumerate(y) if yi]
+    ys, pick = [y[i] for i in support], _picker([rows[i] for i in support])
+    # by symmetry, (sum y_i E_i).(row j) = y . (row j's contracted entries)
+    v = [det * a + sum(map(mul, ys, pick(m[j]))) for a, j in zip(u, cols)]
     if any(v[:k]):
         e = min(e for e, a in zip(order, v) if a)
         raise ModelError(f"solved pullback is not orthogonal to {e!r}; model inconsistent")
@@ -189,7 +193,10 @@ def _log_numerators(model: SurfaceModel, boundary: QDivisor, cols=()) -> tuple[d
     curves, then the contracted curves' g_i, each in name order), d, and
     L*'s row on `cols` over d. `pulled_back` clears each boundary
     denominator into d, so a coefficient c is c.numerator (d // c.denominator).
-    The boundary is not checked here; a checked one has no zero coefficient."""
+    The boundary is not checked here; a checked one has no zero coefficient.
+    A contraction run solves it twice, for K + B and for K on its start
+    surface (`mmp._start`); its audit carries both from step to step by a
+    rank-one update through each step's C* solve (`mmp._moved`)."""
     x, v, d = pulled_back(model, [(K_ROW, 1)] + divisor_terms(model, boundary), cols)
     out = {name: c.numerator * (d // c.denominator) for name, c in boundary.coefficients}
     out.update(zip(sorted(model.contracted), x))
@@ -276,16 +283,16 @@ def _threshold_label(total: int | None, d: int, epsilon) -> str:
     return NOT_LOG_CANONICAL
 
 
-def _classified(mr: SurfaceModel, boundary: QDivisor, epsilon) -> tuple[str, int | None, int, int]:
-    """`classify`'s integer core on a resolved model: (label, total,
-    mr_total, d), the totals numerators over the log pullback's one
-    denominator d. The MR total is min(d, -n_i) and the SNC total
-    `_snc_total`'s, None for NEG_INFINITY or, labelled UNCLASSIFIABLE_SNC,
-    for a multi-edge configuration. `epsilon` is a Fraction, range-checked
-    here; the boundary is not checked."""
+def _labelled(mr: SurfaceModel, numerators: dict[str, int], d: int, epsilon) -> tuple[str, int | None, int, int]:
+    """`classify`'s integer core on a resolved model, given its log
+    pullback's coefficients as numerators over d > 0, one for each
+    contracted and boundary curve of `mr`: (label, total, mr_total, d). The
+    MR total is min(d, -n_i) and the SNC total `_snc_total`'s, None for
+    NEG_INFINITY or, labelled UNCLASSIFIABLE_SNC, for a multi-edge
+    configuration. Both scale with d, so any common denominator gives the
+    same label. `epsilon` is a Fraction, range-checked here."""
     if not (0 <= epsilon.numerator <= epsilon.denominator):
         raise ModelError(f"epsilon {epsilon} outside [0, 1]")
-    numerators, d, _ = _log_numerators(mr, boundary)
     mr_total = min([d] + [-n for n in numerators.values()])
     m = mr.matrix
     rows = [(name, mr.row(name)) for name in sorted(numerators)]
@@ -297,10 +304,16 @@ def _classified(mr: SurfaceModel, boundary: QDivisor, epsilon) -> tuple[str, int
     return _threshold_label(total, d, epsilon), total, mr_total, d
 
 
-def _singularity_class(mr: SurfaceModel, boundary: QDivisor, epsilon: Fraction) -> SingularityClass:
-    """`classify` of a resolved model, the boundary unchecked: `_classified`'s
-    integers, made Fractions. Audit check (c) calls it on its resolution."""
-    label, total, mr_total, d = _classified(mr, boundary, epsilon)
+def _classified(mr: SurfaceModel, boundary: QDivisor, epsilon) -> tuple[str, int | None, int, int]:
+    """`_labelled` on `mr`'s own log pullback solve; the boundary is not checked."""
+    numerators, d, _ = _log_numerators(mr, boundary)
+    return _labelled(mr, numerators, d, epsilon)
+
+
+def _singularity_class(core: tuple[str, int | None, int, int], epsilon: Fraction) -> SingularityClass:
+    """The `SingularityClass` of a label core's integers (`_labelled`),
+    made Fractions."""
+    label, total, mr_total, d = core
     if total is not None:
         total = Fraction(total, d)
     elif label != UNCLASSIFIABLE_SNC:
@@ -321,11 +334,11 @@ def classify(model: SurfaceModel, boundary: QDivisor, epsilon) -> SingularityCla
     log pullback there, boundary curves keep their own, and the total
     discrepancy is the SNC minimum over that configuration. A multi-edge
     configuration is unclassifiable (total None); the MR numbers are still
-    exact. Every comparison runs in integers (`_classified`), and a
+    exact. Every comparison runs in integers (`_labelled`), and a
     rational SNC total equals the MR total (see `_snc_total`). The
     boundary is checked once, on `model`: a curve with a nonzero
     coefficient is never contracted, so the resolution keeps it.
     """
     epsilon = Fraction(epsilon)
     boundary = _check_boundary(model, boundary)
-    return _singularity_class(minimal_resolution(model), boundary, epsilon)
+    return _singularity_class(_classified(minimal_resolution(model), boundary, epsilon), epsilon)

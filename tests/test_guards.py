@@ -3,8 +3,9 @@
 The script below runs in a `python -O` subprocess, where every `assert`
 statement is removed, and prints the exception each guard raises. The
 package itself holds no `assert` statement at all; `linalg`, the integer
-classification core (the label core that audit check (c) reads included)
-and audit check (a)'s comparison never touch a Fraction. Only
+classification core (the label core that audit check (c) feeds included),
+the audit's carried log pullbacks and audit check (a)'s comparison never
+touch a Fraction. Only
 `lattice._trusted` reads the `_checked` flag, so the builders keep one
 path for raw and checked models, and only `singularities._log_numerators`
 hands K's row to `pulled_back`, so every log pullback is one solve.
@@ -168,10 +169,18 @@ def test_linalg_uses_no_fraction():
 
 def test_classification_core_uses_no_fraction():
     # the log coefficients, the SNC total, the threshold rule and the label
-    # core the audit reads run on integer numerators over one denominator
+    # core the audit feeds run on integer numerators over one denominator
     core = functions("singularities.py")
-    for name in ("_log_numerators", "_snc_total", "_threshold_label", "_classified"):
+    for name in ("_log_numerators", "_snc_total", "_threshold_label", "_labelled", "_classified"):
         assert names_fraction(core[name]) == [], name
+
+
+def test_carried_pullbacks_use_no_fraction():
+    # the audit's rank-one update of the log pullbacks and the column sums
+    # that re-derive (K + B).C run on integers
+    carried = functions("mmp.py")
+    for name in ("_start", "_moved", "_paired"):
+        assert names_fraction(carried[name]) == [], name
 
 
 def test_audit_effectivity_comparison_uses_no_fraction():

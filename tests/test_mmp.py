@@ -854,11 +854,12 @@ class TestSavedWork:
         resolved = counting(monkeypatch, mmp, "minimal_resolution")
         resolved_in_classify = counting(monkeypatch, singularities, "minimal_resolution")
         cores = counting(monkeypatch, singularities, "_classified")
+        labels = counting(monkeypatch, mmp, "_labelled")
         for harness, starts in (
             (lambda: verify_smooth_start_runs(40, SEED, F(1, 7), max_blowups=12), 0),
             (lambda: search_canonical_starts(SearchConfig(), 40, SEED), 40),
         ):
-            for calls in (lengths, classified, resolved, resolved_in_classify, cores):
+            for calls in (lengths, classified, resolved, resolved_in_classify, cores, labels):
                 calls.clear()
             harness()
             steps = sum(lengths)
@@ -867,8 +868,9 @@ class TestSavedWork:
             assert len(classified) == len(resolved_in_classify) == starts
             # the audit resolves each surface it replays once: steps + 1 a run
             assert len(resolved) == sum(n + 1 for n in lengths if n)
-            # and classifies each step's surface once
-            assert len(cores) == steps + starts
+            # and labels each step's surface once, off the carried K*; only
+            # q44's start checks solve a log pullback to classify
+            assert len(labels) == steps and len(cores) == starts
 
     def test_run_keeps_one_model_chain(self, monkeypatch):
         # `run` contracts on the audit's pair: no blow-down, no state after
@@ -906,10 +908,9 @@ class TestSavedWork:
             assert len(per_run) == 40 and sum(steps for *_, steps in per_run) > 150
             assert all(work == expected for work, expected, _ in per_run)
 
-    def test_one_log_pullback_per_surface(self, monkeypatch):
-        # the start surface and each step's new shadow get one solve of K + B,
-        # which check (a) makes and `run` ranks off; check (c) makes one more
-        # on each resolution, and q44 classifies each start once
+    def test_log_pullbacks_are_solved_once_a_run(self, monkeypatch):
+        # `_start` solves K + B and K on the start surface and the audit
+        # carries both from step to step; q44 classifies each start once more
         calls = [counting(monkeypatch, module, "pulled_back") for module in (singularities, mmp)]
 
         def steps_and_solves(harness):
@@ -918,17 +919,55 @@ class TestSavedWork:
             steps = harness().total_steps
             return steps, sum(terms[0][0] == K_ROW for made in calls for _, terms, _ in made)
 
-        assert steps_and_solves(lambda: verify_smooth_start_runs(40, 1, F(1, 7), 12)) == (296, 632)
-        assert steps_and_solves(lambda: search_canonical_starts(SearchConfig(), 40, 1)) == (169, 418)
+        assert steps_and_solves(lambda: verify_smooth_start_runs(40, 1, F(1, 7), 12)) == (296, 80)
+        assert steps_and_solves(lambda: search_canonical_starts(SearchConfig(), 40, 1)) == (169, 120)
 
     def test_one_self_intersection_per_step(self, monkeypatch):
-        calls = counting(monkeypatch, mmp, "contracted_self_intersection")
+        # C.C is read off the step's one C* solve, which the audit reuses
+        calls = counting(monkeypatch, mmp, "_pulled_back_curve")
         report = verify_smooth_start_runs(40, SEED, F(1, 7), max_blowups=12)
         assert report.outcome_counts == (("MinimalOverTracked", 40),)
         assert len(calls) == report.total_steps > 200
         calls.clear()
+        report = search_canonical_starts(SearchConfig(), 40, SEED)
+        assert len(calls) == report.total_steps > 150
+        calls.clear()
         result = run(fiber_signal_state(), MostNegativeFirst())
         assert isinstance(result.outcome, MoriFiberSignal) and len(calls) == 1
+
+    def test_the_audit_solves_only_what_it_is_not_handed(self, monkeypatch):
+        # inside `run`, `audit_step` solves nothing: it is handed the C* solve
+        # and carries both log pullbacks; replaying a stored run, it solves
+        # C* once a step and still no log pullback. Only `run` ranks.
+        solves = counting(monkeypatch, mmp, "_pulled_back_curve")
+        logs = [counting(monkeypatch, module, "_log_numerators") for module in (mmp, singularities)]
+        ranked = counting(monkeypatch, mmp, "_ranked")
+        inside, real_step = [], mmp.audit_step
+
+        def step(*args):
+            before = len(solves), sum(map(len, logs))
+            out = real_step(*args)
+            inside.append((len(solves) - before[0], sum(map(len, logs)) - before[1]))
+            return out
+
+        monkeypatch.setattr(mmp, "audit_step", step)
+        rng = random.Random(SEED + 9)
+        grid = _coefficient_grid(F(6, 7))
+        steps = 0
+        for trial in range(30):
+            model = mmp._random_tower(rng, 12) if trial % 3 else chain_start(rng.randint(1, 3))
+            free = [n for n in model.tracked if n not in model.contracted]
+            initial = MmpState(surface=model, boundary=QDivisor.from_map({n: rng.choice(grid) for n in free}))
+            for calls in (inside, ranked):
+                calls.clear()
+            result = run(initial, MostNegativeFirst(), F(1, 7))
+            assert inside == [(0, 0)] * len(result.steps) and len(ranked) == len(result.steps) + 1
+            for calls in (inside, ranked):
+                calls.clear()
+            assert audit_run(result, initial, F(1, 7)) == result.audit
+            assert inside == [(1, 0)] * len(result.steps) and ranked == []
+            steps += len(result.steps)
+        assert steps > 150
 
     def test_one_validation_per_tower(self, monkeypatch):
         calls = counting(monkeypatch, lattice, "_validated")
@@ -1002,6 +1041,160 @@ class TestSavedWork:
             assert {s.classification for s in report.steps} == {"error: epsilon 2 outside [0, 1]"}
             runs += 1
         assert runs >= 6
+
+
+def fresh_scan(matrix):
+    """Each row's nonzero entries as (columns, values), scanned afresh."""
+    return tuple((tuple(j for j, x in enumerate(row) if x), tuple(x for x in row if x)) for row in matrix)
+
+
+def exact_tower(rng, blowups):
+    """A tower of exactly `blowups` blow-ups and a sixths-grid boundary
+    capped at 6/7 on every curve, as `verify_smooth_start_runs` draws one."""
+    model = mmp._random_blowups(rng, new_projective_plane(), [f"C{i + 1}" for i in range(blowups)])
+    grid = _coefficient_grid(F(6, 7))
+    return MmpState(surface=model, boundary=QDivisor.from_map({n: rng.choice(grid) for n in model.tracked}))
+
+
+class TestCarriedPullbacks:
+    """The audit carries (K + B)* and K* across each step by a rank-one
+    update through the step's one C* solve, reduced by a gcd and re-checked
+    against the new shadow's matrix."""
+
+    @staticmethod
+    def compared(monkeypatch):
+        """Make every pair `audit_step` returns compare its carried
+        pullbacks with fresh `_log_numerators` solves of its shadow, as
+        Fractions; returns the (carried d, solved d) pairs it saw."""
+        seen, real = [], mmp.audit_step
+
+        def step(*args):
+            pair, audit = real(*args)
+            if pair is not None:
+                shadow, (fixed, db), (log, canonical, live), _ = pair
+                assert live == mmp._live(shadow)
+                boundary = QDivisor.from_map({n: F(b, db) for n, b in fixed.items()})
+                cols = [shadow.row(n) for n in live]
+                for (coef, row), b in ((log, boundary), (canonical, QDivisor.zero())):
+                    numerators, d, solved_row = singularities._log_numerators(shadow, b, cols)
+                    carried = {shadow.names[r - 1]: F(x, coef[K_ROW]) for r, x in coef.items() if r != K_ROW}
+                    assert carried == {n: F(x, d) for n, x in numerators.items()}
+                    assert [F(x, coef[K_ROW]) for x in row] == [F(x, d) for x in solved_row]
+                    seen.append((coef[K_ROW], d))
+            return pair, audit
+
+        monkeypatch.setattr(mmp, "audit_step", step)
+        return seen
+
+    def test_seeded_streams_match_fresh_solves(self, monkeypatch):
+        seen = self.compared(monkeypatch)
+        steps = verify_smooth_start_runs(40, SEED, F(1, 7), max_blowups=12).total_steps
+        steps += search_canonical_starts(SearchConfig(), 40, SEED).total_steps
+        assert len(seen) == 2 * steps > 600
+        # the gcd keeps each carried denominator a divisor of the solve's
+        assert all(solved % carried == 0 for carried, solved in seen)
+        assert any(carried < solved for carried, solved in seen)
+
+    @pytest.mark.parametrize("blowups", [40, 80, 160])
+    def test_long_towers_match_fresh_solves(self, monkeypatch, blowups):
+        seen = self.compared(monkeypatch)
+        result = run(exact_tower(random.Random(SEED + blowups), blowups), MostNegativeFirst(), F(1, 7))
+        assert result.audit.ok and len(seen) == 2 * len(result.steps) >= blowups
+        assert all(solved % carried == 0 for carried, solved in seen)
+
+    @staticmethod
+    def perturbed_run(monkeypatch, change):
+        """The error of a seeded run in which `change(kind, coef, row, old,
+        terms)` edits carried pullbacks until it first returns True; kind
+        is 0 for (K + B)*, which `audit_step` moves first, and 1 for K*."""
+        real, calls, done = mmp._moved, [], []
+
+        def moved(old, pullback, cstar, at):
+            coef, row = real(old, pullback, cstar, at)
+            if not done and change(len(calls) % 2, coef, row, old, cstar[0]):
+                done.append(len(calls))
+            calls.append(at)
+            return coef, row
+
+        monkeypatch.setattr(mmp, "_moved", moved)
+        state = exact_tower(random.Random(SEED), 12)
+        with pytest.raises(ModelError) as exc:
+            run(state, MostNegativeFirst(), F(1, 7))
+        return str(exc.value)
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_a_perturbed_contracted_coefficient_is_caught(self, monkeypatch, which):
+        def change(kind, coef, row, old, terms):
+            if kind == which:
+                coef[terms[0][0]] += 1  # the curve this step contracts
+                return True
+
+        message = self.perturbed_run(monkeypatch, change)
+        assert re.fullmatch(r"carried log pullback is not orthogonal to '\w+'; model inconsistent", message)
+
+    def test_a_perturbed_boundary_coefficient_is_caught(self, monkeypatch):
+        def change(kind, coef, row, old, terms):
+            # a boundary curve that meets nothing contracted, which
+            # orthogonality alone would not see
+            contracted = {old.row(e) for e in old.contracted} | {terms[0][0]}
+            free = [r for r in coef if r not in contracted | {K_ROW} and not any(old.matrix[r][c] for c in contracted)]
+            if kind == 0 and free:
+                coef[free[0]] += 1
+                return True
+
+        assert "carried log pullback drops boundary coefficient" in self.perturbed_run(monkeypatch, change)
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_a_perturbed_denominator_is_caught(self, monkeypatch, which):
+        def change(kind, coef, row, old, terms):
+            if kind == which:
+                coef[K_ROW] += 1
+                return True
+
+        assert "carried log pullback" in self.perturbed_run(monkeypatch, change)
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_a_perturbed_row_is_caught_where_it_is_read(self, monkeypatch, which):
+        # every live entry moves down by one, so the ranking still reads a
+        # candidate, and the next step re-derives its entry from the matrix
+        def change(kind, coef, row, old, terms):
+            if kind == which:
+                row[:] = [x - 1 for x in row]
+                return True
+
+        message = self.perturbed_run(monkeypatch, change)
+        pattern = r"carried log pullback pairs -?\d+/\d+ with '\w+', the matrix -?\d+/\d+; model inconsistent"
+        assert re.fullmatch(pattern, message)
+
+    def test_nonzeros_match_a_fresh_scan(self, monkeypatch):
+        # a stale pattern would blind the re-check: every model it reads
+        # must hold its own matrix's pattern
+        rng = random.Random(SEED + 11)
+        for _ in range(30):
+            model = mmp._random_tower(rng, 12)
+            assert model.nonzeros == fresh_scan(model.matrix)
+            declared = declare_contracted(model, [n for n in model.tracked if model.self_int(n) < -1][:1])
+            assert declared.nonzeros is model.nonzeros
+            blown = blow_up(model, PointSpec.general(), "X")
+            assert blown.nonzeros == fresh_scan(blown.matrix)
+        for n0, branches, extra in STAR_STARTS:
+            model = build_model(star_scenario(n0, branches, extra))
+            assert model.nonzeros == fresh_scan(model.matrix)
+        checked, real = [], mmp.audit_step
+
+        def step(*args):
+            pair, audit = real(*args)
+            if pair is not None:
+                for model in (pair[0], pair[3]):
+                    if model is not None:
+                        assert model.nonzeros == fresh_scan(model.matrix)
+                        checked.append(model)
+            return pair, audit
+
+        monkeypatch.setattr(mmp, "audit_step", step)
+        verify_smooth_start_runs(20, SEED, F(1, 7), max_blowups=12)
+        search_canonical_starts(SearchConfig(), 20, SEED)
+        assert len(checked) > 300
 
 
 class TestAuditViolations:
