@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain, compress, count
 from math import lcm
 from operator import itemgetter
@@ -28,6 +27,22 @@ ON_CURVE = "on_curve"
 AT_INTERSECTION = "at_intersection"
 
 K_ROW = 0
+
+
+class _lazy:
+    """`functools.cached_property` without its per-instance lock, which
+    Python 3.10 and 3.11 take on each first read: the first read computes
+    the value into the instance's __dict__, where every later read finds
+    it, and a builder may seed that entry instead."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, model, owner=None):
+        if model is None:
+            return self
+        value = model.__dict__[self.name] = self.fn(model)
+        return value
 
 
 @dataclass(frozen=True)
@@ -68,6 +83,11 @@ class SurfaceModel:
     tracked curves, so K.K = 10 - rank. `contracted` names the tracked
     curves collapsed by the map to the modeled surface; an empty set means
     the surface itself is smooth.
+
+    The row index `_rows`, the contracted factor and the nonzero pattern
+    are computed on first read (`_lazy`), not at construction: a builder
+    seeds what it can pass on or knows, so a model that keeps its parent's
+    names, matrix or empty contracted set copies and recomputes none of it.
     """
 
     rank: int
@@ -75,8 +95,10 @@ class SurfaceModel:
     matrix: tuple[tuple[int, ...], ...]
     contracted: frozenset[str] = frozenset()
 
-    def __post_init__(self):
-        object.__setattr__(self, "_rows", {n: i for i, n in enumerate(self.names, 1)})
+    @_lazy
+    def _rows(self) -> dict[str, int]:
+        """Each tracked name's row."""
+        return {n: i for i, n in enumerate(self.names, 1)}
 
     @property
     def k_squared(self) -> int:
@@ -110,7 +132,7 @@ class SurfaceModel:
         rows = [self.row(n) for n in names]
         return [[self.matrix[i][j] for j in rows] for i in rows]
 
-    @cached_property
+    @_lazy
     def contracted_factor(self) -> tuple[tuple[str, ...], list[list[int]]] | None:
         """(order, factor): the Sylvester elimination of the contracted Gram
         block, curves in `order`, which every solve over the contracted set
@@ -122,7 +144,7 @@ class SurfaceModel:
         factor = negative_definite_factor(self.gram(order))
         return None if factor is None else (order, factor)
 
-    @cached_property
+    @_lazy
     def nonzeros(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
         """Row i's nonzero entries as (columns, values), columns ascending:
         a sum over a column reads only these, O(degree) and not O(n)."""
@@ -239,7 +261,7 @@ def blow_up(model: SurfaceModel, point: PointSpec, exc_name: str) -> SurfaceMode
     the matrix stays symmetric and integral, K.K drops as the rank grows,
     C.C + K.C moves by -s_C^2 - s_C = 0 and E.E + K.E = -2, C.D drops by one
     only at a checked intersection point (C.D >= 1), E.C = -s_C is 0 or 1,
-    and nothing is contracted.
+    and nothing is contracted, so the empty contracted factor is seeded.
     """
     model = _trusted(model)
     if model.contracted:
@@ -264,6 +286,7 @@ def blow_up(model: SurfaceModel, point: PointSpec, exc_name: str) -> SurfaceMode
         rows[i] = tuple(row)
     rows.append(tuple(e))
     blown = SurfaceModel(rank=model.rank + 1, names=model.names + (exc_name,), matrix=tuple(rows))
+    blown.__dict__["contracted_factor"] = ((), [])  # nothing is contracted
     return _contracted_checked(blown, ())
 
 
@@ -279,6 +302,11 @@ def blow_down(model: SurfaceModel, exc_name: str) -> SurfaceModel:
 def blow_down_cascade(model: SurfaceModel, names) -> SurfaceModel:
     """Blow down the first of `names` with C.C = K.C = -1 in the current
     matrix, again and again until none is left; `model` itself if none is.
+    `names` may hold curves that `model` does not contract: `blow_down`
+    passes its one curve, and the audit passes a minimal resolution's
+    contracted curves and the step's curve C, a (-1)-curve there, which is
+    blown down first. That is the minimal resolution of the model with C
+    declared contracted, built without that model.
 
     One pass over the old rows; a row is copied only in a round that moves
     it. Blowing down e is the update M + g g^T with g the column of e: only
@@ -292,7 +320,11 @@ def blow_down_cascade(model: SurfaceModel, names) -> SurfaceModel:
     definite block. A round can newly break only genus, as C.C + K.C of D
     moves by (D.e)(D.e - 1), or rank 1. The first round that does ends the pass in
     `_validated`, with the message of one blow-down at a time; past
-    `_trusted`, an unbroken pass needs only `_contracted_checked`.
+    `_trusted`, an unbroken pass needs only `_contracted_checked`. For the
+    audit's C that final check stands in for the declaration's: the block
+    left after C goes is the Schur complement of C.C = -1 in the declared
+    block, so it is negative definite iff the declared block is, C.C < 0
+    needs no test, and the Hodge count drops by one on both sides.
     """
     model = _trusted(model)
     order = [model.row(n) for n in names]
@@ -335,8 +367,9 @@ def declare_contracted(model: SurfaceModel, names) -> SurfaceModel:
     Past `_trusted`, the new model keeps all that the matrix checks of
     `_validated` read (rank, names, matrix), so only the contracted-set
     checks run again, in order and with their messages, the Sylvester test
-    bordering `model`'s factor with one row per new curve. The matrix's
-    `nonzeros`, once scanned, is passed on with it.
+    bordering `model`'s factor with one row per new curve. The new model
+    shares `model`'s row index and, once scanned, its `nonzeros`: the
+    names and the matrix are the same objects.
     """
     model = _trusted(model)
     names = frozenset(names)
@@ -344,8 +377,10 @@ def declare_contracted(model: SurfaceModel, names) -> SurfaceModel:
     if unknown:
         raise ModelError(f"cannot contract unknown curves: {sorted(unknown)}")
     extended = SurfaceModel(model.rank, model.names, model.matrix, model.contracted | names)
-    # seed the cached_properties; the frozen dataclass forbids setattr
-    extended.__dict__["contracted_factor"] = _bordered(extended, model.contracted_factor)
+    # seed the lazy attributes; the frozen dataclass forbids setattr
+    seeds = extended.__dict__
+    seeds["_rows"] = model._rows  # the names are shared, so is their index
+    seeds["contracted_factor"] = _bordered(extended, model.contracted_factor)
     if "nonzeros" in model.__dict__:  # the matrix is shared, so is its pattern
-        extended.__dict__["nonzeros"] = model.nonzeros
+        seeds["nonzeros"] = model.nonzeros
     return _contracted_checked(extended, names)

@@ -13,8 +13,11 @@ ranks off the row of (K + B)* and solves the chosen curve's pullback C*,
 its one solve; `audit_step` verifies the effectivity, rank-drop,
 classification and support conditions, carries both log pullbacks across
 the contraction by a rank-one update through C*, re-checked against the
-matrix, and returns the next pair. So every surface is built and
-classified once, and no log pullback is solved after the start.
+matrix, carries the resolution by one blow-down cascade or declaration,
+and returns the next pair. So every surface is built and classified once,
+a step builds at most two models (the shadow and its resolution), and no
+log pullback is solved after the start. The carried pullbacks are integer
+lists over the shadow's rows, which never change during a run.
 The two randomized harnesses draw their towers through `_random_blowups`.
 """
 
@@ -35,6 +38,7 @@ from .lattice import (
     SurfaceModel,
     _trusted,
     blow_down,
+    blow_down_cascade,
     blow_up,
     declare_contracted,
     new_projective_plane,
@@ -329,15 +333,20 @@ def _start(state: MmpState) -> tuple:
     pullbacks, (K + B)* and K*, with the live names they are read on; and
     no resolution. Both pullbacks are solved here by `_log_numerators`, the
     run's only log-pullback solves; `audit_step` carries them. Each is held
-    as (coef, row): coef maps the row of K, of each boundary curve and of
-    each contracted curve to its coefficient in d L*, so coef[K_ROW] is the
-    denominator d, and row is L*'s row on the live curves over d."""
+    as (coef, row) of integer lists: coef[i] is the coefficient in d L* of
+    the shadow's row i, so coef[K_ROW] is the denominator d and only K, the
+    boundary curves and the contracted curves can be nonzero, and row is
+    L*'s row on the live curves over d."""
     model, boundary, rows = state.surface, state.boundary, state.surface._rows
     live = _live(model)
     pullbacks = []
     for b in (boundary, _NO_BOUNDARY):
         numerators, d, row = _log_numerators(model, b, [rows[name] for name in live])
-        pullbacks.append(({K_ROW: d} | {rows[name]: x for name, x in numerators.items()}, row))
+        coef = [0] * (len(model.names) + 1)
+        coef[K_ROW] = d
+        for name, x in numerators.items():
+            coef[rows[name]] = x
+        pullbacks.append((coef, row))
     db = lcm(*(c.denominator for _, c in boundary.coefficients))
     fixed = {name: c.numerator * (db // c.denominator) for name, c in boundary.coefficients}
     return model, (fixed, db), (*pullbacks, live), None
@@ -355,38 +364,29 @@ def _moved(old: SurfaceModel, pullback, cstar, at: int):
     carried row's entry, which `run` ranked and reported, raises."""
     coef, row = pullback
     terms, v, _ = cstar
-    lc = _paired(old, _dense(old, coef), terms[0][0])
+    lc = _paired(old, coef, terms[0][0])
     if lc != row[at]:
         raise ModelError(
             f"carried log pullback pairs {row[at]}/{coef[K_ROW]} with {old.names[terms[0][0] - 1]!r}, "
             f"the matrix {lc}/{coef[K_ROW]}; model inconsistent"
         )
     s = -v[at]
-    coef = {i: s * x for i, x in coef.items()}
+    coef = [s * x for x in coef]
     for r, t in terms:
-        coef[r] = coef.get(r, 0) + lc * t
+        coef[r] += lc * t
     row = [s * a + lc * b for a, b in zip(row, v)]
     del row[at]
-    g = gcd(*coef.values(), *row)
+    g = gcd(*coef, *row)
     if g > 1:
-        coef, row = {i: x // g for i, x in coef.items()}, [a // g for a in row]
+        coef, row = [x // g for x in coef], [a // g for a in row]
     return coef, row
 
 
-def _dense(model: SurfaceModel, coef: dict[int, int]) -> list[int]:
-    """A carried pullback's coefficients as a list over all rows, zeros
-    included: `_paired` indexes it."""
-    dense = [0] * (len(model.names) + 1)
-    for i, x in coef.items():
-        dense[i] = x
-    return dense
-
-
-def _paired(model: SurfaceModel, dense: list[int], j: int) -> int:
-    """The pairing of the row combination `dense` with row j, summed over
+def _paired(model: SurfaceModel, coef: list[int], j: int) -> int:
+    """The pairing of the row combination `coef` with row j, summed over
     column j's nonzero entries: O(degree), not O(n)."""
     idx, values = model.nonzeros[j]
-    return sum(map(mul, map(dense.__getitem__, idx), values))
+    return sum(map(mul, map(coef.__getitem__, idx), values))
 
 
 def _rechecked(shadow: SurfaceModel, fixed: dict[str, int], db: int, pullback):
@@ -399,12 +399,11 @@ def _rechecked(shadow: SurfaceModel, fixed: dict[str, int], db: int, pullback):
     coef, _ = pullback
     d, rows = coef[K_ROW], shadow._rows
     for name, b in fixed.items():
-        if coef.get(rows[name], 0) * db != b * d:
+        if coef[rows[name]] * db != b * d:
             raise ModelError(
                 f"carried log pullback drops boundary coefficient {Fraction(b, db)} of {name!r}; model inconsistent"
             )
-    dense = _dense(shadow, coef)
-    off = [e for e in shadow.contracted if _paired(shadow, dense, rows[e])]
+    off = [e for e in shadow.contracted if _paired(shadow, coef, rows[e])]
     if off:
         raise ModelError(f"carried log pullback is not orthogonal to {min(off)!r}; model inconsistent")
     return pullback
@@ -474,14 +473,24 @@ def audit_step(pair, name: str, i: int, epsilon: Fraction, gate: bool, violation
     was checked when the initial state was built, and a step only drops
     the contracted curve from it.
 
-    The resolution is carried: the new one is `minimal_resolution` of the
-    old one with `name` declared contracted, which borders the old factor
-    and blows down only what `name` frees. It equals the new shadow's: a
+    The resolution is carried: the new one is the minimal resolution of the
+    old one with `name` declared contracted. It equals the new shadow's: a
     normal surface has one minimal resolution, and rows keep their original
-    order. Its checks pass once they passed on the shadow: the bordered
-    pivot's Schur complement is C*^2 < 0 on both, C.C <= C*^2, and rho is
-    the same. The whole shadow is resolved only where none is carried or
-    the old shadow was its own; a class that raises keeps the resolution.
+    order. The old one is minimal, so only C can start a blow-down. Where C
+    is a (-1)-curve on it (C.C = K.C = -1 there), one `blow_down_cascade`
+    from the old resolution over its contracted curves and C blows C down,
+    then what that frees; no declared model is built. The check is kept:
+    the block the cascade's final check tests is, after C goes, the Schur
+    complement of C.C = -1 in the declared block, so it is negative
+    definite iff the declared block is, and the Hodge count drops by one on
+    both sides. Otherwise the cascade would be a no-op, and the new
+    resolution is the old one with C declared contracted (the bordered
+    pivot's Schur complement is C*^2 < 0, as on the shadow, C.C <= C*^2 and
+    rho is the same, so its checks pass once the shadow's did), or the new
+    shadow itself where the old shadow was its own resolution. So a step
+    builds at most two models, the shadow and its resolution. The whole
+    shadow is resolved only where none is carried; a class that raises
+    keeps the resolution.
     """
     shadow, (fixed, db), (log, canonical, live), mr = pair
     rho_before = shadow.rank - len(shadow.contracted)
@@ -517,23 +526,26 @@ def audit_step(pair, name: str, i: int, epsilon: Fraction, gate: bool, violation
     prev = log[0]
     log = _rechecked(shadow, fixed, db, _moved(old, log, cstar, at))
     canonical = _rechecked(shadow, {}, 1, _moved(old, canonical, cstar, at))
-    new, rows = log[0], shadow._rows
+    new = log[0]
     prev_d, new_d = prev[K_ROW], new[K_ROW]
-    bad = sorted(
-        shadow.names[r - 1] for r in prev.keys() | new.keys() if new.get(r, 0) * prev_d > prev.get(r, 0) * new_d
-    )
-    for n in bad:
+    bad = sorted((n, a, b) for n, a, b in zip(shadow.names, prev[1:], new[1:]) if b * prev_d > a * new_d)
+    for n, a, b in bad:
         violations.append(
             f"effectivity: step {i} ({name!r}): coefficient of {n!r} rises from "
-            f"{Fraction(prev.get(rows[n], 0), prev_d)} to {Fraction(new.get(rows[n], 0), new_d)}"
+            f"{Fraction(a, prev_d)} to {Fraction(b, new_d)}"
         )
     rho_after = shadow.rank - len(shadow.contracted)
     if rho_after != rho_before - 1:
         violations.append(f"rho: step {i} ({name!r}): rank drops {rho_before} -> {rho_after}")
-    carried, mr, post = (None if mr is old else mr), None, None
+    carried, mr, post = mr, None, None
     try:
-        mr = minimal_resolution(shadow if carried is None else declare_contracted(carried, [name]))
-        coef = canonical[0]
+        if carried is None:
+            mr = minimal_resolution(shadow)
+        elif carried.self_int(name) == carried.k_dot(name) == -1:
+            mr = blow_down_cascade(carried, sorted(carried.contracted | {name}))
+        else:
+            mr = shadow if carried is old else declare_contracted(carried, [name])
+        coef, rows = canonical[0], shadow._rows
         numerators = {n: coef[rows[n]] for n in mr.contracted}
         post = _singularity_class(_labelled(mr, numerators, coef[K_ROW], epsilon), epsilon)
         label = post.classification

@@ -507,9 +507,10 @@ class TestRun:
         resolved_in_classify = counting(monkeypatch, singularities, "minimal_resolution")
         with pytest.raises(ModelError, match=re.escape("epsilon 2 outside [0, 1]")):
             run(a1_state(), MostNegativeFirst(), 2)
-        # the audit's one declaration, its check (d) and (c) resolutions,
-        # then `classify`'s own
-        assert (len(declared), len(resolved), len(resolved_in_classify)) == (1, 2, 1)
+        # the audit's one declaration and its check (d) resolution of the
+        # smooth start, which is its own; C1 is no (-1)-curve there, so the
+        # new shadow is its own resolution too. Then `classify`'s own.
+        assert (len(declared), len(resolved), len(resolved_in_classify)) == (1, 1, 1)
 
     def test_replay_failure_raises_the_audit_violation(self):
         # A.A = -1 on a rank-1 model breaks the Hodge index: declaring A
@@ -852,22 +853,26 @@ class TestSavedWork:
         monkeypatch.setattr(mmp, "run", recorded)
         classified = counting(monkeypatch, mmp, "classify")
         resolved = counting(monkeypatch, mmp, "minimal_resolution")
+        cascades = counting(monkeypatch, mmp, "blow_down_cascade")
         resolved_in_classify = counting(monkeypatch, singularities, "minimal_resolution")
         cores = counting(monkeypatch, singularities, "_classified")
         labels = counting(monkeypatch, mmp, "_labelled")
-        for harness, starts in (
-            (lambda: verify_smooth_start_runs(40, SEED, F(1, 7), max_blowups=12), 0),
-            (lambda: search_canonical_starts(SearchConfig(), 40, SEED), 40),
+        for harness, starts, blown in (
+            (lambda: verify_smooth_start_runs(40, SEED, F(1, 7), max_blowups=12), 0, 245),
+            (lambda: search_canonical_starts(SearchConfig(), 40, SEED), 40, 162),
         ):
-            for calls in (lengths, classified, resolved, resolved_in_classify, cores, labels):
+            for calls in (lengths, classified, resolved, cascades, resolved_in_classify, cores, labels):
                 calls.clear()
             harness()
             steps = sum(lengths)
             assert len(lengths) == 40 and steps > 150
             # `run` classifies nothing; q44 checks each start once
             assert len(classified) == len(resolved_in_classify) == starts
-            # the audit resolves each surface it replays once: steps + 1 a run
-            assert len(resolved) == sum(n + 1 for n in lengths if n)
+            # the audit resolves each run's start once; after that it blows
+            # down from the carried resolution, one cascade for each step
+            # whose curve is a (-1)-curve there
+            assert len(resolved) == sum(1 for n in lengths if n)
+            assert len(cascades) == blown
             # and labels each step's surface once, off the carried K*; only
             # q44's start checks solve a log pullback to classify
             assert len(labels) == steps and len(cores) == starts
@@ -969,6 +974,33 @@ class TestSavedWork:
             steps += len(result.steps)
         assert steps > 150
 
+    def test_a_step_builds_at_most_two_models(self, monkeypatch):
+        # the new shadow and its resolution: a (-1)-curve on the carried
+        # resolution is blown down from it with no declared model between,
+        # and a shadow that is its own resolution is not declared twice
+        built, per_step = [0], []
+        real_init, real_step = SurfaceModel.__init__, mmp.audit_step
+
+        def init(self, *args, **kwargs):
+            built[0] += 1
+            real_init(self, *args, **kwargs)
+
+        def step(*args):
+            before = built[0]
+            out = real_step(*args)
+            per_step.append(built[0] - before)
+            return out
+
+        monkeypatch.setattr(SurfaceModel, "__init__", init)
+        monkeypatch.setattr(mmp, "audit_step", step)
+        for harness, steps, models in (
+            (lambda: verify_smooth_start_runs(40, SEED, F(1, 7), max_blowups=12), 281, 559),
+            (lambda: search_canonical_starts(SearchConfig(), 40, SEED), 187, 369),
+        ):
+            per_step.clear()
+            assert harness().total_steps == len(per_step) == steps
+            assert (sum(per_step), max(per_step)) == (models, 2)
+
     def test_one_validation_per_tower(self, monkeypatch):
         calls = counting(monkeypatch, lattice, "_validated")
         rng = random.Random(SEED)
@@ -983,7 +1015,7 @@ class TestSavedWork:
     def test_audit_makes_no_classify_call(self, monkeypatch):
         rng = random.Random(SEED + 5)
         grid = _coefficient_grid(F(6, 7))
-        steps = 0
+        steps = blown = 0
         for _ in range(20):
             model = mmp._random_tower(rng, 12)
             boundary = QDivisor.from_map({n: c for n in model.tracked if (c := rng.choice(grid))})
@@ -992,55 +1024,74 @@ class TestSavedWork:
             with monkeypatch.context() as patch:
                 classified = counting(patch, mmp, "classify")
                 resolved = counting(patch, mmp, "minimal_resolution")
+                cascades = counting(patch, mmp, "blow_down_cascade")
                 assert audit_run(result, initial, F(1, 7)) == result.audit
-            # one resolution per surface the replay meets, none of them twice
-            assert classified == [] and len(resolved) == len(result.steps) + 1
+            # the start is resolved once, and each later resolution is blown
+            # down from the one before it; no surface is resolved twice
+            assert classified == [] and len(resolved) == 1
             steps += len(result.steps)
-        assert steps > 100
+            blown += len(cascades)
+        assert (steps, blown) == (168, 144)
 
     def test_audit_resolves_the_carried_resolution(self, monkeypatch):
-        # after step 0 the audit resolves its last resolution with the new
-        # curve contracted, never the whole shadow model again
+        # after step 0 the audit never resolves the whole shadow model again:
+        # a step whose curve is a (-1)-curve on the carried resolution blows
+        # it down from there in one cascade over its contracted curves and C
         rng = random.Random(SEED + 7)
         grid = _coefficient_grid(F(6, 7))
-        real, smaller = mmp.minimal_resolution, 0
+        real_step, blown, smaller = mmp.audit_step, 0, 0
         for _ in range(20):
             model = mmp._random_tower(rng, 12)
             boundary = QDivisor.from_map({n: c for n in model.tracked if (c := rng.choice(grid))})
             initial = MmpState(surface=model, boundary=boundary)
             result = run(initial, MostNegativeFirst(), F(1, 7))
-            resolved = []
+            handed = []
 
-            def recorded(m):
-                out = real(m)
-                resolved.append((m.rank, out.rank))
+            def step(pair, name, *rest):
+                out = real_step(pair, name, *rest)
+                handed.append((pair[3] or pair[0], name, out[0][3]))
                 return out
 
             with monkeypatch.context() as patch:
-                patch.setattr(mmp, "minimal_resolution", recorded)
+                resolved = counting(patch, mmp, "minimal_resolution")
+                cascades = counting(patch, mmp, "blow_down_cascade")
+                patch.setattr(mmp, "audit_step", step)
                 assert audit_run(result, initial, F(1, 7)) == result.audit
-            assert len(resolved) == len(result.steps) + 1 and resolved[0][0] == model.rank
-            assert [before for before, _ in resolved[1:]] == [after for _, after in resolved[:-1]]
-            smaller += sum(before < model.rank for before, _ in resolved[1:])
-        assert smaller > 100
+            # a smooth start is its own resolution, so nothing is resolved again
+            assert [m for m, in resolved] == [model]
+            expected = [(mr, name) for mr, name, _ in handed if mr.self_int(name) == mr.k_dot(name) == -1]
+            assert len(cascades) == len(expected)
+            assert all(
+                m is mr and names == sorted(mr.contracted | {name}) for (m, names), (mr, name) in zip(cascades, expected)
+            )
+            blown += len(cascades)
+            smaller += sum(new.rank < model.rank for _, _, new in handed)
+        assert (blown, smaller) == (125, 146)
 
     def test_classification_error_keeps_the_resolution(self, monkeypatch):
         # epsilon 2 makes every check (c) raise; the resolution it was given
-        # is kept, so the audit still resolves steps + 1 models a run
+        # is kept, so the audit still resolves only the start and blows down
+        # from each carried resolution, as at epsilon 0
         rng = random.Random(SEED + 8)
-        runs = 0
+        runs = blown = 0
         for _ in range(12):
             initial = MmpState(surface=mmp._random_tower(rng, 10), boundary=QDivisor.zero())
             result = run(initial, MostNegativeFirst())
             if len(result.steps) < 2:
                 continue
-            with monkeypatch.context() as patch:
-                resolved = counting(patch, mmp, "minimal_resolution")
-                report = audit_run(result, initial, 2)
-            assert len(resolved) == len(result.steps) + 1
-            assert {s.classification for s in report.steps} == {"error: epsilon 2 outside [0, 1]"}
+            work = []
+            for epsilon in (2, 0):
+                with monkeypatch.context() as patch:
+                    resolved = counting(patch, mmp, "minimal_resolution")
+                    cascades = counting(patch, mmp, "blow_down_cascade")
+                    report = audit_run(result, initial, epsilon)
+                work.append((len(resolved), len(cascades)))
+                if epsilon:
+                    assert {s.classification for s in report.steps} == {"error: epsilon 2 outside [0, 1]"}
+            assert work[0] == work[1] and work[0][0] == 1
             runs += 1
-        assert runs >= 6
+            blown += work[0][1]
+        assert (runs, blown) == (10, 60)
 
 
 def fresh_scan(matrix):
@@ -1077,8 +1128,10 @@ class TestCarriedPullbacks:
                 cols = [shadow.row(n) for n in live]
                 for (coef, row), b in ((log, boundary), (canonical, QDivisor.zero())):
                     numerators, d, solved_row = singularities._log_numerators(shadow, b, cols)
-                    carried = {shadow.names[r - 1]: F(x, coef[K_ROW]) for r, x in coef.items() if r != K_ROW}
-                    assert carried == {n: F(x, d) for n, x in numerators.items()}
+                    # one entry per row of the shadow, zero off K, B and the contracted set
+                    assert len(coef) == len(shadow.names) + 1
+                    carried = [F(x, coef[K_ROW]) for x in coef[1:]]
+                    assert carried == [F(numerators.get(n, 0), d) for n in shadow.names]
                     assert [F(x, coef[K_ROW]) for x in row] == [F(x, d) for x in solved_row]
                     seen.append((coef[K_ROW], d))
             return pair, audit
@@ -1137,7 +1190,11 @@ class TestCarriedPullbacks:
             # a boundary curve that meets nothing contracted, which
             # orthogonality alone would not see
             contracted = {old.row(e) for e in old.contracted} | {terms[0][0]}
-            free = [r for r in coef if r not in contracted | {K_ROW} and not any(old.matrix[r][c] for c in contracted)]
+            free = [
+                r
+                for r, x in enumerate(coef)
+                if x and r not in contracted | {K_ROW} and not any(old.matrix[r][c] for c in contracted)
+            ]
             if kind == 0 and free:
                 coef[free[0]] += 1
                 return True
@@ -1195,6 +1252,54 @@ class TestCarriedPullbacks:
         verify_smooth_start_runs(20, SEED, F(1, 7), max_blowups=12)
         search_canonical_starts(SearchConfig(), 20, SEED)
         assert len(checked) > 300
+
+
+class TestCarriedResolution:
+    """The audit carries its minimal resolution: a curve that is a
+    (-1)-curve there is blown down from it in one cascade, any other is
+    declared contracted on it, and either way the result is the resolution
+    of the declared model."""
+
+    @staticmethod
+    def compared(monkeypatch):
+        """Make every step `audit_step` takes check its new resolution
+        against `minimal_resolution(declare_contracted(old, [name]))`, old
+        the resolution it was handed (the start's, resolved, at step 0),
+        and its new shadow's row index against the old shadow's; returns,
+        per step, whether the curve was a (-1)-curve on old."""
+        seen, real = [], mmp.audit_step
+
+        def step(pair, name, *rest):
+            out = real(pair, name, *rest)
+            shadow, old = pair[0], pair[3] or minimal_resolution(pair[0])
+            new_shadow, _, _, new = out[0]
+            expected = minimal_resolution(declare_contracted(old, [name]))
+            assert (new.names, new.matrix, new.contracted, new.rank) == (
+                expected.names,
+                expected.matrix,
+                expected.contracted,
+                expected.rank,
+            )
+            assert new.contracted_factor == expected.contracted_factor
+            assert new_shadow._rows is shadow._rows
+            seen.append(old.self_int(name) == old.k_dot(name) == -1)
+            return out
+
+        monkeypatch.setattr(mmp, "audit_step", step)
+        return seen
+
+    def test_seeded_streams_match_a_declared_resolution(self, monkeypatch):
+        seen = self.compared(monkeypatch)
+        steps = verify_smooth_start_runs(40, SEED, F(1, 7), max_blowups=12).total_steps
+        steps += search_canonical_starts(SearchConfig(), 40, SEED).total_steps
+        assert (len(seen), sum(seen)) == (steps, 245 + 162) == (281 + 187, 407)
+
+    @pytest.mark.parametrize("blowups", [40, 80, 160])
+    def test_long_towers_match_a_declared_resolution(self, monkeypatch, blowups):
+        seen = self.compared(monkeypatch)
+        result = run(exact_tower(random.Random(SEED + blowups), blowups), MostNegativeFirst(), F(1, 7))
+        assert result.audit.ok and len(seen) == len(result.steps) >= blowups
+        assert 0 < sum(seen) < len(seen)
 
 
 class TestAuditViolations:
