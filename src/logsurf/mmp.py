@@ -262,9 +262,11 @@ def run(state: MmpState, strategy, epsilon=Fraction(0)) -> MmpRun:
     one. C.C = C*.C is read off C*'s row, and the chosen curve's solve is
     handed to `audit_step`: one C* solve a step. The ranking has one
     denominator and names break ties, so its order is a fresh solve's. The
-    step is Castelnuovo while the start was smooth, every earlier step was
-    Castelnuovo and C.C = -1 (K.C = -1 then follows from genus 0);
-    otherwise it is Artin type.
+    step is Castelnuovo where the surface before it is smooth, that is, its
+    carried resolution (the start shadow at step 0) contracts nothing, and
+    C.C = -1 (K.C = -1 then follows from genus 0); otherwise it is Artin
+    type. So a surface that an Artin step left singular and a later step
+    made smooth again has Castelnuovo steps too.
 
     `audit_step` then checks the step, as `audit_run` does, and returns the
     next pair. A step's `post_classification` is the audit's class of the
@@ -280,9 +282,8 @@ def run(state: MmpState, strategy, epsilon=Fraction(0)) -> MmpRun:
     smooth, bounded = gate = _gate(state, epsilon)
     pair, steps, audited, violations = _start(state), [], [], []
     queue = list(strategy.names) if isinstance(strategy, NamedOrder) else None
-    castelnuovo = smooth
     while True:
-        shadow, _, ((coef, row), _, live), _ = pair
+        shadow, _, ((coef, row), _, live), mr = pair
         keys, d = _ranked(live, row), coef[K_ROW]
         if not keys:
             outcome = MinimalOverTracked()
@@ -307,13 +308,13 @@ def run(state: MmpState, strategy, epsilon=Fraction(0)) -> MmpRun:
         if queue:
             queue.pop(0)
         cand, cstar = chosen
+        smooth_before = not (shadow if mr is None else mr).contracted
         pair, step = audit_step(pair, cand.name, len(steps), epsilon, smooth and bounded, violations, cstar)
         if step is None:
             raise ModelError(violations[-1])
         audited.append(step)
         post = step.post_classification or classify(pair[0], _NO_BOUNDARY, epsilon)
-        castelnuovo = castelnuovo and cand.self_int == -1
-        kind = CASTELNUOVO if castelnuovo else ARTIN_TYPE
+        kind = CASTELNUOVO if smooth_before and cand.self_int == -1 else ARTIN_TYPE
         steps.append(MmpStep(cand.name, cand.extremal_value, cand.self_int, kind, post))
     return MmpRun(steps=tuple(steps), outcome=outcome, audit=_report(state, gate, epsilon, audited, violations))
 

@@ -425,9 +425,12 @@ def eager_run(state, strategy, epsilon=Fraction(0)):
     """The MMP loop of `mmp.run` on a second chain of models: every step's
     whole `step_candidates` list built on the state's own model, C.C solved
     for each candidate, the outcome read off that list, and the step made
-    by `contract`, Castelnuovo where it blew the curve down. Each step
-    classifies that model, where `run` reports the audit replay's class;
-    the same audit at the end."""
+    by `contract`. A step is Castelnuovo where C.C = -1 and the surface
+    before it is smooth: nothing contracted at the start, and afterwards
+    nothing contracted on the model's stepwise minimal resolution, so a
+    surface that Artin steps made singular and later smooth again counts.
+    Each step classifies that model, where `run` reports the audit
+    replay's class; the same audit at the end."""
     epsilon = Fraction(epsilon)
     initial = state
     steps = []
@@ -455,7 +458,8 @@ def eager_run(state, strategy, epsilon=Fraction(0)):
                 )
             cand = matches[0]
         before, state = state, contract(state, cand.name)
-        kind = CASTELNUOVO if state.surface.rank < before.surface.rank else ARTIN_TYPE
+        smooth = before.surface if before is initial else stepwise_minimal_resolution(before.surface)
+        kind = CASTELNUOVO if not smooth.contracted and cand.self_int == -1 else ARTIN_TYPE
         steps.append(
             MmpStep(
                 contracted_curve=cand.name,

@@ -524,9 +524,9 @@ class TestRun:
             "directions; rank 1 allows at most 0",
         )
 
-    def test_kind_stays_artin_on_a_smooth_again_surface(self):
+    def test_kind_is_castelnuovo_on_a_smooth_again_surface(self):
         # E1 and E2 resolve away after step 1, so D is a (-1)-curve on a
-        # smooth surface; the kind still follows the earlier Artin steps
+        # smooth surface: its step is Castelnuovo after two Artin steps
         model = blow_up(new_projective_plane(), PointSpec.general(), "E1")
         model = blow_up(model, PointSpec.on_curve("E1"), "E2")
         model = blow_up(model, PointSpec.general(), "D")
@@ -535,7 +535,7 @@ class TestRun:
         assert [(s.contracted_curve, s.kind) for s in result.steps] == [
             ("E1", ARTIN_TYPE),
             ("E2", ARTIN_TYPE),
-            ("D", ARTIN_TYPE),
+            ("D", CASTELNUOVO),
         ]
         assert result.steps[2].self_int == -1 and result.audit.ok
         pair, violations = mmp._start(state), []
