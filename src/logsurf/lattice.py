@@ -85,9 +85,10 @@ class SurfaceModel:
     the surface itself is smooth.
 
     The row index `_rows`, the contracted factor and the nonzero pattern
-    are computed on first read (`_lazy`), not at construction: a builder
-    seeds what it can pass on or knows, so a model that keeps its parent's
-    names, matrix or empty contracted set copies and recomputes none of it.
+    are computed on first read (`_lazy`), not at construction, and a
+    builder seeds what it already has: `declare_contracted` passes on its
+    parent's row index, bordered factor and scanned pattern, and `blow_up`
+    its empty factor.
     """
 
     rank: int

@@ -475,21 +475,19 @@ def audit_step(pair, name: str, i: int, epsilon: Fraction, gate: bool, violation
     the contracted curve from it.
 
     The resolution is carried: the new one is the minimal resolution of the
-    old one with `name` declared contracted. It equals the new shadow's: a
-    normal surface has one minimal resolution, and rows keep their original
-    order. The old one is minimal, so only C can start a blow-down. Where C
-    is a (-1)-curve on it (C.C = K.C = -1 there), one `blow_down_cascade`
-    from the old resolution over its contracted curves and C blows C down,
-    then what that frees; no declared model is built. The check is kept:
-    the block the cascade's final check tests is, after C goes, the Schur
-    complement of C.C = -1 in the declared block, so it is negative
-    definite iff the declared block is, and the Hodge count drops by one on
-    both sides. Otherwise the cascade would be a no-op, and the new
-    resolution is the old one with C declared contracted (the bordered
-    pivot's Schur complement is C*^2 < 0, as on the shadow, C.C <= C*^2 and
-    rho is the same, so its checks pass once the shadow's did), or the new
-    shadow itself where the old shadow was its own resolution. So a step
-    builds at most two models, the shadow and its resolution. The whole
+    old one with C = `name` declared contracted, which equals the new
+    shadow's (a normal surface has one minimal resolution, and rows keep
+    their original order). The old one is minimal, so only C can start a
+    blow-down. Where C is a (-1)-curve there (C.C = K.C = -1), one
+    `blow_down_cascade` over its contracted curves and C blows C down, then
+    what that frees, and no declared model is built: the block its final
+    check tests is, after C goes, the Schur complement of C.C = -1 in the
+    declared block, so negative definite iff that block is, and the Hodge
+    count drops by one on both sides. Otherwise the new resolution is the
+    old one with C declared contracted (its checks pass once the shadow's
+    did: the bordered pivot's Schur complement is C*^2 < 0 on both, C.C <=
+    C*^2, and rho is the same), or the new shadow itself where the old
+    shadow was its own. So a step builds at most two models. The whole
     shadow is resolved only where none is carried; a class that raises
     keeps the resolution.
     """
