@@ -151,16 +151,18 @@ class SurfaceModel:
         a sum over a column reads only these, O(degree) and not O(n)."""
         return tuple((tuple(compress(count(), row)), tuple(filter(None, row))) for row in self.matrix)
 
-    def pairings(self, terms, cols) -> tuple[list[int], int]:
-        """Row (v, d) of a rational combination of rows, given as (row,
-        coefficient) pairs with K_ROW for K, on the columns `cols`: v[j] / d
-        is its pairing with row cols[j]. Denominators are cleared once."""
+    def pairings(self, terms) -> tuple[list[int], list[int], int]:
+        """A rational combination D of rows, given as (row, coefficient)
+        pairs with K_ROW for K, in the package's one pullback format (coef,
+        v, d): d D = sum coef[i] (row i) and v[j] = d D.(row j), both over
+        every row, with d > 0. Denominators are cleared once."""
         d = lcm(*(c.denominator for _, c in terms))
-        v = [0] * len(cols)
+        coef, v = [0] * len(self.matrix), [0] * len(self.matrix)
         for i, c in terms:
-            a, row = c.numerator * (d // c.denominator), self.matrix[i]
-            v = [x + a * row[j] for x, j in zip(v, cols)]
-        return v, d
+            a = c.numerator * (d // c.denominator)
+            coef[i] += a
+            v = [x + a * y for x, y in zip(v, self.matrix[i])]
+        return coef, v, d
 
 
 def _picker(idx):

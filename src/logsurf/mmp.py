@@ -16,8 +16,11 @@ the contraction by a rank-one update through C*, re-checked against the
 matrix, carries the resolution by one blow-down cascade or declaration,
 and returns the next pair. So every surface is built and classified once,
 a step builds at most two models (the shadow and its resolution), and no
-log pullback is solved after the start. The carried pullbacks are integer
-lists over the shadow's rows, which never change during a run.
+log pullback is solved after the start. Every pullback here is in
+`pulled_back`'s format, integer lists over every row of the shadow, K's
+included: the C* solves as (coef, v, d), the carried pullbacks as (coef,
+v) with d = coef[K_ROW]. The shadow's rows never change during a run, so
+the pair holds no name list; a contracted curve keeps its row.
 The two randomized harnesses draw their towers through `_random_blowups`.
 """
 
@@ -131,55 +134,53 @@ def parse_strategy(text: str):
     raise ScenarioError(f"unknown strategy {text!r}")
 
 
-def _pulled_back_curve(model: SurfaceModel, name: str, cols):
-    """The pullback C* of a tracked curve over one denominator d > 0: the
-    terms of d C* and its row (v, d) on the columns `cols`, solved by
-    `pulled_back` (negativity lemma included) when C meets the contracted set."""
-    r, rows = model.row(name), model._rows
-    if not any(model.matrix[r][rows[e]] for e in model.contracted):
-        return [(r, 1)], [model.matrix[r][j] for j in cols], 1  # C* = C
-    x, v, d = pulled_back(model, [(r, 1)], cols)
-    return [(r, d)] + list(zip(map(model.row, sorted(model.contracted)), x)), v, d
-
-
 def extremal_pairing(model: SurfaceModel, boundary: QDivisor, name: str) -> Fraction:
     """(K + boundary).C on the modeled surface: (K + B).C* = L*.C, read off
-    C's entry of the log pullback L*'s row (see `_log_numerators`)."""
+    C's entry of the log pullback L*'s row (see `_log_numerators`). The
+    model and the boundary are checked at entry."""
+    model = _trusted(model)
+    boundary = _check_boundary(model, boundary)
     if name in model.contracted:
         raise ModelError(f"curve {name!r} is contracted; it has no extremal pairing")
-    _, d, v = _log_numerators(model, boundary, (model.row(name),))
-    return Fraction(v[0], d)
+    coef, v = _log_numerators(model, boundary)
+    return Fraction(v[model.row(name)], coef[K_ROW])
 
 
 def contracted_self_intersection(model: SurfaceModel, name: str) -> Fraction:
-    """C.C on the modeled surface (not on the resolution): C*.C* = C*.C."""
-    _, v, d = _pulled_back_curve(model, name, (model.row(name),))
-    return Fraction(v[0], d)
+    """C.C on the modeled surface (not on the resolution): C*.C* = C*.C,
+    read off C*'s row. The model is checked at entry."""
+    model = _trusted(model)
+    if name in model.contracted:
+        raise ModelError(f"curve {name!r} is contracted; it has no self-intersection on the modeled surface")
+    r = model.row(name)
+    _, v, d = pulled_back(model, [(r, 1)])
+    return Fraction(v[r], d)
 
 
-def _live(model: SurfaceModel) -> tuple[str, ...]:
-    """The non-contracted curves, in row order: the columns a log pullback's row is read on."""
-    return tuple(name for name in model.names if name not in model.contracted)
-
-
-def _ranked(live, row) -> list[tuple[int, str]]:
-    """The sorted keys (x, name) of the `live` curves with (K + B).C = x / d
-    < 0, `row` the numerators of L*'s row on them."""
-    return sorted((x, name) for x, name in zip(row, live) if x < 0)
+def _ranked(model: SurfaceModel, row) -> list[tuple[int, str]]:
+    """The sorted keys (x, name) of `model`'s non-contracted curves with
+    (K + B).C = x / d < 0, `row` the numerators of L*'s row over every row
+    of `model`. Contracted curves are filtered here, by name: nothing
+    re-checks a carried row's entries on them."""
+    contracted = model.contracted
+    return sorted((x, name) for name, x in zip(model.names, row[1:]) if x < 0 and name not in contracted)
 
 
 def _solved_ranking(model: SurfaceModel, boundary: QDivisor) -> tuple[list[tuple[int, str]], int]:
     """`_ranked` off a fresh `_log_numerators` solve on `model`, and its d.
     `MmpState` dropped the boundary's zero coefficients, so each of its
     curves is on `model`."""
-    live = _live(model)
-    _, d, row = _log_numerators(model, boundary, list(map(model.row, live)))
-    return _ranked(live, row), d
+    coef, row = _log_numerators(model, boundary)
+    return _ranked(model, row), coef[K_ROW]
 
 
-def _candidate(model: SurfaceModel, key: tuple[int, str], d: int) -> Candidate:
+def _solved(model: SurfaceModel, key: tuple[int, str], d: int) -> tuple[Candidate, tuple]:
+    """The candidate of a ranking key over d, and its C* solve on `model`
+    (`pulled_back`'s (coef, v, d)), from which C.C = C*.C is read."""
     x, name = key
-    return Candidate(name=name, extremal_value=Fraction(x, d), self_int=contracted_self_intersection(model, name))
+    r = model.row(name)
+    cstar = pulled_back(model, [(r, 1)])
+    return Candidate(name, Fraction(x, d), Fraction(cstar[1][r], cstar[2])), cstar
 
 
 def step_candidates(state: MmpState) -> list[Candidate]:
@@ -188,7 +189,7 @@ def step_candidates(state: MmpState) -> list[Candidate]:
     solved. `run` solves C.C only for the candidates its strategy reads."""
     model = state.surface
     keys, d = _solved_ranking(model, state.boundary)
-    return [_candidate(model, key, d) for key in keys]
+    return [_solved(model, key, d)[0] for key in keys]
 
 
 def contract(state: MmpState, name: str) -> MmpState:
@@ -201,7 +202,7 @@ def contract(state: MmpState, name: str) -> MmpState:
     key = next((key for key in keys if key[1] == name), None)
     if key is None:
         raise ModelError(f"{name!r} is not an extremal candidate (needs (K + boundary).C < 0)")
-    cand = _candidate(model, key, d)
+    cand, _ = _solved(model, key, d)
     if cand.self_int >= 0:
         raise ModelError(
             f"{name!r} has self-intersection {cand.self_int} >= 0; it signals a fiber space, not a contraction"
@@ -255,11 +256,11 @@ def run(state: MmpState, strategy, epsilon=Fraction(0)) -> MmpRun:
     The run keeps one state, the audit's pair from `_start`: the shadow
     (the initial lattice with the curves contracted so far declared
     contracted), its boundary, the carried log pullbacks of K + B and K,
-    and the carried minimal resolution. A step ranks the live curves off
-    (K + B)*'s row, so `run` solves no log pullback, and solves C* on the
-    shadow only for the candidates its strategy reads: the curve a named
-    strategy wants, or those in rank order up to the first contractible
-    one. C.C = C*.C is read off C*'s row, and the chosen curve's solve is
+    and the carried minimal resolution. A step ranks the shadow's
+    uncontracted curves off (K + B)*'s row, so `run` solves no log
+    pullback, and solves C* on the shadow only for the candidates its
+    strategy reads: the curve a named strategy wants, or those in rank
+    order up to the first contractible one. C.C = C*.C is read off C*'s row, and the chosen curve's solve is
     handed to `audit_step`: one C* solve a step. The ranking has one
     denominator and names break ties, so its order is a fresh solve's. The
     step is Castelnuovo where the surface before it is smooth, that is, its
@@ -283,15 +284,15 @@ def run(state: MmpState, strategy, epsilon=Fraction(0)) -> MmpRun:
     pair, steps, audited, violations = _start(state), [], [], []
     queue = list(strategy.names) if isinstance(strategy, NamedOrder) else None
     while True:
-        shadow, _, ((coef, row), _, live), mr = pair
-        keys, d = _ranked(live, row), coef[K_ROW]
+        shadow, _, ((coef, row), _), mr = pair
+        keys, d = _ranked(shadow, row), coef[K_ROW]
         if not keys:
             outcome = MinimalOverTracked()
             break
         wanted = [key for key in keys if queue and key[1] == queue[0]]
-        chosen = _solved(shadow, live, wanted[0], d) if wanted else None
+        chosen = _solved(shadow, wanted[0], d) if wanted else None
         if chosen is None or chosen[0].self_int >= 0:
-            lazy = (_solved(shadow, live, key, d) for key in keys)  # C* is solved as each is read
+            lazy = (_solved(shadow, key, d) for key in keys)  # C* is solved as each is read
             top = next(lazy)
             chosen = top if top[0].self_int < 0 else next((c for c in lazy if c[0].self_int < 0), None)
             if chosen is None:
@@ -319,43 +320,26 @@ def run(state: MmpState, strategy, epsilon=Fraction(0)) -> MmpRun:
     return MmpRun(steps=tuple(steps), outcome=outcome, audit=_report(state, gate, epsilon, audited, violations))
 
 
-def _solved(shadow: SurfaceModel, live, key: tuple[int, str], d: int) -> tuple[Candidate, tuple]:
-    """The candidate of a ranking key over d, and its C* solve on the
-    shadow over the `live` columns, from which C.C = C*.C is read."""
-    x, name = key
-    cstar = _pulled_back_curve(shadow, name, list(map(shadow.row, live)))
-    _, v, dc = cstar
-    return Candidate(name, Fraction(x, d), Fraction(v[live.index(name)], dc)), cstar
-
-
 def _start(state: MmpState) -> tuple:
     """The audit's pair before step 0: the start surface; its boundary as
     integer numerators over one denominator db, (fixed, db); its two log
-    pullbacks, (K + B)* and K*, with the live names they are read on; and
-    no resolution. Both pullbacks are solved here by `_log_numerators`, the
-    run's only log-pullback solves; `audit_step` carries them. Each is held
-    as (coef, row) of integer lists: coef[i] is the coefficient in d L* of
-    the shadow's row i, so coef[K_ROW] is the denominator d and only K, the
-    boundary curves and the contracted curves can be nonzero, and row is
-    L*'s row on the live curves over d."""
-    model, boundary, rows = state.surface, state.boundary, state.surface._rows
-    live = _live(model)
-    pullbacks = []
-    for b in (boundary, _NO_BOUNDARY):
-        numerators, d, row = _log_numerators(model, b, [rows[name] for name in live])
-        coef = [0] * (len(model.names) + 1)
-        coef[K_ROW] = d
-        for name, x in numerators.items():
-            coef[rows[name]] = x
-        pullbacks.append((coef, row))
+    pullbacks, (K + B)* and K*; and no resolution. Both pullbacks are
+    solved here by `_log_numerators`, the run's only log-pullback solves,
+    and kept as it returns them; `audit_step` carries them. Each is (coef,
+    row), integer lists over every row of the start surface, which are the
+    rows of every later shadow: coef[i] is the coefficient in d L* of row
+    i, so coef[K_ROW] is the denominator d and only K, the boundary curves
+    and the contracted curves can be nonzero, and row[j] is d L*.(row j)."""
+    model, boundary = state.surface, state.boundary
+    pullbacks = tuple(_log_numerators(model, b) for b in (boundary, _NO_BOUNDARY))
     db = lcm(*(c.denominator for _, c in boundary.coefficients))
     fixed = {name: c.numerator * (db // c.denominator) for name, c in boundary.coefficients}
-    return model, (fixed, db), (*pullbacks, live), None
+    return model, (fixed, db), pullbacks, None
 
 
 def _moved(old: SurfaceModel, pullback, cstar, at: int):
-    """A log pullback carried across the step that contracts the live curve
-    C at index `at`, given C*'s solve on the old shadow `old`: L_new* = L* +
+    """A log pullback carried across the step that contracts the curve C
+    of row `at`, given C*'s solve on the old shadow `old`: L_new* = L* +
     a C* with a = -(L*.C) / (C*.C*), so L_new* is orthogonal to C and, as
     L* and C* are, to the old contracted set. The pullback orthogonal to a
     negative definite block is unique, so this is the solve of the new
@@ -364,19 +348,16 @@ def _moved(old: SurfaceModel, pullback, cstar, at: int):
     t, s row + lc v), reduced by the gcd. An lc that differs from the
     carried row's entry, which `run` ranked and reported, raises."""
     coef, row = pullback
-    terms, v, _ = cstar
-    lc = _paired(old, coef, terms[0][0])
+    ccoef, v, _ = cstar
+    lc = _paired(old, coef, at)
     if lc != row[at]:
         raise ModelError(
-            f"carried log pullback pairs {row[at]}/{coef[K_ROW]} with {old.names[terms[0][0] - 1]!r}, "
+            f"carried log pullback pairs {row[at]}/{coef[K_ROW]} with {old.names[at - 1]!r}, "
             f"the matrix {lc}/{coef[K_ROW]}; model inconsistent"
         )
     s = -v[at]
-    coef = [s * x for x in coef]
-    for r, t in terms:
-        coef[r] += lc * t
+    coef = [s * x + lc * t for x, t in zip(coef, ccoef)]
     row = [s * a + lc * b for a, b in zip(row, v)]
-    del row[at]
     g = gcd(*coef, *row)
     if g > 1:
         coef, row = [x // g for x in coef], [a // g for a in row]
@@ -454,11 +435,12 @@ def audit_run(run_record: MmpRun, initial: MmpState, epsilon) -> AuditReport:
 def audit_step(pair, name: str, i: int, epsilon: Fraction, gate: bool, violations: list, cstar=None):
     """Checks (a)-(d) of step i, which contracts `name`, on the pair before
     it, `_start`'s shape: (shadow model, boundary numerators (fixed, db),
-    ((K + B)*, K*, live names), minimal resolution or None). Check (c)
-    applies where `gate`. `cstar` is `name`'s C* solve on the shadow over
-    the live columns, which `run` made to read C.C; without it, it is
-    solved here. Appends what it finds to `violations` and returns the
-    next pair and the AuditStep, both None where the replay cannot go on.
+    ((K + B)*, K*), minimal resolution or None), every list of it over the
+    start surface's rows. Check (c) applies where `gate`. `cstar` is
+    `name`'s C* solve on the shadow, `pulled_back`'s (coef, v, d), which
+    `run` made to read C.C; without it, it is solved here. Appends what it
+    finds to `violations` and returns the next pair and the AuditStep, both
+    None where the replay cannot go on.
 
     The step makes no log-pullback solve: `_moved` carries both pullbacks
     through the one C* solve and `_rechecked` checks them against the new
@@ -491,22 +473,23 @@ def audit_step(pair, name: str, i: int, epsilon: Fraction, gate: bool, violation
     shadow is resolved only where none is carried; a class that raises
     keeps the resolution.
     """
-    shadow, (fixed, db), (log, canonical, live), mr = pair
+    shadow, (fixed, db), (log, canonical), mr = pair
     rho_before = shadow.rank - len(shadow.contracted)
     if name in shadow.contracted:
         violations.append(f"rho: step {i} contracts already-contracted curve {name!r}")
         return None, None
+    at = shadow.row(name)
     if cstar is None:
-        cstar = _pulled_back_curve(shadow, name, list(map(shadow.row, live)))
-    terms, v, dc = cstar
+        cstar = pulled_back(shadow, [(at, 1)])
+    ccoef, v, dc = cstar
     # (d) support condition on the minimal resolution of the current state
     try:
         if mr is None:
             mr = minimal_resolution(shadow)
         m, kept = mr.matrix, mr._rows
-        support = [kept[n] for n in (shadow.names[r - 1] for r, c in terms if c > 0) if n in kept]
+        support = [kept[n] for n, c in zip(shadow.names, ccoef[1:]) if c > 0 and n in kept]
         step3_applicable = not any(m[r][r] == m[K_ROW][r] == -1 for r in support)
-        pairing = sum(fixed[n] * x for n, x in zip(live, v) if n in fixed)
+        pairing = sum(b * v[shadow.row(n)] for n, b in fixed.items())
         step3_value = Fraction(pairing, dc * db)
         step3_ok = (not step3_applicable) or pairing < 0
     except ModelError as exc:
@@ -521,7 +504,7 @@ def audit_step(pair, name: str, i: int, epsilon: Fraction, gate: bool, violation
     except NotNegativeDefiniteError as exc:
         violations.append(f"effectivity: step {i} ({name!r}): replay failed: {exc}")
         return None, None
-    fixed, at = {n: b for n, b in fixed.items() if n != name}, live.index(name)
+    fixed = {n: b for n, b in fixed.items() if n != name}
     prev = log[0]
     log = _rechecked(shadow, fixed, db, _moved(old, log, cstar, at))
     canonical = _rechecked(shadow, {}, 1, _moved(old, canonical, cstar, at))
@@ -556,7 +539,7 @@ def audit_step(pair, name: str, i: int, epsilon: Fraction, gate: bool, violation
             f"expected {EPS_LOG_TERMINAL}"
         )
     step = AuditStep(name, rho_before, rho_after, not bad, label, step3_applicable, step3_value, step3_ok, post)
-    return (shadow, (fixed, db), (log, canonical, live[:at] + live[at + 1 :]), mr), step
+    return (shadow, (fixed, db), (log, canonical), mr), step
 
 
 @dataclass(frozen=True)

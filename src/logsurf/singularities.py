@@ -1,8 +1,10 @@
 """Pullbacks, discrepancies, and epsilon-classification of contractions.
 
-All solves are exact and run in integers: a pullback is integer numerators
-over one positive denominator, and Fractions are made only for the values
-the public functions return. The classification routines see a surface
+All solves are exact and run in integers. Every pullback has one format,
+`pulled_back`'s (coef, v, d): integer lists over every row of the model,
+K's included, over one denominator d > 0, with d D* = sum coef[i] (row i)
+and v[j] = d D*.(row j). Fractions are made only for the values the
+public functions return. The classification routines see a surface
 through its tracked resolution: the contracted set defines the
 singularities, boundary curves contribute their own coefficients, and
 everything is compared against the -1 + epsilon thresholds with exact
@@ -124,21 +126,22 @@ def divisor_terms(model: SurfaceModel, divisor: QDivisor) -> list[tuple[int, Fra
     return [(model.row(name), c) for name, c in divisor.coefficients]
 
 
-def pulled_back(model: SurfaceModel, terms, cols) -> tuple[list[int], list[int], int]:
+def pulled_back(model: SurfaceModel, terms) -> tuple[list[int], list[int], int]:
     """Pullback D* = D + sum x_i E_i of a combination D of rows, orthogonal
-    to every contracted E_j, over one denominator d > 0: the numerators d x
-    (curves in name order) and D*'s row v on the columns `cols`, so v[j] / d
-    is D*.(row cols[j]). With nothing contracted, x is [] and D* = D.
+    to every contracted E_j, in the package's one pullback format (coef, v,
+    d) of `SurfaceModel.pairings`: d D* = sum coef[i] (row i) and v[j] =
+    d D*.(row j), integer lists over every row of the model, K's included,
+    with d > 0. A D that meets no contracted curve, as with nothing
+    contracted, is its own pullback, and no solve is made.
 
-    One integer solve against the factorization of the k x k contracted
-    block, in the factor's curve order. With (u, du) D's row on the
-    contracted columns, then `cols`, it gives A y = det(A) (-u on the
-    contracted columns); det has the sign of (-1)^k, so y and det are
-    negated when it is negative. Then d = det du and v = det u + sum y_i
+    Otherwise one integer solve against the factorization of the k x k
+    contracted block, in the factor's curve order. With (c, u, du) D's own
+    format, it gives A y = det(A) (-u on the contracted rows); det has the
+    sign of (-1)^k, so y and det are negated when it is negative. Then d =
+    det du, coef = det c + y on the contracted rows and v = det u + sum y_i
     (row of E_i) over the nonzero y_i, re-checked to be zero on the
-    contracted columns: O((k + len(cols)) (|terms| + k)), so callers ask
-    only for the rows they read. A curve's y is zero off the connected
-    component of the contracted set that it meets.
+    contracted rows: O(n (|terms| + k)). A curve's y is zero off the
+    connected component of the contracted set that it meets.
     For an effective D (curves only, coefficients >= 0) the negativity
     lemma, x >= 0, is checked too. As D*.E_i = 0, the projection formula
     D*.C = D.C* holds for every curve C, so one log pullback L* = K + B +
@@ -148,26 +151,26 @@ def pulled_back(model: SurfaceModel, terms, cols) -> tuple[list[int], list[int],
     if factor is None:
         raise ModelError(f"contracted configuration {sorted(model.contracted)} is not negative definite")
     order, lu = factor
-    if not order:
-        return [], *model.pairings(terms, cols)
+    coef, u, du = model.pairings(terms)
     rows = [model.row(e) for e in order]
-    cols = rows + list(cols)
-    u, du = model.pairings(terms, cols)
-    k, m = len(rows), model.matrix
-    y, det = solve_exact(lu, [-a for a in u[:k]])
+    if not any(u[r] for r in rows):
+        return coef, u, du
+    y, det = solve_exact(lu, [-u[r] for r in rows])
     if det < 0:
         y, det = [-yi for yi in y], -det
     support = [i for i, yi in enumerate(y) if yi]
     ys, pick = [y[i] for i in support], _picker([rows[i] for i in support])
     # by symmetry, (sum y_i E_i).(row j) = y . (row j's contracted entries)
-    v = [det * a + sum(map(mul, ys, pick(m[j]))) for a, j in zip(u, cols)]
-    if any(v[:k]):
-        e = min(e for e, a in zip(order, v) if a)
-        raise ModelError(f"solved pullback is not orthogonal to {e!r}; model inconsistent")
-    x = [yi for _, yi in sorted(zip(order, y))]
-    if min(x) < 0 and all(r != K_ROW and c >= 0 for r, c in terms):
+    v = [det * a + sum(map(mul, ys, pick(mj))) for a, mj in zip(u, model.matrix)]
+    off = [e for e, r in zip(order, rows) if v[r]]
+    if off:
+        raise ModelError(f"solved pullback is not orthogonal to {min(off)!r}; model inconsistent")
+    if min(y) < 0 and all(r != K_ROW and c >= 0 for r, c in terms):
         raise ModelError("negativity lemma violated; model inconsistent")
-    return x, v[k:], det * du
+    coef = [det * c for c in coef]
+    for r, yi in zip(rows, y):
+        coef[r] += yi
+    return coef, v, det * du
 
 
 def pullback(model: SurfaceModel, divisor: QDivisor) -> QDivisor:
@@ -183,24 +186,23 @@ def pullback(model: SurfaceModel, divisor: QDivisor) -> QDivisor:
             raise ModelError(f"divisor names unknown curve {name!r}")
         if name in model.contracted:
             raise ModelError(f"divisor curve {name!r} is contracted")
-    x, _, d = pulled_back(model, divisor_terms(model, divisor), ())
-    return QDivisor(tuple(zip(sorted(model.contracted), [Fraction(xi, d) for xi in x])))
+    coef, _, d = pulled_back(model, divisor_terms(model, divisor))
+    return QDivisor(tuple([(name, Fraction(coef[model.row(name)], d)) for name in sorted(model.contracted)]))
 
 
-def _log_numerators(model: SurfaceModel, boundary: QDivisor, cols=()) -> tuple[dict[str, int], int, list[int]]:
-    """The one log pullback solve, L* = K + boundary + sum g_i E_i: its
-    coefficients as integer numerators over one denominator d > 0 (boundary
-    curves, then the contracted curves' g_i, each in name order), d, and
-    L*'s row on `cols` over d. `pulled_back` clears each boundary
-    denominator into d, so a coefficient c is c.numerator (d // c.denominator).
-    The boundary is not checked here; a checked one has no zero coefficient.
-    A contraction run solves it twice, for K + B and for K on its start
-    surface (`mmp._start`); its audit carries both from step to step by a
-    rank-one update through each step's C* solve (`mmp._moved`)."""
-    x, v, d = pulled_back(model, [(K_ROW, 1)] + divisor_terms(model, boundary), cols)
-    out = {name: c.numerator * (d // c.denominator) for name, c in boundary.coefficients}
-    out.update(zip(sorted(model.contracted), x))
-    return out, d, v
+def _log_numerators(model: SurfaceModel, boundary: QDivisor) -> tuple[list[int], list[int]]:
+    """The one log pullback solve, L* = K + boundary + sum g_i E_i, in
+    `pulled_back`'s format without its d, which is coef[K_ROW]: (coef, v)
+    over every row of the model, so a curve's coefficient in L* is its
+    coef entry over d and its pairing with L* its v entry over d.
+    `pulled_back` clears each boundary denominator into d, so a boundary
+    coefficient c is c.numerator (d // c.denominator). The boundary is not
+    checked here; a checked one has no zero coefficient. A contraction run
+    solves it twice, for K + B and for K on its start surface
+    (`mmp._start`); its audit carries both from step to step by a rank-one
+    update through each step's C* solve (`mmp._moved`)."""
+    coef, v, _ = pulled_back(model, [(K_ROW, 1)] + divisor_terms(model, boundary))
+    return coef, v
 
 
 def log_discrepancies(model: SurfaceModel, boundary: QDivisor) -> QDivisor:
@@ -209,8 +211,9 @@ def log_discrepancies(model: SurfaceModel, boundary: QDivisor) -> QDivisor:
     contracted E_j, read off `_log_numerators`.
     """
     model = _trusted(model)
-    n, d, _ = _log_numerators(model, _check_boundary(model, boundary))
-    return QDivisor(tuple([(name, Fraction(-n[name], d)) for name in sorted(model.contracted)]))
+    coef, _ = _log_numerators(model, _check_boundary(model, boundary))
+    d = coef[K_ROW]
+    return QDivisor(tuple([(name, Fraction(-coef[model.row(name)], d)) for name in sorted(model.contracted)]))
 
 
 def minimal_resolution(model: SurfaceModel) -> SurfaceModel:
@@ -306,8 +309,9 @@ def _labelled(mr: SurfaceModel, numerators: dict[str, int], d: int, epsilon) -> 
 
 def _classified(mr: SurfaceModel, boundary: QDivisor, epsilon) -> tuple[str, int | None, int, int]:
     """`_labelled` on `mr`'s own log pullback solve; the boundary is not checked."""
-    numerators, d, _ = _log_numerators(mr, boundary)
-    return _labelled(mr, numerators, d, epsilon)
+    coef, _ = _log_numerators(mr, boundary)
+    numerators = {name: coef[mr.row(name)] for name in (*boundary.names, *mr.contracted)}
+    return _labelled(mr, numerators, coef[K_ROW], epsilon)
 
 
 def _singularity_class(core: tuple[str, int | None, int, int], epsilon: Fraction) -> SingularityClass:

@@ -7,8 +7,10 @@ classification core (the label core that audit check (c) feeds included),
 the audit's carried log pullbacks and audit check (a)'s comparison never
 touch a Fraction. Only
 `lattice._trusted` reads the `_checked` flag, so the builders keep one
-path for raw and checked models, and only `singularities._log_numerators`
-hands K's row to `pulled_back`, so every log pullback is one solve.
+path for raw and checked models. Only `singularities._log_numerators`
+hands K's row to `pulled_back`, so every log pullback is one solve; only
+`pulled_back` calls `solve_exact`, and no function takes a column list,
+so the package has one solve site and one index space.
 """
 
 import ast
@@ -69,8 +71,8 @@ guards = {
     "bordered-self-intersection": lambda: declare_contracted(line, ["L"]),
     "bordered-not-negative-definite": lambda: declare_contracted(declare_contracted(meeting_once, ["E1"]), ["L"]),
     "bordered-hodge-index": lambda: declare_contracted(two_at_rank_1_smooth, ["A", "B"]),
-    "no-factor": lambda: pulled_back(positive_line, [(positive_line.row("L"), 1)], ()),
-    "negativity-lemma": lambda: pulled_back(negative_solution, [(negative_solution.row("D"), 1)], ()),
+    "no-factor": lambda: pulled_back(positive_line, [(positive_line.row("L"), 1)]),
+    "negativity-lemma": lambda: pulled_back(negative_solution, [(negative_solution.row("D"), 1)]),
     "genus": lambda: minimal_resolution(nodal),
     "snc-endpoint": lambda: total_discrepancy_snc({"a": 1}, [("a", "b")]),
     "qdivisor-order": lambda: QDivisor((("B", Fraction(1)), ("A", Fraction(1)))),
@@ -231,21 +233,32 @@ def test_checked_flag_has_one_reader_and_one_writer():
     ]
 
 
-def k_row_pullbacks():
-    """(module, innermost function) of each `pulled_back` call that names
-    `K_ROW` in its arguments."""
-    found = []
+def package_calls():
+    """(module, innermost function, call node) for each call in the package."""
     for path in sorted((SRC / "logsurf").rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
         for node in ast.walk(tree):
-            called = getattr(node.func, "attr", getattr(node.func, "id", None)) if isinstance(node, ast.Call) else None
-            arguments = [*node.args, *(k.value for k in node.keywords)] if called == "pulled_back" else []
-            if any(getattr(n, "id", getattr(n, "attr", None)) == "K_ROW" for a in arguments for n in ast.walk(a)):
+            if isinstance(node, ast.Call):
                 scope = parent.get(node)
                 while scope is not None and not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     scope = parent.get(scope)
-                found.append((path.stem, getattr(scope, "name", "<module>")))
+                yield path.stem, getattr(scope, "name", "<module>"), node
+
+
+def called(node):
+    """The name a call node calls: `f` for f(...) and for x.f(...)."""
+    return getattr(node.func, "attr", getattr(node.func, "id", None))
+
+
+def k_row_pullbacks():
+    """(module, innermost function) of each `pulled_back` call that names
+    `K_ROW` in its arguments."""
+    found = []
+    for module, scope, node in package_calls():
+        arguments = [*node.args, *(k.value for k in node.keywords)] if called(node) == "pulled_back" else []
+        if any(getattr(n, "id", getattr(n, "attr", None)) == "K_ROW" for a in arguments for n in ast.walk(a)):
+            found.append((module, scope))
     return found
 
 
@@ -253,6 +266,27 @@ def test_one_function_solves_a_log_pullback():
     # K + B is pulled back in `_log_numerators` alone; ranking, extremal
     # pairings, audit check (a) and the classifier all read its solve
     assert k_row_pullbacks() == [("singularities", "_log_numerators")]
+
+
+def test_one_function_solves_against_the_contracted_factor():
+    # every pullback, log or curve, is `pulled_back`'s solve, in its one
+    # (coef, v, d) format
+    solves = [(module, scope) for module, scope, node in package_calls() if called(node) == "solve_exact"]
+    assert solves == [("singularities", "pulled_back")]
+
+
+def test_no_function_takes_a_column_list():
+    # pullbacks and pairings are read over every row of a model, one index
+    # space, so no function takes the columns its caller reads
+    found = []
+    for path in sorted((SRC / "logsurf").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+                if any(p.arg == "cols" for p in params):
+                    found.append(f"{path.stem}:{node.lineno}")
+    assert found == []
 
 
 def test_public_names_are_listed_once():

@@ -58,7 +58,15 @@ from logsurf.singularities import (
     pullback,
     pulled_back,
 )
-from oracles import coordinate_model, eager_run, log_coefficients, mumford_pairings, pairwise_ranking
+from oracles import (
+    coordinate_model,
+    dot,
+    eager_run,
+    gauss_solve,
+    log_coefficients,
+    mumford_pairings,
+    pairwise_ranking,
+)
 from test_singularities import TOWER_OPS, line_tower, outcome, tower_from
 
 SEED = 20260821
@@ -138,6 +146,35 @@ class TestPairings:
         assert extremal_pairing(model, QDivisor.zero(), "D") == model.k_dot("D")
         assert contracted_self_intersection(model, "D") == model.self_int("D")
 
+    @pytest.mark.parametrize(
+        "coefficients, message",
+        [
+            ({"E1": F(1, 2)}, "boundary curve 'E1' is contracted; fold it into the pullback instead"),
+            ({"D": F(5, 2)}, "boundary coefficient 5/2 on 'D' outside [0, 1]"),
+            ({"D": F(-1, 2)}, "boundary coefficient -1/2 on 'D' outside [0, 1]"),
+        ],
+    )
+    def test_extremal_pairing_checks_the_boundary(self, coefficients, message):
+        model = build_model(star_scenario(5, (2, 2, 2), 3))
+        with pytest.raises(ModelError) as exc:
+            extremal_pairing(model, QDivisor.from_map(coefficients), "D")
+        assert str(exc.value) == message
+
+    def test_a_hand_built_model_is_validated(self):
+        # genus 1 + (C.C + K.C) / 2 = 4: unchecked, the two read 0 and 6
+        raw = SurfaceModel(rank=2, names=("A",), matrix=((8, 0), (0, 6)))
+        reads = (lambda: extremal_pairing(raw, QDivisor.zero(), "A"), lambda: contracted_self_intersection(raw, "A"))
+        for read in reads:
+            with pytest.raises(ModelError) as exc:
+                read()
+            assert str(exc.value) == "curve 'A' is not a smooth rational class (genus != 0)"
+
+    def test_contracted_curve_has_no_self_intersection_here(self):
+        model = build_model(star_scenario(5, (2, 2, 2), 3))
+        with pytest.raises(ModelError) as exc:
+            contracted_self_intersection(model, "E1")
+        assert str(exc.value) == "curve 'E1' is contracted; it has no self-intersection on the modeled surface"
+
 
 class TestStepCandidates:
     def test_threshold_order_is_frozen(self):
@@ -204,7 +241,15 @@ class TestRankingOracle:
     def test_log_row_without_its_exceptional_part_is_caught(self, monkeypatch):
         # the mutant ranks by (K + B).C instead of L*.C: D meets the
         # contracted star, so its value moves
-        monkeypatch.setattr(mmp, "pulled_back", lambda model, terms, cols: ([], *model.pairings(terms, cols)))
+        monkeypatch.setattr(singularities, "pulled_back", lambda model, terms: model.pairings(terms))
+        state = threshold_state()
+        with pytest.raises(AssertionError):
+            assert_ranking_matches(state.surface, state.boundary)
+
+    def test_curve_pullback_without_its_exceptional_part_is_caught(self, monkeypatch):
+        # the mutant reads C.C for C*.C*: D meets the contracted star, so
+        # its value moves
+        monkeypatch.setattr(mmp, "pulled_back", lambda model, terms: model.pairings(terms))
         state = threshold_state()
         with pytest.raises(AssertionError):
             assert_ranking_matches(state.surface, state.boundary)
@@ -235,14 +280,54 @@ class TestOddBlockSign:
         _, factor = model.contracted_factor
         assert (factor[-1][-1] < 0) == (chain % 2 == 1)  # the last pivot is det
         log = [(K_ROW, 1)] + divisor_terms(model, boundary)
+        contracted = [model.row(e) for e in model.contracted]
         for terms in (log, [(model.row("T1"), 1)]):
-            x, v, d = pulled_back(model, terms, ())
-            assert d > 0 and len(x) == chain and v == []
+            coef, v, d = pulled_back(model, terms)
+            assert d > 0 and len(coef) == len(v) == len(model.names) + 1
+            # solved, not its own pullback: T1 meets the chain
+            assert any(coef[r] for r in contracted) and not any(v[r] for r in contracted)
         # T1 meets the chain, so its C*.C* comes from its own solve
         expected = pairwise_ranking(model, boundary.as_map())
         assert [name for name, _, _ in expected] == ["T3", "T2", "T1"]
         state = MmpState(surface=model, boundary=boundary)
         assert [(c.name, c.extremal_value, c.self_int) for c in step_candidates(state)] == expected
+
+
+class TestNoSolvePath:
+    """A combination that meets no contracted curve is its own pullback:
+    `pulled_back` returns it without calling `solve_exact`, with the
+    Fractions of a solve that always runs."""
+
+    @staticmethod
+    def forced(model, terms):
+        """D* = D + sum c_i E_i as Fractions over every row, c always solved
+        by Gauss-Jordan on the contracted Gram block, and D*.(row j) for
+        every row j, through `dot`."""
+        exceptional = sorted(model.contracted)
+        rhs = [-dot(model, terms, [(model.row(e), 1)]) for e in exceptional]
+        pulled = list(terms) + list(zip(map(model.row, exceptional), gauss_solve(model.gram(exceptional), rhs)))
+        coef = [F(0)] * len(model.matrix)
+        for r, c in pulled:
+            coef[r] += c
+        return coef, [dot(model, pulled, [(j, 1)]) for j in range(len(model.matrix))]
+
+    @pytest.mark.parametrize("chain", [1, 2, 3])
+    def test_a_combination_off_the_contracted_set_is_not_solved(self, monkeypatch, chain):
+        # K.S = 0 on a (-2)-curve S, and T2 and T3 miss the chain, so K + B
+        # with B on them meets no contracted curve
+        model = chain_start(chain)
+        assert {model.self_int(e) for e in model.contracted} == {-2}
+        boundary = QDivisor.from_map({"T2": F(1, 2), "T3": F(1, 3)})
+        solves = counting(monkeypatch, singularities, "solve_exact")
+        for terms in ([(model.row("T3"), F(1))], [(K_ROW, F(1))] + divisor_terms(model, boundary)):
+            coef, v, d = pulled_back(model, terms)
+            assert solves == [] and d > 0
+            assert ([F(x, d) for x in coef], [F(x, d) for x in v]) == self.forced(model, terms)
+        # T1 meets the chain's end, so its pullback is solved
+        terms = [(model.row("T1"), F(1))]
+        coef, v, d = pulled_back(model, terms)
+        assert len(solves) == 1
+        assert ([F(x, d) for x in coef], [F(x, d) for x in v]) == self.forced(model, terms)
 
 
 class TestMetamorphic:
@@ -419,9 +504,9 @@ class TestContractLookup:
     def test_one_self_intersection_per_contract(self, monkeypatch):
         state = threshold_state()
         assert len(step_candidates(state)) > 1
-        calls = counting(monkeypatch, mmp, "contracted_self_intersection")
+        calls = counting(monkeypatch, mmp, "pulled_back")
         contract(state, "D")
-        assert calls == [(state.surface, "D")]
+        assert calls == [(state.surface, [(state.surface.row("D"), 1)])]
         calls.clear()
         with pytest.raises(ModelError):
             contract(fiber_signal_state(), "H")
@@ -922,14 +1007,14 @@ class TestSavedWork:
             for made in calls:
                 made.clear()
             steps = harness().total_steps
-            return steps, sum(terms[0][0] == K_ROW for made in calls for _, terms, _ in made)
+            return steps, sum(terms[0][0] == K_ROW for made in calls for _, terms in made)
 
         assert steps_and_solves(lambda: verify_smooth_start_runs(40, 1, F(1, 7), 12)) == (296, 80)
         assert steps_and_solves(lambda: search_canonical_starts(SearchConfig(), 40, 1)) == (169, 120)
 
     def test_one_self_intersection_per_step(self, monkeypatch):
         # C.C is read off the step's one C* solve, which the audit reuses
-        calls = counting(monkeypatch, mmp, "_pulled_back_curve")
+        calls = counting(monkeypatch, mmp, "pulled_back")
         report = verify_smooth_start_runs(40, SEED, F(1, 7), max_blowups=12)
         assert report.outcome_counts == (("MinimalOverTracked", 40),)
         assert len(calls) == report.total_steps > 200
@@ -944,7 +1029,7 @@ class TestSavedWork:
         # inside `run`, `audit_step` solves nothing: it is handed the C* solve
         # and carries both log pullbacks; replaying a stored run, it solves
         # C* once a step and still no log pullback. Only `run` ranks.
-        solves = counting(monkeypatch, mmp, "_pulled_back_curve")
+        solves = counting(monkeypatch, mmp, "pulled_back")
         logs = [counting(monkeypatch, module, "_log_numerators") for module in (mmp, singularities)]
         ranked = counting(monkeypatch, mmp, "_ranked")
         inside, real_step = [], mmp.audit_step
@@ -1122,17 +1207,20 @@ class TestCarriedPullbacks:
         def step(*args):
             pair, audit = real(*args)
             if pair is not None:
-                shadow, (fixed, db), (log, canonical, live), _ = pair
-                assert live == mmp._live(shadow)
+                shadow, (fixed, db), (log, canonical), _ = pair
                 boundary = QDivisor.from_map({n: F(b, db) for n, b in fixed.items()})
-                cols = [shadow.row(n) for n in live]
+                contracted = [shadow.row(e) for e in shadow.contracted]
                 for (coef, row), b in ((log, boundary), (canonical, QDivisor.zero())):
-                    numerators, d, solved_row = singularities._log_numerators(shadow, b, cols)
-                    # one entry per row of the shadow, zero off K, B and the contracted set
-                    assert len(coef) == len(shadow.names) + 1
-                    carried = [F(x, coef[K_ROW]) for x in coef[1:]]
-                    assert carried == [F(numerators.get(n, 0), d) for n in shadow.names]
+                    solved_coef, solved_row = singularities._log_numerators(shadow, b)
+                    d = solved_coef[K_ROW]
+                    # one entry per row of the shadow, K's and the contracted curves' included
+                    assert len(coef) == len(row) == len(solved_row) == len(shadow.names) + 1
+                    assert [F(x, coef[K_ROW]) for x in coef] == [F(x, d) for x in solved_coef]
                     assert [F(x, coef[K_ROW]) for x in row] == [F(x, d) for x in solved_row]
+                    # zero off K, B and the contracted set, and zero in the row on the contracted set
+                    support = {shadow.names[i - 1] for i, x in enumerate(coef) if i and x}
+                    assert support <= set(fixed) | shadow.contracted
+                    assert [row[r] for r in contracted] == [0] * len(contracted)
                     seen.append((coef[K_ROW], d))
             return pair, audit
 
@@ -1158,13 +1246,14 @@ class TestCarriedPullbacks:
     @staticmethod
     def perturbed_run(monkeypatch, change):
         """The error of a seeded run in which `change(kind, coef, row, old,
-        terms)` edits carried pullbacks until it first returns True; kind
-        is 0 for (K + B)*, which `audit_step` moves first, and 1 for K*."""
+        at)` edits carried pullbacks until it first returns True; kind is 0
+        for (K + B)*, which `audit_step` moves first, and 1 for K*, and `at`
+        is the row of the curve the step contracts."""
         real, calls, done = mmp._moved, [], []
 
         def moved(old, pullback, cstar, at):
             coef, row = real(old, pullback, cstar, at)
-            if not done and change(len(calls) % 2, coef, row, old, cstar[0]):
+            if not done and change(len(calls) % 2, coef, row, old, at):
                 done.append(len(calls))
             calls.append(at)
             return coef, row
@@ -1177,19 +1266,19 @@ class TestCarriedPullbacks:
 
     @pytest.mark.parametrize("which", [0, 1])
     def test_a_perturbed_contracted_coefficient_is_caught(self, monkeypatch, which):
-        def change(kind, coef, row, old, terms):
+        def change(kind, coef, row, old, at):
             if kind == which:
-                coef[terms[0][0]] += 1  # the curve this step contracts
+                coef[at] += 1  # the curve this step contracts
                 return True
 
         message = self.perturbed_run(monkeypatch, change)
         assert re.fullmatch(r"carried log pullback is not orthogonal to '\w+'; model inconsistent", message)
 
     def test_a_perturbed_boundary_coefficient_is_caught(self, monkeypatch):
-        def change(kind, coef, row, old, terms):
+        def change(kind, coef, row, old, at):
             # a boundary curve that meets nothing contracted, which
             # orthogonality alone would not see
-            contracted = {old.row(e) for e in old.contracted} | {terms[0][0]}
+            contracted = {old.row(e) for e in old.contracted} | {at}
             free = [
                 r
                 for r, x in enumerate(coef)
@@ -1203,7 +1292,7 @@ class TestCarriedPullbacks:
 
     @pytest.mark.parametrize("which", [0, 1])
     def test_a_perturbed_denominator_is_caught(self, monkeypatch, which):
-        def change(kind, coef, row, old, terms):
+        def change(kind, coef, row, old, at):
             if kind == which:
                 coef[K_ROW] += 1
                 return True
@@ -1212,9 +1301,9 @@ class TestCarriedPullbacks:
 
     @pytest.mark.parametrize("which", [0, 1])
     def test_a_perturbed_row_is_caught_where_it_is_read(self, monkeypatch, which):
-        # every live entry moves down by one, so the ranking still reads a
+        # every entry moves down by one, so the ranking still reads a
         # candidate, and the next step re-derives its entry from the matrix
-        def change(kind, coef, row, old, terms):
+        def change(kind, coef, row, old, at):
             if kind == which:
                 row[:] = [x - 1 for x in row]
                 return True
@@ -1222,6 +1311,33 @@ class TestCarriedPullbacks:
         message = self.perturbed_run(monkeypatch, change)
         pattern = r"carried log pullback pairs -?\d+/\d+ with '\w+', the matrix -?\d+/\d+; model inconsistent"
         assert re.fullmatch(pattern, message)
+
+    def test_a_negative_contracted_row_entry_is_never_ranked(self, monkeypatch):
+        # nothing re-checks the carried row on contracted rows, so `_ranked`
+        # drops contracted curves by name: a most negative entry there is
+        # never offered, and the run is the unperturbed one
+        state = exact_tower(random.Random(SEED), 12)
+        expected = run(state, MostNegativeFirst(), F(1, 7))
+        real_moved, real_ranked, calls, offered = mmp._moved, mmp._ranked, [], []
+
+        def moved(old, pullback, cstar, at):
+            coef, row = real_moved(old, pullback, cstar, at)
+            if len(calls) % 2 == 0:  # (K + B)*, which `audit_step` moves first
+                for r in {old.row(e) for e in old.contracted} | {at}:
+                    row[r] = -(10**9)
+            calls.append(at)
+            return coef, row
+
+        def ranked(model, row):
+            keys = real_ranked(model, row)
+            offered.append(sorted(model.contracted.intersection(name for _, name in keys)))
+            return keys
+
+        monkeypatch.setattr(mmp, "_moved", moved)
+        monkeypatch.setattr(mmp, "_ranked", ranked)
+        assert run(state, MostNegativeFirst(), F(1, 7)) == expected
+        assert len(calls) == 2 * len(expected.steps) > 4
+        assert offered == [[]] * (len(expected.steps) + 1)
 
     def test_nonzeros_match_a_fresh_scan(self, monkeypatch):
         # a stale pattern would blind the re-check: every model it reads

@@ -203,7 +203,7 @@ class TestPullback:
         # so there is no factor to solve against
         model = coordinate_model(1, (-3,), {"H": (1,), "L": (1,)}, {"H"})
         with pytest.raises(ModelError, match="not negative definite"):
-            pulled_back(model, [(model.row("L"), F(1))], ())
+            pulled_back(model, [(model.row("L"), F(1))])
         # A.B = -1 keeps the block negative definite (det 3), but D.A = 1,
         # D.B = 0 solve to x_A = 2/3, x_B = -1/3 < 0
         model = SurfaceModel(
@@ -213,7 +213,7 @@ class TestPullback:
             contracted=frozenset({"A", "B"}),
         )
         with pytest.raises(ModelError, match="negativity lemma"):
-            pulled_back(model, [(model.row("D"), F(1))], ())
+            pulled_back(model, [(model.row("D"), F(1))])
         with pytest.raises(ModelError, match="negative intersection"):
             pullback(model, QDivisor.from_map({"D": 1}))
 
