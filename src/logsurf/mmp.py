@@ -3,24 +3,24 @@
 A state is a surface model plus a boundary divisor, which it stores
 checked and without zero coefficients. Each step contracts one tracked
 curve with negative extremal pairing: a (-1)-curve on a smooth surface is
-Castelnuovo, anything else is Artin type. `contract` makes one step on the
-state's own model: it blows a Castelnuovo curve down and declares any
-other contracted after a negative-definiteness check. `run` keeps one
-state, the auditor's pair: the initial lattice with the contracted set
+Castelnuovo, anything else is Artin type. Every step is taken on the
+auditor's pair (`_start`): the initial lattice with the contracted set
 declared contracted (the shadow), its boundary, the log pullbacks of K + B
-and of K, solved once at the start, and its minimal resolution. A step
-ranks off the row of (K + B)* and solves the chosen curve's pullback C*,
-its one solve; `audit_step` verifies the effectivity, rank-drop,
-classification and support conditions, carries both log pullbacks across
-the contraction by a rank-one update through C*, re-checked against the
-matrix, carries the resolution by one blow-down cascade or declaration,
-and returns the next pair. So every surface is built and classified once,
-a step builds at most two models (the shadow and its resolution), and no
-log pullback is solved after the start. Every pullback here is in
-`pulled_back`'s format, integer lists over every row of the shadow, K's
-included: the C* solves as (coef, v, d), the carried pullbacks as (coef,
-v) with d = coef[K_ROW]. The shadow's rows never change during a run, so
-the pair holds no name list; a contracted curve keeps its row.
+and of K, solved once at the start, and its minimal resolution, which
+tells whether it is smooth. `_successors` ranks the pair's candidates off
+the row of (K + B)* and solves a candidate's C* only when it is read:
+`run` is the greedy or named policy over it, `step_candidates` lists it,
+and `contract` takes one step and returns the new shadow's state.
+`audit_step` verifies the effectivity, rank-drop, classification and
+support conditions, carries both log pullbacks across the contraction by
+a rank-one update through C*, re-checked against the matrix, carries the
+resolution by one blow-down cascade or declaration, and returns the next
+pair. So every surface is built and classified once, a step builds at
+most two models, and no log pullback is solved after the start. Every
+pullback here is in `pulled_back`'s format, integer lists over every row
+of the shadow, K's included: the C* solves as (coef, v, d), the carried
+pullbacks as (coef, v) with d = coef[K_ROW]. The shadow's rows never
+change during a run, so the pair holds no name list.
 The two randomized harnesses draw their towers through `_random_blowups`.
 """
 
@@ -30,7 +30,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd, lcm
 from operator import mul
 
@@ -40,7 +40,6 @@ from .lattice import (
     PointSpec,
     SurfaceModel,
     _trusted,
-    blow_down,
     blow_down_cascade,
     blow_up,
     declare_contracted,
@@ -166,52 +165,52 @@ def _ranked(model: SurfaceModel, row) -> list[tuple[int, str]]:
     return sorted((x, name) for name, x in zip(model.names, row[1:]) if x < 0 and name not in contracted)
 
 
-def _solved_ranking(model: SurfaceModel, boundary: QDivisor) -> tuple[list[tuple[int, str]], int]:
-    """`_ranked` off a fresh `_log_numerators` solve on `model`, and its d.
-    `MmpState` dropped the boundary's zero coefficients, so each of its
-    curves is on `model`."""
-    coef, row = _log_numerators(model, boundary)
-    return _ranked(model, row), coef[K_ROW]
+def _successors(pair):
+    """The successor function: (name, solve) for each candidate step of the
+    pair in rank order, `_ranked`'s keys off the carried (K + B)* row (one
+    denominator, so a fresh solve's order). `solve()` makes the curve's C*
+    solve on the shadow, `pulled_back`'s (coef, v, d), and returns its
+    Candidate, C.C = C*.C read off C*'s row, with that solve for
+    `audit_step`: a C* is solved only when it is read."""
+    shadow, _, ((coef, row), _), _ = pair
+    d = coef[K_ROW]
 
+    def solve(x, name):
+        r = shadow.row(name)
+        cstar = pulled_back(shadow, [(r, 1)])
+        return Candidate(name, Fraction(x, d), Fraction(cstar[1][r], cstar[2])), cstar
 
-def _solved(model: SurfaceModel, key: tuple[int, str], d: int) -> tuple[Candidate, tuple]:
-    """The candidate of a ranking key over d, and its C* solve on `model`
-    (`pulled_back`'s (coef, v, d)), from which C.C = C*.C is read."""
-    x, name = key
-    r = model.row(name)
-    cstar = pulled_back(model, [(r, 1)])
-    return Candidate(name, Fraction(x, d), Fraction(cstar[1][r], cstar[2])), cstar
+    for x, name in _ranked(shadow, row):
+        yield name, partial(solve, x, name)
 
 
 def step_candidates(state: MmpState) -> list[Candidate]:
     """Tracked non-contracted curves with (K + boundary).C < 0, most negative
-    first, names breaking ties: `_ranked`'s keys, every one with its C.C
-    solved. `run` solves C.C only for the candidates its strategy reads."""
-    model = state.surface
-    keys, d = _solved_ranking(model, state.boundary)
-    return [_solved(model, key, d)[0] for key in keys]
+    first, names breaking ties: `_successors` over `_start(state)`, every
+    C.C solved. `run` solves C.C only for the candidates its strategy reads."""
+    return [solve()[0] for _, solve in _successors(_start(state))]
 
 
 def contract(state: MmpState, name: str) -> MmpState:
-    """One contraction step on the state's own model; the curve must be a
-    contractible candidate. It is ranked through `_ranked`, and C.C is
-    solved for it alone. A (-1)-curve on a smooth surface is blown down,
-    any other curve declared contracted; either way rho drops by one."""
-    model = state.surface
-    keys, d = _solved_ranking(model, state.boundary)
-    key = next((key for key in keys if key[1] == name), None)
-    if key is None:
+    """One contraction step, taken as `run` takes it: the curve must be a
+    contractible candidate of `_successors`, its C* is the one solved, and
+    `audit_step` makes the step or its violation raises as a `ModelError`.
+    Returns the state of the new shadow: the curve declared contracted on
+    the state's model, a (-1)-curve on a smooth surface too."""
+    pair = _start(state)
+    solve = next((s for n, s in _successors(pair) if n == name), None)
+    if solve is None:
         raise ModelError(f"{name!r} is not an extremal candidate (needs (K + boundary).C < 0)")
-    cand, _ = _solved(model, key, d)
+    cand, cstar = solve()
     if cand.self_int >= 0:
         raise ModelError(
             f"{name!r} has self-intersection {cand.self_int} >= 0; it signals a fiber space, not a contraction"
         )
-    if model.contracted or cand.self_int != -1:
-        model = declare_contracted(model, [name])
-    else:
-        model = blow_down(model, name)
-    return MmpState(surface=model, boundary=state.boundary.without(name), step_index=state.step_index + 1)
+    violations = []
+    pair, step = audit_step(pair, name, 0, Fraction(0), False, violations, cstar)
+    if step is None:
+        raise ModelError(violations[-1])
+    return MmpState(surface=pair[0], boundary=state.boundary.without(name), step_index=state.step_index + 1)
 
 
 @dataclass(frozen=True)
@@ -222,7 +221,7 @@ class AuditStep:
     effectivity_ok: bool
     classification: str
     step3_applicable: bool
-    step3_value: Fraction | None
+    step3_value: Fraction
     step3_ok: bool
     post_classification: object
 
@@ -253,21 +252,17 @@ def run(state: MmpState, strategy, epsilon=Fraction(0)) -> MmpRun:
     """Drive contractions until nef-over-tracked, a fiber-space signal, or an
     exhausted named strategy, auditing each step as it is made.
 
-    The run keeps one state, the audit's pair from `_start`: the shadow
-    (the initial lattice with the curves contracted so far declared
-    contracted), its boundary, the carried log pullbacks of K + B and K,
-    and the carried minimal resolution. A step ranks the shadow's
-    uncontracted curves off (K + B)*'s row, so `run` solves no log
-    pullback, and solves C* on the shadow only for the candidates its
-    strategy reads: the curve a named strategy wants, or those in rank
-    order up to the first contractible one. C.C = C*.C is read off C*'s row, and the chosen curve's solve is
-    handed to `audit_step`: one C* solve a step. The ranking has one
-    denominator and names break ties, so its order is a fresh solve's. The
-    step is Castelnuovo where the surface before it is smooth, that is, its
-    carried resolution (the start shadow at step 0) contracts nothing, and
-    C.C = -1 (K.C = -1 then follows from genus 0); otherwise it is Artin
-    type. So a surface that an Artin step left singular and a later step
-    made smooth again has Castelnuovo steps too.
+    The run keeps one state, the audit's pair from `_start`, and each step
+    is the greedy or named policy over `_successors`: it solves C* on the
+    shadow only for the candidates the strategy reads, the curve a named
+    strategy wants or those in rank order up to the first contractible
+    one, and hands the chosen curve's solve to `audit_step`, so a step
+    makes one C* solve and no log-pullback solve. The step is Castelnuovo
+    where the surface before it is smooth, that is, its carried resolution
+    (the start's at step 0) contracts nothing, and C.C = -1 (K.C = -1 then
+    follows from genus 0); otherwise it is Artin type. So a start whose
+    contracted curves all blow down, and a surface that an Artin step left
+    singular and a later step made smooth again, have Castelnuovo steps.
 
     `audit_step` then checks the step, as `audit_run` does, and returns the
     next pair. A step's `post_classification` is the audit's class of the
@@ -280,20 +275,21 @@ def run(state: MmpState, strategy, epsilon=Fraction(0)) -> MmpRun:
     so a run makes at most rho - 1 steps.
     """
     epsilon = Fraction(epsilon)
-    smooth, bounded = gate = _gate(state, epsilon)
     pair, steps, audited, violations = _start(state), [], [], []
+    smooth, bounded = gate = _gate(state, pair, epsilon)
     queue = list(strategy.names) if isinstance(strategy, NamedOrder) else None
     while True:
-        shadow, _, ((coef, row), _), mr = pair
-        keys, d = _ranked(shadow, row), coef[K_ROW]
-        if not keys:
-            outcome = MinimalOverTracked()
-            break
-        wanted = [key for key in keys if queue and key[1] == queue[0]]
-        chosen = _solved(shadow, wanted[0], d) if wanted else None
+        successors = _successors(pair)
+        if queue:  # listed, to be read again if the named curve is not taken
+            successors = list(successors)
+        solve = next((s for name, s in successors if name == queue[0]), None) if queue else None
+        chosen = solve() if solve else None
         if chosen is None or chosen[0].self_int >= 0:
-            lazy = (_solved(shadow, key, d) for key in keys)  # C* is solved as each is read
-            top = next(lazy)
+            lazy = (s() for _, s in successors)  # C* is solved as each is read
+            top = next(lazy, None)
+            if top is None:
+                outcome = MinimalOverTracked()
+                break
             chosen = top if top[0].self_int < 0 else next((c for c in lazy if c[0].self_int < 0), None)
             if chosen is None:
                 outcome = MoriFiberSignal(curve=top[0].name, self_int=top[0].self_int)
@@ -309,7 +305,7 @@ def run(state: MmpState, strategy, epsilon=Fraction(0)) -> MmpRun:
         if queue:
             queue.pop(0)
         cand, cstar = chosen
-        smooth_before = not (shadow if mr is None else mr).contracted
+        smooth_before = not pair[3].contracted
         pair, step = audit_step(pair, cand.name, len(steps), epsilon, smooth and bounded, violations, cstar)
         if step is None:
             raise ModelError(violations[-1])
@@ -323,18 +319,21 @@ def run(state: MmpState, strategy, epsilon=Fraction(0)) -> MmpRun:
 def _start(state: MmpState) -> tuple:
     """The audit's pair before step 0: the start surface; its boundary as
     integer numerators over one denominator db, (fixed, db); its two log
-    pullbacks, (K + B)* and K*; and no resolution. Both pullbacks are
+    pullbacks, (K + B)* and K*; and its minimal resolution, the start
+    surface itself where no contracted curve blows down. Both pullbacks are
     solved here by `_log_numerators`, the run's only log-pullback solves,
     and kept as it returns them; `audit_step` carries them. Each is (coef,
     row), integer lists over every row of the start surface, which are the
     rows of every later shadow: coef[i] is the coefficient in d L* of row
     i, so coef[K_ROW] is the denominator d and only K, the boundary curves
-    and the contracted curves can be nonzero, and row[j] is d L*.(row j)."""
+    and the contracted curves can be nonzero, and row[j] is d L*.(row j).
+    A start whose resolution would leave a tracked curve singular raises
+    here, before any step."""
     model, boundary = state.surface, state.boundary
     pullbacks = tuple(_log_numerators(model, b) for b in (boundary, _NO_BOUNDARY))
     db = lcm(*(c.denominator for _, c in boundary.coefficients))
     fixed = {name: c.numerator * (db // c.denominator) for name, c in boundary.coefficients}
-    return model, (fixed, db), pullbacks, None
+    return model, (fixed, db), pullbacks, minimal_resolution(model)
 
 
 def _moved(old: SurfaceModel, pullback, cstar, at: int):
@@ -391,11 +390,12 @@ def _rechecked(shadow: SurfaceModel, fixed: dict[str, int], db: int, pullback):
     return pullback
 
 
-def _gate(initial: MmpState, epsilon: Fraction) -> tuple[bool, bool]:
-    """Whether check (c) applies, computed once a run: a smooth start, and
-    boundary coefficients at most 1 - epsilon."""
+def _gate(initial: MmpState, pair, epsilon: Fraction) -> tuple[bool, bool]:
+    """Whether check (c) applies, computed once a run: a smooth start, whose
+    resolution in `pair`, `_start`'s, contracts nothing, and boundary
+    coefficients at most 1 - epsilon."""
     cap = Fraction(1) - epsilon
-    return not initial.surface.contracted, all(c <= cap for _, c in initial.boundary.coefficients)
+    return not pair[3].contracted, all(c <= cap for _, c in initial.boundary.coefficients)
 
 
 def _report(initial: MmpState, gate: tuple[bool, bool], epsilon: Fraction, audited, violations) -> AuditReport:
@@ -419,11 +419,10 @@ def audit_run(run_record: MmpRun, initial: MmpState, epsilon) -> AuditReport:
     after each contraction. Nothing here reads the run's models.
     """
     epsilon = Fraction(epsilon)
-    smooth, bounded = gate = _gate(initial, epsilon)
-    violations = []
+    pair, audited, violations = _start(initial), [], []
+    smooth, bounded = gate = _gate(initial, pair, epsilon)
     if len(run_record.steps) > max(initial.rho - 1, 0):
         violations.append(f"bound: run has {len(run_record.steps)} steps, limit {initial.rho - 1}")
-    pair, audited = _start(initial), []
     for i, step in enumerate(run_record.steps):
         pair, audit = audit_step(pair, step.contracted_curve, i, epsilon, smooth and bounded, violations)
         if audit is None:
@@ -435,12 +434,12 @@ def audit_run(run_record: MmpRun, initial: MmpState, epsilon) -> AuditReport:
 def audit_step(pair, name: str, i: int, epsilon: Fraction, gate: bool, violations: list, cstar=None):
     """Checks (a)-(d) of step i, which contracts `name`, on the pair before
     it, `_start`'s shape: (shadow model, boundary numerators (fixed, db),
-    ((K + B)*, K*), minimal resolution or None), every list of it over the
-    start surface's rows. Check (c) applies where `gate`. `cstar` is
-    `name`'s C* solve on the shadow, `pulled_back`'s (coef, v, d), which
-    `run` made to read C.C; without it, it is solved here. Appends what it
-    finds to `violations` and returns the next pair and the AuditStep, both
-    None where the replay cannot go on.
+    ((K + B)*, K*), minimal resolution), every list of it over the start
+    surface's rows. Check (c) applies where `gate`. `cstar` is `name`'s C*
+    solve on the shadow, `pulled_back`'s (coef, v, d), which `run` made to
+    read C.C; without it, it is solved here. Appends what it finds to
+    `violations` and returns the next pair and the AuditStep, both None
+    where the replay cannot go on.
 
     The step makes no log-pullback solve: `_moved` carries both pullbacks
     through the one C* solve and `_rechecked` checks them against the new
@@ -469,9 +468,9 @@ def audit_step(pair, name: str, i: int, epsilon: Fraction, gate: bool, violation
     old one with C declared contracted (its checks pass once the shadow's
     did: the bordered pivot's Schur complement is C*^2 < 0 on both, C.C <=
     C*^2, and rho is the same), or the new shadow itself where the old
-    shadow was its own. So a step builds at most two models. The whole
-    shadow is resolved only where none is carried; a class that raises
-    keeps the resolution.
+    shadow was its own. So a step builds at most two models. A cascade
+    whose blow-downs break a curve's genus ends the replay; a class that
+    raises keeps the resolution.
     """
     shadow, (fixed, db), (log, canonical), mr = pair
     rho_before = shadow.rank - len(shadow.contracted)
@@ -483,19 +482,13 @@ def audit_step(pair, name: str, i: int, epsilon: Fraction, gate: bool, violation
         cstar = pulled_back(shadow, [(at, 1)])
     ccoef, v, dc = cstar
     # (d) support condition on the minimal resolution of the current state
-    try:
-        if mr is None:
-            mr = minimal_resolution(shadow)
-        m, kept = mr.matrix, mr._rows
-        support = [kept[n] for n, c in zip(shadow.names, ccoef[1:]) if c > 0 and n in kept]
-        step3_applicable = not any(m[r][r] == m[K_ROW][r] == -1 for r in support)
-        pairing = sum(b * v[shadow.row(n)] for n, b in fixed.items())
-        step3_value = Fraction(pairing, dc * db)
-        step3_ok = (not step3_applicable) or pairing < 0
-    except ModelError as exc:
-        step3_applicable, step3_value, step3_ok = False, None, False
-        violations.append(f"step3: step {i} ({name!r}): replay failed: {exc}")
-    if not step3_ok and step3_value is not None:
+    m, kept = mr.matrix, mr._rows
+    support = [kept[n] for n, c in zip(shadow.names, ccoef[1:]) if c > 0 and n in kept]
+    step3_applicable = not any(m[r][r] == m[K_ROW][r] == -1 for r in support)
+    pairing = sum(b * v[shadow.row(n)] for n, b in fixed.items())
+    step3_value = Fraction(pairing, dc * db)
+    step3_ok = (not step3_applicable) or pairing < 0
+    if not step3_ok:
         violations.append(
             f"step3: step {i} ({name!r}): pullback support has no (-1)-curve but boundary pairing {step3_value} >= 0"
         )
@@ -519,20 +512,21 @@ def audit_step(pair, name: str, i: int, epsilon: Fraction, gate: bool, violation
     rho_after = shadow.rank - len(shadow.contracted)
     if rho_after != rho_before - 1:
         violations.append(f"rho: step {i} ({name!r}): rank drops {rho_before} -> {rho_after}")
-    carried, mr, post = mr, None, None
     try:
-        if carried is None:
-            mr = minimal_resolution(shadow)
-        elif carried.self_int(name) == carried.k_dot(name) == -1:
-            mr = blow_down_cascade(carried, sorted(carried.contracted | {name}))
+        if mr.self_int(name) == mr.k_dot(name) == -1:
+            mr = blow_down_cascade(mr, sorted(mr.contracted | {name}))
         else:
-            mr = shadow if carried is old else declare_contracted(carried, [name])
-        coef, rows = canonical[0], shadow._rows
-        numerators = {n: coef[rows[n]] for n in mr.contracted}
-        post = _singularity_class(_labelled(mr, numerators, coef[K_ROW], epsilon), epsilon)
+            mr = shadow if mr is old else declare_contracted(mr, [name])
+    except ModelError as exc:
+        violations.append(f"classification: step {i} ({name!r}): replay failed: {exc}")
+        return None, None
+    coef, rows, kept = canonical[0], shadow._rows, mr._rows
+    terms = [(kept[n], coef[rows[n]]) for n in mr.contracted]
+    try:
+        post = _singularity_class(_labelled(mr, terms, coef[K_ROW], epsilon), epsilon)
         label = post.classification
     except ModelError as exc:
-        label = f"error: {exc}"
+        post, label = None, f"error: {exc}"
     if gate and label != EPS_LOG_TERMINAL:
         violations.append(
             f"classification: step {i} ({name!r}): surface classifies {label}, "

@@ -227,7 +227,7 @@ def minimal_resolution(model: SurfaceModel) -> SurfaceModel:
     return blow_down_cascade(model, sorted(model.contracted))
 
 
-def _snc_total(numerators: dict[str, int], d: int, edges) -> int | None:
+def _snc_total(numerators: list[int], d: int, edges) -> int | None:
     """Numerator over d of the SNC total discrepancy of vertices with
     coefficients n / d, joined by `edges`, ((a, b), intersection) pairs
     of distinct vertices: min(d, -n_i). None stands for NEG_INFINITY,
@@ -239,9 +239,9 @@ def _snc_total(numerators: dict[str, int], d: int, edges) -> int | None:
     for (a, b), k in edges:
         if k >= 2:
             raise MultiEdgeError(f"multiple intersection points between {a!r} and {b!r}")
-    if any(n > d for n in numerators.values()):
+    if any(n > d for n in numerators):
         return None
-    return min([d] + [-n for n in numerators.values()])
+    return min([d] + [-n for n in numerators])
 
 
 def total_discrepancy_snc(coefficients, edges) -> Fraction | _NegInfinity:
@@ -266,7 +266,7 @@ def total_discrepancy_snc(coefficients, edges) -> Fraction | _NegInfinity:
             raise ModelError("edge endpoint is not a vertex")
         counts[tuple(sorted((a, b)))] += 1
     d = lcm(*(c.denominator for c in coeffs.values()))
-    numerators = {name: c.numerator * (d // c.denominator) for name, c in coeffs.items()}
+    numerators = [c.numerator * (d // c.denominator) for c in coeffs.values()]
     total = _snc_total(numerators, d, counts.items())
     return NEG_INFINITY if total is None else Fraction(total, d)
 
@@ -286,20 +286,21 @@ def _threshold_label(total: int | None, d: int, epsilon) -> str:
     return NOT_LOG_CANONICAL
 
 
-def _labelled(mr: SurfaceModel, numerators: dict[str, int], d: int, epsilon) -> tuple[str, int | None, int, int]:
+def _labelled(mr: SurfaceModel, terms, d: int, epsilon) -> tuple[str, int | None, int, int]:
     """`classify`'s integer core on a resolved model, given its log
-    pullback's coefficients as numerators over d > 0, one for each
-    contracted and boundary curve of `mr`: (label, total, mr_total, d). The
-    MR total is min(d, -n_i) and the SNC total `_snc_total`'s, None for
+    pullback's coefficients as (row of `mr`, numerator over d > 0) pairs,
+    one for each contracted and boundary curve of `mr`: (label, total,
+    mr_total, d). The MR total is min(d, -n_i) and the SNC total
+    `_snc_total`'s over the edges between those rows, None for
     NEG_INFINITY or, labelled UNCLASSIFIABLE_SNC, for a multi-edge
     configuration. Both scale with d, so any common denominator gives the
     same label. `epsilon` is a Fraction, range-checked here."""
     if not (0 <= epsilon.numerator <= epsilon.denominator):
         raise ModelError(f"epsilon {epsilon} outside [0, 1]")
-    mr_total = min([d] + [-n for n in numerators.values()])
+    numerators = [n for _, n in terms]
+    mr_total = min([d] + [-n for n in numerators])
     m = mr.matrix
-    rows = [(name, mr.row(name)) for name in sorted(numerators)]
-    edges = [((a, b), m[i][j]) for (a, i), (b, j) in combinations(rows, 2)]
+    edges = [((i, j), m[i][j]) for (i, _), (j, _) in combinations(terms, 2)]
     try:
         total = _snc_total(numerators, d, edges)
     except MultiEdgeError:
@@ -310,8 +311,8 @@ def _labelled(mr: SurfaceModel, numerators: dict[str, int], d: int, epsilon) -> 
 def _classified(mr: SurfaceModel, boundary: QDivisor, epsilon) -> tuple[str, int | None, int, int]:
     """`_labelled` on `mr`'s own log pullback solve; the boundary is not checked."""
     coef, _ = _log_numerators(mr, boundary)
-    numerators = {name: coef[mr.row(name)] for name in (*boundary.names, *mr.contracted)}
-    return _labelled(mr, numerators, coef[K_ROW], epsilon)
+    rows = [mr.row(name) for name in (*boundary.names, *mr.contracted)]
+    return _labelled(mr, [(r, coef[r]) for r in rows], coef[K_ROW], epsilon)
 
 
 def _singularity_class(core: tuple[str, int | None, int, int], epsilon: Fraction) -> SingularityClass:

@@ -2,22 +2,22 @@
 
 Everything here is deliberately naive: textbook Gaussian elimination over
 Fraction, the bilinear pairing as a double sum, one Mumford pullback per
-curve for the extremal ranking, an MMP loop that solves C.C for every
-candidate at every step, cofactor determinants, a determinant per
-leading minor, characteristic polynomials, a bounded blow-up search for
-total discrepancies, the coordinate model of a blown-up plane (classes as
-vectors in the diagonal basis), blow-ups and blow-downs that update every
-matrix entry, a minimal resolution that builds and validates every
-intermediate model, log pullback coefficients by Gauss-Jordan and a
-classifier that compares Fractions. Slow and obvious beats fast and
-clever for an oracle.
+curve for the extremal ranking, an MMP loop on its own chain of models
+that ranks by those pullbacks at every step, cofactor determinants, a
+determinant per leading minor, characteristic polynomials, a bounded
+blow-up search for total discrepancies, the coordinate model of a
+blown-up plane (classes as vectors in the diagonal basis), blow-ups and
+blow-downs that update every matrix entry, a minimal resolution that
+builds and validates every intermediate model, log pullback coefficients
+by Gauss-Jordan and a classifier that compares Fractions. Slow and
+obvious beats fast and clever for an oracle.
 """
 
 from fractions import Fraction
 from operator import mul
 
 from logsurf.errors import ModelError, ScenarioError
-from logsurf.lattice import SurfaceModel, _validated
+from logsurf.lattice import SurfaceModel, _validated, declare_contracted
 from logsurf.mmp import (
     ARTIN_TYPE,
     CASTELNUOVO,
@@ -28,8 +28,6 @@ from logsurf.mmp import (
     MoriFiberSignal,
     NamedOrder,
     audit_run,
-    contract,
-    step_candidates,
 )
 from logsurf.singularities import (
     EPS_LOG_CANONICAL,
@@ -422,54 +420,51 @@ def fraction_classify(model, boundary, epsilon):
 
 
 def eager_run(state, strategy, epsilon=Fraction(0)):
-    """The MMP loop of `mmp.run` on a second chain of models: every step's
-    whole `step_candidates` list built on the state's own model, C.C solved
-    for each candidate, the outcome read off that list, and the step made
-    by `contract`. A step is Castelnuovo where C.C = -1 and the surface
-    before it is smooth: nothing contracted at the start, and afterwards
-    nothing contracted on the model's stepwise minimal resolution, so a
-    surface that Artin steps made singular and later smooth again counts.
-    Each step classifies that model, where `run` reports the audit
+    """The MMP loop of `mmp.run` on a chain of models built here: every step
+    ranks the current model afresh with `pairwise_ranking`, one Mumford
+    pullback per curve by Gauss-Jordan, so C.C is solved for every
+    candidate, and reads the outcome off that list. A step is Castelnuovo
+    where C.C = -1 and the surface before it is smooth, that is, its
+    `stepwise_minimal_resolution` contracts nothing, at the start as after
+    any step; C is then blown down from that resolution by
+    `dense_blow_down`. Any other step declares C contracted on the model.
+    Each step classifies its new model, where `run` reports the audit
     replay's class; the same audit at the end."""
     epsilon = Fraction(epsilon)
-    initial = state
+    model, boundary = state.surface, state.boundary.as_map()
     steps = []
     queue = list(strategy.names) if isinstance(strategy, NamedOrder) else None
     while True:
-        cands = step_candidates(state)
-        if not cands:
+        ranking = pairwise_ranking(model, boundary)
+        if not ranking:
             outcome = MinimalOverTracked()
             break
-        contractible = [c for c in cands if c.self_int < 0]
+        contractible = [c for c in ranking if c[2] < 0]
         if not contractible:
-            outcome = MoriFiberSignal(curve=cands[0].name, self_int=cands[0].self_int)
+            outcome = MoriFiberSignal(curve=ranking[0][0], self_int=ranking[0][2])
             break
         if queue is None:
-            cand = contractible[0]
+            name, value, self_int = contractible[0]
         else:
             if not queue:
                 outcome = Exhausted()
                 break
             wanted = queue.pop(0)
-            matches = [c for c in contractible if c.name == wanted]
+            matches = [c for c in contractible if c[0] == wanted]
             if not matches:
                 raise ScenarioError(
-                    f"strategy names {wanted!r} but it is not a contractible candidate at step {state.step_index}"
+                    f"strategy names {wanted!r} but it is not a contractible candidate "
+                    f"at step {state.step_index + len(steps)}"
                 )
-            cand = matches[0]
-        before, state = state, contract(state, cand.name)
-        smooth = before.surface if before is initial else stepwise_minimal_resolution(before.surface)
-        kind = CASTELNUOVO if not smooth.contracted and cand.self_int == -1 else ARTIN_TYPE
-        steps.append(
-            MmpStep(
-                contracted_curve=cand.name,
-                extremal_value=cand.extremal_value,
-                self_int=cand.self_int,
-                kind=kind,
-                post_classification=classify(state.surface, QDivisor.zero(), epsilon),
-            )
-        )
-        if len(steps) > initial.rho - 1:
-            raise ModelError(f"run took {len(steps)} steps from rho {initial.rho}; rho - 1 is the most")
+            name, value, self_int = matches[0]
+        smooth = stepwise_minimal_resolution(model)
+        if not smooth.contracted and self_int == -1:
+            kind, model = CASTELNUOVO, dense_blow_down(smooth, name)
+        else:
+            kind, model = ARTIN_TYPE, declare_contracted(model, [name])
+        boundary.pop(name, None)
+        steps.append(MmpStep(name, value, self_int, kind, classify(model, QDivisor.zero(), epsilon)))
+        if len(steps) > state.rho - 1:
+            raise ModelError(f"run took {len(steps)} steps from rho {state.rho}; rho - 1 is the most")
     partial = MmpRun(steps=tuple(steps), outcome=outcome, audit=None)
-    return MmpRun(steps=tuple(steps), outcome=outcome, audit=audit_run(partial, initial, epsilon))
+    return MmpRun(steps=tuple(steps), outcome=outcome, audit=audit_run(partial, state, epsilon))

@@ -10,7 +10,9 @@ touch a Fraction. Only
 path for raw and checked models. Only `singularities._log_numerators`
 hands K's row to `pulled_back`, so every log pullback is one solve; only
 `pulled_back` calls `solve_exact`, and no function takes a column list,
-so the package has one solve site and one index space.
+so the package has one solve site and one index space. Only
+`mmp._successors` ranks a step's candidates and solves their C*, and
+`mmp` blows no curve down by name.
 """
 
 import ast
@@ -273,6 +275,42 @@ def test_one_function_solves_against_the_contracted_factor():
     # (coef, v, d) format
     solves = [(module, scope) for module, scope, node in package_calls() if called(node) == "solve_exact"]
     assert solves == [("singularities", "pulled_back")]
+
+
+def mmp_callers(name):
+    """The top-level functions of `mmp.py` that call `name`, once per call,
+    sorted; a call in a nested function counts for the function holding it."""
+    return sorted(
+        scope
+        for scope, node in functions("mmp.py").items()
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and called(call) == name
+    )
+
+
+def test_one_successor_function_ranks_and_solves_a_step():
+    # `run`, `step_candidates` and `contract` step through `_successors`
+    # alone: it ranks off the carried (K + B)* row and solves each C* it is
+    # asked for. The log pullback is solved at a run's start, and for
+    # `extremal_pairing`; `audit_step` solves C* only for a stored run
+    assert mmp_callers("_ranked") == ["_successors"]
+    assert mmp_callers("_successors") == ["contract", "run", "step_candidates"]
+    assert mmp_callers("pulled_back") == ["_successors", "audit_step", "contracted_self_intersection"]
+    assert mmp_callers("_log_numerators") == ["_start", "extremal_pairing"]
+
+
+def test_mmp_never_blows_a_curve_down_by_name():
+    # a step declares its curve contracted on the shadow; only the audit's
+    # resolution is blown down, through `blow_down_cascade`
+    path = SRC / "logsurf" / "mmp.py"
+    found = [
+        getattr(node, "lineno", 0)
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Name) and node.id == "blow_down")
+        or (isinstance(node, ast.Attribute) and node.attr == "blow_down")
+        or (isinstance(node, ast.alias) and node.name == "blow_down")
+    ]
+    assert found == []
 
 
 def test_no_function_takes_a_column_list():

@@ -458,9 +458,10 @@ class TestContract:
 
 
 class TestContractLookup:
-    """`contract` ranks through `_ranked` and solves C.C for the named curve
-    alone; the result is that of a lookup in the whole `step_candidates`,
-    then a blow-down of a (-1)-curve on a smooth surface or a declaration."""
+    """`contract` steps through the successor function and solves C.C for
+    the named curve alone; the result is that of a lookup in the whole
+    `step_candidates`, then the curve declared contracted on the state's
+    model, a (-1)-curve on a smooth surface too."""
 
     @staticmethod
     def listed_contract(state, name):
@@ -472,11 +473,7 @@ class TestContractLookup:
                 f"{name!r} has self-intersection {matches[0].self_int} >= 0; "
                 "it signals a fiber space, not a contraction"
             )
-        model = state.surface
-        if not model.contracted and model.self_int(name) == -1 and model.k_dot(name) == -1:
-            model = blow_down(model, name)
-        else:
-            model = declare_contracted(model, [name])
+        model = declare_contracted(state.surface, [name])
         return MmpState(surface=model, boundary=state.boundary.without(name), step_index=state.step_index + 1)
 
     @pytest.mark.parametrize("scenario", ["triple_fork_236", "quad_fork_threshold", "quad_fork_star"])
@@ -681,6 +678,97 @@ class TestRun:
             assert isinstance(result.outcome, (MinimalOverTracked, MoriFiberSignal))
 
 
+def nodal_model(contracted):
+    """P^2 blown up at the node of a tracked nodal cubic N, E the
+    exceptional curve: blowing E down leaves N singular."""
+    return _validated(coordinate_model(2, (-3, 1), {"N": (3, -2), "E": (0, 1)}, contracted))
+
+
+class TestDeclaredSmoothStart:
+    """A start whose contracted curves all blow down is smooth: smoothness
+    is read off the start's minimal resolution, so its (-1)-steps are
+    Castelnuovo, check (c) applies, and its run is that of the blown-down
+    model. `contract` returns that shadow, with the curve declared."""
+
+    @staticmethod
+    def three_points():
+        model = new_projective_plane()
+        for name in ("E0", "E1", "E2"):
+            model = blow_up(model, PointSpec.general(), name)
+        return model
+
+    def test_a_declared_minus_one_curve_start_is_smooth(self):
+        model = self.three_points()
+        state = MmpState(surface=declare_contracted(model, ["E0"]), boundary=QDivisor.zero())
+        result = run(state, MostNegativeFirst())
+        assert [(s.contracted_curve, s.kind) for s in result.steps] == [("E1", CASTELNUOVO), ("E2", CASTELNUOVO)]
+        assert result.audit.smooth_start and result.audit.coefficients_bounded and result.audit.ok
+        assert result == run(MmpState(surface=blow_down(model, "E0"), boundary=QDivisor.zero()), MostNegativeFirst())
+
+    def test_check_c_applies_to_a_declared_start(self):
+        # the forced bad run of TestAuditViolations, from the quad-fork
+        # tower with a general blow-up G declared contracted on it
+        model = declare_contracted(blow_up(quad_tower_uncontracted(), PointSpec.general(), "G"), ["G"])
+        fake = tuple(MmpStep(n, F(-1), F(-1), ARTIN_TYPE, None) for n in ("E1", "E2", "E3", "E0", "D"))
+        report = audit_run(MmpRun(fake, Exhausted(), None), MmpState(surface=model, boundary=QDivisor.zero()), 0)
+        assert report.smooth_start
+        assert [v for v in report.violations if v.startswith("classification:")] == [
+            "classification: step 4 ('D'): surface classifies not-log-canonical, expected eps-log-terminal"
+        ]
+
+    def test_contracted_smooth_towers_run_as_blown_down(self):
+        # each Castelnuovo candidate of a smooth start: the run from
+        # `contract`'s shadow is the run from the blown-down model, and the
+        # shadow's candidates are the oracle's ranking on it
+        epsilon = F(1, 7)
+        grid = _coefficient_grid(1 - epsilon)
+        compared = kinds = 0
+        for trial in range(30):
+            rng = random.Random(SEED + trial)
+            model = mmp._random_tower(rng, 12)
+            state = MmpState(surface=model, boundary=QDivisor.from_map({n: rng.choice(grid) for n in model.tracked}))
+            for cand in step_candidates(state):
+                if cand.self_int != -1:
+                    continue
+                after = contract(state, cand.name)
+                assert after.surface == declare_contracted(model, [cand.name]) and after.step_index == 1
+                assert [(c.name, c.extremal_value, c.self_int) for c in step_candidates(after)] == pairwise_ranking(
+                    after.surface, after.boundary.as_map()
+                )
+                blown = MmpState(surface=blow_down(model, cand.name), boundary=after.boundary, step_index=1)
+                result = run(after, MostNegativeFirst(), epsilon)
+                assert result == run(blown, MostNegativeFirst(), epsilon)
+                assert result.audit.smooth_start and result.audit.ok
+                compared += 1
+                kinds += sum(s.kind == CASTELNUOVO for s in result.steps)
+        assert compared > 100 and kinds > 500
+
+    def test_a_start_whose_resolution_breaks_a_curve_raises(self):
+        # E contracted: resolving the start would leave N nodal
+        state = MmpState(surface=nodal_model({"E"}), boundary=QDivisor.zero())
+        reads = (
+            lambda: run(state, MostNegativeFirst()),
+            lambda: step_candidates(state),
+            lambda: audit_run(MmpRun((), MinimalOverTracked(), None), state, 0),
+        )
+        for read in reads:
+            with pytest.raises(ModelError) as exc:
+                read()
+            assert str(exc.value) == "curve 'N' is not a smooth rational class (genus != 0)"
+
+    def test_a_cascade_that_breaks_a_curve_ends_the_replay(self):
+        # a smooth start whose Castelnuovo step on E leaves N nodal
+        state = MmpState(surface=nodal_model(()), boundary=QDivisor.zero())
+        message = "classification: step 0 ('E'): replay failed: curve 'N' is not a smooth rational class (genus != 0)"
+        for step in (lambda: run(state, MostNegativeFirst()), lambda: contract(state, "E")):
+            with pytest.raises(ModelError) as exc:
+                step()
+            assert str(exc.value) == message
+        fake = (MmpStep("E", F(-1), F(-1), CASTELNUOVO, None),)
+        report = audit_run(MmpRun(fake, MinimalOverTracked(), None), state, 0)
+        assert (report.steps, report.violations) == ((), (message,))
+
+
 def tower_with_intersections(rng, max_blowups):
     """A random tower whose blow-ups also sit at the intersection of two
     tracked curves, returned with the number of such blow-ups."""
@@ -829,8 +917,8 @@ def lazy_and_eager(ops, base, sixths, epsilon, choose, integer):
 class TestLazyCandidates:
     """`run` solves C.C only for the candidates its strategy reads and takes
     each step's class from the audit's replay; the oracle `eager_run`
-    solves C.C for all of them at every step and classifies the run's own
-    models."""
+    ranks by Mumford pullbacks, solves C.C for all of them at every step and
+    classifies its own chain of models."""
 
     EPSILONS = (F(0), F(1, 7), F(1, 4))
 
@@ -953,20 +1041,21 @@ class TestSavedWork:
             assert len(lengths) == 40 and steps > 150
             # `run` classifies nothing; q44 checks each start once
             assert len(classified) == len(resolved_in_classify) == starts
-            # the audit resolves each run's start once; after that it blows
-            # down from the carried resolution, one cascade for each step
-            # whose curve is a (-1)-curve there
-            assert len(resolved) == sum(1 for n in lengths if n)
+            # `_start` resolves each run's start once, whether or not the run
+            # steps; after that the audit blows down from the carried
+            # resolution, one cascade for each step whose curve is a
+            # (-1)-curve there
+            assert len(resolved) == len(lengths)
             assert len(cascades) == blown
             # and labels each step's surface once, off the carried K*; only
             # q44's start checks solve a log pullback to classify
             assert len(labels) == steps and len(cores) == starts
 
     def test_run_keeps_one_model_chain(self, monkeypatch):
-        # `run` contracts on the audit's pair: no blow-down, no state after
-        # the start, and only the declarations `audit_run` makes
+        # `run` contracts on the audit's pair: no state after the start, and
+        # only the declarations `audit_run` makes; `mmp` holds no blow-down
+        # (test_guards pins that)
         assert not hasattr(mmp, "_apply_contraction")
-        blown = counting(monkeypatch, mmp, "blow_down")
         declared = counting(monkeypatch, mmp, "declare_contracted")
         states = []
         real_state_check, real_run = MmpState.__post_init__, mmp.run
@@ -978,13 +1067,13 @@ class TestSavedWork:
         per_run = []
 
         def recorded(state, strategy, epsilon=F(0)):
-            for calls in (blown, declared, states):
+            for calls in (declared, states):
                 calls.clear()
             result = real_run(state, strategy, epsilon)
-            work = (len(blown), len(states), len(declared))
+            work = (len(states), len(declared))
             declared.clear()
             assert audit_run(result, state, epsilon) == result.audit
-            per_run.append((work, (0, 0, len(declared)), len(result.steps)))
+            per_run.append((work, (0, len(declared)), len(result.steps)))
             return result
 
         monkeypatch.setattr(MmpState, "__post_init__", counted_state_check)
@@ -1579,8 +1668,8 @@ class TestAuditReplay:
             initial = MmpState(surface=model, boundary=boundary)
             epsilon = (F(0), F(1, 7), F(1, 4))[trial % 3]
             result = run(initial, MostNegativeFirst(), epsilon)
-            smooth, bounded = mmp._gate(initial, epsilon)
             pair, violations = mmp._start(initial), []
+            smooth, bounded = mmp._gate(initial, pair, epsilon)
             for i, step in enumerate(result.steps):
                 pair, audit = mmp.audit_step(pair, step.contracted_curve, i, epsilon, smooth and bounded, violations)
                 shadow, _, _, mr = pair
