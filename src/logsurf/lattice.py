@@ -20,7 +20,7 @@ from math import lcm
 from operator import itemgetter
 
 from .errors import ModelError, NotNegativeDefiniteError
-from .linalg import extend_factor, negative_definite_factor
+from .linalg import extend_factor, negative_definite_factor, solved_border
 
 GENERAL = "general"
 ON_CURVE = "on_curve"
@@ -84,11 +84,11 @@ class SurfaceModel:
     curves collapsed by the map to the modeled surface; an empty set means
     the surface itself is smooth.
 
-    The row index `_rows`, the contracted factor and the nonzero pattern
+    The row index `_rows`, the contracted blocks and the nonzero pattern
     are computed on first read (`_lazy`), not at construction, and a
     builder seeds what it already has: `declare_contracted` passes on its
-    parent's row index, bordered factor and scanned pattern, and `blow_up`
-    its empty factor.
+    parent's row index and scanned pattern and the parent's blocks with
+    the new curves added, and `blow_up` its empty tuple of blocks.
     """
 
     rank: int
@@ -134,16 +134,20 @@ class SurfaceModel:
         return [[self.matrix[i][j] for j in rows] for i in rows]
 
     @_lazy
-    def contracted_factor(self) -> tuple[tuple[str, ...], list[list[int]]] | None:
-        """(order, factor): the Sylvester elimination of the contracted Gram
-        block, curves in `order`, which every solve over the contracted set
-        substitutes against. From scratch the order is name order; a model
-        from `declare_contracted` borders its parent's factor, so its order
-        is the parent's and then the new curves sorted, in general not name
-        order. None when the block is not negative definite."""
-        order = tuple(sorted(self.contracted))
+    def contracted_factor(self) -> tuple[tuple[tuple[int, ...], list[list[int]]], ...] | None:
+        """The contracted set in blocks, each (rows, factor): the rows of a
+        union of connected components of the contracted set, so of one or
+        more points of the surface, and the Sylvester elimination of their
+        Gram block in that order, which every solve over the block
+        substitutes against. No curve of one block meets a curve of
+        another, so the contracted Gram matrix is negative definite iff
+        every block's is. From scratch there is one block, in name order;
+        `declare_contracted` adds each new curve to its parent's blocks
+        (`_bordered`). None when the contracted Gram matrix is not negative
+        definite."""
+        order = sorted(self.contracted)
         factor = negative_definite_factor(self.gram(order))
-        return None if factor is None else (order, factor)
+        return None if factor is None else ((tuple(map(self.row, order)), factor),) if order else ()
 
     @_lazy
     def nonzeros(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
@@ -231,18 +235,44 @@ def _trusted(model: SurfaceModel) -> SurfaceModel:
     return model if getattr(model, "_checked", False) else _validated(model)
 
 
-def _bordered(model: SurfaceModel, factor):
-    """`factor` (order, rows) bordered, O(k^2) a row, by each contracted curve
-    of `model` it lacks, sorted; None once negative definiteness fails."""
-    order, rows = factor
-    m = model.matrix
-    for name in sorted(model.contracted.difference(order)):
+def _merged(blocks) -> tuple[tuple[int, ...], list[list[int]]]:
+    """One block of `blocks`, in their order. A fraction-free factor of a
+    block-diagonal matrix has zeros off the blocks and each block's own
+    factor scaled by the determinants, its last pivots, of the blocks
+    before it: O(s^2) in the merged size s."""
+    rows, factor, scale = (), [], 1
+    size = sum(len(r) for r, _ in blocks)
+    for r, f in blocks:
+        before, after = [0] * len(rows), [0] * (size - len(rows) - len(r))
+        factor += [before + [scale * x for x in row] + after for row in f]
+        rows += r
+        scale *= f[-1][-1]
+    return rows, factor
+
+
+def _bordered(model: SurfaceModel, blocks, names, cstar=None):
+    """`blocks` with the curves `names` added in turn, O(k) a curve besides
+    the border: the blocks a curve meets merge (`_merged`; none gives the
+    empty block) and the result is bordered by the curve's row, by
+    `extend_factor`, O(s^2), or, given `cstar`, the one new curve's
+    `pulled_back` solve on the parent, read off that solve
+    (`solved_border`): its Sylvester test is then C*^2 < 0. None once
+    negative definiteness fails."""
+    for name in names:
         i = model.row(name)
-        rows = extend_factor(rows, [m[i][model.row(o)] for o in order] + [m[i][i]])
-        if rows is None:
+        row, met, rest = model.matrix[i], [], []
+        for block in blocks:
+            (met if any(map(row.__getitem__, block[0])) else rest).append(block)
+        rows, factor = met[0] if len(met) == 1 else _merged(met)
+        if cstar is None:
+            factor = extend_factor(factor, [row[r] for r in rows] + [row[i]])
+        else:
+            coef, v, d = cstar
+            factor = solved_border(factor, [coef[r] for r in rows], d, v[i])
+        if factor is None:
             return None
-        order += (name,)
-    return order, rows
+        blocks = (*rest, (rows + (i,), factor))
+    return blocks
 
 
 def new_projective_plane() -> SurfaceModel:
@@ -289,7 +319,7 @@ def blow_up(model: SurfaceModel, point: PointSpec, exc_name: str) -> SurfaceMode
         rows[i] = tuple(row)
     rows.append(tuple(e))
     blown = SurfaceModel(rank=model.rank + 1, names=model.names + (exc_name,), matrix=tuple(rows))
-    blown.__dict__["contracted_factor"] = ((), [])  # nothing is contracted
+    blown.__dict__["contracted_factor"] = ()  # nothing is contracted
     return _contracted_checked(blown, ())
 
 
@@ -364,26 +394,33 @@ def blow_down_cascade(model: SurfaceModel, names) -> SurfaceModel:
     return _validated(result) if broken else _contracted_checked(result, result.contracted)
 
 
-def declare_contracted(model: SurfaceModel, names) -> SurfaceModel:
+def declare_contracted(model: SurfaceModel, names, cstar=None) -> SurfaceModel:
     """Extend the contracted set, validating Artin contractibility.
 
     Past `_trusted`, the new model keeps all that the matrix checks of
     `_validated` read (rank, names, matrix), so only the contracted-set
-    checks run again, in order and with their messages, the Sylvester test
-    bordering `model`'s factor with one row per new curve. The new model
-    shares `model`'s row index and, once scanned, its `nonzeros`: the
-    names and the matrix are the same objects.
+    checks run again, in order and with their messages. The Sylvester test
+    adds one curve at a time to `model`'s blocks (`_bordered`): a curve
+    that meets no block gets a 1 x 1 block, one that meets one block
+    borders it, and one that meets several merges them. `cstar`, for one
+    new curve C only, is C*'s `pulled_back` solve on `model`, which the
+    contraction loop has already made; the border is then read off it.
+    The new model shares `model`'s row index and, once scanned, its
+    `nonzeros`: the names and the matrix are the same objects.
     """
     model = _trusted(model)
     names = frozenset(names)
     unknown = names.difference(model._rows)
     if unknown:
         raise ModelError(f"cannot contract unknown curves: {sorted(unknown)}")
+    new = sorted(names - model.contracted)
+    if cstar is not None and len(new) != 1:
+        raise ModelError("a solve borders the contracted blocks for one new curve only")
     extended = SurfaceModel(model.rank, model.names, model.matrix, model.contracted | names)
     # seed the lazy attributes; the frozen dataclass forbids setattr
     seeds = extended.__dict__
     seeds["_rows"] = model._rows  # the names are shared, so is their index
-    seeds["contracted_factor"] = _bordered(extended, model.contracted_factor)
+    seeds["contracted_factor"] = _bordered(extended, model.contracted_factor, new, cstar)
     if "nonzeros" in model.__dict__:  # the matrix is shared, so is its pattern
         seeds["nonzeros"] = model.nonzeros
     return _contracted_checked(extended, names)

@@ -7,10 +7,23 @@ O(k^2), and `negative_definite_factor` is its fold over the rows, O(n^3).
 The factor is both the Sylvester test and an LU factorization;
 `solve_exact` replays it on an integer right-hand side and back-substitutes,
 O(n^2), returning the solution as integer numerators over det(A) (Cramer's
-rule). Every exact division of the elimination is checked.
+rule). `solved_border` gives `extend_factor`'s result from a solve of the
+border against the factor, with no elimination replayed. Every exact
+division, forward, backward and in the border, is checked.
 """
 
 from __future__ import annotations
+
+from operator import mul
+
+
+def _closed(factor: list[list[int]], c: list[int]) -> list[list[int]] | None:
+    """`factor` bordered by its eliminated new row c, whose last entry is
+    the new pivot; None if that pivot fails the Sylvester sign test."""
+    pivot = c[-1]
+    if pivot == 0 or (pivot > 0) != (len(factor) % 2 == 1):
+        return None
+    return [row + [ck] for row, ck in zip(factor, c)] + [c]
 
 
 def extend_factor(factor: list[list[int]], border: list[int]) -> list[list[int]] | None:
@@ -36,15 +49,34 @@ def extend_factor(factor: list[list[int]], border: list[int]) -> list[list[int]]
         pivot = factor[k][k]
         ck = c[k]
         for i in range(k + 1, n + 1):
-            num = c[i] * pivot - rows[i][k] * ck
-            if num % prev:
+            c[i], rem = divmod(c[i] * pivot - rows[i][k] * ck, prev)
+            if rem:
                 raise ValueError("inexact Bareiss division; not an integer matrix")
-            c[i] = num // prev
         prev = pivot
-    pivot = c[n]
-    if pivot == 0 or (pivot > 0) != (n % 2 == 1):
-        return None
-    return [row + [ck] for row, ck in zip(factor, c)] + [c]
+    return _closed(factor, c)
+
+
+def solved_border(factor: list[list[int]], y: list[int], d: int, square: int) -> list[list[int]] | None:
+    """`extend_factor(factor, border)` for the border (b, c), read off the
+    solve of b instead of replayed: y / d = x with A x = -b, and square / d
+    = c + b.x, the Schur complement of A in the bordered matrix.
+
+    With U the factor's upper part, eliminated entry i of the border is the
+    minor of rows 0..i of [A | b] on columns 0..i-1 and b; as b = -A x, the
+    columns of A cancel and it is -(U[i] . x). The new pivot is det(A) (c +
+    b.x). So O(k^2) multiplications, no elimination, and both divisions by
+    d are checked; `factor` is never written.
+    """
+    c = []
+    for i, row in enumerate(factor):
+        ci, rem = divmod(-sum(map(mul, row[i:], y[i:])), d)
+        if rem:
+            raise ValueError("inexact border division; not a solve against this factor")
+        c.append(ci)
+    pivot, rem = divmod((factor[-1][-1] if factor else 1) * square, d)
+    if rem:
+        raise ValueError("inexact border division; not a solve against this factor")
+    return _closed(factor, c + [pivot])
 
 
 def negative_definite_factor(matrix: list[list[int]]) -> list[list[int]] | None:
@@ -72,9 +104,10 @@ def solve_exact(factor: list[list[int]], rhs: list[int]) -> tuple[list[int], int
 
     Replays the elimination on b (exact: each entry is a minor of [A | b]),
     then back-substitutes: y = det(A) x is integral by Cramer's rule, so
-    every step stays in integers, with checked exact divisions. det has the
-    sign (-1)^n of a negative definite A; callers that want a positive
-    denominator negate both. `factor` is never written.
+    every step stays in integers, with every division checked, forward and
+    backward. det has the sign (-1)^n of a negative definite A; callers
+    that want a positive denominator negate both. `factor` is never
+    written.
     """
     n = len(factor)
     if len(rhs) != n:
@@ -85,7 +118,9 @@ def solve_exact(factor: list[list[int]], rhs: list[int]) -> tuple[list[int], int
         pivot = factor[k][k]
         ck = c[k]
         for i in range(k + 1, n):
-            c[i] = (c[i] * pivot - factor[i][k] * ck) // det
+            c[i], rem = divmod(c[i] * pivot - factor[i][k] * ck, det)
+            if rem:
+                raise ValueError("inexact Bareiss division; not an integer matrix")
         det = pivot
     y = [0] * n
     for i in range(n - 1, -1, -1):

@@ -165,14 +165,15 @@ def _ranked(model: SurfaceModel, row) -> list[tuple[int, str]]:
     return sorted((x, name) for name, x in zip(model.names, row[1:]) if x < 0 and name not in contracted)
 
 
-def _successors(pair):
-    """The successor function: (name, solve) for each candidate step of the
-    pair in rank order, `_ranked`'s keys off the carried (K + B)* row (one
-    denominator, so a fresh solve's order). `solve()` makes the curve's C*
-    solve on the shadow, `pulled_back`'s (coef, v, d), and returns its
-    Candidate, C.C = C*.C read off C*'s row, with that solve for
-    `audit_step`: a C* is solved only when it is read."""
-    shadow, _, ((coef, row), _), _ = pair
+def _successors(shadow: SurfaceModel, log):
+    """The successor function: (name, solve) for each candidate step from
+    `shadow` in rank order, `_ranked`'s keys off the row of its (K + B)*
+    pullback `log`, (coef, row) as `_log_numerators` gives it or a pair
+    carries it (one denominator, so a fresh solve's order). `solve()` makes
+    the curve's C* solve on the shadow, `pulled_back`'s (coef, v, d), and
+    returns its Candidate, C.C = C*.C read off C*'s row, with that solve
+    for `audit_step`: a C* is solved only when it is read."""
+    coef, row = log
     d = coef[K_ROW]
 
     def solve(x, name):
@@ -186,9 +187,11 @@ def _successors(pair):
 
 def step_candidates(state: MmpState) -> list[Candidate]:
     """Tracked non-contracted curves with (K + boundary).C < 0, most negative
-    first, names breaking ties: `_successors` over `_start(state)`, every
-    C.C solved. `run` solves C.C only for the candidates its strategy reads."""
-    return [solve()[0] for _, solve in _successors(_start(state))]
+    first, names breaking ties: `_successors` over the state's surface and
+    its one (K + B)* solve, every C.C solved. `run` solves C.C only for the
+    candidates its strategy reads."""
+    log = _log_numerators(state.surface, state.boundary)
+    return [solve()[0] for _, solve in _successors(state.surface, log)]
 
 
 def contract(state: MmpState, name: str) -> MmpState:
@@ -198,7 +201,7 @@ def contract(state: MmpState, name: str) -> MmpState:
     Returns the state of the new shadow: the curve declared contracted on
     the state's model, a (-1)-curve on a smooth surface too."""
     pair = _start(state)
-    solve = next((s for n, s in _successors(pair) if n == name), None)
+    solve = next((s for n, s in _successors(pair[0], pair[2][0]) if n == name), None)
     if solve is None:
         raise ModelError(f"{name!r} is not an extremal candidate (needs (K + boundary).C < 0)")
     cand, cstar = solve()
@@ -279,13 +282,14 @@ def run(state: MmpState, strategy, epsilon=Fraction(0)) -> MmpRun:
     smooth, bounded = gate = _gate(state, pair, epsilon)
     queue = list(strategy.names) if isinstance(strategy, NamedOrder) else None
     while True:
-        successors = _successors(pair)
+        successors = _successors(pair[0], pair[2][0])
         if queue:  # listed, to be read again if the named curve is not taken
             successors = list(successors)
         solve = next((s for name, s in successors if name == queue[0]), None) if queue else None
         chosen = solve() if solve else None
         if chosen is None or chosen[0].self_int >= 0:
-            lazy = (s() for _, s in successors)  # C* is solved as each is read
+            # C* is solved as each is read, the named curve's once
+            lazy = (chosen if chosen and n == chosen[0].name else s() for n, s in successors)
             top = next(lazy, None)
             if top is None:
                 outcome = MinimalOverTracked()
@@ -493,7 +497,7 @@ def audit_step(pair, name: str, i: int, epsilon: Fraction, gate: bool, violation
             f"step3: step {i} ({name!r}): pullback support has no (-1)-curve but boundary pairing {step3_value} >= 0"
         )
     try:
-        shadow, old = declare_contracted(shadow, [name]), shadow
+        shadow, old = declare_contracted(shadow, [name], cstar), shadow
     except NotNegativeDefiniteError as exc:
         violations.append(f"effectivity: step {i} ({name!r}): replay failed: {exc}")
         return None, None

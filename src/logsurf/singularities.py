@@ -134,35 +134,40 @@ def pulled_back(model: SurfaceModel, terms) -> tuple[list[int], list[int], int]:
     with d > 0. A D that meets no contracted curve, as with nothing
     contracted, is its own pullback, and no solve is made.
 
-    Otherwise one integer solve against the factorization of the k x k
-    contracted block, in the factor's curve order. With (c, u, du) D's own
-    format, it gives A y = det(A) (-u on the contracted rows); det has the
-    sign of (-1)^k, so y and det are negated when it is negative. Then d =
-    det du, coef = det c + y on the contracted rows and v = det u + sum y_i
-    (row of E_i) over the nonzero y_i, re-checked to be zero on the
-    contracted rows: O(n (|terms| + k)). A curve's y is zero off the
-    connected component of the contracted set that it meets.
-    For an effective D (curves only, coefficients >= 0) the negativity
-    lemma, x >= 0, is checked too. As D*.E_i = 0, the projection formula
-    D*.C = D.C* holds for every curve C, so one log pullback L* = K + B +
-    sum g_i E_i gives every (K + B).C* = L*.C.
+    Otherwise one integer solve for each block of the contracted set
+    (`SurfaceModel.contracted_factor`, one or more points of the surface)
+    that D meets, against the block's factor in its row order; D* - D is
+    zero on every other block. With (c, u, du) D's own format, a block's
+    solve gives A y = det(A) (-u on its rows), and d = det du with det the
+    lcm of the solved blocks' |det(A)|: each y is scaled by det / det(A),
+    which also makes it positive where det(A), of sign (-1)^size, is
+    negative. Then coef = det c + y on the solved rows and v = det u + sum
+    y_i (row of E_i) over the nonzero y_i, re-checked to be zero on every
+    contracted row: O(n (|terms| + s) + k), s the solved size. For an
+    effective D (curves only, coefficients >= 0) the negativity lemma, x
+    >= 0, is checked too. As D*.E_i = 0, the projection formula D*.C =
+    D.C* holds for every curve C, so one log pullback L* = K + B + sum g_i
+    E_i gives every (K + B).C* = L*.C.
     """
-    factor = model.contracted_factor
-    if factor is None:
+    blocks = model.contracted_factor
+    if blocks is None:
         raise ModelError(f"contracted configuration {sorted(model.contracted)} is not negative definite")
-    order, lu = factor
     coef, u, du = model.pairings(terms)
-    rows = [model.row(e) for e in order]
-    if not any(u[r] for r in rows):
+    solved, det = [], 1
+    for rows, lu in blocks:
+        if any(map(u.__getitem__, rows)):
+            y, block_det = solve_exact(lu, [-u[r] for r in rows])
+            solved.append((rows, y, block_det))
+            det = lcm(det, block_det)
+    if not solved:
         return coef, u, du
-    y, det = solve_exact(lu, [-u[r] for r in rows])
-    if det < 0:
-        y, det = [-yi for yi in y], -det
+    rows = [r for block, _, _ in solved for r in block]
+    y = [yi * (det // block_det) for _, ys, block_det in solved for yi in ys]
     support = [i for i, yi in enumerate(y) if yi]
     ys, pick = [y[i] for i in support], _picker([rows[i] for i in support])
     # by symmetry, (sum y_i E_i).(row j) = y . (row j's contracted entries)
     v = [det * a + sum(map(mul, ys, pick(mj))) for a, mj in zip(u, model.matrix)]
-    off = [e for e, r in zip(order, rows) if v[r]]
+    off = [model.names[r - 1] for rows, _ in blocks for r in rows if v[r]]
     if off:
         raise ModelError(f"solved pullback is not orthogonal to {min(off)!r}; model inconsistent")
     if min(y) < 0 and all(r != K_ROW and c >= 0 for r, c in terms):

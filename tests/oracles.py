@@ -226,6 +226,20 @@ def mumford_pullback(model, name):
     return curve + [(model.row(e), x) for e, x in zip(exceptional, c)]
 
 
+def gauss_pullback(model, terms):
+    """D* = D + sum c_i E_i of a combination D of rows, given as (row,
+    coefficient) pairs, as Fractions over every row, c always solved by
+    Gauss-Jordan on the whole contracted Gram block, in name order; and
+    D*.(row j) for every row j, through `dot`."""
+    exceptional = sorted(model.contracted)
+    rhs = [-dot(model, terms, [(model.row(e), 1)]) for e in exceptional]
+    pulled = list(terms) + list(zip(map(model.row, exceptional), gauss_solve(model.gram(exceptional), rhs)))
+    coef = [Fraction(0)] * len(model.matrix)
+    for r, c in pulled:
+        coef[r] += c
+    return coef, [dot(model, pulled, [(j, 1)]) for j in range(len(model.matrix))]
+
+
 def mumford_pairings(model, boundary):
     """name -> ((K + B).C*, C*.C*) for every tracked curve that is not
     contracted, one Mumford pullback per curve, both numbers through `dot`.

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from logsurf.dualgraph import WeightedDualGraph, build_dual_graph
 from logsurf.lattice import PointSpec, SurfaceModel, _validated, blow_up, declare_contracted
-from logsurf.linalg import extend_factor, negative_definite_factor, solve_exact
+from logsurf.linalg import extend_factor, negative_definite_factor, solve_exact, solved_border
 from logsurf.singularities import QDivisor, minimal_resolution, pulled_back, total_discrepancy_snc
 from oracles import coordinate_model
 
@@ -67,6 +67,8 @@ guards = {
     "bareiss": lambda: negative_definite_factor([[-2, 1, 1], [1, -2, 1], [1, 1, -2.5]]) is not None,
     "bordered-bareiss": lambda: extend_factor([[-2, 1], [1, 3]], [1, 1, -2.5]),
     "back-substitution": lambda: solve_exact([[2, 1], [0, 1]], [1, 0]),
+    "forward-elimination": lambda: solve_exact([[4, 3, -1], [5, 1, 1], [5, -1, -3]], [3, -5, 2]),
+    "solved-border": lambda: solved_border([[-2, 1], [1, 3]], [1, 1], 3, -1),
     "validated": lambda: _validated(SurfaceModel(rank=2, names=("A",), matrix=((8, 0), (1, -1)))),
     "raw-blow-up": lambda: blow_up(SurfaceModel(rank=2, names=("A",), matrix=((8, 0), (1, -1))), PointSpec.general(), "E"),
     "hodge-index": lambda: _validated(two_at_rank_1),
@@ -111,6 +113,8 @@ def test_guards_raise_under_python_O():
         "bareiss: ValueError: inexact Bareiss division; not an integer matrix",
         "bordered-bareiss: ValueError: inexact Bareiss division; not an integer matrix",
         "back-substitution: ValueError: inexact back-substitution; not a Bareiss factor",
+        "forward-elimination: ValueError: inexact Bareiss division; not an integer matrix",
+        "solved-border: ValueError: inexact border division; not a solve against this factor",
         "validated: ModelError: intersection matrix is not a symmetric integer matrix at (0, 1)",
         "raw-blow-up: ModelError: intersection matrix is not a symmetric integer matrix at (0, 1)",
         "hodge-index: NotNegativeDefiniteError: contracted configuration ['A', 'B'] spans 2 "
@@ -290,13 +294,14 @@ def mmp_callers(name):
 
 def test_one_successor_function_ranks_and_solves_a_step():
     # `run`, `step_candidates` and `contract` step through `_successors`
-    # alone: it ranks off the carried (K + B)* row and solves each C* it is
-    # asked for. The log pullback is solved at a run's start, and for
-    # `extremal_pairing`; `audit_step` solves C* only for a stored run
+    # alone: it ranks off a (K + B)* row and solves each C* it is asked
+    # for. The log pullback is solved at a run's start, for `extremal_pairing`
+    # and, K + B alone, for `step_candidates`; `audit_step` solves C* only
+    # for a stored run
     assert mmp_callers("_ranked") == ["_successors"]
     assert mmp_callers("_successors") == ["contract", "run", "step_candidates"]
     assert mmp_callers("pulled_back") == ["_successors", "audit_step", "contracted_self_intersection"]
-    assert mmp_callers("_log_numerators") == ["_start", "extremal_pairing"]
+    assert mmp_callers("_log_numerators") == ["_start", "extremal_pairing", "step_candidates"]
 
 
 def test_mmp_never_blows_a_curve_down_by_name():

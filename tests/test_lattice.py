@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
@@ -18,11 +19,16 @@ from logsurf.lattice import (
     declare_contracted,
     new_projective_plane,
 )
+from logsurf.linalg import negative_definite_factor
+from logsurf.mmp import _random_tower
+from logsurf.scenario import build_model, star_scenario
+from logsurf.singularities import pulled_back
 from oracles import (
     CoordinateTower,
     charpoly_negdef,
     coordinate_model,
     dense_blow_up,
+    gauss_pullback,
     pairing,
     stepwise_minimal_resolution,
 )
@@ -279,6 +285,114 @@ class TestContractedSet:
         assert model.contracted_factor is not None
         with pytest.raises(NotNegativeDefiniteError, match="rank 1 allows at most 0"):
             _validated(model)
+
+
+def assert_blocks(model):
+    """`model`'s contracted blocks, checked: each block's factor is the
+    whole-block `negative_definite_factor` of its rows in its order, the
+    blocks partition the contracted rows, and no curve of one block meets
+    a curve of another."""
+    blocks, m = model.contracted_factor, model.matrix
+    assert sorted(r for rows, _ in blocks for r in rows) == sorted(map(model.row, model.contracted))
+    for rows, factor in blocks:
+        assert factor == negative_definite_factor([[m[i][j] for j in rows] for i in rows])
+    for (a, _), (b, _) in combinations(blocks, 2):
+        assert not any(m[i][j] for i in a for j in b)
+    return blocks
+
+
+def assert_solves(model):
+    """`pulled_back` of K and of every curve that is not contracted, against
+    the Gauss-Jordan solve over the whole contracted Gram block."""
+    free = [model.row(n) for n in model.names if n not in model.contracted]
+    for terms in [[(0, F(1))]] + [[(r, F(1))] for r in free]:
+        coef, v, d = pulled_back(model, terms)
+        assert d > 0 and ([F(x, d) for x in coef], [F(x, d) for x in v]) == gauss_pullback(model, terms)
+
+
+def declared_one_by_one(model, names):
+    """`model` with `names` declared contracted in turn, each one that keeps
+    the set negative definite, the blocks checked after each; returns the
+    model and how many declarations merged two or more blocks."""
+    merges = 0
+    for name in names:
+        before = model.contracted_factor
+        try:
+            model = declare_contracted(model, [name])
+        except NotNegativeDefiniteError:
+            continue
+        blocks = assert_blocks(model)
+        merges += len(before) - len(blocks) + 1 >= 2
+    return model, merges
+
+
+class TestContractedBlocks:
+    """The contracted set's factor comes in blocks, each a union of
+    connected components: one block in name order from scratch, and from
+    `declare_contracted` a new 1 x 1 block, a bordered block or a merge."""
+
+    def test_from_scratch_one_block_in_name_order(self):
+        # B and D are disjoint, so two components, but one block
+        model = tower(
+            (PointSpec.general(), "D"),
+            (PointSpec.general(), "B"),
+            (PointSpec.on_curve("B"), "C"),
+        )
+        assert model.contracted_factor == ()
+        raw = SurfaceModel(model.rank, model.names, model.matrix, frozenset({"D", "B"}))
+        ((rows, _),) = assert_blocks(_validated(raw))
+        assert rows == (model.row("B"), model.row("D"))
+
+    def test_a_star_center_declared_last_merges_its_arms(self):
+        scenario = star_scenario(4, (2, 2, 3), 2)
+        smooth = build_model(replace(scenario, contract=()))
+        arms, center = scenario.contract[0][1:], scenario.contract[0][0]
+        assert center == "E0"
+        model = declare_contracted(smooth, arms)
+        assert [rows for rows, _ in assert_blocks(model)] == [(smooth.row(a),) for a in arms]
+        model = declare_contracted(model, [center])
+        ((rows, factor),) = assert_blocks(model)
+        # the arms' blocks in their order, then the center
+        assert rows == tuple(map(smooth.row, [*arms, center]))
+        assert factor[-1][-1] == negative_definite_factor(model.gram(model.contracted))[-1][-1]
+        assert_solves(model)
+
+    def test_random_orders_on_towers_and_stars(self):
+        # every curve of a tower in a random order, each kept if the set
+        # stays negative definite; then every star's contracted set
+        counts = []
+        for t in range(60):
+            rng = random.Random(t)
+            model = _random_tower(rng, 12)
+            names = list(model.names)
+            rng.shuffle(names)
+            declared, merges = declared_one_by_one(model, names)
+            counts.append((len(declared.contracted), merges))
+            assert_solves(declared)
+            whole = _validated(SurfaceModel(model.rank, model.names, model.matrix, declared.contracted))
+            assert len(whole.contracted_factor) == 1
+            for r in [0] + [r for r, n in enumerate(model.names, 1) if n not in declared.contracted]:
+                got, want = pulled_back(declared, [(r, F(1))]), pulled_back(whole, [(r, F(1))])
+                assert [F(x, got[2]) for x in got[0] + got[1]] == [F(x, want[2]) for x in want[0] + want[1]]
+        for center, arms in ((3, (2, 3, 3)), (4, (2, 2, 3)), (5, (2, 3, 5)), (4, (3, 3, 3))):
+            scenario = star_scenario(center, arms, 2)
+            smooth = build_model(replace(scenario, contract=()))
+            for seed in range(4):
+                names = list(scenario.contract[0])
+                random.Random(seed).shuffle(names)
+                declared, merges = declared_one_by_one(smooth, names)
+                assert declared.contracted == set(names)
+                counts.append((len(names), merges))
+                assert_solves(declared)
+        # declarations, merges, and merges on the stars
+        assert (sum(c for c, _ in counts), sum(m for _, m in counts), sum(m for _, m in counts[60:])) == (449, 27, 4)
+
+    def test_a_solve_borders_one_new_curve_only(self):
+        model = tower((PointSpec.general(), "A"), (PointSpec.general(), "B"))
+        cstar = pulled_back(model, [(model.row("A"), 1)])
+        with pytest.raises(ModelError, match="one new curve only"):
+            declare_contracted(model, ["A", "B"], cstar)
+        assert declare_contracted(model, ["A"], cstar).contracted_factor == declare_contracted(model, ["A"]).contracted_factor
 
 
 class TestPointSpec:

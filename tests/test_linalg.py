@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from logsurf.linalg import negative_definite_factor, solve_exact
+from logsurf.linalg import extend_factor, negative_definite_factor, solve_exact, solved_border
 from oracles import cofactor_det, charpoly_negdef, det_bareiss, gauss_solve, minor_signs_negdef, pairing
 
 
@@ -175,6 +175,11 @@ class TestSolveExact:
         with pytest.raises(ValueError, match="back-substitution"):
             solve_exact([[2, 1], [0, 1]], [1, 0])
 
+    def test_inexact_forward_division_raises(self):
+        # not a Bareiss factor: the second forward step divides 23 by 4
+        with pytest.raises(ValueError, match="inexact Bareiss division"):
+            solve_exact([[4, 3, -1], [5, 1, 1], [5, -1, -3]], [3, -5, 2])
+
     @settings(max_examples=300)
     @given(SYMMETRIC, st.data())
     def test_factor_solves_like_gauss(self, m, data):
@@ -187,6 +192,46 @@ class TestSolveExact:
         rhs = integral(data.draw(st.lists(rational, min_size=len(m), max_size=len(m))))
         assert solution(m, rhs) == gauss_solve(m, rhs)
         assert factor == kept
+
+
+class TestSolvedBorder:
+    """`solved_border` reads `extend_factor`'s bordered factor off a solve
+    of the border against the factor, with no elimination replayed."""
+
+    @staticmethod
+    def from_solve(m):
+        """The border of m's last row, read off its solve against the
+        leading block: (y, d) scaled to d > 0 as `pulled_back` scales it, and
+        square the numerator of the Schur complement c + b.x over d."""
+        factor = negative_definite_factor([row[:-1] for row in m[:-1]])
+        b, c = m[-1][:-1], m[-1][-1]
+        y, d = solve_exact(factor, [-x for x in b])
+        if d < 0:
+            y, d = [-x for x in y], -d
+        return factor, solved_border(factor, y, d, c * d + sum(map(lambda p, q: p * q, b, y)))
+
+    @settings(max_examples=300)
+    @given(SYMMETRIC)
+    @example([[-2, 1, 0], [1, -2, 1], [0, 1, -2]])
+    @example([[-2, 1], [1, 3]])
+    def test_matches_extend_factor(self, m):
+        if negative_definite_factor([row[:-1] for row in m[:-1]]) is None:
+            return
+        factor, bordered = self.from_solve(m)
+        assert bordered == extend_factor(factor, m[-1])
+        assert (bordered is None) == (negative_definite_factor(m) is None)
+
+    def test_one_by_one(self):
+        # nothing to solve against: d = 1 and the pivot is c itself
+        assert solved_border([], [], 1, -3) == [[-3]]
+        assert solved_border([], [], 1, 2) is None
+
+    def test_a_wrong_solve_raises(self):
+        factor = negative_definite_factor([[-2, 1], [1, -2]])
+        with pytest.raises(ValueError, match="inexact border division"):
+            solved_border(factor, [1, 1], 3, -1)  # an eliminated entry
+        with pytest.raises(ValueError, match="inexact border division"):
+            solved_border(factor, [9, 9], 9, -1)  # the pivot, det 3 times -1/9
 
 
 class TestNegativeDefinite:

@@ -21,6 +21,7 @@ from logsurf.lattice import (
     declare_contracted,
     new_projective_plane,
 )
+from logsurf.linalg import negative_definite_factor
 from logsurf.mmp import (
     ARTIN_TYPE,
     CASTELNUOVO,
@@ -60,13 +61,13 @@ from logsurf.singularities import (
 )
 from oracles import (
     coordinate_model,
-    dot,
     eager_run,
-    gauss_solve,
+    gauss_pullback,
     log_coefficients,
     mumford_pairings,
     pairwise_ranking,
 )
+from test_lattice import assert_blocks, assert_solves
 from test_singularities import TOWER_OPS, line_tower, outcome, tower_from
 
 SEED = 20260821
@@ -277,7 +278,8 @@ class TestOddBlockSign:
     def test_denominator_is_positive_and_ranking_holds(self, chain):
         model = chain_start(chain)
         boundary = QDivisor.from_map({"T1": F(1, 2), "T2": F(1, 3)})
-        _, factor = model.contracted_factor
+        # the chain, declared curve by curve, is one block
+        ((_, factor),) = model.contracted_factor
         assert (factor[-1][-1] < 0) == (chain % 2 == 1)  # the last pivot is det
         log = [(K_ROW, 1)] + divisor_terms(model, boundary)
         contracted = [model.row(e) for e in model.contracted]
@@ -298,18 +300,7 @@ class TestNoSolvePath:
     `pulled_back` returns it without calling `solve_exact`, with the
     Fractions of a solve that always runs."""
 
-    @staticmethod
-    def forced(model, terms):
-        """D* = D + sum c_i E_i as Fractions over every row, c always solved
-        by Gauss-Jordan on the contracted Gram block, and D*.(row j) for
-        every row j, through `dot`."""
-        exceptional = sorted(model.contracted)
-        rhs = [-dot(model, terms, [(model.row(e), 1)]) for e in exceptional]
-        pulled = list(terms) + list(zip(map(model.row, exceptional), gauss_solve(model.gram(exceptional), rhs)))
-        coef = [F(0)] * len(model.matrix)
-        for r, c in pulled:
-            coef[r] += c
-        return coef, [dot(model, pulled, [(j, 1)]) for j in range(len(model.matrix))]
+    forced = staticmethod(gauss_pullback)
 
     @pytest.mark.parametrize("chain", [1, 2, 3])
     def test_a_combination_off_the_contracted_set_is_not_solved(self, monkeypatch, chain):
@@ -744,17 +735,19 @@ class TestDeclaredSmoothStart:
         assert compared > 100 and kinds > 500
 
     def test_a_start_whose_resolution_breaks_a_curve_raises(self):
-        # E contracted: resolving the start would leave N nodal
+        # E contracted: resolving the start would leave N nodal. A run and
+        # its audit resolve the start; listing candidates does not
         state = MmpState(surface=nodal_model({"E"}), boundary=QDivisor.zero())
         reads = (
             lambda: run(state, MostNegativeFirst()),
-            lambda: step_candidates(state),
             lambda: audit_run(MmpRun((), MinimalOverTracked(), None), state, 0),
         )
         for read in reads:
             with pytest.raises(ModelError) as exc:
                 read()
             assert str(exc.value) == "curve 'N' is not a smooth rational class (genus != 0)"
+        listed = [(c.name, c.extremal_value, c.self_int) for c in step_candidates(state)]
+        assert listed == pairwise_ranking(state.surface, {}) == [("N", F(-9), F(9))]
 
     def test_a_cascade_that_breaks_a_curve_ends_the_replay(self):
         # a smooth start whose Castelnuovo step on E leaves N nodal
@@ -1013,6 +1006,25 @@ class TestSavedWork:
     """Work that nothing reads stays undone: C.C for candidates the strategy
     skips, `_validated` for blow-ups of a checked model, a full `classify`
     in the audit, and a second classification of each surface in `run`."""
+
+    def test_a_named_curve_that_cannot_be_contracted_is_solved_once(self, monkeypatch):
+        # H is a candidate with H.H = 1: the named step reads its C*, and the
+        # greedy fallback that ends the run reuses it
+        state = fiber_signal_state()
+        calls = counting(monkeypatch, mmp, "pulled_back")
+        result = run(state, NamedOrder(("H",)))
+        assert result.outcome == MoriFiberSignal(curve="H", self_int=F(1))
+        assert calls == [(state.surface, [(state.surface.row("H"), 1)])]
+
+    @pytest.mark.parametrize("chain", [1, 2, 3])
+    def test_step_candidates_solves_one_log_pullback_and_resolves_nothing(self, monkeypatch, chain):
+        model = chain_start(chain)
+        state = MmpState(surface=model, boundary=QDivisor.from_map({"T1": F(1, 2), "T2": F(1, 3)}))
+        logs = counting(monkeypatch, mmp, "_log_numerators")
+        resolved = counting(monkeypatch, mmp, "minimal_resolution")
+        listed = [(c.name, c.extremal_value, c.self_int) for c in step_candidates(state)]
+        assert (len(logs), len(resolved)) == (1, 0)
+        assert listed == pairwise_ranking(model, state.boundary.as_map())
 
     def test_each_surface_classified_once(self, monkeypatch):
         lengths = []
@@ -1500,6 +1512,67 @@ class TestCarriedResolution:
         result = run(exact_tower(random.Random(SEED + blowups), blowups), MostNegativeFirst(), F(1, 7))
         assert result.audit.ok and len(seen) == len(result.steps) >= blowups
         assert 0 < sum(seen) < len(seen)
+
+
+class TestBlockedSteps:
+    """A step declares its curve C on the shadow with C*'s solve in hand, so
+    the bordered block is read off that solve: it equals the block that
+    `extend_factor` borders, no elimination is replayed, and every block is
+    the whole-block factor of its rows."""
+
+    @staticmethod
+    def compared(monkeypatch):
+        """Check each declaration `mmp` makes with a solve against the same
+        declaration without one, and the new curve's block against
+        `negative_definite_factor`; returns the declared models and, for
+        each, how many blocks the curve met."""
+        seen, real = [], mmp.declare_contracted
+        extended = counting(monkeypatch, lattice, "extend_factor")
+
+        def declared(model, names, cstar=None):
+            before = len(extended)
+            out = real(model, names, cstar)
+            if cstar is not None:
+                assert len(extended) == before
+                assert out.contracted_factor == real(model, names).contracted_factor
+                rows, factor = out.contracted_factor[-1]
+                m = model.matrix
+                assert rows[-1] == model.row(names[0])
+                assert factor == negative_definite_factor([[m[i][j] for j in rows] for i in rows])
+                seen.append((out, len(model.contracted_factor) + 1 - len(out.contracted_factor)))
+            return out
+
+        monkeypatch.setattr(mmp, "declare_contracted", declared)
+        return seen
+
+    def test_seeded_streams(self, monkeypatch):
+        seen = self.compared(monkeypatch)
+        steps = verify_smooth_start_runs(40, SEED, F(1, 7), max_blowups=12).total_steps
+        steps += search_canonical_starts(SearchConfig(), 40, SEED).total_steps
+        for shadow, _ in seen:
+            assert_blocks(shadow)
+            assert_solves(shadow)
+        # steps, and declarations whose curve met 0, 1 and 2 or more blocks
+        met = Counter(min(n, 2) for _, n in seen)
+        assert (len(seen), met[0], met[1], met[2]) == (steps, 293, 131, 44) and steps == 468
+
+    @pytest.mark.parametrize("blowups", [40, 80, 160, 320])
+    def test_long_towers(self, monkeypatch, blowups):
+        seen = self.compared(monkeypatch)
+        result = run(exact_tower(random.Random(SEED + blowups), blowups), MostNegativeFirst(), F(1, 7))
+        assert len(seen) == len(result.steps) > 0 and result.audit.ok
+        assert_blocks(seen[-1][0])
+
+    def test_star_starts(self, monkeypatch):
+        seen = self.compared(monkeypatch)
+        steps = 0
+        for center, arms in ((3, (2, 3, 3)), (4, (2, 2, 3)), (5, (2, 3, 5)), (6, (2, 3, 4))):
+            state = build_state(star_scenario(center, arms, 2, boundary="1/2", epsilon="1/7"))
+            steps += len(run(state, MostNegativeFirst(), F(1, 7)).steps)
+        assert len(seen) == steps > 0
+        for shadow, _ in seen:
+            assert_blocks(shadow)
+            assert_solves(shadow)
 
 
 class TestAuditViolations:

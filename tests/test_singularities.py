@@ -188,14 +188,17 @@ class TestPullback:
         monkeypatch.setattr(lattice, "extend_factor", counting_extend)
         scenario = star_scenario(4, (2, 2, 3), 2)
         smooth = build_model(replace(scenario, contract=()))  # validated on the way
-        full.clear()
-        model = declare_contracted(smooth, scenario.contract[0][:2])
-        model = declare_contracted(model, scenario.contract[0][2:])
-        assert full == [] and bordered == [1, 2, 3, 4]
-        for c in (1, F(1, 2), F(2, 3)):
-            pullback(model, QDivisor.from_map({"D": c}))
-        log_discrepancies(model, QDivisor.from_map({"D": F(1, 2)}))
-        assert full == [] and bordered == [1, 2, 3, 4]
+        star = scenario.contract[0]
+        # the center E0 first: each arm borders its block; the center last:
+        # each arm gets a 1 x 1 block, and the center merges the three
+        for first, then, borders in ((star[:2], star[2:], [1, 2, 3, 4]), (star[1:], star[:1], [1, 1, 1, 4])):
+            full.clear(), bordered.clear()
+            model = declare_contracted(declare_contracted(smooth, first), then)
+            assert full == [] and bordered == borders and len(model.contracted_factor) == 1
+            for c in (1, F(1, 2), F(2, 3)):
+                pullback(model, QDivisor.from_map({"D": c}))
+            log_discrepancies(model, QDivisor.from_map({"D": F(1, 2)}))
+            assert full == [] and bordered == borders
 
     def test_negativity_lemma_guard(self):
         # the solve core on raw models, which the public `pullback` would
