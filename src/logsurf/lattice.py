@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import chain, compress, count
 from math import lcm
-from operator import itemgetter
+from operator import is_not, itemgetter
 
 from .errors import ModelError, NotNegativeDefiniteError
 from .linalg import extend_factor, negative_definite_factor, solved_border
@@ -84,11 +85,13 @@ class SurfaceModel:
     curves collapsed by the map to the modeled surface; an empty set means
     the surface itself is smooth.
 
-    The row index `_rows`, the contracted blocks and the nonzero pattern
-    are computed on first read (`_lazy`), not at construction, and a
-    builder seeds what it already has: `declare_contracted` passes on its
-    parent's row index and scanned pattern and the parent's blocks with
-    the new curves added, and `blow_up` its empty tuple of blocks.
+    The row index `_rows`, the contracted blocks, their row->block map and
+    the nonzero pattern are computed on first read (`_lazy`), not at
+    construction, and a builder seeds what it already has:
+    `declare_contracted` passes on its parent's row index and scanned
+    pattern and the parent's blocks and map with the new curves added, and
+    `blow_up` and an emptying `blow_down_cascade` their empty tuple of
+    blocks.
     """
 
     rank: int
@@ -148,6 +151,13 @@ class SurfaceModel:
         order = sorted(self.contracted)
         factor = negative_definite_factor(self.gram(order))
         return None if factor is None else ((tuple(map(self.row, order)), factor),) if order else ()
+
+    @_lazy
+    def block_of(self) -> dict[int, tuple[tuple[int, ...], list[list[int]]]]:
+        """Each contracted row's block of `contracted_factor`, which must not
+        be None: the blocks that a combination of rows meets are looked up
+        by its nonzero columns, and no block is tested."""
+        return {r: block for block in self.contracted_factor for r in block[0]}
 
     @_lazy
     def nonzeros(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
@@ -250,19 +260,24 @@ def _merged(blocks) -> tuple[tuple[int, ...], list[list[int]]]:
     return rows, factor
 
 
-def _bordered(model: SurfaceModel, blocks, names, cstar=None):
-    """`blocks` with the curves `names` added in turn, O(k) a curve besides
-    the border: the blocks a curve meets merge (`_merged`; none gives the
-    empty block) and the result is bordered by the curve's row, by
-    `extend_factor`, O(s^2), or, given `cstar`, the one new curve's
-    `pulled_back` solve on the parent, read off that solve
-    (`solved_border`): its Sylvester test is then C*^2 < 0. None once
-    negative definiteness fails."""
+def _bordered(model: SurfaceModel, names, cstar=None):
+    """`model`'s blocks with the curves `names` added in turn, and the
+    result's row->block map (`SurfaceModel.block_of`); (None, None) once
+    negative definiteness fails. A curve's blocks are looked up in the map
+    by its row's nonzero columns, O(n) in C and O(degree) in Python, so no
+    block is tested: those it meets merge (`_merged`, in the order of the
+    first column that meets each; none gives the empty block) and leave the
+    tuple, picked out by identity in C, and the result, bordered by the
+    curve's row, goes last. The border is `extend_factor`'s, O(s^2), or,
+    given `cstar`, the one new curve's `pulled_back` solve on `model`, read
+    off that solve (`solved_border`): its Sylvester test is then C*^2 < 0.
+    Only the new block's rows are written into the map, a copy of
+    `model`'s."""
+    blocks, block_of = model.contracted_factor, dict(model.block_of)
     for name in names:
         i = model.row(name)
-        row, met, rest = model.matrix[i], [], []
-        for block in blocks:
-            (met if any(map(row.__getitem__, block[0])) else rest).append(block)
+        row = model.matrix[i]
+        met = list({id(b): b for b in filter(None, map(block_of.get, compress(count(), row)))}.values())
         rows, factor = met[0] if len(met) == 1 else _merged(met)
         if cstar is None:
             factor = extend_factor(factor, [row[r] for r in rows] + [row[i]])
@@ -270,9 +285,13 @@ def _bordered(model: SurfaceModel, blocks, names, cstar=None):
             coef, v, d = cstar
             factor = solved_border(factor, [coef[r] for r in rows], d, v[i])
         if factor is None:
-            return None
-        blocks = (*rest, (rows + (i,), factor))
-    return blocks
+            return None, None
+        for b in met:
+            blocks = tuple(filter(partial(is_not, b), blocks))
+        block = (rows + (i,), factor)
+        blocks += (block,)
+        block_of.update(dict.fromkeys(block[0], block))
+    return blocks, block_of
 
 
 def new_projective_plane() -> SurfaceModel:
@@ -353,11 +372,14 @@ def blow_down_cascade(model: SurfaceModel, names) -> SurfaceModel:
     definite block. A round can newly break only genus, as C.C + K.C of D
     moves by (D.e)(D.e - 1), or rank 1. The first round that does ends the pass in
     `_validated`, with the message of one blow-down at a time; past
-    `_trusted`, an unbroken pass needs only `_contracted_checked`. For the
-    audit's C that final check stands in for the declaration's: the block
-    left after C goes is the Schur complement of C.C = -1 in the declared
-    block, so it is negative definite iff the declared block is, C.C < 0
-    needs no test, and the Hodge count drops by one on both sides.
+    `_trusted`, an unbroken pass needs only `_contracted_checked`. A result
+    that contracts nothing is seeded with the empty factor, as `blow_up`
+    seeds it; any other is factored from scratch, as one block, when first
+    read. For the audit's C that final check stands in for the
+    declaration's: the block left after C goes is the Schur complement of
+    C.C = -1 in the declared block, so it is negative definite iff the
+    declared block is, C.C < 0 needs no test, and the Hodge count drops by
+    one on both sides.
     """
     model = _trusted(model)
     order = [model.row(n) for n in names]
@@ -391,6 +413,8 @@ def blow_down_cascade(model: SurfaceModel, names) -> SurfaceModel:
         matrix=tuple([pick(rows[i]) for i in keep]),
         contracted=model.contracted.difference(model.names[i - 1] for i in dropped),
     )
+    if not result.contracted:
+        result.__dict__["contracted_factor"] = ()  # nothing is left contracted, as in `blow_up`
     return _validated(result) if broken else _contracted_checked(result, result.contracted)
 
 
@@ -402,11 +426,14 @@ def declare_contracted(model: SurfaceModel, names, cstar=None) -> SurfaceModel:
     checks run again, in order and with their messages. The Sylvester test
     adds one curve at a time to `model`'s blocks (`_bordered`): a curve
     that meets no block gets a 1 x 1 block, one that meets one block
-    borders it, and one that meets several merges them. `cstar`, for one
-    new curve C only, is C*'s `pulled_back` solve on `model`, which the
-    contraction loop has already made; the border is then read off it.
-    The new model shares `model`'s row index and, once scanned, its
-    `nonzeros`: the names and the matrix are the same objects.
+    borders it, and one that meets several merges them; the blocks it
+    meets are looked up in `model`'s row->block map, which the new model
+    is seeded with, the new block's rows updated. `cstar`, for one new
+    curve C only, is C*'s `pulled_back` solve on `model`, which the
+    contraction loop has already made; the border is then read off it, and
+    C's block is the last. The new model shares `model`'s row index and,
+    once scanned, its `nonzeros`: the names and the matrix are the same
+    objects.
     """
     model = _trusted(model)
     names = frozenset(names)
@@ -420,7 +447,7 @@ def declare_contracted(model: SurfaceModel, names, cstar=None) -> SurfaceModel:
     # seed the lazy attributes; the frozen dataclass forbids setattr
     seeds = extended.__dict__
     seeds["_rows"] = model._rows  # the names are shared, so is their index
-    seeds["contracted_factor"] = _bordered(extended, model.contracted_factor, new, cstar)
+    seeds["contracted_factor"], seeds["block_of"] = _bordered(model, new, cstar)
     if "nonzeros" in model.__dict__:  # the matrix is shared, so is its pattern
         seeds["nonzeros"] = model.nonzeros
     return _contracted_checked(extended, names)

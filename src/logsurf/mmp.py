@@ -13,10 +13,12 @@ the row of (K + B)* and solves a candidate's C* only when it is read:
 and `contract` takes one step and returns the new shadow's state.
 `audit_step` verifies the effectivity, rank-drop, classification and
 support conditions, carries both log pullbacks across the contraction by
-a rank-one update through C*, re-checked against the matrix, carries the
-resolution by one blow-down cascade or declaration, and returns the next
-pair. So every surface is built and classified once, a step builds at
-most two models, and no log pullback is solved after the start. Every
+a rank-one update through C*, re-checked against the matrix at the step's
+point (C and the blocks of the contracted set that C meets, which C*
+lives on) and by a ratio check everywhere else, carries the resolution by
+one blow-down cascade or declaration, and returns the next pair. So
+every surface is built and classified once, a step builds at most two
+models, and no log pullback is solved after the start. Every
 pullback here is in `pulled_back`'s format, integer lists over every row
 of the shadow, K's included: the C* solves as (coef, v, d), the carried
 pullbacks as (coef, v) with d = coef[K_ROW]. The shadow's rows never
@@ -31,6 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import compress, repeat
 from math import gcd, lcm
 from operator import mul
 
@@ -374,13 +377,22 @@ def _paired(model: SurfaceModel, coef: list[int], j: int) -> int:
     return sum(map(mul, map(coef.__getitem__, idx), values))
 
 
-def _rechecked(shadow: SurfaceModel, fixed: dict[str, int], db: int, pullback):
-    """`pullback`, checked against the shadow's matrix, as `pulled_back`
-    checks its own solve: each boundary curve's coefficient is its `fixed`
-    numerator over db, and L* is orthogonal to every contracted curve, each
-    pairing summed over that column's nonzero entries, O(sum of degrees).
+def _rechecked(shadow: SurfaceModel, fixed: dict[str, int], db: int, pullback, before):
+    """`pullback`, carried across the step from `before`, checked against
+    the new shadow's matrix, as `pulled_back` checks its own solve: each
+    boundary curve's coefficient is its `fixed` numerator over db; off the
+    step's point, the rows of C's block, the shadow's last
+    (`lattice._bordered`), every coefficient kept its ratio to d (new[j]
+    d_old == old[j] d, one pass over the whole list in C); and L* is
+    orthogonal to every curve of that block, each pairing summed over
+    that column's nonzero entries (`_paired`), O(sum of its degrees).
     These conditions fix the pullback, so a carried one that passes is the
-    solve's. A failure raises: the model is inconsistent."""
+    solve's: a contracted curve E of any other block meets only K, its own
+    block and curves other than C, whose coefficients the ratio check
+    proves unmoved up to the common scale, so L*.E stays 0 as the step that
+    last touched E's block proved it (or the start's solve did). The ratio
+    check also sees a corrupted coefficient on a curve that meets no
+    contracted curve. A failure raises: the model is inconsistent."""
     coef, _ = pullback
     d, rows = coef[K_ROW], shadow._rows
     for name, b in fixed.items():
@@ -388,7 +400,13 @@ def _rechecked(shadow: SurfaceModel, fixed: dict[str, int], db: int, pullback):
             raise ModelError(
                 f"carried log pullback drops boundary coefficient {Fraction(b, db)} of {name!r}; model inconsistent"
             )
-    off = [e for e in shadow.contracted if _paired(shadow, coef, rows[e])]
+    point, old = shadow.contracted_factor[-1][0], before[0]
+    scaled, kept = list(map(mul, coef, repeat(old[K_ROW]))), list(map(mul, old, repeat(d)))
+    for r in point:
+        scaled[r] = kept[r]
+    if scaled != kept:
+        raise ModelError("carried log pullback moves off the step's point; model inconsistent")
+    off = [shadow.names[r - 1] for r in point if _paired(shadow, coef, r)]
     if off:
         raise ModelError(f"carried log pullback is not orthogonal to {min(off)!r}; model inconsistent")
     return pullback
@@ -447,10 +465,13 @@ def audit_step(pair, name: str, i: int, epsilon: Fraction, gate: bool, violation
 
     The step makes no log-pullback solve: `_moved` carries both pullbacks
     through the one C* solve and `_rechecked` checks them against the new
-    shadow's matrix. Checks (a) and (d) compare integers: (a) the old and
-    new (K + B)* coefficients over their denominators, cross-multiplied,
-    and (d) the boundary pairing B.C*'s numerator, off C*'s row; a Fraction
-    is made only for a reported value. Check (d) reads C*'s support on the
+    shadow's matrix at the step's point, C's block, the new shadow's last,
+    and proves every other coefficient kept its ratio to d. Checks (a) and
+    (d) compare integers: (a) the old and new (K + B)* coefficients over
+    their denominators, cross-multiplied, on the step's point only, as the
+    ratio check proves that nothing else moved, and (d) the boundary
+    pairing B.C*'s numerator, off C*'s row; a Fraction is made only for a
+    reported value. Check (d) reads C*'s support on the
     resolution: a curve that survives there keeps its coefficient, as a
     strict transform has coefficient 1 in a pullback. Check (c) labels the
     new shadow's resolution with K*'s numerators on the curves it keeps
@@ -486,10 +507,11 @@ def audit_step(pair, name: str, i: int, epsilon: Fraction, gate: bool, violation
         cstar = pulled_back(shadow, [(at, 1)])
     ccoef, v, dc = cstar
     # (d) support condition on the minimal resolution of the current state
-    m, kept = mr.matrix, mr._rows
-    support = [kept[n] for n, c in zip(shadow.names, ccoef[1:]) if c > 0 and n in kept]
+    m, kept, rows = mr.matrix, mr._rows, shadow._rows
+    # nonzero is positive: `pulled_back` checked the negativity lemma on C*
+    support = [kept[n] for n in compress(shadow.names, ccoef[1:]) if n in kept]
     step3_applicable = not any(m[r][r] == m[K_ROW][r] == -1 for r in support)
-    pairing = sum(b * v[shadow.row(n)] for n, b in fixed.items())
+    pairing = sum(b * v[rows[n]] for n, b in fixed.items())
     step3_value = Fraction(pairing, dc * db)
     step3_ok = (not step3_applicable) or pairing < 0
     if not step3_ok:
@@ -503,11 +525,12 @@ def audit_step(pair, name: str, i: int, epsilon: Fraction, gate: bool, violation
         return None, None
     fixed = {n: b for n, b in fixed.items() if n != name}
     prev = log[0]
-    log = _rechecked(shadow, fixed, db, _moved(old, log, cstar, at))
-    canonical = _rechecked(shadow, {}, 1, _moved(old, canonical, cstar, at))
+    log = _rechecked(shadow, fixed, db, _moved(old, log, cstar, at), log)
+    canonical = _rechecked(shadow, {}, 1, _moved(old, canonical, cstar, at), canonical)
     new = log[0]
     prev_d, new_d = prev[K_ROW], new[K_ROW]
-    bad = sorted((n, a, b) for n, a, b in zip(shadow.names, prev[1:], new[1:]) if b * prev_d > a * new_d)
+    point = shadow.contracted_factor[-1][0]
+    bad = sorted((shadow.names[r - 1], prev[r], new[r]) for r in point if new[r] * prev_d > prev[r] * new_d)
     for n, a, b in bad:
         violations.append(
             f"effectivity: step {i} ({name!r}): coefficient of {n!r} rises from "
@@ -626,6 +649,10 @@ class SearchConfig:
     def __post_init__(self):
         if not 1 <= self.min_chain_length <= self.max_chain_length:
             raise ValueError("chain lengths need 1 <= min_chain_length <= max_chain_length")
+        # a start is the chain and the curve T1 meeting its end, or T1 alone
+        start = 1 if self.smooth_starts_only else 1 + self.max_chain_length
+        if self.max_blowups < start:
+            raise ValueError(f"max_blowups {self.max_blowups} is below the {start} blow-ups a start can need")
 
 
 @dataclass(frozen=True)
@@ -665,7 +692,7 @@ def search_canonical_starts(config: SearchConfig, trials, seed) -> SearchReport:
         # S1 .. S_chain end up as a contracted chain of (-2)-curves, T1 meets its end
         for i, name in enumerate(chain_names + ["T1"]):
             model = blow_up(model, PointSpec.on_curve(chain_names[i - 1]) if i else PointSpec.general(), name)
-        extra = rng.randint(0, max(config.max_blowups - chain - 1, 0))
+        extra = rng.randint(0, config.max_blowups - chain - 1)
         model = _random_blowups(rng, model, [f"T{i + 2}" for i in range(extra)], chain_names)
         if chain:
             model = declare_contracted(model, chain_names)

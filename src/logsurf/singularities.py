@@ -17,13 +17,12 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from itertools import combinations
+from itertools import combinations, compress, count
 from math import lcm
 from numbers import Rational
-from operator import mul
 
 from .errors import ModelError, MultiEdgeError
-from .lattice import K_ROW, SurfaceModel, _picker, _trusted, blow_down_cascade
+from .lattice import K_ROW, SurfaceModel, _trusted, blow_down_cascade
 from .linalg import solve_exact
 
 
@@ -137,39 +136,44 @@ def pulled_back(model: SurfaceModel, terms) -> tuple[list[int], list[int], int]:
     Otherwise one integer solve for each block of the contracted set
     (`SurfaceModel.contracted_factor`, one or more points of the surface)
     that D meets, against the block's factor in its row order; D* - D is
-    zero on every other block. With (c, u, du) D's own format, a block's
-    solve gives A y = det(A) (-u on its rows), and d = det du with det the
-    lcm of the solved blocks' |det(A)|: each y is scaled by det / det(A),
-    which also makes it positive where det(A), of sign (-1)^size, is
-    negative. Then coef = det c + y on the solved rows and v = det u + sum
-    y_i (row of E_i) over the nonzero y_i, re-checked to be zero on every
-    contracted row: O(n (|terms| + s) + k), s the solved size. For an
-    effective D (curves only, coefficients >= 0) the negativity lemma, x
-    >= 0, is checked too. As D*.E_i = 0, the projection formula D*.C =
-    D.C* holds for every curve C, so one log pullback L* = K + B + sum g_i
-    E_i gives every (K + B).C* = L*.C.
+    zero on every other block. The blocks D meets are looked up by the
+    nonzero columns of D's pairing row u in the row->block map
+    (`SurfaceModel.block_of`), so no block is tested. With (c, u, du) D's
+    own format, a block's solve gives A y = det(A) (-u on its rows), and d
+    = det du with det the lcm of the solved blocks' |det(A)|: each y is
+    scaled by det / det(A), which also makes it positive where det(A), of
+    sign (-1)^size, is negative. Then coef = det c + y on the solved rows
+    and v = det u + sum y_i (row of E_i) over the nonzero y_i, each row
+    added over its nonzero entries, which C finds, re-checked to be zero on
+    every contracted row: O(n (|terms| + s) + s^2 + k), s the solved size.
+    For an effective D (curves only, coefficients >= 0) the negativity
+    lemma, x >= 0, is checked too. As D*.E_i = 0, the projection formula
+    D*.C = D.C* holds for every curve C, so one log pullback L* = K + B +
+    sum g_i E_i gives every (K + B).C* = L*.C.
     """
-    blocks = model.contracted_factor
-    if blocks is None:
+    if model.contracted_factor is None:
         raise ModelError(f"contracted configuration {sorted(model.contracted)} is not negative definite")
     coef, u, du = model.pairings(terms)
-    solved, det = [], 1
-    for rows, lu in blocks:
-        if any(map(u.__getitem__, rows)):
-            y, block_det = solve_exact(lu, [-u[r] for r in rows])
-            solved.append((rows, y, block_det))
-            det = lcm(det, block_det)
-    if not solved:
+    block_of = model.block_of
+    met = {id(b): b for b in filter(None, map(block_of.get, compress(count(), u)))}
+    if not met:
         return coef, u, du
+    solved, det = [], 1
+    for rows, lu in met.values():
+        y, block_det = solve_exact(lu, [-u[r] for r in rows])
+        solved.append((rows, y, block_det))
+        det = lcm(det, block_det)
     rows = [r for block, _, _ in solved for r in block]
     y = [yi * (det // block_det) for _, ys, block_det in solved for yi in ys]
-    support = [i for i, yi in enumerate(y) if yi]
-    ys, pick = [y[i] for i in support], _picker([rows[i] for i in support])
-    # by symmetry, (sum y_i E_i).(row j) = y . (row j's contracted entries)
-    v = [det * a + sum(map(mul, ys, pick(mj))) for a, mj in zip(u, model.matrix)]
-    off = [model.names[r - 1] for rows, _ in blocks for r in rows if v[r]]
-    if off:
-        raise ModelError(f"solved pullback is not orthogonal to {min(off)!r}; model inconsistent")
+    v = [det * a for a in u]
+    for r, yi in zip(rows, y):
+        if yi:  # by symmetry, row r's nonzero entries are column r's
+            row = model.matrix[r]
+            for j in compress(count(), row):
+                v[j] += yi * row[j]
+    if any(map(v.__getitem__, block_of)):
+        off = min(model.names[r - 1] for r in block_of if v[r])
+        raise ModelError(f"solved pullback is not orthogonal to {off!r}; model inconsistent")
     if min(y) < 0 and all(r != K_ROW and c >= 0 for r, c in terms):
         raise ModelError("negativity lemma violated; model inconsistent")
     coef = [det * c for c in coef]

@@ -387,6 +387,34 @@ class TestContractedBlocks:
         # declarations, merges, and merges on the stars
         assert (sum(c for c, _ in counts), sum(m for _, m in counts), sum(m for _, m in counts[60:])) == (449, 27, 4)
 
+    def test_a_lookup_reads_only_the_blocks_a_curve_meets(self):
+        # eight disjoint (-2)-curves E1..E8, each its own block, and Fi a
+        # (-1)-curve on Ei: declaring F1, or solving its pullback, finds E1's
+        # block through the row->block map and reads no other block's rows
+        steps = [(PointSpec.general(), f"E{i}") for i in range(1, 9)]
+        steps += [(PointSpec.on_curve(f"E{i}"), f"F{i}") for i in range(1, 9)]
+        smooth = tower(*steps)
+        declared = declare_contracted(smooth, [f"E{i}" for i in range(1, 9)])
+        reads = []
+
+        class Watched(tuple):
+            def __iter__(self):
+                reads.append(self)
+                return super().__iter__()
+
+        blocks = tuple((Watched(rows), factor) for rows, factor in declared.contracted_factor)
+        model = SurfaceModel(smooth.rank, smooth.names, smooth.matrix, declared.contracted)
+        model.__dict__["contracted_factor"] = blocks
+        _validated(model)
+        pulled_back(model, [(model.row("F2"), 1)])  # a first lookup may build the map, reading every block
+        (e1,) = [rows for rows, _ in blocks if rows == (model.row("E1"),)]
+        reads.clear()
+        f1 = model.row("F1")
+        assert pulled_back(model, [(f1, 1)]) == pulled_back(declared, [(f1, 1)])
+        blocks_after = declare_contracted(declared, ["F1"]).contracted_factor
+        assert declare_contracted(model, ["F1"]).contracted_factor == blocks_after
+        assert reads and all(rows is e1 for rows in reads)
+
     def test_a_solve_borders_one_new_curve_only(self):
         model = tower((PointSpec.general(), "A"), (PointSpec.general(), "B"))
         cstar = pulled_back(model, [(model.row("A"), 1)])

@@ -1187,6 +1187,25 @@ class TestSavedWork:
             assert harness().total_steps == len(per_step) == steps
             assert (sum(per_step), max(per_step)) == (models, 2)
 
+    def test_a_step_pairs_only_its_point(self, monkeypatch):
+        # `_moved` pairs each carried pullback with C and `_rechecked` with
+        # every curve of C's block, the step's point; no other contracted
+        # curve is paired, so the count does not grow with the tower
+        paired = counting(monkeypatch, mmp, "_paired")
+        per_step, real = [], mmp.audit_step
+
+        def step(*args):
+            before = len(paired)
+            pair, audit = real(*args)
+            per_step.append((len(paired) - before, len(pair[0].contracted_factor[-1][0])))
+            return pair, audit
+
+        monkeypatch.setattr(mmp, "audit_step", step)
+        result = run(exact_tower(random.Random(SEED + 160), 160), MostNegativeFirst(), F(1, 7))
+        assert result.audit.ok and len(per_step) == len(result.steps) >= 160
+        assert all(calls <= 2 + 2 * size for calls, size in per_step)
+        assert sum(calls for calls, _ in per_step) < 10 * len(per_step)
+
     def test_one_validation_per_tower(self, monkeypatch):
         calls = counting(monkeypatch, lattice, "_validated")
         rng = random.Random(SEED)
@@ -1392,6 +1411,41 @@ class TestCarriedPullbacks:
         assert "carried log pullback drops boundary coefficient" in self.perturbed_run(monkeypatch, change)
 
     @pytest.mark.parametrize("which", [0, 1])
+    @pytest.mark.parametrize("where", ["another block", "a free curve"])
+    def test_a_coefficient_moved_off_the_point_is_caught(self, monkeypatch, which, where):
+        # the re-check pairs only the step's point, C and the blocks C
+        # meets, with the matrix; a coefficient moved on a contracted curve
+        # of another block, or on a curve that meets no curve of the point,
+        # is caught at its step by the ratio check over the whole list
+        entered, real = [], mmp.audit_step
+
+        def step(*args):
+            entered.append(args[1])
+            return real(*args)
+
+        def change(kind, coef, row, old, at):
+            m = old.matrix
+            point = {at}.union(*(old.block_of[r][0] for r in old.block_of if m[at][r]))
+            if where == "another block":
+                off = [r for r in old.block_of if r not in point]
+            else:
+                off = [
+                    r
+                    for r in range(1, len(m))
+                    if r not in point and r not in old.block_of and not coef[r] and not any(m[r][p] for p in point)
+                ]
+            if kind == which and off:
+                coef[off[0]] += 1
+                perturbed.append(len(entered))
+                return True
+
+        perturbed = []
+        monkeypatch.setattr(mmp, "audit_step", step)
+        message = self.perturbed_run(monkeypatch, change)
+        assert message == "carried log pullback moves off the step's point; model inconsistent"
+        assert perturbed == [len(entered)]
+
+    @pytest.mark.parametrize("which", [0, 1])
     def test_a_perturbed_denominator_is_caught(self, monkeypatch, which):
         def change(kind, coef, row, old, at):
             if kind == which:
@@ -1469,6 +1523,49 @@ class TestCarriedPullbacks:
         verify_smooth_start_runs(20, SEED, F(1, 7), max_blowups=12)
         search_canonical_starts(SearchConfig(), 20, SEED)
         assert len(checked) > 300
+
+    def test_block_map_matches_a_fresh_scan(self, monkeypatch):
+        # a stale row->block map would make a solve skip a block, or a
+        # declaration border the wrong one: every model a step makes must
+        # map each contracted row to the block of its own factor that holds it
+        kinds = Counter()
+
+        def check(model, kind):
+            rows = [model.row(n) for n in model.contracted]
+            fresh = {r: next(b for b in model.contracted_factor if r in b[0]) for r in rows}
+            assert model.block_of.keys() == fresh.keys() and all(model.block_of[r] is b for r, b in fresh.items())
+            kinds[kind] += 1
+
+        rng = random.Random(SEED + 12)
+        for _ in range(30):
+            model = mmp._random_tower(rng, 12)
+            check(model, "tower")
+            names = list(model.names)
+            rng.shuffle(names)
+            for name in names:  # one by one, in a random order: new blocks, borders and merges
+                before = len(model.contracted_factor)
+                model = declare_contracted(model, [name])
+                check(model, "merge" if len(model.contracted_factor) < before else "declared")
+            check(minimal_resolution(model), "cascade")
+        for n0, branches, extra in STAR_STARTS:
+            check(build_model(star_scenario(n0, branches, extra)), "star")
+        real = mmp.audit_step
+
+        def step(*args):
+            pair, audit = real(*args)
+            if pair is not None:
+                check(pair[0], "shadow")
+                check(pair[3], "resolution")
+            return pair, audit
+
+        monkeypatch.setattr(mmp, "audit_step", step)
+        verify_smooth_start_runs(20, SEED, F(1, 7), max_blowups=12)
+        search_canonical_starts(SearchConfig(), 20, SEED)
+        for blowups in (40, 80, 160):
+            run(exact_tower(random.Random(SEED + blowups), blowups), MostNegativeFirst(), F(1, 7))
+        assert kinds == {
+            "tower": 30, "declared": 214, "merge": 11, "cascade": 30, "star": 4, "shadow": 502, "resolution": 502
+        }
 
 
 class TestCarriedResolution:
@@ -1825,3 +1922,28 @@ class TestHarnesses:
             SearchConfig(min_chain_length=3, max_chain_length=2)
         with pytest.raises(ValueError):
             SearchConfig(min_chain_length=0)
+        # a start needs the chain and T1: no tower may pass max_blowups
+        with pytest.raises(ValueError, match="max_blowups 2 is below the 4 blow-ups a start can need"):
+            SearchConfig(max_blowups=2, min_chain_length=3, max_chain_length=3)
+        with pytest.raises(ValueError, match="max_blowups -4 is below the 4 blow-ups"):
+            SearchConfig(max_blowups=-4)
+        with pytest.raises(ValueError, match="max_blowups 0 is below the 1 blow-ups"):
+            SearchConfig(max_blowups=0, smooth_starts_only=True)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SearchConfig(max_blowups=4, min_chain_length=3, max_chain_length=3),
+            SearchConfig(max_blowups=1, smooth_starts_only=True),
+        ],
+    )
+    def test_search_towers_stay_within_max_blowups(self, monkeypatch, config):
+        ranks, real = [], mmp.run
+
+        def recorded(state, *args, **kwargs):
+            ranks.append(state.surface.rank)
+            return real(state, *args, **kwargs)
+
+        monkeypatch.setattr(mmp, "run", recorded)
+        search_canonical_starts(config, 20, SEED)
+        assert len(ranks) == 20 and max(ranks) - 1 <= config.max_blowups
