@@ -6,23 +6,24 @@ curve with negative extremal pairing: a (-1)-curve on a smooth surface is
 Castelnuovo, anything else is Artin type. Every step is taken on the
 auditor's pair (`_start`): the initial lattice with the contracted set
 declared contracted (the shadow), its boundary, the log pullbacks of K + B
-and of K, solved once at the start, and its minimal resolution, which
-tells whether it is smooth. `_successors` ranks the pair's candidates off
-the row of (K + B)* and solves a candidate's C* only when it is read:
+and of K, solved once at the start, and its minimal resolution, None where
+it is smooth. `_successors` ranks the pair's candidates off the row of
+(K + B)* and solves a candidate's C* only when it is read:
 `run` is the greedy or named policy over it, `step_candidates` lists it,
 and `contract` takes one step and returns the new shadow's state.
 `audit_step` verifies the effectivity, rank-drop, classification and
 support conditions, carries both log pullbacks across the contraction by
 a rank-one update through C*, re-checked against the matrix at the step's
 point (C and the blocks of the contracted set that C meets, which C*
-lives on) and by a ratio check everywhere else, carries the resolution by
-one blow-down cascade or declaration, and returns the next pair. So
-every surface is built and classified once, a step builds at most two
-models, and no log pullback is solved after the start. Every
-pullback here is in `pulled_back`'s format, integer lists over every row
-of the shadow, K's included: the C* solves as (coef, v, d), the carried
-pullbacks as (coef, v) with d = coef[K_ROW]. The shadow's rows never
-change during a run, so the pair holds no name list.
+lives on) and by a ratio check everywhere else, carries a singular
+resolution by one blow-down cascade or declaration and reads a smooth one
+off the shadow's solves, and returns the next pair. So every surface is
+built and classified once, a step builds at most two models, one where
+the surface stays smooth, and no log pullback is solved after the start.
+Every pullback here is in `pulled_back`'s format, integer lists over every
+row of the shadow, K's included: the C* solves as (coef, v, d), the
+carried pullbacks as (coef, v) with d = coef[K_ROW]. The shadow's rows
+never change during a run, so the pair holds no name list.
 The two randomized harnesses draw their towers through `_random_blowups`.
 """
 
@@ -312,7 +313,7 @@ def run(state: MmpState, strategy, epsilon=Fraction(0)) -> MmpRun:
         if queue:
             queue.pop(0)
         cand, cstar = chosen
-        smooth_before = not pair[3].contracted
+        smooth_before = pair[3] is None
         pair, step = audit_step(pair, cand.name, len(steps), epsilon, smooth and bounded, violations, cstar)
         if step is None:
             raise ModelError(violations[-1])
@@ -326,8 +327,8 @@ def run(state: MmpState, strategy, epsilon=Fraction(0)) -> MmpRun:
 def _start(state: MmpState) -> tuple:
     """The audit's pair before step 0: the start surface; its boundary as
     integer numerators over one denominator db, (fixed, db); its two log
-    pullbacks, (K + B)* and K*; and its minimal resolution, the start
-    surface itself where no contracted curve blows down. Both pullbacks are
+    pullbacks, (K + B)* and K*; and its minimal resolution, None where it
+    contracts nothing (see `audit_step`). Both pullbacks are
     solved here by `_log_numerators`, the run's only log-pullback solves,
     and kept as it returns them; `audit_step` carries them. Each is (coef,
     row), integer lists over every row of the start surface, which are the
@@ -340,7 +341,8 @@ def _start(state: MmpState) -> tuple:
     pullbacks = tuple(_log_numerators(model, b) for b in (boundary, _NO_BOUNDARY))
     db = lcm(*(c.denominator for _, c in boundary.coefficients))
     fixed = {name: c.numerator * (db // c.denominator) for name, c in boundary.coefficients}
-    return model, (fixed, db), pullbacks, minimal_resolution(model)
+    mr = minimal_resolution(model)
+    return model, (fixed, db), pullbacks, mr if mr.contracted else None
 
 
 def _moved(old: SurfaceModel, pullback, cstar, at: int):
@@ -414,10 +416,10 @@ def _rechecked(shadow: SurfaceModel, fixed: dict[str, int], db: int, pullback, b
 
 def _gate(initial: MmpState, pair, epsilon: Fraction) -> tuple[bool, bool]:
     """Whether check (c) applies, computed once a run: a smooth start, whose
-    resolution in `pair`, `_start`'s, contracts nothing, and boundary
-    coefficients at most 1 - epsilon."""
+    resolution in `pair`, `_start`'s, is None, and boundary coefficients at
+    most 1 - epsilon."""
     cap = Fraction(1) - epsilon
-    return not pair[3].contracted, all(c <= cap for _, c in initial.boundary.coefficients)
+    return pair[3] is None, all(c <= cap for _, c in initial.boundary.coefficients)
 
 
 def _report(initial: MmpState, gate: tuple[bool, bool], epsilon: Fraction, audited, violations) -> AuditReport:
@@ -456,7 +458,7 @@ def audit_run(run_record: MmpRun, initial: MmpState, epsilon) -> AuditReport:
 def audit_step(pair, name: str, i: int, epsilon: Fraction, gate: bool, violations: list, cstar=None):
     """Checks (a)-(d) of step i, which contracts `name`, on the pair before
     it, `_start`'s shape: (shadow model, boundary numerators (fixed, db),
-    ((K + B)*, K*), minimal resolution), every list of it over the start
+    ((K + B)*, K*), minimal resolution or None), every list of it over the start
     surface's rows. Check (c) applies where `gate`. `cstar` is `name`'s C*
     solve on the shadow, `pulled_back`'s (coef, v, d), which `run` made to
     read C.C; without it, it is solved here. Appends what it finds to
@@ -471,12 +473,12 @@ def audit_step(pair, name: str, i: int, epsilon: Fraction, gate: bool, violation
     their denominators, cross-multiplied, on the step's point only, as the
     ratio check proves that nothing else moved, and (d) the boundary
     pairing B.C*'s numerator, off C*'s row; a Fraction is made only for a
-    reported value. Check (d) reads C*'s support on the
-    resolution: a curve that survives there keeps its coefficient, as a
-    strict transform has coefficient 1 in a pullback. Check (c) labels the
-    new shadow's resolution with K*'s numerators on the curves it keeps
-    contracted, and keeps the class (None if it raised) for `run` to
-    report; the next step's check (d) reuses that resolution. The boundary
+    reported value. Check (d) reads C*'s support on the resolution: a
+    curve that survives there keeps its coefficient, as a strict transform
+    has coefficient 1 in a pullback. Check (c) labels the new shadow's
+    resolution with K*'s numerators on the curves it keeps contracted (none
+    on a smooth one, and the epsilon check still runs), and keeps the class
+    (None if it raised) for `run` to report. The boundary
     was checked when the initial state was built, and a step only drops
     the contracted curve from it.
 
@@ -493,9 +495,16 @@ def audit_step(pair, name: str, i: int, epsilon: Fraction, gate: bool, violation
     old one with C declared contracted (its checks pass once the shadow's
     did: the bordered pivot's Schur complement is C*^2 < 0 on both, C.C <=
     C*^2, and rho is the same), or the new shadow itself where the old
-    shadow was its own. So a step builds at most two models. A cascade
-    whose blow-downs break a curve's genus ends the replay; a class that
-    raises keeps the resolution.
+    shadow was its own. A cascade whose blow-downs break a curve's genus
+    ends the replay; a class that raises keeps the resolution.
+
+    A smooth surface, its own resolution, is carried as None: pulled back
+    to the shadow it keeps its pairings, so C.C = C*.C, K.C = K*.C and
+    D.C = D.C*, and C*'s support there is C. A (-1)-curve C there is blown
+    down with no model: the cascade's one check that can fail moves D's
+    genus by (D.C)(D.C - 1), so the first D in row order with D.C >= 2
+    raises its message (the shadow's Hodge check is the rank floor). Any
+    other C resolves the new shadow once. So a step builds at most two models.
     """
     shadow, (fixed, db), (log, canonical), mr = pair
     rho_before = shadow.rank - len(shadow.contracted)
@@ -506,11 +515,17 @@ def audit_step(pair, name: str, i: int, epsilon: Fraction, gate: bool, violation
     if cstar is None:
         cstar = pulled_back(shadow, [(at, 1)])
     ccoef, v, dc = cstar
+    rows = shadow._rows
     # (d) support condition on the minimal resolution of the current state
-    m, kept, rows = mr.matrix, mr._rows, shadow._rows
-    # nonzero is positive: `pulled_back` checked the negativity lemma on C*
-    support = [kept[n] for n in compress(shadow.names, ccoef[1:]) if n in kept]
-    step3_applicable = not any(m[r][r] == m[K_ROW][r] == -1 for r in support)
+    if mr is None:  # smooth: C*'s support there is C, with C.C = C*.C and K.C = K*.C
+        minus1 = v[at] == -dc and canonical[1][at] == -canonical[0][K_ROW]
+        step3_applicable = not minus1
+    else:
+        m, kept = mr.matrix, mr._rows
+        # nonzero is positive: `pulled_back` checked the negativity lemma on C*
+        support = [kept[n] for n in compress(shadow.names, ccoef[1:]) if n in kept]
+        step3_applicable = not any(m[r][r] == m[K_ROW][r] == -1 for r in support)
+        minus1 = mr.self_int(name) == mr.k_dot(name) == -1
     pairing = sum(b * v[rows[n]] for n, b in fixed.items())
     step3_value = Fraction(pairing, dc * db)
     step3_ok = (not step3_applicable) or pairing < 0
@@ -540,17 +555,24 @@ def audit_step(pair, name: str, i: int, epsilon: Fraction, gate: bool, violation
     if rho_after != rho_before - 1:
         violations.append(f"rho: step {i} ({name!r}): rank drops {rho_before} -> {rho_after}")
     try:
-        if mr.self_int(name) == mr.k_dot(name) == -1:
+        if mr is None and minus1:  # C.D = C*.D: blowing C down keeps D of genus 0 iff C.D <= 1
+            broken = [n for n, x in zip(shadow.names, v[1:]) if x >= 2 * dc] if max(v) >= 2 * dc else ()
+            if broken:
+                raise ModelError(f"curve {broken[0]!r} is not a smooth rational class (genus != 0)")
+        elif mr is None:
+            mr = minimal_resolution(shadow)
+        elif minus1:
             mr = blow_down_cascade(mr, sorted(mr.contracted | {name}))
         else:
             mr = shadow if mr is old else declare_contracted(mr, [name])
     except ModelError as exc:
         violations.append(f"classification: step {i} ({name!r}): replay failed: {exc}")
         return None, None
-    coef, rows, kept = canonical[0], shadow._rows, mr._rows
-    terms = [(kept[n], coef[rows[n]]) for n in mr.contracted]
+    mr = mr if mr and mr.contracted else None
+    coef = canonical[0]
+    terms = [(mr._rows[n], coef[rows[n]]) for n in mr.contracted] if mr else []
     try:
-        post = _singularity_class(_labelled(mr, terms, coef[K_ROW], epsilon), epsilon)
+        post = _singularity_class(_labelled(mr or shadow, terms, coef[K_ROW], epsilon), epsilon)
         label = post.classification
     except ModelError as exc:
         post, label = None, f"error: {exc}"

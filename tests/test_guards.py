@@ -11,8 +11,9 @@ path for raw and checked models. Only `singularities._log_numerators`
 hands K's row to `pulled_back`, so every log pullback is one solve; only
 `pulled_back` calls `solve_exact`, and no function takes a column list,
 so the package has one solve site and one index space. Only
-`mmp._successors` ranks a step's candidates and solves their C*, and
-`mmp` blows no curve down by name.
+`mmp._successors` ranks a step's candidates and solves their C*, `mmp`
+blows no curve down by name, and only `mmp.audit_step` builds a
+resolution after the start's.
 """
 
 import ast
@@ -302,6 +303,15 @@ def test_one_successor_function_ranks_and_solves_a_step():
     assert mmp_callers("_successors") == ["contract", "run", "step_candidates"]
     assert mmp_callers("pulled_back") == ["_successors", "audit_step", "contracted_self_intersection"]
     assert mmp_callers("_log_numerators") == ["_start", "extremal_pairing", "step_candidates"]
+
+
+def test_only_the_audit_builds_a_later_resolution():
+    # a smooth surface carries no resolution model: `_start` resolves the
+    # start, and after it `audit_step` alone builds a resolution, one
+    # cascade from a singular one or the resolution of an Artin step's
+    # shadow from a smooth one
+    assert mmp_callers("blow_down_cascade") == ["audit_step"]
+    assert mmp_callers("minimal_resolution") == ["_start", "audit_step"]
 
 
 def test_mmp_never_blows_a_curve_down_by_name():

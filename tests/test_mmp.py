@@ -580,10 +580,11 @@ class TestRun:
         resolved_in_classify = counting(monkeypatch, singularities, "minimal_resolution")
         with pytest.raises(ModelError, match=re.escape("epsilon 2 outside [0, 1]")):
             run(a1_state(), MostNegativeFirst(), 2)
-        # the audit's one declaration and its check (d) resolution of the
-        # smooth start, which is its own; C1 is no (-1)-curve there, so the
-        # new shadow is its own resolution too. Then `classify`'s own.
-        assert (len(declared), len(resolved), len(resolved_in_classify)) == (1, 1, 1)
+        # the audit's one declaration, its resolution of the smooth start,
+        # which is its own and carried as None, and, C1 being no (-1)-curve
+        # there, the new shadow's resolution, its own too. Then `classify`'s.
+        assert (len(declared), len(resolved), len(resolved_in_classify)) == (1, 2, 1)
+        assert [m.contracted for m, in resolved] == [frozenset(), frozenset({"C1"})]
 
     def test_replay_failure_raises_the_audit_violation(self):
         # A.A = -1 on a rank-1 model breaks the Hodge index: declaring A
@@ -614,7 +615,10 @@ class TestRun:
         pair, violations = mmp._start(state), []
         for i, name in enumerate(("E1", "E2")):
             pair, _ = mmp.audit_step(pair, name, i, F(0), True, violations)
-        assert pair[3].contracted == frozenset() and pair[3].names == ("D",)
+        # a smooth surface carries no resolution model: it is the shadow's
+        assert pair[3] is None
+        resolved = minimal_resolution(pair[0])
+        assert resolved.contracted == frozenset() and resolved.names == ("D",)
 
     def test_scenario_error_counts_steps_from_the_start_index(self):
         model = new_projective_plane()
@@ -1002,6 +1006,20 @@ def counting(monkeypatch, module, name):
     return calls
 
 
+def smooth_flags(monkeypatch):
+    """Make `mmp.audit_step` record, per step, whether the pair it is handed
+    carries no resolution model, that is, the surface before the step is
+    smooth; returns the list of flags."""
+    flags, real = [], mmp.audit_step
+
+    def step(pair, *rest):
+        flags.append(pair[3] is None)
+        return real(pair, *rest)
+
+    monkeypatch.setattr(mmp, "audit_step", step)
+    return flags
+
+
 class TestSavedWork:
     """Work that nothing reads stays undone: C.C for candidates the strategy
     skips, `_validated` for blow-ups of a checked model, a full `classify`
@@ -1027,38 +1045,44 @@ class TestSavedWork:
         assert listed == pairwise_ranking(model, state.boundary.as_map())
 
     def test_each_surface_classified_once(self, monkeypatch):
-        lengths = []
+        lengths, kinds = [], []
         real_run = mmp.run
 
         def recorded(*args, **kwargs):
             result = real_run(*args, **kwargs)
             lengths.append(len(result.steps))
+            kinds.extend(s.kind for s in result.steps)
             return result
 
         monkeypatch.setattr(mmp, "run", recorded)
+        smooth = smooth_flags(monkeypatch)
         classified = counting(monkeypatch, mmp, "classify")
         resolved = counting(monkeypatch, mmp, "minimal_resolution")
         cascades = counting(monkeypatch, mmp, "blow_down_cascade")
         resolved_in_classify = counting(monkeypatch, singularities, "minimal_resolution")
         cores = counting(monkeypatch, singularities, "_classified")
         labels = counting(monkeypatch, mmp, "_labelled")
-        for harness, starts, blown in (
-            (lambda: verify_smooth_start_runs(40, SEED, F(1, 7), max_blowups=12), 0, 245),
-            (lambda: search_canonical_starts(SearchConfig(), 40, SEED), 40, 162),
+        for harness, starts, blown, artin in (
+            (lambda: verify_smooth_start_runs(40, SEED, F(1, 7), max_blowups=12), 0, 58, 33),
+            (lambda: search_canonical_starts(SearchConfig(), 40, SEED), 40, 156, 6),
         ):
-            for calls in (lengths, classified, resolved, cascades, resolved_in_classify, cores, labels):
+            for calls in (lengths, kinds, smooth, classified, resolved, cascades, resolved_in_classify, cores, labels):
                 calls.clear()
             harness()
             steps = sum(lengths)
-            assert len(lengths) == 40 and steps > 150
+            assert len(lengths) == 40 and steps > 150 and len(smooth) == steps
             # `run` classifies nothing; q44 checks each start once
             assert len(classified) == len(resolved_in_classify) == starts
             # `_start` resolves each run's start once, whether or not the run
-            # steps; after that the audit blows down from the carried
-            # resolution, one cascade for each step whose curve is a
-            # (-1)-curve there
-            assert len(resolved) == len(lengths)
+            # steps. After that a smooth surface, carried as None, is resolved
+            # again only where an Artin step leaves it singular, as the new
+            # shadow's resolution; a Castelnuovo step from it builds nothing.
+            # A singular resolution is blown down from, one cascade for each
+            # step whose curve is a (-1)-curve there.
+            assert artin == sum(f and kind == ARTIN_TYPE for f, kind in zip(smooth, kinds))
+            assert len(resolved) == len(lengths) + artin
             assert len(cascades) == blown
+            assert all(m.contracted for m, _ in cascades)
             # and labels each step's surface once, off the carried K*; only
             # q44's start checks solve a log pullback to classify
             assert len(labels) == steps and len(cores) == starts
@@ -1163,7 +1187,8 @@ class TestSavedWork:
     def test_a_step_builds_at_most_two_models(self, monkeypatch):
         # the new shadow and its resolution: a (-1)-curve on the carried
         # resolution is blown down from it with no declared model between,
-        # and a shadow that is its own resolution is not declared twice
+        # a shadow that is its own resolution is not declared twice, and a
+        # step that leaves a smooth surface smooth builds the shadow alone
         built, per_step = [0], []
         real_init, real_step = SurfaceModel.__init__, mmp.audit_step
 
@@ -1171,21 +1196,22 @@ class TestSavedWork:
             built[0] += 1
             real_init(self, *args, **kwargs)
 
-        def step(*args):
+        def step(pair, *rest):
             before = built[0]
-            out = real_step(*args)
-            per_step.append(built[0] - before)
+            out = real_step(pair, *rest)
+            per_step.append((built[0] - before, pair[3] is None and out[0][3] is None))
             return out
 
         monkeypatch.setattr(SurfaceModel, "__init__", init)
         monkeypatch.setattr(mmp, "audit_step", step)
-        for harness, steps, models in (
-            (lambda: verify_smooth_start_runs(40, SEED, F(1, 7), max_blowups=12), 281, 559),
-            (lambda: search_canonical_starts(SearchConfig(), 40, SEED), 187, 369),
+        for harness, steps, models, smooth in (
+            (lambda: verify_smooth_start_runs(40, SEED, F(1, 7), max_blowups=12), 281, 372, 187),
+            (lambda: search_canonical_starts(SearchConfig(), 40, SEED), 187, 363, 6),
         ):
             per_step.clear()
             assert harness().total_steps == len(per_step) == steps
-            assert (sum(per_step), max(per_step)) == (models, 2)
+            assert (sum(n for n, _ in per_step), max(n for n, _ in per_step)) == (models, 2)
+            assert [n for n, kept in per_step if kept] == [1] * smooth
 
     def test_a_step_pairs_only_its_point(self, monkeypatch):
         # `_moved` pairs each carried pullback with C and `_rechecked` with
@@ -1220,31 +1246,41 @@ class TestSavedWork:
     def test_audit_makes_no_classify_call(self, monkeypatch):
         rng = random.Random(SEED + 5)
         grid = _coefficient_grid(F(6, 7))
-        steps = blown = 0
+        steps = blown = artins = 0
         for _ in range(20):
             model = mmp._random_tower(rng, 12)
             boundary = QDivisor.from_map({n: c for n in model.tracked if (c := rng.choice(grid))})
             initial = MmpState(surface=model, boundary=boundary)
             result = run(initial, MostNegativeFirst(), F(1, 7))
             with monkeypatch.context() as patch:
+                smooth = smooth_flags(patch)
                 classified = counting(patch, mmp, "classify")
                 resolved = counting(patch, mmp, "minimal_resolution")
                 cascades = counting(patch, mmp, "blow_down_cascade")
                 assert audit_run(result, initial, F(1, 7)) == result.audit
-            # the start is resolved once, and each later resolution is blown
-            # down from the one before it; no surface is resolved twice
-            assert classified == [] and len(resolved) == 1
+            # the start is resolved once, a singular resolution is blown down
+            # from the one before it, and a smooth surface is resolved again
+            # only as the new shadow of an Artin step; no surface is resolved
+            # twice
+            names = [s.contracted_curve for s in result.steps]
+            artin = [
+                frozenset(names[: i + 1]) for i, s in enumerate(result.steps) if smooth[i] and s.kind == ARTIN_TYPE
+            ]
+            assert classified == [] and [m.contracted for m, in resolved] == [frozenset()] + artin
             steps += len(result.steps)
             blown += len(cascades)
-        assert (steps, blown) == (168, 144)
+            artins += len(artin)
+        assert (steps, blown, artins) == (168, 43, 22)
 
     def test_audit_resolves_the_carried_resolution(self, monkeypatch):
-        # after step 0 the audit never resolves the whole shadow model again:
-        # a step whose curve is a (-1)-curve on the carried resolution blows
-        # it down from there in one cascade over its contracted curves and C
+        # after step 0 the audit never resolves the whole shadow model again
+        # while it carries a singular resolution: a step whose curve is a
+        # (-1)-curve there blows it down from there in one cascade over its
+        # contracted curves and C. A smooth surface is carried as None; a
+        # step from it resolves its new shadow only where C is no (-1)-curve
         rng = random.Random(SEED + 7)
         grid = _coefficient_grid(F(6, 7))
-        real_step, blown, smaller = mmp.audit_step, 0, 0
+        real_step, blown, smaller, artin = mmp.audit_step, 0, 0, 0
         for _ in range(20):
             model = mmp._random_tower(rng, 12)
             boundary = QDivisor.from_map({n: c for n in model.tracked if (c := rng.choice(grid))})
@@ -1254,7 +1290,7 @@ class TestSavedWork:
 
             def step(pair, name, *rest):
                 out = real_step(pair, name, *rest)
-                handed.append((pair[3] or pair[0], name, out[0][3]))
+                handed.append((pair[3], pair[0], name, out[0]))
                 return out
 
             with monkeypatch.context() as patch:
@@ -1262,41 +1298,58 @@ class TestSavedWork:
                 cascades = counting(patch, mmp, "blow_down_cascade")
                 patch.setattr(mmp, "audit_step", step)
                 assert audit_run(result, initial, F(1, 7)) == result.audit
-            # a smooth start is its own resolution, so nothing is resolved again
-            assert [m for m, in resolved] == [model]
-            expected = [(mr, name) for mr, name, _ in handed if mr.self_int(name) == mr.k_dot(name) == -1]
+            # a smooth start is its own resolution; after it, only the new
+            # shadow of a step from a smooth surface whose curve is no
+            # (-1)-curve there, read off a fresh resolution, is resolved
+            fresh = [(mr, minimal_resolution(shadow), name, new) for mr, shadow, name, new in handed]
+            minus1 = [old.self_int(name) == old.k_dot(name) == -1 for _, old, name, _ in fresh]
+            assert [m for m, in resolved] == [model] + [
+                new[0] for (mr, _, _, new), c in zip(fresh, minus1) if mr is None and not c
+            ]
+            expected = [(mr, name) for (mr, _, name, _), c in zip(fresh, minus1) if mr is not None and c]
             assert len(cascades) == len(expected)
             assert all(
                 m is mr and names == sorted(mr.contracted | {name}) for (m, names), (mr, name) in zip(cascades, expected)
             )
             blown += len(cascades)
-            smaller += sum(new.rank < model.rank for _, _, new in handed)
-        assert (blown, smaller) == (125, 146)
+            artin += len(resolved) - 1
+            smaller += sum(new[3] is None or new[3].rank < model.rank for *_, new in handed)
+        assert (blown, artin, smaller) == (37, 17, 146)
 
     def test_classification_error_keeps_the_resolution(self, monkeypatch):
-        # epsilon 2 makes every check (c) raise; the resolution it was given
-        # is kept, so the audit still resolves only the start and blows down
-        # from each carried resolution, as at epsilon 0
+        # epsilon 2 makes every check (c) raise, a smooth surface's too; the
+        # resolution it was given is kept, so the audit still resolves only
+        # the start and the new shadow of each Artin step from a smooth
+        # surface, and blows down from each carried resolution, as at epsilon
+        # 0. With no boundary these towers only blow (-1)-curves down and stay
+        # smooth, carrying no resolution; a boundary makes Artin steps
         rng = random.Random(SEED + 8)
-        runs = blown = 0
-        for _ in range(12):
-            initial = MmpState(surface=mmp._random_tower(rng, 10), boundary=QDivisor.zero())
+        grid = _coefficient_grid(F(1))
+        runs = blown = artin = 0
+        for _ in range(20):
+            model = mmp._random_tower(rng, 10)
+            boundary = QDivisor.from_map({n: rng.choice(grid) for n in model.tracked})
+            initial = MmpState(surface=model, boundary=boundary)
             result = run(initial, MostNegativeFirst())
             if len(result.steps) < 2:
                 continue
             work = []
             for epsilon in (2, 0):
                 with monkeypatch.context() as patch:
+                    smooth = smooth_flags(patch)
                     resolved = counting(patch, mmp, "minimal_resolution")
                     cascades = counting(patch, mmp, "blow_down_cascade")
                     report = audit_run(result, initial, epsilon)
-                work.append((len(resolved), len(cascades)))
+                work.append((resolved, len(cascades), smooth))
                 if epsilon:
                     assert {s.classification for s in report.steps} == {"error: epsilon 2 outside [0, 1]"}
-            assert work[0] == work[1] and work[0][0] == 1
+            assert work[0] == work[1]
+            resolved, cascades, smooth = work[0]
+            assert len(resolved) == 1 + sum(f and s.kind == ARTIN_TYPE for f, s in zip(smooth, result.steps))
             runs += 1
-            blown += work[0][1]
-        assert (runs, blown) == (10, 60)
+            blown += cascades
+            artin += len(resolved) - 1
+        assert (runs, blown, artin) == (16, 26, 14)
 
 
 def fresh_scan(matrix):
@@ -1555,7 +1608,10 @@ class TestCarriedPullbacks:
             pair, audit = real(*args)
             if pair is not None:
                 check(pair[0], "shadow")
-                check(pair[3], "resolution")
+                if pair[3] is None:  # a smooth surface carries no resolution model
+                    kinds["smooth"] += 1
+                else:
+                    check(pair[3], "resolution")
             return pair, audit
 
         monkeypatch.setattr(mmp, "audit_step", step)
@@ -1564,23 +1620,25 @@ class TestCarriedPullbacks:
         for blowups in (40, 80, 160):
             run(exact_tower(random.Random(SEED + blowups), blowups), MostNegativeFirst(), F(1, 7))
         assert kinds == {
-            "tower": 30, "declared": 214, "merge": 11, "cascade": 30, "star": 4, "shadow": 502, "resolution": 502
+            "tower": 30, "declared": 214, "merge": 11, "cascade": 30, "star": 4,
+            "shadow": 502, "resolution": 328, "smooth": 174,
         }
 
 
 class TestCarriedResolution:
-    """The audit carries its minimal resolution: a curve that is a
-    (-1)-curve there is blown down from it in one cascade, any other is
-    declared contracted on it, and either way the result is the resolution
-    of the declared model."""
+    """The audit carries its minimal resolution while it contracts
+    something, and None for a smooth surface: a curve that is a (-1)-curve
+    there is blown down from it in one cascade, any other is declared
+    contracted on it, and either way the result is the resolution of the
+    declared model, or None where that contracts nothing."""
 
     @staticmethod
     def compared(monkeypatch):
         """Make every step `audit_step` takes check its new resolution
         against `minimal_resolution(declare_contracted(old, [name]))`, old
-        the resolution it was handed (the start's, resolved, at step 0),
-        and its new shadow's row index against the old shadow's; returns,
-        per step, whether the curve was a (-1)-curve on old."""
+        the resolution it was handed (resolved afresh where it was handed
+        None), and its new shadow's row index against the old shadow's;
+        returns, per step, whether the curve was a (-1)-curve on old."""
         seen, real = [], mmp.audit_step
 
         def step(pair, name, *rest):
@@ -1588,8 +1646,12 @@ class TestCarriedResolution:
             shadow, old = pair[0], pair[3] or minimal_resolution(pair[0])
             new_shadow, _, _, new = out[0]
             expected = minimal_resolution(declare_contracted(old, [name]))
-            # == compares rank, names, matrix and the contracted set
-            assert new == expected and new.contracted_factor == expected.contracted_factor
+            # None where the new surface is smooth; else == compares rank,
+            # names, matrix and the contracted set
+            if expected.contracted:
+                assert new == expected and new.contracted_factor == expected.contracted_factor
+            else:
+                assert new is None
             assert new_shadow._rows is shadow._rows
             seen.append(old.self_int(name) == old.k_dot(name) == -1)
             return out
@@ -1609,6 +1671,95 @@ class TestCarriedResolution:
         result = run(exact_tower(random.Random(SEED + blowups), blowups), MostNegativeFirst(), F(1, 7))
         assert result.audit.ok and len(seen) == len(result.steps) >= blowups
         assert 0 < sum(seen) < len(seen)
+
+
+class TestSmoothResolution:
+    """A smooth surface carries no resolution model: the pair holds None,
+    and a step reads the numbers of the resolution, the surface itself, off
+    the shadow's own solves: C.C = C*.C, K.C = K*.C and D.C = D.C*. Checked
+    at every step against a fresh resolution of the shadow."""
+
+    @staticmethod
+    def compared(monkeypatch):
+        """Make every step check, before it runs, that the pair it is handed
+        holds None exactly where a fresh `minimal_resolution` of its shadow
+        contracts nothing, and there that the integer (-1) test agrees with
+        that resolution's `self_int` and `k_dot`, and C.C, K.C and every
+        D.C, as Fractions, with its matrix. Returns, per step, whether the
+        surface was smooth and whether C was a (-1)-curve on it."""
+        seen, real = [], mmp.audit_step
+
+        def step(pair, name, *rest):
+            shadow, _, (_, (kcoef, krow)), mr = pair
+            fresh = minimal_resolution(shadow)
+            assert (mr is None) == (not fresh.contracted)
+            minus1 = fresh.self_int(name) == fresh.k_dot(name) == -1
+            if mr is None:
+                at = shadow.row(name)
+                _, v, dc = pulled_back(shadow, [(at, 1)])
+                assert (v[at] == -dc and krow[at] == -kcoef[K_ROW]) == minus1
+                assert (F(v[at], dc), F(krow[at], kcoef[K_ROW])) == (fresh.self_int(name), fresh.k_dot(name))
+                # D.C for every curve D of the resolution, C's own included
+                assert [F(v[shadow.row(n)], dc) for n in fresh.names] == [
+                    fresh.intersection(n, name) for n in fresh.names
+                ]
+            seen.append((mr is None, minus1))
+            return real(pair, name, *rest)
+
+        monkeypatch.setattr(mmp, "audit_step", step)
+        return seen
+
+    def test_seeded_streams(self, monkeypatch):
+        seen = self.compared(monkeypatch)
+        steps = verify_smooth_start_runs(40, SEED, F(1, 7), max_blowups=12).total_steps
+        steps += search_canonical_starts(SearchConfig(), 40, SEED).total_steps
+        # (smooth, C a (-1)-curve): steps from a smooth surface, of both kinds
+        assert len(seen) == steps
+        assert Counter(seen) == {(True, True): 193, (True, False): 39, (False, True): 214, (False, False): 22}
+
+    def test_star_and_q44_starts(self, monkeypatch):
+        seen = self.compared(monkeypatch)
+        rng, grid = random.Random(SEED + 24), _coefficient_grid(F(6, 7))
+        starts = [build_model(star_scenario(n0, branches, extra)) for n0, branches, extra in STAR_STARTS]
+        starts += [chain_start(chain) for chain in (1, 2, 3) for _ in range(10)]
+        steps = 0
+        for model in starts:
+            free = [n for n in model.tracked if n not in model.contracted]
+            initial = MmpState(surface=model, boundary=QDivisor.from_map({n: rng.choice(grid) for n in free}))
+            result = run(initial, MostNegativeFirst(), F(1, 7))
+            assert audit_run(result, initial, F(1, 7)) == result.audit
+            steps += 2 * len(result.steps)
+        assert len(seen) == steps
+        assert Counter(seen) == {(True, True): 16, (False, True): 210, (False, False): 18}
+
+    @pytest.mark.parametrize(
+        "blowups, smooth",
+        [(40, (11, 3)), (80, (3, 1)), (160, (38, 3)), (320, (39, 1))],
+    )
+    def test_long_towers(self, monkeypatch, blowups, smooth):
+        seen = self.compared(monkeypatch)
+        result = run(exact_tower(random.Random(SEED + blowups), blowups), MostNegativeFirst(), F(1, 7))
+        assert result.audit.ok and len(seen) == len(result.steps) >= blowups
+        # the steps from a smooth surface whose curve is, and is not, a (-1)-curve
+        assert (Counter(seen)[True, True], Counter(seen)[True, False]) == smooth
+
+    def test_a_later_castelnuovo_step_that_breaks_a_curve_ends_the_replay(self):
+        # G, blown down first, leaves the surface smooth; then E, blown down
+        # from the node of the nodal cubics Q and N, leaves both nodal. The
+        # audit names the first broken curve in row order, as a cascade does
+        model = _validated(
+            coordinate_model(3, (-3, 1, 1), {"Q": (3, -2, 0), "G": (0, 0, 1), "N": (3, -2, 0), "E": (0, 1, 0)})
+        )
+        state = MmpState(surface=model, boundary=QDivisor.zero())
+        message = "classification: step 1 ('E'): replay failed: curve 'Q' is not a smooth rational class (genus != 0)"
+        with pytest.raises(ModelError) as exc:
+            run(state, parse_strategy("named:G,E"))
+        assert str(exc.value) == message
+        fake = tuple(MmpStep(n, F(-1), F(-1), CASTELNUOVO, None) for n in ("G", "E"))
+        report = audit_run(MmpRun(fake, MinimalOverTracked(), None), state, 0)
+        assert [s.curve for s in report.steps] == ["G"] and report.violations == (message,)
+        pair, _ = mmp.audit_step(mmp._start(state), "G", 0, F(0), True, [])
+        assert pair[3] is None and minimal_resolution(pair[0]).names == ("Q", "N", "E")
 
 
 class TestBlockedSteps:
@@ -1844,8 +1995,9 @@ class TestAuditReplay:
                 pair, audit = mmp.audit_step(pair, step.contracted_curve, i, epsilon, smooth and bounded, violations)
                 shadow, _, _, mr = pair
                 assert audit == result.audit.steps[i]
-                assert mr == minimal_resolution(shadow)
-                carried += mr.rank < shadow.rank
+                fresh = minimal_resolution(shadow)
+                assert (mr == fresh) if fresh.contracted else (mr is None)
+                carried += fresh.rank < shadow.rank
             assert tuple(violations) == result.audit.violations
             assert list(result.audit.steps) == fresh_audit_steps(result.steps, initial, epsilon)[0]
             steps += len(result.steps)
