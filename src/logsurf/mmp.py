@@ -9,15 +9,18 @@ declared contracted (the shadow), its boundary, the log pullbacks of K + B
 and of K, solved once at the start, and its minimal resolution, None where
 it is smooth. `_successors` ranks the pair's candidates off the row of
 (K + B)* and solves a candidate's C* only when it is read:
-`run` is the greedy or named policy over it, `step_candidates` lists it,
-and `contract` takes one step and returns the new shadow's state.
-`audit_step` verifies the effectivity, rank-drop, classification and
-support conditions, carries both log pullbacks across the contraction by
-a rank-one update through C*, re-checked against the matrix at the step's
-point (C and the blocks of the contracted set that C meets, which C*
-lives on) and by a ratio check everywhere else, carries a singular
-resolution by one blow-down cascade or declaration and reads a smooth one
-off the shadow's solves, and returns the next pair. So every surface is
+`_drive`, `run`'s loop, is the greedy or named policy over it,
+`step_candidates` lists it, and `contract` takes one step and returns the
+new shadow's state. The loop carries integers only; Fractions and records
+are made at the API edge, by `run`, `audit_run` and `step_candidates`,
+for the values they return. `audit_step` verifies the effectivity,
+rank-drop, classification and support conditions, carries both log
+pullbacks across the contraction by a rank-one update through C*,
+re-checked against the matrix at the step's point (C and the blocks of
+the contracted set that C meets, which C* lives on) and by a ratio check
+everywhere else, carries a singular resolution by one blow-down cascade
+or declaration and reads a smooth one off the shadow's solves, and
+returns the next pair and the step's integer core. So every surface is
 built and classified once, a step builds at most two models, one where
 the surface stays smooth, and no log pullback is solved after the start.
 Every pullback here is in `pulled_back`'s format, integer lists over every
@@ -37,6 +40,7 @@ from functools import lru_cache, partial
 from itertools import compress, repeat
 from math import gcd, lcm
 from operator import mul
+from typing import NamedTuple
 
 from .errors import ModelError, NotNegativeDefiniteError, ScenarioError
 from .lattice import (
@@ -65,6 +69,10 @@ from .singularities import (
 CASTELNUOVO = "castelnuovo"
 ARTIN_TYPE = "artin-type"
 _NO_BOUNDARY = QDivisor.zero()
+# the edge's Fractions, one per (numerator, denominator): a run's reported
+# values repeat (C.C = -1 at every Castelnuovo step) and a Fraction is
+# immutable, so `run` and `_report` share them
+_fraction = lru_cache(maxsize=1024)(Fraction)
 
 
 @dataclass(frozen=True)
@@ -89,6 +97,19 @@ class Candidate:
     name: str
     extremal_value: Fraction
     self_int: Fraction
+
+
+class _Read(NamedTuple):
+    """A candidate as `_successors` solves it, in integers: (K + B).C =
+    x / d, C.C = C*.C = cc / dc, and C*'s solve, `pulled_back`'s (coef, v,
+    d), for `audit_step`."""
+
+    name: str
+    x: int
+    d: int
+    cc: int
+    dc: int
+    cstar: tuple
 
 
 @dataclass(frozen=True)
@@ -174,16 +195,16 @@ def _successors(shadow: SurfaceModel, log):
     `shadow` in rank order, `_ranked`'s keys off the row of its (K + B)*
     pullback `log`, (coef, row) as `_log_numerators` gives it or a pair
     carries it (one denominator, so a fresh solve's order). `solve()` makes
-    the curve's C* solve on the shadow, `pulled_back`'s (coef, v, d), and
-    returns its Candidate, C.C = C*.C read off C*'s row, with that solve
-    for `audit_step`: a C* is solved only when it is read."""
+    the curve's C* solve on the shadow and returns its `_Read`, C.C read
+    off C*'s row: a C* is solved only when it is read, and no Fraction is
+    made."""
     coef, row = log
     d = coef[K_ROW]
 
     def solve(x, name):
         r = shadow.row(name)
         cstar = pulled_back(shadow, [(r, 1)])
-        return Candidate(name, Fraction(x, d), Fraction(cstar[1][r], cstar[2])), cstar
+        return _Read(name, x, d, cstar[1][r], cstar[2], cstar)
 
     for x, name in _ranked(shadow, row):
         yield name, partial(solve, x, name)
@@ -192,10 +213,11 @@ def _successors(shadow: SurfaceModel, log):
 def step_candidates(state: MmpState) -> list[Candidate]:
     """Tracked non-contracted curves with (K + boundary).C < 0, most negative
     first, names breaking ties: `_successors` over the state's surface and
-    its one (K + B)* solve, every C.C solved. `run` solves C.C only for the
-    candidates its strategy reads."""
+    its one (K + B)* solve, every C.C solved and made a Fraction here. `run`
+    solves C.C only for the candidates its strategy reads."""
     log = _log_numerators(state.surface, state.boundary)
-    return [solve()[0] for _, solve in _successors(state.surface, log)]
+    found = [solve() for _, solve in _successors(state.surface, log)]
+    return [Candidate(c.name, Fraction(c.x, c.d), Fraction(c.cc, c.dc)) for c in found]
 
 
 def contract(state: MmpState, name: str) -> MmpState:
@@ -208,14 +230,15 @@ def contract(state: MmpState, name: str) -> MmpState:
     solve = next((s for n, s in _successors(pair[0], pair[2][0]) if n == name), None)
     if solve is None:
         raise ModelError(f"{name!r} is not an extremal candidate (needs (K + boundary).C < 0)")
-    cand, cstar = solve()
-    if cand.self_int >= 0:
+    read = solve()
+    if read.cc >= 0:
         raise ModelError(
-            f"{name!r} has self-intersection {cand.self_int} >= 0; it signals a fiber space, not a contraction"
+            f"{name!r} has self-intersection {Fraction(read.cc, read.dc)} >= 0; it signals a fiber space, "
+            "not a contraction"
         )
     violations = []
-    pair, step = audit_step(pair, name, 0, Fraction(0), False, violations, cstar)
-    if step is None:
+    pair, core = audit_step(pair, name, 0, Fraction(0), False, violations, read.cstar)
+    if core is None:
         raise ModelError(violations[-1])
     return MmpState(surface=pair[0], boundary=state.boundary.without(name), step_index=state.step_index + 1)
 
@@ -231,6 +254,23 @@ class AuditStep:
     step3_value: Fraction
     step3_ok: bool
     post_classification: object
+
+
+class _AuditCore(NamedTuple):
+    """`audit_step`'s integer core of an AuditStep, field for field:
+    step3_value as (numerator, denominator) and post_classification as the
+    label core `_labelled` gave, None where it raised. `_report` makes it
+    the record."""
+
+    curve: str
+    rho_before: int
+    rho_after: int
+    effectivity_ok: bool
+    classification: str
+    step3_applicable: bool
+    step3_value: tuple[int, int]
+    step3_ok: bool
+    post_classification: tuple | None
 
 
 @dataclass(frozen=True)
@@ -259,31 +299,46 @@ def run(state: MmpState, strategy, epsilon=Fraction(0)) -> MmpRun:
     """Drive contractions until nef-over-tracked, a fiber-space signal, or an
     exhausted named strategy, auditing each step as it is made.
 
-    The run keeps one state, the audit's pair from `_start`, and each step
-    is the greedy or named policy over `_successors`: it solves C* on the
-    shadow only for the candidates the strategy reads, the curve a named
-    strategy wants or those in rank order up to the first contractible
-    one, and hands the chosen curve's solve to `audit_step`, so a step
-    makes one C* solve and no log-pullback solve. The step is Castelnuovo
-    where the surface before it is smooth, that is, its carried resolution
-    (the start's at step 0) contracts nothing, and C.C = -1 (K.C = -1 then
+    Each step contracts the curve a named strategy wants, or the first
+    contractible candidate in rank order. It is Castelnuovo where the
+    surface before it is smooth, that is, its carried resolution (the
+    start's at step 0) contracts nothing, and C.C = -1 (K.C = -1 then
     follows from genus 0); otherwise it is Artin type. So a start whose
     contracted curves all blow down, and a surface that an Artin step left
-    singular and a later step made smooth again, have Castelnuovo steps.
+    singular and a later step made smooth again, have Castelnuovo steps. A
+    step's `post_classification` is its AuditStep's, the audit's class of
+    the new surface; where the audit has none, the new shadow is
+    classified, so the error raises at the step that meets it, and where
+    the replay cannot go on, the audit's violation raises as a `ModelError`.
 
-    `audit_step` then checks the step, as `audit_run` does, and returns the
-    next pair. A step's `post_classification` is the audit's class of the
-    new surface; where the audit has none, the new shadow is classified, so
-    the error raises at the step that meets it. Where the replay cannot go
-    on, the audit's violation is raised as a `ModelError`. No reachable
-    error is lost: `MmpState` checked the start, every model the audit
-    builds is checked by construction, and each step adds one curve to the
-    shadow's contracted set, which the Hodge index check caps at rank - 1,
-    so a run makes at most rho - 1 steps.
+    The loop, `_drive`, carries integers only; the records are made here,
+    at the edge, in one pass (`_report` for the audit's), their equal
+    Fractions shared through `_fraction`.
     """
     epsilon = Fraction(epsilon)
-    pair, steps, audited, violations = _start(state), [], [], []
-    smooth, bounded = gate = _gate(state, pair, epsilon)
+    steps, outcome, gate, violations = _drive(state, strategy, epsilon)
+    audit = _report(state, gate, epsilon, [core for _, _, core in steps], violations)
+    made = tuple(
+        MmpStep(read.name, _fraction(read.x, read.d), _fraction(read.cc, read.dc), kind, a.post_classification)
+        for (read, kind, _), a in zip(steps, audit.steps)
+    )
+    return MmpRun(steps=made, outcome=outcome, audit=audit)
+
+
+def _drive(state: MmpState, strategy, epsilon: Fraction):
+    """`run`'s loop, in integers: the greedy or named policy over
+    `_successors` on the audit's pair from `_start`. It solves C* only for
+    the candidates the strategy reads, hands the chosen curve's solve to
+    `audit_step`, and makes no log-pullback solve. No reachable error is
+    lost: `MmpState` checked the start, every model the audit builds is
+    checked by construction, and each step adds one curve to the shadow's
+    contracted set, which the Hodge index check caps at rank - 1, so a run
+    makes at most rho - 1 steps. Returns (steps, outcome, gate,
+    violations): per step its `_Read`, CASTELNUOVO or ARTIN_TYPE and
+    `audit_step`'s core; the outcome record, `_gate`'s pair and the
+    violations."""
+    pair, steps, violations = _start(state), [], []
+    smooth, bounded = gate = _gate(pair, epsilon)
     queue = list(strategy.names) if isinstance(strategy, NamedOrder) else None
     while True:
         successors = _successors(pair[0], pair[2][0])
@@ -291,16 +346,17 @@ def run(state: MmpState, strategy, epsilon=Fraction(0)) -> MmpRun:
             successors = list(successors)
         solve = next((s for name, s in successors if name == queue[0]), None) if queue else None
         chosen = solve() if solve else None
-        if chosen is None or chosen[0].self_int >= 0:
-            # C* is solved as each is read, the named curve's once
-            lazy = (chosen if chosen and n == chosen[0].name else s() for n, s in successors)
+        if chosen is None or chosen.cc >= 0:
+            # C* is solved as each is read, the named curve's once; a
+            # candidate is contractible iff C.C < 0
+            lazy = (chosen if chosen and n == chosen.name else s() for n, s in successors)
             top = next(lazy, None)
             if top is None:
                 outcome = MinimalOverTracked()
                 break
-            chosen = top if top[0].self_int < 0 else next((c for c in lazy if c[0].self_int < 0), None)
+            chosen = top if top.cc < 0 else next((c for c in lazy if c.cc < 0), None)
             if chosen is None:
-                outcome = MoriFiberSignal(curve=top[0].name, self_int=top[0].self_int)
+                outcome = MoriFiberSignal(curve=top.name, self_int=Fraction(top.cc, top.dc))
                 break
             if queue is not None:
                 if not queue:
@@ -312,16 +368,16 @@ def run(state: MmpState, strategy, epsilon=Fraction(0)) -> MmpRun:
                 )
         if queue:
             queue.pop(0)
-        cand, cstar = chosen
         smooth_before = pair[3] is None
-        pair, step = audit_step(pair, cand.name, len(steps), epsilon, smooth and bounded, violations, cstar)
-        if step is None:
+        pair, core = audit_step(pair, chosen.name, len(steps), epsilon, smooth and bounded, violations, chosen.cstar)
+        if core is None:
             raise ModelError(violations[-1])
-        audited.append(step)
-        post = step.post_classification or classify(pair[0], _NO_BOUNDARY, epsilon)
-        kind = CASTELNUOVO if smooth_before and cand.self_int == -1 else ARTIN_TYPE
-        steps.append(MmpStep(cand.name, cand.extremal_value, cand.self_int, kind, post))
-    return MmpRun(steps=tuple(steps), outcome=outcome, audit=_report(state, gate, epsilon, audited, violations))
+        if core.post_classification is None:
+            # only an epsilon outside [0, 1] fails `_labelled`; `classify` raises its error at this step
+            classify(pair[0], _NO_BOUNDARY, epsilon)
+        kind = CASTELNUOVO if smooth_before and chosen.cc == -chosen.dc else ARTIN_TYPE
+        steps.append((chosen, kind, core))
+    return steps, outcome, gate, violations
 
 
 def _start(state: MmpState) -> tuple:
@@ -414,18 +470,30 @@ def _rechecked(shadow: SurfaceModel, fixed: dict[str, int], db: int, pullback, b
     return pullback
 
 
-def _gate(initial: MmpState, pair, epsilon: Fraction) -> tuple[bool, bool]:
+def _gate(pair, epsilon) -> tuple[bool, bool]:
     """Whether check (c) applies, computed once a run: a smooth start, whose
     resolution in `pair`, `_start`'s, is None, and boundary coefficients at
-    most 1 - epsilon."""
-    cap = Fraction(1) - epsilon
-    return pair[3] is None, all(c <= cap for _, c in initial.boundary.coefficients)
+    most 1 - epsilon, compared in integers on `_start`'s numerators b over
+    db: b / db <= 1 - p / q iff b q <= (q - p) db."""
+    fixed, db = pair[1]
+    p, q = epsilon.numerator, epsilon.denominator
+    return pair[3] is None, all(b * q <= (q - p) * db for b in fixed.values())
 
 
-def _report(initial: MmpState, gate: tuple[bool, bool], epsilon: Fraction, audited, violations) -> AuditReport:
-    """The AuditReport of the steps `audited` from `initial`, `gate` its `_gate`."""
-    rho_sequence = (initial.rho, *(s.rho_after for s in audited))
-    return AuditReport(initial.rho, rho_sequence, *gate, epsilon, tuple(audited), tuple(violations))
+def _report(initial: MmpState, gate: tuple[bool, bool], epsilon: Fraction, cores, violations) -> AuditReport:
+    """The AuditReport of `audit_step`'s cores from `initial`, `gate` its
+    `_gate`, each core made an AuditStep in one pass."""
+    steps = tuple(
+        AuditStep(
+            *core[:6],  # curve .. step3_applicable, as they stand
+            _fraction(*core.step3_value),
+            core.step3_ok,
+            core.post_classification and _singularity_class(core.post_classification, epsilon),
+        )
+        for core in cores
+    )
+    rho_sequence = (initial.rho, *(s.rho_after for s in steps))
+    return AuditReport(initial.rho, rho_sequence, *gate, epsilon, steps, tuple(violations))
 
 
 def audit_run(run_record: MmpRun, initial: MmpState, epsilon) -> AuditReport:
@@ -440,19 +508,20 @@ def audit_run(run_record: MmpRun, initial: MmpState, epsilon) -> AuditReport:
     negatively. Violations are reported, never raised.
 
     The run's curves are folded through `audit_step`, the check `run` makes
-    after each contraction. Nothing here reads the run's models.
+    after each contraction, and its cores made records by `_report`.
+    Nothing here reads the run's models.
     """
     epsilon = Fraction(epsilon)
-    pair, audited, violations = _start(initial), [], []
-    smooth, bounded = gate = _gate(initial, pair, epsilon)
+    pair, cores, violations = _start(initial), [], []
+    smooth, bounded = gate = _gate(pair, epsilon)
     if len(run_record.steps) > max(initial.rho - 1, 0):
         violations.append(f"bound: run has {len(run_record.steps)} steps, limit {initial.rho - 1}")
     for i, step in enumerate(run_record.steps):
-        pair, audit = audit_step(pair, step.contracted_curve, i, epsilon, smooth and bounded, violations)
-        if audit is None:
+        pair, core = audit_step(pair, step.contracted_curve, i, epsilon, smooth and bounded, violations)
+        if core is None:
             break
-        audited.append(audit)
-    return _report(initial, gate, epsilon, audited, violations)
+        cores.append(core)
+    return _report(initial, gate, epsilon, cores, violations)
 
 
 def audit_step(pair, name: str, i: int, epsilon: Fraction, gate: bool, violations: list, cstar=None):
@@ -462,8 +531,10 @@ def audit_step(pair, name: str, i: int, epsilon: Fraction, gate: bool, violation
     surface's rows. Check (c) applies where `gate`. `cstar` is `name`'s C*
     solve on the shadow, `pulled_back`'s (coef, v, d), which `run` made to
     read C.C; without it, it is solved here. Appends what it finds to
-    `violations` and returns the next pair and the AuditStep, both None
-    where the replay cannot go on.
+    `violations` and returns the next pair and the step's integer core,
+    both None where the replay cannot go on: the AuditStep's fields, with
+    the boundary pairing as (numerator, denominator) and the class as the
+    label core `_labelled` gave (None if it raised).
 
     The step makes no log-pullback solve: `_moved` carries both pullbacks
     through the one C* solve and `_rechecked` checks them against the new
@@ -473,12 +544,12 @@ def audit_step(pair, name: str, i: int, epsilon: Fraction, gate: bool, violation
     their denominators, cross-multiplied, on the step's point only, as the
     ratio check proves that nothing else moved, and (d) the boundary
     pairing B.C*'s numerator, off C*'s row; a Fraction is made only for a
-    reported value. Check (d) reads C*'s support on the resolution: a
+    violation's text. Check (d) reads C*'s support on the resolution: a
     curve that survives there keeps its coefficient, as a strict transform
     has coefficient 1 in a pullback. Check (c) labels the new shadow's
     resolution with K*'s numerators on the curves it keeps contracted (none
-    on a smooth one, and the epsilon check still runs), and keeps the class
-    (None if it raised) for `run` to report. The boundary
+    on a smooth one, and the epsilon check still runs), and keeps the label
+    core (None if it raised) for `run` to report. The boundary
     was checked when the initial state was built, and a step only drops
     the contracted curve from it.
 
@@ -527,11 +598,11 @@ def audit_step(pair, name: str, i: int, epsilon: Fraction, gate: bool, violation
         step3_applicable = not any(m[r][r] == m[K_ROW][r] == -1 for r in support)
         minus1 = mr.self_int(name) == mr.k_dot(name) == -1
     pairing = sum(b * v[rows[n]] for n, b in fixed.items())
-    step3_value = Fraction(pairing, dc * db)
     step3_ok = (not step3_applicable) or pairing < 0
     if not step3_ok:
         violations.append(
-            f"step3: step {i} ({name!r}): pullback support has no (-1)-curve but boundary pairing {step3_value} >= 0"
+            f"step3: step {i} ({name!r}): pullback support has no (-1)-curve but boundary pairing "
+            f"{Fraction(pairing, dc * db)} >= 0"
         )
     try:
         shadow, old = declare_contracted(shadow, [name], cstar), shadow
@@ -572,8 +643,8 @@ def audit_step(pair, name: str, i: int, epsilon: Fraction, gate: bool, violation
     coef = canonical[0]
     terms = [(mr._rows[n], coef[rows[n]]) for n in mr.contracted] if mr else []
     try:
-        post = _singularity_class(_labelled(mr or shadow, terms, coef[K_ROW], epsilon), epsilon)
-        label = post.classification
+        post = _labelled(mr or shadow, terms, coef[K_ROW], epsilon)
+        label = post[0]
     except ModelError as exc:
         post, label = None, f"error: {exc}"
     if gate and label != EPS_LOG_TERMINAL:
@@ -581,8 +652,10 @@ def audit_step(pair, name: str, i: int, epsilon: Fraction, gate: bool, violation
             f"classification: step {i} ({name!r}): surface classifies {label}, "
             f"expected {EPS_LOG_TERMINAL}"
         )
-    step = AuditStep(name, rho_before, rho_after, not bad, label, step3_applicable, step3_value, step3_ok, post)
-    return (shadow, (fixed, db), (log, canonical), mr), step
+    core = _AuditCore(
+        name, rho_before, rho_after, not bad, label, step3_applicable, (pairing, dc * db), step3_ok, post
+    )
+    return (shadow, (fixed, db), (log, canonical), mr), core
 
 
 @dataclass(frozen=True)
@@ -698,6 +771,7 @@ def search_canonical_starts(config: SearchConfig, trials, seed) -> SearchReport:
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    zero = Fraction(0)
     grid = _coefficient_grid(Fraction(1))
     canonical_starts = 0
     total_steps = 0
@@ -718,12 +792,12 @@ def search_canonical_starts(config: SearchConfig, trials, seed) -> SearchReport:
         model = _random_blowups(rng, model, [f"T{i + 2}" for i in range(extra)], chain_names)
         if chain:
             model = declare_contracted(model, chain_names)
-        start = classify(model, QDivisor.zero(), Fraction(0))
+        start = classify(model, _NO_BOUNDARY, zero)
         if start.total_discrepancy is None or start.total_discrepancy < 0:  # canonical by construction
             raise ModelError(f"trial {trial}: start surface classifies {start.classification}, not canonical")
         canonical_starts += 1
         boundary = QDivisor.from_map({n: rng.choice(grid) for n in model.tracked if n not in model.contracted})
-        result = run(MmpState(surface=model, boundary=boundary), MostNegativeFirst())
+        result = run(MmpState(surface=model, boundary=boundary), MostNegativeFirst(), zero)
         total_steps += len(result.steps)
         bad = [s for s in result.steps if s.post_classification.classification == NOT_LOG_CANONICAL]
         if bad:

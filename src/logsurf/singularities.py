@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 from itertools import combinations, compress, count
 from math import lcm
 from numbers import Rational
@@ -69,7 +69,8 @@ class QDivisor:
 
     @classmethod
     def from_map(cls, mapping) -> "QDivisor":
-        items = tuple(sorted((n, Fraction(c)) for n, c in dict(mapping).items()))
+        # a Fraction is kept as it is; anything else is made one
+        items = tuple(sorted((n, c if type(c) is Fraction else Fraction(c)) for n, c in dict(mapping).items()))
         return cls(items)
 
     @classmethod
@@ -324,9 +325,11 @@ def _classified(mr: SurfaceModel, boundary: QDivisor, epsilon) -> tuple[str, int
     return _labelled(mr, [(r, coef[r]) for r in rows], coef[K_ROW], epsilon)
 
 
+@lru_cache(maxsize=256)
 def _singularity_class(core: tuple[str, int | None, int, int], epsilon: Fraction) -> SingularityClass:
     """The `SingularityClass` of a label core's integers (`_labelled`),
-    made Fractions."""
+    made Fractions. The record is frozen and a run's surfaces share a
+    handful of cores, so each (core, epsilon) is made once."""
     label, total, mr_total, d = core
     if total is not None:
         total = Fraction(total, d)

@@ -4,9 +4,9 @@ The script below runs in a `python -O` subprocess, where every `assert`
 statement is removed, and prints the exception each guard raises. The
 package itself holds no `assert` statement at all; `linalg`, the integer
 classification core (the label core that audit check (c) feeds included),
-the audit's carried log pullbacks and audit check (a)'s comparison never
-touch a Fraction. Only
-`lattice._trusted` reads the `_checked` flag, so the builders keep one
+the audit's carried log pullbacks, the successor function's step numbers,
+check (c)'s gate and audit check (a)'s comparison never touch a Fraction.
+Only `lattice._trusted` reads the `_checked` flag, so the builders keep one
 path for raw and checked models. Only `singularities._log_numerators`
 hands K's row to `pulled_back`, so every log pullback is one solve; only
 `pulled_back` calls `solve_exact`, and no function takes a column list,
@@ -186,9 +186,10 @@ def test_classification_core_uses_no_fraction():
 
 def test_carried_pullbacks_use_no_fraction():
     # the audit's rank-one update of the log pullbacks and the column sums
-    # that re-derive (K + B).C run on integers
+    # that re-derive (K + B).C run on integers, and so does the step path:
+    # the successor function's numbers and the check (c) gate
     carried = functions("mmp.py")
-    for name in ("_start", "_moved", "_paired"):
+    for name in ("_start", "_moved", "_paired", "_successors", "_gate"):
         assert names_fraction(carried[name]) == [], name
 
 
@@ -294,13 +295,22 @@ def mmp_callers(name):
 
 
 def test_one_successor_function_ranks_and_solves_a_step():
-    # `run`, `step_candidates` and `contract` step through `_successors`
-    # alone: it ranks off a (K + B)* row and solves each C* it is asked
-    # for. The log pullback is solved at a run's start, for `extremal_pairing`
-    # and, K + B alone, for `step_candidates`; `audit_step` solves C* only
-    # for a stored run
+    # `_drive` (`run`'s loop), `step_candidates` and `contract` step
+    # through `_successors` alone: it ranks off a (K + B)* row and solves
+    # each C* it is asked for. The log pullback is solved at a run's start,
+    # for `extremal_pairing` and, K + B alone, for `step_candidates`;
+    # `audit_step` solves C* only for a stored run
     assert mmp_callers("_ranked") == ["_successors"]
-    assert mmp_callers("_successors") == ["contract", "run", "step_candidates"]
+    assert mmp_callers("_successors") == ["_drive", "contract", "step_candidates"]
+    assert mmp_callers("_drive") == ["run"]
+    # both harnesses run `run`, so a hook on `mmp.run` sees every run
+    assert mmp_callers("run") == ["search_canonical_starts", "verify_smooth_start_runs"]
+    assert mmp_callers("audit_step") == ["_drive", "audit_run", "contract"]
+    # records are made at the edge, off the loop's integer cores
+    assert mmp_callers("Candidate") == ["step_candidates"]
+    assert mmp_callers("MmpStep") == ["run"]
+    assert mmp_callers("AuditStep") == mmp_callers("_singularity_class") == ["_report"]
+    assert mmp_callers("_fraction") == ["_report", "run", "run"]
     assert mmp_callers("pulled_back") == ["_successors", "audit_step", "contracted_self_intersection"]
     assert mmp_callers("_log_numerators") == ["_start", "extremal_pairing", "step_candidates"]
 

@@ -1,7 +1,7 @@
 import random
 import re
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -1150,6 +1150,51 @@ class TestSavedWork:
         result = run(fiber_signal_state(), MostNegativeFirst())
         assert isinstance(result.outcome, MoriFiberSignal) and len(calls) == 1
 
+    def test_the_loop_makes_no_fraction_and_no_record(self, monkeypatch):
+        # `run`'s loop, `_drive`, carries integers: on the harnesses' runs it
+        # makes no Fraction and no record, and a candidate it reads is no
+        # Candidate. `run` makes the records at the edge, one MmpStep,
+        # AuditStep and class a step, and reads three values a step off
+        # `_fraction` (extremal value, C.C, boundary pairing), which makes a
+        # Fraction only for a value it has not made before; `mmp` makes
+        # `run`'s epsilon once a run. The grids are cached before counting.
+        for cap in (F(6, 7), F(1)):
+            _coefficient_grid(cap)
+        names = ("Fraction", "Candidate", "MmpStep", "AuditStep", "_singularity_class")
+        made = {name: counting(monkeypatch, mmp, name) for name in names}
+        in_loop, real_drive, shared = [], mmp._drive, mmp._fraction
+
+        def recorded(*args):
+            before = {name: len(calls) for name, calls in made.items()}
+            hits = shared.cache_info()[:2]
+            out = real_drive(*args)
+            moved = {name: len(calls) - before[name] for name, calls in made.items() if len(calls) > before[name]}
+            in_loop.append((moved, shared.cache_info()[:2] == hits))
+            return out
+
+        monkeypatch.setattr(mmp, "_drive", recorded)
+        for harness, steps, fixed, distinct in (
+            # the harness's epsilon and grid cap
+            (lambda: verify_smooth_start_runs(40, SEED, F(1, 7), max_blowups=12), 281, 2, 92),
+            # the grid cap and epsilon 0
+            (lambda: search_canonical_starts(SearchConfig(), 40, SEED), 187, 2, 92),
+        ):
+            for calls in (in_loop, *made.values()):
+                calls.clear()
+            shared.cache_clear()
+            assert harness().total_steps == steps
+            assert in_loop == [({}, True)] * 40
+            assert made["Candidate"] == []
+            assert len(made["MmpStep"]) == len(made["AuditStep"]) == len(made["_singularity_class"]) == steps
+            assert len(made["Fraction"]) == fixed + 40
+            hits, misses, *_ = shared.cache_info()
+            assert (hits + misses, misses) == (3 * steps, distinct)
+
+    def test_the_audit_core_is_an_audit_step_field_for_field(self):
+        # `_report` makes each core its AuditStep in order, so a field moved
+        # in one and not the other fails here
+        assert mmp._AuditCore._fields == tuple(f.name for f in fields(AuditStep))
+
     def test_the_audit_solves_only_what_it_is_not_handed(self, monkeypatch):
         # inside `run`, `audit_step` solves nothing: it is handed the C* solve
         # and carries both log pullbacks; replaying a stored run, it solves
@@ -1837,6 +1882,37 @@ class TestAuditViolations:
         )
         return MmpRun(steps=steps, outcome=Exhausted(), audit=None)
 
+    @pytest.mark.parametrize(
+        "epsilon, coefficient, bounded",
+        [
+            (F(0), F(1), True),
+            (F(1, 7), F(6, 7), True),
+            (F(1, 6), F(5, 6), True),
+            (F(1, 6), F(1), False),
+            (F(1, 4), F(3, 4), True),
+            (F(1, 4), F(11, 12), False),
+            (F(1, 2), F(1, 2), True),
+            (F(1, 2), F(2, 3), False),
+            (F(1), F(1, 6), False),
+            (F(2), F(1, 6), False),  # out of range: the cap is -1
+            (F(-1, 2), F(1), True),  # the cap is 3/2
+        ],
+    )
+    def test_coefficients_bounded_at_the_cap(self, epsilon, coefficient, bounded):
+        # check (c)'s gate compares `_start`'s boundary numerators in
+        # integers: a coefficient exactly at 1 - epsilon is bounded, one a
+        # sixth above it is not, as the Fractions compare
+        model = new_projective_plane()
+        for name in ("A", "B", "C"):
+            model = blow_up(model, PointSpec.general(), name)
+        for coefficients in ({"A": coefficient}, {"A": coefficient, "B": F(1, 2), "C": F(2, 5)}):
+            assert all(c <= 1 - epsilon for c in coefficients.values()) is bounded
+            initial = MmpState(surface=model, boundary=QDivisor.from_map(coefficients))
+            reports = [audit_run(self.fake_run([]), initial, epsilon)]
+            if 0 <= epsilon <= 1:
+                reports.append(run(initial, MostNegativeFirst(), epsilon).audit)
+            assert [r.coefficients_bounded for r in reports] == [bounded] * len(reports)
+
     def test_bound_and_repeat_violations(self):
         model = new_projective_plane()
         for name in ("A", "B", "C"):
@@ -1989,16 +2065,17 @@ class TestAuditReplay:
             initial = MmpState(surface=model, boundary=boundary)
             epsilon = (F(0), F(1, 7), F(1, 4))[trial % 3]
             result = run(initial, MostNegativeFirst(), epsilon)
-            pair, violations = mmp._start(initial), []
-            smooth, bounded = mmp._gate(initial, pair, epsilon)
+            pair, violations, cores = mmp._start(initial), [], []
+            gate = mmp._gate(pair, epsilon)
             for i, step in enumerate(result.steps):
-                pair, audit = mmp.audit_step(pair, step.contracted_curve, i, epsilon, smooth and bounded, violations)
+                pair, core = mmp.audit_step(pair, step.contracted_curve, i, epsilon, all(gate), violations)
                 shadow, _, _, mr = pair
-                assert audit == result.audit.steps[i]
+                cores.append(core)
                 fresh = minimal_resolution(shadow)
                 assert (mr == fresh) if fresh.contracted else (mr is None)
                 carried += fresh.rank < shadow.rank
-            assert tuple(violations) == result.audit.violations
+            # the cores, made records at the edge, are the run's audit, steps and violations
+            assert mmp._report(initial, gate, epsilon, cores, violations) == result.audit
             assert list(result.audit.steps) == fresh_audit_steps(result.steps, initial, epsilon)[0]
             steps += len(result.steps)
         # the replay must reach shadow models that need resolving
@@ -2081,6 +2158,60 @@ class TestHarnesses:
             SearchConfig(max_blowups=-4)
         with pytest.raises(ValueError, match="max_blowups 0 is below the 1 blow-ups"):
             SearchConfig(max_blowups=0, smooth_starts_only=True)
+
+    @staticmethod
+    def harness_runs(monkeypatch, harness):
+        """`harness()`'s report and the MmpRun of each of its trials: a
+        harness runs `run` itself, where a hook on `mmp.run` sees it."""
+        results, real = [], mmp.run
+
+        def recorded(*args, **kwargs):
+            results.append(real(*args, **kwargs))
+            return results[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(mmp, "run", recorded)
+            report = harness()
+        assert len(results) == report.trials
+        return report, results
+
+    @staticmethod
+    def planted(monkeypatch):
+        """Label every singular surface the audit classifies not log
+        canonical, a rule of its input, so that check (c) reports
+        violations and the harnesses have not-log-canonical steps to fold."""
+        real = mmp._labelled
+
+        def labelled(mr, terms, d, epsilon):
+            label, *rest = real(mr, terms, d, epsilon)
+            return (NOT_LOG_CANONICAL if terms else label, *rest)
+
+        monkeypatch.setattr(mmp, "_labelled", labelled)
+
+    @pytest.mark.parametrize("plant", [False, True])
+    @pytest.mark.parametrize("epsilon", [F(0), F(1, 7), F(1, 4)])
+    def test_verification_folds_run(self, monkeypatch, epsilon, plant):
+        if plant:
+            self.planted(monkeypatch)
+        report, results = self.harness_runs(monkeypatch, lambda: verify_smooth_start_runs(40, SEED, epsilon, 12))
+        assert report.total_steps == sum(len(r.steps) for r in results) > 150
+        outcomes = Counter(type(r.outcome).__name__ for r in results)
+        assert report.outcome_counts == tuple(sorted(outcomes.items()))
+        violations = [f"trial {t}: {v}" for t, r in enumerate(results) for v in r.audit.violations]
+        assert list(report.violations) == violations and (len(violations) > 20) == plant
+
+    @pytest.mark.parametrize("plant", [False, True])
+    def test_search_folds_run(self, monkeypatch, plant):
+        if plant:
+            self.planted(monkeypatch)
+        report, results = self.harness_runs(monkeypatch, lambda: search_canonical_starts(SearchConfig(), 40, SEED))
+        assert report.total_steps == sum(len(r.steps) for r in results) > 150
+        bad = [[s for s in r.steps if s.post_classification.classification == NOT_LOG_CANONICAL] for r in results]
+        assert report.runs_with_not_lc_intermediate == sum(map(bool, bad))
+        assert report.not_lc_steps == sum(map(len, bad)) and (report.not_lc_steps > 20) == plant
+        text = "trial {}: step {!r} leaves a not-log-canonical surface"
+        samples = [text.format(t, b[0].contracted_curve) for t, b in enumerate(bad) if b]
+        assert list(report.samples) == samples[:5]
 
     @pytest.mark.parametrize(
         "config",
