@@ -8,13 +8,7 @@ extremal contraction runs.
 """
 
 from .dot import export_dot
-from .dualgraph import (
-    GraphShape,
-    WeightedDualGraph,
-    build_dual_graph,
-    graph_shape,
-    is_negative_definite,
-)
+from .dualgraph import WeightedDualGraph, build_dual_graph
 from .errors import (
     LogSurfError,
     ModelError,
@@ -25,7 +19,6 @@ from .errors import (
 from .lattice import (
     PointSpec,
     SurfaceModel,
-    blow_down,
     blow_up,
     declare_contracted,
     new_projective_plane,
@@ -76,7 +69,6 @@ from .singularities import (
     log_discrepancies,
     minimal_resolution,
     pullback,
-    total_discrepancy_snc,
 )
 
 __version__ = "0.1.0"
@@ -88,7 +80,6 @@ __all__ = [
     "EPS_LOG_CANONICAL",
     "EPS_LOG_TERMINAL",
     "Exhausted",
-    "GraphShape",
     "LogSurfError",
     "MinimalOverTracked",
     "MmpRun",
@@ -114,7 +105,6 @@ __all__ = [
     "VerificationReport",
     "WeightedDualGraph",
     "audit_run",
-    "blow_down",
     "blow_up",
     "build_dual_graph",
     "build_model",
@@ -125,8 +115,6 @@ __all__ = [
     "declare_contracted",
     "export_dot",
     "extremal_pairing",
-    "graph_shape",
-    "is_negative_definite",
     "load_scenario",
     "log_discrepancies",
     "minimal_resolution",
@@ -139,6 +127,5 @@ __all__ = [
     "serialize_scenario",
     "star_scenario",
     "step_candidates",
-    "total_discrepancy_snc",
     "verify_smooth_start_runs",
 ]

@@ -10,11 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .dot import export_dot
 from .dualgraph import build_dual_graph
-from .errors import ModelError, MultiEdgeError, ScenarioError
+from .errors import LogSurfError
 from .mmp import (
     MmpRun,
     SearchConfig,
@@ -326,7 +325,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except (ScenarioError, ModelError, MultiEdgeError, ValueError, OSError) as exc:
+    except (LogSurfError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

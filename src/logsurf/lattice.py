@@ -342,23 +342,14 @@ def blow_up(model: SurfaceModel, point: PointSpec, exc_name: str) -> SurfaceMode
     return _contracted_checked(blown, ())
 
 
-def blow_down(model: SurfaceModel, exc_name: str) -> SurfaceModel:
-    """Contract a (-1)-curve e to a smooth point: every other row D, K included,
-    becomes D + (D.e)e, e's row and column go, and the rank drops by one."""
-    model = _trusted(model)
-    if model.self_int(exc_name) != -1 or model.k_dot(exc_name) != -1:
-        raise ModelError(f"{exc_name!r} is not a (-1)-curve; cannot blow down")
-    return blow_down_cascade(model, [exc_name])
-
-
 def blow_down_cascade(model: SurfaceModel, names) -> SurfaceModel:
     """Blow down the first of `names` with C.C = K.C = -1 in the current
     matrix, again and again until none is left; `model` itself if none is.
-    `names` may hold curves that `model` does not contract: `blow_down`
-    passes its one curve, and the audit passes a minimal resolution's
-    contracted curves and the step's curve C, a (-1)-curve there, which is
-    blown down first. That is the minimal resolution of the model with C
-    declared contracted, built without that model.
+    `names` may hold curves that `model` does not contract: the audit
+    passes a minimal resolution's contracted curves and the step's curve C,
+    a (-1)-curve there, which is blown down first. That is the minimal
+    resolution of the model with C declared contracted, built without that
+    model.
 
     One pass over the old rows; a row is copied only in a round that moves
     it. Blowing down e is the update M + g g^T with g the column of e: only

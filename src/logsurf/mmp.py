@@ -170,17 +170,6 @@ def extremal_pairing(model: SurfaceModel, boundary: QDivisor, name: str) -> Frac
     return Fraction(v[model.row(name)], coef[K_ROW])
 
 
-def contracted_self_intersection(model: SurfaceModel, name: str) -> Fraction:
-    """C.C on the modeled surface (not on the resolution): C*.C* = C*.C,
-    read off C*'s row. The model is checked at entry."""
-    model = _trusted(model)
-    if name in model.contracted:
-        raise ModelError(f"curve {name!r} is contracted; it has no self-intersection on the modeled surface")
-    r = model.row(name)
-    _, v, d = pulled_back(model, [(r, 1)])
-    return Fraction(v[r], d)
-
-
 def _ranked(model: SurfaceModel, row) -> list[tuple[int, str]]:
     """The sorted keys (x, name) of `model`'s non-contracted curves with
     (K + B).C = x / d < 0, `row` the numerators of L*'s row over every row

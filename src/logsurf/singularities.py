@@ -13,7 +13,6 @@ rationals.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, total_ordering
@@ -244,41 +243,17 @@ def _snc_total(numerators: list[int], d: int, edges) -> int | None:
     any n_i > d. An edge of multiplicity 2 or more raises MultiEdgeError,
     before any coefficient is looked at.
 
-    An edge's own term d - n_a - n_b never lowers the minimum: with every
-    n_i <= d it is at least -max(n_a, n_b), a vertex term."""
+    With b_i = n_i / d, a node blow-up adds the coefficient b_a + b_b - 1
+    and deeper ones never undercut the first level, so the total is
+    min(1, min_i(-b_i), min over edges (1 - b_a - b_b)). An edge's term
+    d - n_a - n_b never lowers the minimum: with every n_i <= d it is at
+    least -max(n_a, n_b), a vertex term."""
     for (a, b), k in edges:
         if k >= 2:
             raise MultiEdgeError(f"multiple intersection points between {a!r} and {b!r}")
     if any(n > d for n in numerators):
         return None
     return min([d] + [-n for n in numerators])
-
-
-def total_discrepancy_snc(coefficients, edges) -> Fraction | _NegInfinity:
-    """Total discrepancy of a simple normal crossing configuration.
-
-    `coefficients` maps vertex name -> coefficient b (so the discrepancy
-    of the vertex itself is -b); `edges` lists transverse intersection
-    points as name pairs. Any coefficient above 1 sinks the total to
-    NEG_INFINITY, which is exact, not a float. Otherwise node blow-ups can only produce
-    coefficients b_i + b_j - 1 and deeper candidates never undercut the
-    first level, so the total is
-    min(1, min_i(-b_i), min over edges (1 - b_i - b_j)), in which no edge
-    term undercuts its worse vertex. The coefficients are put over one
-    denominator and handed to the integer rule `classify` uses.
-    """
-    coeffs = {name: Fraction(c) for name, c in dict(coefficients).items()}
-    counts = Counter()
-    for a, b in edges:
-        if a == b:
-            raise MultiEdgeError(f"vertex {a!r} meets itself; not simple normal crossing")
-        if a not in coeffs or b not in coeffs:
-            raise ModelError("edge endpoint is not a vertex")
-        counts[tuple(sorted((a, b)))] += 1
-    d = lcm(*(c.denominator for c in coeffs.values()))
-    numerators = [c.numerator * (d // c.denominator) for c in coeffs.values()]
-    total = _snc_total(numerators, d, counts.items())
-    return NEG_INFINITY if total is None else Fraction(total, d)
 
 
 def _threshold_label(total: int | None, d: int, epsilon) -> str:

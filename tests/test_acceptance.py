@@ -9,19 +9,19 @@ against the independent oracles in oracles.py inside the tests themselves.
 import itertools
 import random
 import time
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction as F
 from functools import lru_cache
 
 import pytest
 
-from logsurf.dualgraph import WeightedDualGraph, graph_shape, is_negative_definite
 from logsurf.lattice import PointSpec, blow_up, new_projective_plane
+from logsurf.linalg import negative_definite_factor
 from logsurf.mmp import (
     MmpState,
     MostNegativeFirst,
     contract,
-    contracted_self_intersection,
     extremal_pairing,
     run,
     verify_smooth_start_runs,
@@ -34,9 +34,9 @@ from logsurf.singularities import (
     classify,
     log_discrepancies,
     pullback,
-    total_discrepancy_snc,
 )
-from oracles import charpoly_negdef, gauss_solve, snc_search_oracle
+from oracles import charpoly_negdef, dot, gauss_solve, mumford_pullback, snc_search_oracle
+from test_singularities import snc_total
 
 SEED = 90210
 
@@ -94,11 +94,13 @@ def test_criterion_2_pullback_coefficients_and_pair_degree(gate):
             c0 = F(1, n0 - 1)
             c = pullback(model, QDivisor.from_map({"D": 1}))
             assert c.as_map() == {"E0": c0, "E1": c0 / 2, "E2": c0 / 3, "E3": c0 / 6}
-            # route one: the package's own pairing on the contracted surface
+            # route one: the package's pairing on the contracted surface,
+            # split into K.D* and the oracle's D*.D*
             full = QDivisor.from_map({"D": 1})
             via_package = extremal_pairing(model, full, "D")
             k_part = extremal_pairing(model, QDivisor.zero(), "D")
-            self_part = contracted_self_intersection(model, "D")
+            pulled = mumford_pullback(model, "D")
+            self_part = dot(model, pulled, pulled)
             assert via_package == k_part + self_part == c0 - 1
             # route two: expand (K + D).(D + sum c_i E_i) with raw lattice numbers
             direct = F(model.k_dot("D") + model.self_int("D"))
@@ -112,7 +114,8 @@ def test_criterion_3_threshold_root_and_boundary_classification(gate):
     with gate(3):
         model = build_model(star_scenario(5, (2, 2, 2), 3))
         k_part = extremal_pairing(model, QDivisor.zero(), "D")
-        self_part = contracted_self_intersection(model, "D")
+        pulled = mumford_pullback(model, "D")
+        self_part = dot(model, pulled, pulled)
         assert k_part == F(13, 7)
         assert self_part == F(-19, 7)
         root = -k_part / self_part
@@ -212,10 +215,8 @@ def test_criterion_7_snc_formula_matches_blowup_search_oracle(gate):
         checked = 0
         totals = set()
         for n, edges in TREE_SHAPES:
-            names = [f"V{i}" for i in range(n)]
-            named_edges = [(names[i], names[j]) for i, j in edges]
             for combo in itertools.product(COEFF_GRID, repeat=n):
-                got = total_discrepancy_snc(dict(zip(names, combo)), named_edges)
+                got = snc_total(combo, edges)
                 assert got == snc_search_oracle(combo, edges, max_blowups=4)
                 totals.add(got)
                 checked += 1
@@ -236,42 +237,35 @@ def test_criterion_8_minor_signs_match_characteristic_polynomial_oracle(gate):
         cases = [(n, chain(n)) for n in range(1, 6)] + [(4, star(4)), (5, star(5))]
         checked = accepted = rejected = 0
         for n, edges in cases:
-            names = [f"V{i}" for i in range(n)]
-            named_edges = [(names[i], names[j]) for i, j in edges]
             for weights in itertools.product(range(-6, 0), repeat=n):
-                graph = WeightedDualGraph.from_weights(dict(zip(names, weights)), named_edges)
-                got = is_negative_definite(graph)
-                assert got == charpoly_negdef(graph.intersection_matrix())
+                # the weighted graph's intersection matrix: weights on the
+                # diagonal, one per edge off it
+                matrix = [[w if i == j else 0 for j in range(n)] for i, w in enumerate(weights)]
+                for i, j in edges:
+                    matrix[i][j] = matrix[j][i] = 1
+                got = negative_definite_factor(matrix) is not None
+                assert got == charpoly_negdef(matrix)
                 checked += 1
                 accepted += got
                 rejected += not got
         assert checked == 18402
-        assert accepted > 0 and rejected > 0
+        assert (accepted, rejected) == (15649, 2753)
 
 
 def test_criterion_9_log_canonical_trees_are_chains_or_three_forks(gate):
     with gate(9):
-        shape_of = {}
-        for n, edges in TREE_SHAPES:
-            names = [f"V{i}" for i in range(n)]
-            named_edges = [(names[i], names[j]) for i, j in edges]
-            graph = WeightedDualGraph.from_weights({v: -2 for v in names}, named_edges)
-            shape_of[(n, edges)] = graph_shape(graph)
         log_canonical = chains = forks = 0
         for n, edges in TREE_SHAPES:
-            names = [f"V{i}" for i in range(n)]
-            named_edges = [(names[i], names[j]) for i, j in edges]
-            shape = shape_of[(n, edges)]
+            # a tree's shape off its degrees: a chain has no vertex of
+            # degree 3 or more, a fork one, of degree its branch count
+            branches = [k for k in Counter(v for edge in edges for v in edge).values() if k >= 3]
             for combo in itertools.product(COEFF_GRID, repeat=n):
-                total = total_discrepancy_snc(dict(zip(names, combo)), named_edges)
-                if total < -1:
+                if snc_total(combo, edges) < -1:
                     continue
                 log_canonical += 1
-                assert shape.kind in ("chain", "fork")
-                if shape.kind == "fork":
-                    assert shape.branch_count == 3
+                assert branches in ([], [3])
+                if branches:
                     forks += 1
                 else:
                     chains += 1
-        assert log_canonical == chains + forks
-        assert chains > 0 and forks > 0
+        assert (log_canonical, chains, forks) == (5201, 2800, 2401)

@@ -32,7 +32,7 @@ from fractions import Fraction
 from logsurf.dualgraph import WeightedDualGraph, build_dual_graph
 from logsurf.lattice import PointSpec, SurfaceModel, _validated, blow_up, declare_contracted
 from logsurf.linalg import extend_factor, negative_definite_factor, solve_exact, solved_border
-from logsurf.singularities import QDivisor, minimal_resolution, pulled_back, total_discrepancy_snc
+from logsurf.singularities import QDivisor, minimal_resolution, pulled_back
 from oracles import coordinate_model
 
 try:
@@ -79,7 +79,6 @@ guards = {
     "no-factor": lambda: pulled_back(positive_line, [(positive_line.row("L"), 1)]),
     "negativity-lemma": lambda: pulled_back(negative_solution, [(negative_solution.row("D"), 1)]),
     "genus": lambda: minimal_resolution(nodal),
-    "snc-endpoint": lambda: total_discrepancy_snc({"a": 1}, [("a", "b")]),
     "qdivisor-order": lambda: QDivisor((("B", Fraction(1)), ("A", Fraction(1)))),
     "qdivisor-type": lambda: QDivisor((("A", 1),)),
     "point-kind": lambda: PointSpec("nowhere"),
@@ -129,7 +128,6 @@ def test_guards_raise_under_python_O():
         "no-factor: ModelError: contracted configuration ['H'] is not negative definite",
         "negativity-lemma: ModelError: negativity lemma violated; model inconsistent",
         "genus: ModelError: curve 'N' is not a smooth rational class (genus != 0)",
-        "snc-endpoint: ModelError: edge endpoint is not a vertex",
         "qdivisor-order: ValueError: divisor names must be sorted and distinct: ['B', 'A']",
         "qdivisor-type: ValueError: divisor coefficients must be Fractions",
         "point-kind: ModelError: unknown point kind 'nowhere'",
@@ -311,7 +309,7 @@ def test_one_successor_function_ranks_and_solves_a_step():
     assert mmp_callers("MmpStep") == ["run"]
     assert mmp_callers("AuditStep") == mmp_callers("_singularity_class") == ["_report"]
     assert mmp_callers("_fraction") == ["_report", "run", "run"]
-    assert mmp_callers("pulled_back") == ["_successors", "audit_step", "contracted_self_intersection"]
+    assert mmp_callers("pulled_back") == ["_successors", "audit_step"]
     assert mmp_callers("_log_numerators") == ["_start", "extremal_pairing", "step_candidates"]
 
 
@@ -324,18 +322,11 @@ def test_only_the_audit_builds_a_later_resolution():
     assert mmp_callers("minimal_resolution") == ["_start", "audit_step"]
 
 
-def test_mmp_never_blows_a_curve_down_by_name():
-    # a step declares its curve contracted on the shadow; only the audit's
-    # resolution is blown down, through `blow_down_cascade`
-    path = SRC / "logsurf" / "mmp.py"
-    found = [
-        getattr(node, "lineno", 0)
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if (isinstance(node, ast.Name) and node.id == "blow_down")
-        or (isinstance(node, ast.Attribute) and node.attr == "blow_down")
-        or (isinstance(node, ast.alias) and node.name == "blow_down")
-    ]
-    assert found == []
+def test_curves_are_blown_down_only_in_cascades():
+    # the package blows curves down in two places, both through
+    # `blow_down_cascade`: the minimal resolution and the audit's step
+    cascades = [(module, scope) for module, scope, node in package_calls() if called(node) == "blow_down_cascade"]
+    assert cascades == [("mmp", "audit_step"), ("singularities", "minimal_resolution")]
 
 
 def test_no_function_takes_a_column_list():
@@ -360,4 +351,4 @@ def test_public_names_are_listed_once():
     public = {n for n, v in vars(logsurf).items() if not n.startswith("_") and not isinstance(v, ModuleType)}
     assert len(logsurf.__all__) == len(set(logsurf.__all__))
     assert set(logsurf.__all__) == public
-    assert len(public) == 59
+    assert len(public) == 54

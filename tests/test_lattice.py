@@ -13,7 +13,6 @@ from logsurf.lattice import (
     PointSpec,
     SurfaceModel,
     _validated,
-    blow_down,
     blow_down_cascade,
     blow_up,
     declare_contracted,
@@ -147,7 +146,7 @@ class TestBlowDown:
     def test_round_trip(self):
         base = tower((PointSpec.general(), "A"))
         m = blow_up(base, PointSpec.on_curve("A"), "B")
-        down = blow_down(m, "B")
+        down = blow_down_cascade(m, ["B"])
         assert down.rank == base.rank
         assert down.k_squared == 8
         assert down.self_int("A") == -1
@@ -158,17 +157,22 @@ class TestBlowDown:
 
     def test_canonical_pushforward(self):
         m = tower((PointSpec.general(), "A"))
-        down = blow_down(m, "A")
+        down = blow_down_cascade(m, ["A"])
         # K - e pairs like the plane's canonical class again
         assert down.names == ()
         assert down.matrix == ((9,),)
         assert down.k_squared == 9
 
     def test_only_minus_one_curves(self):
+        # a cascade with no (-1)-curve among its names is a no-op
         m = tower((PointSpec.general(), "A"), (PointSpec.on_curve("A"), "B"))
         assert m.self_int("A") == -2
-        with pytest.raises(ModelError):
-            blow_down(m, "A")
+        assert blow_down_cascade(m, ["A"]) is m
+
+    def test_unknown_name(self):
+        with pytest.raises(ModelError) as exc:
+            blow_down_cascade(tower((PointSpec.general(), "A")), ["Z"])
+        assert str(exc.value) == "unknown curve 'Z'"
 
     def test_cascade(self):
         m = tower(
@@ -176,11 +180,11 @@ class TestBlowDown:
             (PointSpec.on_curve("A"), "B"),
             (PointSpec.on_curve("B"), "C"),
         )
-        m = blow_down(m, "C")
+        m = blow_down_cascade(m, ["C"])
         assert m.self_int("B") == -1
-        m = blow_down(m, "B")
+        m = blow_down_cascade(m, ["B"])
         assert m.self_int("A") == -1
-        m = blow_down(m, "A")
+        m = blow_down_cascade(m, ["A"])
         assert m.rank == 1 and m.k_squared == 9 and not m.tracked
 
 
@@ -254,7 +258,7 @@ class TestContractedSet:
             (PointSpec.on_curve("A"), "B"),
             (PointSpec.at_intersection("A", "B"), "Z"),
         )
-        down = blow_down(m, "Z")
+        down = blow_down_cascade(m, ["Z"])
         # contracting Z re-joins A and B and returns one unit of self-intersection
         assert down.intersection("A", "B") == 1
         assert down.self_int("A") == -2
@@ -266,7 +270,7 @@ class TestContractedSet:
         m = _validated(coordinate_model(3, (-3, 1, 1), {"E1": (0, 1, 0), "E2": (0, 0, 1), "L": (1, -1, -1)}))
         m = declare_contracted(m, ["L"])
         with pytest.raises(NotNegativeDefiniteError) as exc:
-            blow_down(m, "E1")
+            blow_down_cascade(m, ["E1"])
         assert str(exc.value) == "contracted curve 'L' has self-intersection 0 >= 0"
 
     def test_unknown_name(self):
@@ -459,7 +463,7 @@ class TestInvariants:
             if not ones:
                 continue
             e = rng.choice(ones)
-            down = blow_down(m, e)
+            down = blow_down_cascade(m, [e])
             for a in down.tracked:
                 for b in down.tracked:
                     before = m.intersection(a, b) + m.intersection(a, e) * m.intersection(b, e)
@@ -641,7 +645,7 @@ class TestCoordinateOracle:
                 if not ones:
                     continue
                 e = ones[pick % len(ones)]
-                model = blow_down(model, e)
+                model = blow_down_cascade(model, [e])
                 oracle.blow_down(e)
             else:
                 free = [n for n in names if n not in model.contracted]

@@ -16,7 +16,7 @@ from logsurf.lattice import (
     PointSpec,
     SurfaceModel,
     _validated,
-    blow_down,
+    blow_down_cascade,
     blow_up,
     declare_contracted,
     new_projective_plane,
@@ -38,7 +38,6 @@ from logsurf.mmp import (
     _coefficient_grid,
     audit_run,
     contract,
-    contracted_self_intersection,
     extremal_pairing,
     parse_strategy,
     run,
@@ -128,7 +127,7 @@ class TestPairings:
     def test_threshold_divisor_numbers(self):
         model = threshold_state().surface
         assert extremal_pairing(model, QDivisor.zero(), "D") == F(13, 7)
-        assert contracted_self_intersection(model, "D") == F(-19, 7)
+        assert mumford_pairings(model, {})["D"] == (F(13, 7), F(-19, 7))
 
     def test_boundary_scaling_and_root(self):
         model = threshold_state().surface
@@ -145,7 +144,6 @@ class TestPairings:
     def test_smooth_model_matches_plain_pairing(self):
         model = quad_tower_uncontracted()
         assert extremal_pairing(model, QDivisor.zero(), "D") == model.k_dot("D")
-        assert contracted_self_intersection(model, "D") == model.self_int("D")
 
     @pytest.mark.parametrize(
         "coefficients, message",
@@ -162,19 +160,17 @@ class TestPairings:
         assert str(exc.value) == message
 
     def test_a_hand_built_model_is_validated(self):
-        # genus 1 + (C.C + K.C) / 2 = 4: unchecked, the two read 0 and 6
+        # genus 1 + (C.C + K.C) / 2 = 4: unchecked, the pairing reads 0
         raw = SurfaceModel(rank=2, names=("A",), matrix=((8, 0), (0, 6)))
-        reads = (lambda: extremal_pairing(raw, QDivisor.zero(), "A"), lambda: contracted_self_intersection(raw, "A"))
-        for read in reads:
-            with pytest.raises(ModelError) as exc:
-                read()
-            assert str(exc.value) == "curve 'A' is not a smooth rational class (genus != 0)"
+        with pytest.raises(ModelError) as exc:
+            extremal_pairing(raw, QDivisor.zero(), "A")
+        assert str(exc.value) == "curve 'A' is not a smooth rational class (genus != 0)"
 
-    def test_contracted_curve_has_no_self_intersection_here(self):
+    def test_contracted_curve_has_no_extremal_pairing(self):
         model = build_model(star_scenario(5, (2, 2, 2), 3))
         with pytest.raises(ModelError) as exc:
-            contracted_self_intersection(model, "E1")
-        assert str(exc.value) == "curve 'E1' is contracted; it has no self-intersection on the modeled surface"
+            extremal_pairing(model, QDivisor.zero(), "E1")
+        assert str(exc.value) == "curve 'E1' is contracted; it has no extremal pairing"
 
 
 class TestStepCandidates:
@@ -204,9 +200,9 @@ class TestStepCandidates:
 
 
 def assert_ranking_matches(model, boundary):
-    """step_candidates, extremal_pairing and contracted_self_intersection
-    against one Mumford pullback per curve, paired through the bilinear
-    form: equal Fractions, or the same exception."""
+    """step_candidates and extremal_pairing against one Mumford pullback per
+    curve, paired through the bilinear form: equal Fractions, or the same
+    exception."""
     state = MmpState(surface=model, boundary=boundary)
     try:
         expected = pairwise_ranking(model, boundary.as_map())
@@ -217,9 +213,8 @@ def assert_ranking_matches(model, boundary):
         return
     assert [(c.name, c.extremal_value, c.self_int) for c in step_candidates(state)] == expected
     # every curve, including those with value >= 0 that meet the contracted set
-    for name, (value, self_int) in mumford_pairings(model, boundary.as_map()).items():
+    for name, (value, _) in mumford_pairings(model, boundary.as_map()).items():
         assert extremal_pairing(model, boundary, name) == value
-        assert contracted_self_intersection(model, name) == self_int
 
 
 class TestRankingOracle:
@@ -328,7 +323,7 @@ class TestMetamorphic:
     @given(TOWER_OPS)
     def test_general_blow_up_then_blow_down_is_the_identity(self, ops):
         model = tower_from(ops, 0)
-        assert blow_down(blow_up(model, PointSpec.general(), "G"), "G") == model
+        assert blow_down_cascade(blow_up(model, PointSpec.general(), "G"), ["G"]) == model
 
     @settings(max_examples=100)
     @given(
@@ -698,7 +693,7 @@ class TestDeclaredSmoothStart:
         result = run(state, MostNegativeFirst())
         assert [(s.contracted_curve, s.kind) for s in result.steps] == [("E1", CASTELNUOVO), ("E2", CASTELNUOVO)]
         assert result.audit.smooth_start and result.audit.coefficients_bounded and result.audit.ok
-        assert result == run(MmpState(surface=blow_down(model, "E0"), boundary=QDivisor.zero()), MostNegativeFirst())
+        assert result == run(MmpState(surface=blow_down_cascade(model, ["E0"]), boundary=QDivisor.zero()), MostNegativeFirst())
 
     def test_check_c_applies_to_a_declared_start(self):
         # the forced bad run of TestAuditViolations, from the quad-fork
@@ -730,7 +725,7 @@ class TestDeclaredSmoothStart:
                 assert [(c.name, c.extremal_value, c.self_int) for c in step_candidates(after)] == pairwise_ranking(
                     after.surface, after.boundary.as_map()
                 )
-                blown = MmpState(surface=blow_down(model, cand.name), boundary=after.boundary, step_index=1)
+                blown = MmpState(surface=blow_down_cascade(model, [cand.name]), boundary=after.boundary, step_index=1)
                 result = run(after, MostNegativeFirst(), epsilon)
                 assert result == run(blown, MostNegativeFirst(), epsilon)
                 assert result.audit.smooth_start and result.audit.ok

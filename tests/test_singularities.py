@@ -3,19 +3,20 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations, combinations_with_replacement
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logsurf import lattice, singularities
-from logsurf.dualgraph import build_dual_graph, graph_shape
+from logsurf.dualgraph import build_dual_graph
 from logsurf.errors import LogSurfError, ModelError, MultiEdgeError, NotNegativeDefiniteError, ScenarioError
 from logsurf.lattice import (
     PointSpec,
     SurfaceModel,
     _validated,
-    blow_down,
+    blow_down_cascade,
     blow_up,
     declare_contracted,
     new_projective_plane,
@@ -35,7 +36,6 @@ from logsurf.singularities import (
     minimal_resolution,
     pullback,
     pulled_back,
-    total_discrepancy_snc,
 )
 from oracles import (
     CoordinateTower,
@@ -53,6 +53,17 @@ from oracles import (
 
 def fork_model(n0, orders=(2, 3, 6), extra=3, **kw):
     return build_model(star_scenario(n0, orders, extra, **kw))
+
+
+def snc_total(coefficients, edges=()):
+    """`_snc_total`, the integer SNC rule `classify` applies, on Fraction
+    coefficients put over one denominator, each edge met once: the Fraction
+    total, or NEG_INFINITY."""
+    coefficients = [F(c) for c in coefficients]
+    d = lcm(*(c.denominator for c in coefficients))
+    numerators = [c.numerator * (d // c.denominator) for c in coefficients]
+    total = singularities._snc_total(numerators, d, [(edge, 1) for edge in edges])
+    return NEG_INFINITY if total is None else F(total, d)
 
 
 def double_point_model():
@@ -601,7 +612,7 @@ class TestMinimalResolutionOracle:
         # _validated, with no full inertia test, lets through; the pass
         # stops where the rank reaches 0, as one dense blow-down does
         model = _validated(SurfaceModel(rank=1, names=("A",), matrix=((9, -1), (-1, -1))))
-        for blow in (blow_down, dense_blow_down):
+        for blow in (lambda m, e: blow_down_cascade(m, [e]), dense_blow_down):
             with pytest.raises(ModelError) as exc:
                 blow(model, "A")
             assert str(exc.value) == "rank 0 < 1"
@@ -623,11 +634,11 @@ class TestMinimalResolutionOracle:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda m: blow_down(m, "A"),
+            lambda m: blow_down_cascade(m, ["A"]),
             minimal_resolution,
             lambda m: classify(m, QDivisor.zero(), 0),
         ],
-        ids=["blow_down", "minimal_resolution", "classify"],
+        ids=["blow_down_cascade", "minimal_resolution", "classify"],
     )
     def test_short_row_fails_at_entry(self, build):
         with pytest.raises(ModelError) as exc:
@@ -649,7 +660,7 @@ class TestRawCopies:
         batch = data.draw(st.lists(st.sampled_from(model.tracked), max_size=3))
         builds = {
             "blow_up": lambda m: blow_up(m, point, "X"),
-            "blow_down": lambda m: blow_down(m, down),
+            "blow_down_cascade": lambda m: blow_down_cascade(m, [down]),
             "declare_contracted": lambda m: declare_contracted(m, batch),
             "minimal_resolution": minimal_resolution,
         }
@@ -671,15 +682,15 @@ class TestRawCopies:
 
 class TestSncFormula:
     def test_empty_configuration(self):
-        assert total_discrepancy_snc({}, []) == 1
+        assert snc_total([]) == 1
 
     def test_single_vertices(self):
-        assert total_discrepancy_snc({"A": 0}, []) == 0
-        assert total_discrepancy_snc({"A": 1}, []) == -1
-        assert total_discrepancy_snc({"A": F(1, 2)}, []) == F(-1, 2)
+        assert snc_total([0]) == 0
+        assert snc_total([1]) == -1
+        assert snc_total([F(1, 2)]) == F(-1, 2)
 
     def test_coefficient_above_one_sinks(self):
-        assert total_discrepancy_snc({"A": F(7, 6)}, []) == NEG_INFINITY
+        assert snc_total([F(7, 6)]) == NEG_INFINITY
 
     def test_neg_infinity_is_exact(self):
         # below every rational, equal only to itself; never a float
@@ -696,28 +707,27 @@ class TestSncFormula:
 
     def test_edge_term_ties_at_coefficient_one(self):
         # crossing of two full-coefficient curves: 1 - 1 - 1 = -1, matching the vertices
-        assert total_discrepancy_snc({"A": 1, "B": 1}, [("A", "B")]) == -1
+        assert snc_total([1, 1], [("A", "B")]) == -1
 
     def test_edge_never_beats_worst_vertex(self):
         # with coefficients at most one, 1 - b_i - b_j >= -max(b_i, b_j)
-        total = total_discrepancy_snc({"A": F(5, 6), "B": F(2, 3)}, [("A", "B")])
-        assert total == F(-5, 6)
-        total = total_discrepancy_snc({"A": F(1, 2), "B": F(1, 2)}, [("A", "B")])
-        assert total == F(-1, 2)
-
-    def test_self_loop_rejected(self):
-        with pytest.raises(MultiEdgeError):
-            total_discrepancy_snc({"A": 0}, [("A", "A")])
+        assert snc_total([F(5, 6), F(2, 3)], [("A", "B")]) == F(-5, 6)
+        assert snc_total([F(1, 2), F(1, 2)], [("A", "B")]) == F(-1, 2)
 
     def test_double_edge_rejected(self):
-        with pytest.raises(MultiEdgeError):
-            total_discrepancy_snc({"A": 0, "B": 0}, [("A", "B"), ("B", "A")])
+        with pytest.raises(MultiEdgeError) as exc:
+            singularities._snc_total([0, 0], 1, [(("A", "B"), 2)])
+        assert str(exc.value) == "multiple intersection points between 'A' and 'B'"
 
-    def test_unknown_endpoint_rejected(self):
-        with pytest.raises(ModelError, match="edge endpoint is not a vertex"):
-            total_discrepancy_snc({"A": 0}, [("A", "B")])
-        with pytest.raises(ModelError, match="edge endpoint is not a vertex"):
-            total_discrepancy_snc({"a": 1}, [("a", "b")])
+    def test_double_edge_rejected_before_coefficients(self):
+        # a coefficient above one would sink the total, but the edge is read first
+        with pytest.raises(MultiEdgeError):
+            singularities._snc_total([7, 0], 6, [((1, 2), 3)])
+
+    def test_disjoint_and_crossing_pairs_pass(self):
+        # `classify` passes every pair of rows, meeting (1) or not (0)
+        assert singularities._snc_total([3, 2], 6, [((1, 2), 0)]) == -3
+        assert singularities._snc_total([3, 2], 6, [((1, 2), 1)]) == -3
 
 
 class TestClassify:
@@ -820,8 +830,10 @@ class TestClassify:
         model = declare_contracted(model, ["E0", "B1", "B2", "B3", "B4"])
         assert model.self_int("E0") == -4
         assert all(model.self_int(f"B{i}") == -2 for i in (1, 2, 3, 4))
-        shape = graph_shape(build_dual_graph(model, model.contracted))
-        assert shape.kind == "fork" and shape.branch_count == 4
+        # a tree whose degrees are 4, 1, 1, 1, 1: a fork of four branches
+        graph = build_dual_graph(model, model.contracted)
+        degrees = Counter(v for edge in graph.edges for v in edge)
+        assert len(graph.edges) == 4 and sorted(degrees.values()) == [1, 1, 1, 1, 4]
         sc = classify(model, QDivisor.zero(), 0)
         assert sc.total_discrepancy == -1
         assert sc.classification == EPS_LOG_CANONICAL
@@ -871,7 +883,7 @@ class TestClassify:
 class TestIntegerClassifier:
     """classify's integers against fraction_classify, the Fraction
     classifier on the stepwise resolution with a Gauss-Jordan log pullback,
-    and total_discrepancy_snc against the blow-up search."""
+    and `_snc_total` against the blow-up search."""
 
     EPSILONS = (F(0), F(1, 7), F(1, 4), F(1))
     GRID = sorted({F(k, 6) for k in range(7)} | {F(k, 7) for k in range(8)} | {F(k, 4) for k in range(5)})
@@ -966,8 +978,7 @@ class TestIntegerClassifier:
             coefficients = [F(rng.randint(0, 6), 6) for _ in range(size)]
             pairs = list(combinations(range(size), 2))
             edges = [pair for pair in pairs if rng.random() < 0.5]
-            named = {f"v{i}": c for i, c in enumerate(coefficients)}
-            got = total_discrepancy_snc(named, [(f"v{a}", f"v{b}") for a, b in edges])
+            got = snc_total(coefficients, edges)
             assert got == snc_search_oracle(coefficients, edges, max_blowups=3)
 
 
