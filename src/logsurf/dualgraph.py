@@ -28,10 +28,6 @@ class WeightedDualGraph:
             if not a < b:
                 raise ModelError(f"dual graph edge ({a!r}, {b!r}) is not a sorted pair of distinct names")
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(v[0] for v in self.vertices)
-
 
 def build_dual_graph(model, names) -> WeightedDualGraph:
     """Dual graph of the named tracked curves with current intersections; a

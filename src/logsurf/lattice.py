@@ -21,7 +21,7 @@ from math import lcm
 from operator import is_not, itemgetter
 
 from .errors import ModelError, NotNegativeDefiniteError
-from .linalg import extend_factor, negative_definite_factor, solved_border
+from .linalg import extend_factor, negative_definite_factor
 
 GENERAL = "general"
 ON_CURVE = "on_curve"
@@ -260,7 +260,7 @@ def _merged(blocks) -> tuple[tuple[int, ...], list[list[int]]]:
     return rows, factor
 
 
-def _bordered(model: SurfaceModel, names, cstar=None):
+def _bordered(model: SurfaceModel, names):
     """`model`'s blocks with the curves `names` added in turn, and the
     result's row->block map (`SurfaceModel.block_of`); (None, None) once
     negative definiteness fails. A curve's blocks are looked up in the map
@@ -268,22 +268,15 @@ def _bordered(model: SurfaceModel, names, cstar=None):
     block is tested: those it meets merge (`_merged`, in the order of the
     first column that meets each; none gives the empty block) and leave the
     tuple, picked out by identity in C, and the result, bordered by the
-    curve's row, goes last. The border is `extend_factor`'s, O(s^2), or,
-    given `cstar`, the one new curve's `pulled_back` solve on `model`, read
-    off that solve (`solved_border`): its Sylvester test is then C*^2 < 0.
-    Only the new block's rows are written into the map, a copy of
-    `model`'s."""
+    curve's row through `extend_factor`, O(s^2), goes last. Only the new
+    block's rows are written into the map, a copy of `model`'s."""
     blocks, block_of = model.contracted_factor, dict(model.block_of)
     for name in names:
         i = model.row(name)
         row = model.matrix[i]
         met = list({id(b): b for b in filter(None, map(block_of.get, compress(count(), row)))}.values())
         rows, factor = met[0] if len(met) == 1 else _merged(met)
-        if cstar is None:
-            factor = extend_factor(factor, [row[r] for r in rows] + [row[i]])
-        else:
-            coef, v, d = cstar
-            factor = solved_border(factor, [coef[r] for r in rows], d, v[i])
+        factor = extend_factor(factor, [row[r] for r in rows] + [row[i]])
         if factor is None:
             return None, None
         for b in met:
@@ -409,7 +402,7 @@ def blow_down_cascade(model: SurfaceModel, names) -> SurfaceModel:
     return _validated(result) if broken else _contracted_checked(result, result.contracted)
 
 
-def declare_contracted(model: SurfaceModel, names, cstar=None) -> SurfaceModel:
+def declare_contracted(model: SurfaceModel, names) -> SurfaceModel:
     """Extend the contracted set, validating Artin contractibility.
 
     Past `_trusted`, the new model keeps all that the matrix checks of
@@ -419,12 +412,10 @@ def declare_contracted(model: SurfaceModel, names, cstar=None) -> SurfaceModel:
     that meets no block gets a 1 x 1 block, one that meets one block
     borders it, and one that meets several merges them; the blocks it
     meets are looked up in `model`'s row->block map, which the new model
-    is seeded with, the new block's rows updated. `cstar`, for one new
-    curve C only, is C*'s `pulled_back` solve on `model`, which the
-    contraction loop has already made; the border is then read off it, and
-    C's block is the last. The new model shares `model`'s row index and,
-    once scanned, its `nonzeros`: the names and the matrix are the same
-    objects.
+    is seeded with, the new block's rows updated. Each border is
+    `extend_factor`'s, and the last new curve's block is the last. The new
+    model shares `model`'s row index and, once scanned, its `nonzeros`: the
+    names and the matrix are the same objects.
     """
     model = _trusted(model)
     names = frozenset(names)
@@ -432,13 +423,11 @@ def declare_contracted(model: SurfaceModel, names, cstar=None) -> SurfaceModel:
     if unknown:
         raise ModelError(f"cannot contract unknown curves: {sorted(unknown)}")
     new = sorted(names - model.contracted)
-    if cstar is not None and len(new) != 1:
-        raise ModelError("a solve borders the contracted blocks for one new curve only")
     extended = SurfaceModel(model.rank, model.names, model.matrix, model.contracted | names)
     # seed the lazy attributes; the frozen dataclass forbids setattr
     seeds = extended.__dict__
     seeds["_rows"] = model._rows  # the names are shared, so is their index
-    seeds["contracted_factor"], seeds["block_of"] = _bordered(model, new, cstar)
+    seeds["contracted_factor"], seeds["block_of"] = _bordered(model, new)
     if "nonzeros" in model.__dict__:  # the matrix is shared, so is its pattern
         seeds["nonzeros"] = model.nonzeros
     return _contracted_checked(extended, names)

@@ -1,29 +1,17 @@
 """Exact linear algebra over the integers: integers in, integers out.
 
 No float or Fraction ever enters. There is one elimination, fraction-free
-(Bareiss) and without row swaps, grown one bordered row at a time:
-`extend_factor` adds a row and column to a symmetric matrix's factor in
-O(k^2), and `negative_definite_factor` is its fold over the rows, O(n^3).
+(Bareiss) and without row swaps, grown one bordered row at a time, and
+one border: `extend_factor` adds a row and column to a symmetric matrix's
+factor in O(k^2), and `negative_definite_factor` is its fold over the
+rows, O(n^3).
 The factor is both the Sylvester test and an LU factorization;
 `solve_exact` replays it on an integer right-hand side and back-substitutes,
 O(n^2), returning the solution as integer numerators over det(A) (Cramer's
-rule). `solved_border` gives `extend_factor`'s result from a solve of the
-border against the factor, with no elimination replayed. Every exact
-division, forward, backward and in the border, is checked.
+rule). Every exact division, forward and backward, is checked.
 """
 
 from __future__ import annotations
-
-from operator import mul
-
-
-def _closed(factor: list[list[int]], c: list[int]) -> list[list[int]] | None:
-    """`factor` bordered by its eliminated new row c, whose last entry is
-    the new pivot; None if that pivot fails the Sylvester sign test."""
-    pivot = c[-1]
-    if pivot == 0 or (pivot > 0) != (len(factor) % 2 == 1):
-        return None
-    return [row + [ck] for row, ck in zip(factor, c)] + [c]
 
 
 def extend_factor(factor: list[list[int]], border: list[int]) -> list[list[int]] | None:
@@ -53,30 +41,10 @@ def extend_factor(factor: list[list[int]], border: list[int]) -> list[list[int]]
             if rem:
                 raise ValueError("inexact Bareiss division; not an integer matrix")
         prev = pivot
-    return _closed(factor, c)
-
-
-def solved_border(factor: list[list[int]], y: list[int], d: int, square: int) -> list[list[int]] | None:
-    """`extend_factor(factor, border)` for the border (b, c), read off the
-    solve of b instead of replayed: y / d = x with A x = -b, and square / d
-    = c + b.x, the Schur complement of A in the bordered matrix.
-
-    With U the factor's upper part, eliminated entry i of the border is the
-    minor of rows 0..i of [A | b] on columns 0..i-1 and b; as b = -A x, the
-    columns of A cancel and it is -(U[i] . x). The new pivot is det(A) (c +
-    b.x). So O(k^2) multiplications, no elimination, and both divisions by
-    d are checked; `factor` is never written.
-    """
-    c = []
-    for i, row in enumerate(factor):
-        ci, rem = divmod(-sum(map(mul, row[i:], y[i:])), d)
-        if rem:
-            raise ValueError("inexact border division; not a solve against this factor")
-        c.append(ci)
-    pivot, rem = divmod((factor[-1][-1] if factor else 1) * square, d)
-    if rem:
-        raise ValueError("inexact border division; not a solve against this factor")
-    return _closed(factor, c + [pivot])
+    pivot = c[n]
+    if pivot == 0 or (pivot > 0) != (n % 2 == 1):
+        return None
+    return [row + [ck] for row, ck in zip(factor, c)] + [c]
 
 
 def negative_definite_factor(matrix: list[list[int]]) -> list[list[int]] | None:

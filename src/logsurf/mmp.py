@@ -216,7 +216,8 @@ def contract(state: MmpState, name: str) -> MmpState:
     Returns the state of the new shadow: the curve declared contracted on
     the state's model, a (-1)-curve on a smooth surface too."""
     pair = _start(state)
-    solve = next((s for n, s in _successors(pair[0], pair[2][0]) if n == name), None)
+    shadow, _, (log, _), _ = pair
+    solve = next((s for n, s in _successors(shadow, log) if n == name), None)
     if solve is None:
         raise ModelError(f"{name!r} is not an extremal candidate (needs (K + boundary).C < 0)")
     read = solve()
@@ -229,7 +230,8 @@ def contract(state: MmpState, name: str) -> MmpState:
     pair, core = audit_step(pair, name, 0, Fraction(0), False, violations, read.cstar)
     if core is None:
         raise ModelError(violations[-1])
-    return MmpState(surface=pair[0], boundary=state.boundary.without(name), step_index=state.step_index + 1)
+    shadow, *_ = pair
+    return MmpState(surface=shadow, boundary=state.boundary.without(name), step_index=state.step_index + 1)
 
 
 @dataclass(frozen=True)
@@ -330,7 +332,8 @@ def _drive(state: MmpState, strategy, epsilon: Fraction):
     smooth, bounded = gate = _gate(pair, epsilon)
     queue = list(strategy.names) if isinstance(strategy, NamedOrder) else None
     while True:
-        successors = _successors(pair[0], pair[2][0])
+        shadow, _, (log, _), mr = pair
+        successors = _successors(shadow, log)
         if queue:  # listed, to be read again if the named curve is not taken
             successors = list(successors)
         solve = next((s for name, s in successors if name == queue[0]), None) if queue else None
@@ -357,14 +360,14 @@ def _drive(state: MmpState, strategy, epsilon: Fraction):
                 )
         if queue:
             queue.pop(0)
-        smooth_before = pair[3] is None
+        kind = CASTELNUOVO if mr is None and chosen.cc == -chosen.dc else ARTIN_TYPE
         pair, core = audit_step(pair, chosen.name, len(steps), epsilon, smooth and bounded, violations, chosen.cstar)
         if core is None:
             raise ModelError(violations[-1])
         if core.post_classification is None:
             # only an epsilon outside [0, 1] fails `_labelled`; `classify` raises its error at this step
-            classify(pair[0], _NO_BOUNDARY, epsilon)
-        kind = CASTELNUOVO if smooth_before and chosen.cc == -chosen.dc else ARTIN_TYPE
+            shadow, *_ = pair
+            classify(shadow, _NO_BOUNDARY, epsilon)
         steps.append((chosen, kind, core))
     return steps, outcome, gate, violations
 
@@ -464,9 +467,9 @@ def _gate(pair, epsilon) -> tuple[bool, bool]:
     resolution in `pair`, `_start`'s, is None, and boundary coefficients at
     most 1 - epsilon, compared in integers on `_start`'s numerators b over
     db: b / db <= 1 - p / q iff b q <= (q - p) db."""
-    fixed, db = pair[1]
+    _, (fixed, db), _, mr = pair
     p, q = epsilon.numerator, epsilon.denominator
-    return pair[3] is None, all(b * q <= (q - p) * db for b in fixed.values())
+    return mr is None, all(b * q <= (q - p) * db for b in fixed.values())
 
 
 def _report(initial: MmpState, gate: tuple[bool, bool], epsilon: Fraction, cores, violations) -> AuditReport:
@@ -594,7 +597,7 @@ def audit_step(pair, name: str, i: int, epsilon: Fraction, gate: bool, violation
             f"{Fraction(pairing, dc * db)} >= 0"
         )
     try:
-        shadow, old = declare_contracted(shadow, [name], cstar), shadow
+        shadow, old = declare_contracted(shadow, [name]), shadow
     except NotNegativeDefiniteError as exc:
         violations.append(f"effectivity: step {i} ({name!r}): replay failed: {exc}")
         return None, None

@@ -10,7 +10,8 @@ Only `lattice._trusted` reads the `_checked` flag, so the builders keep one
 path for raw and checked models. Only `singularities._log_numerators`
 hands K's row to `pulled_back`, so every log pullback is one solve; only
 `pulled_back` calls `solve_exact`, and no function takes a column list,
-so the package has one solve site and one index space. Only
+so the package has one solve site and one index space; every factor is
+bordered by `extend_factor`, so it has one bordering path too. Only
 `mmp._successors` ranks a step's candidates and solves their C*, `mmp`
 blows no curve down by name, and only `mmp.audit_step` builds a
 resolution after the start's.
@@ -31,7 +32,7 @@ from fractions import Fraction
 
 from logsurf.dualgraph import WeightedDualGraph, build_dual_graph
 from logsurf.lattice import PointSpec, SurfaceModel, _validated, blow_up, declare_contracted
-from logsurf.linalg import extend_factor, negative_definite_factor, solve_exact, solved_border
+from logsurf.linalg import extend_factor, negative_definite_factor, solve_exact
 from logsurf.singularities import QDivisor, minimal_resolution, pulled_back
 from oracles import coordinate_model
 
@@ -69,7 +70,6 @@ guards = {
     "bordered-bareiss": lambda: extend_factor([[-2, 1], [1, 3]], [1, 1, -2.5]),
     "back-substitution": lambda: solve_exact([[2, 1], [0, 1]], [1, 0]),
     "forward-elimination": lambda: solve_exact([[4, 3, -1], [5, 1, 1], [5, -1, -3]], [3, -5, 2]),
-    "solved-border": lambda: solved_border([[-2, 1], [1, 3]], [1, 1], 3, -1),
     "validated": lambda: _validated(SurfaceModel(rank=2, names=("A",), matrix=((8, 0), (1, -1)))),
     "raw-blow-up": lambda: blow_up(SurfaceModel(rank=2, names=("A",), matrix=((8, 0), (1, -1))), PointSpec.general(), "E"),
     "hodge-index": lambda: _validated(two_at_rank_1),
@@ -114,7 +114,6 @@ def test_guards_raise_under_python_O():
         "bordered-bareiss: ValueError: inexact Bareiss division; not an integer matrix",
         "back-substitution: ValueError: inexact back-substitution; not a Bareiss factor",
         "forward-elimination: ValueError: inexact Bareiss division; not an integer matrix",
-        "solved-border: ValueError: inexact border division; not a solve against this factor",
         "validated: ModelError: intersection matrix is not a symmetric integer matrix at (0, 1)",
         "raw-blow-up: ModelError: intersection matrix is not a symmetric integer matrix at (0, 1)",
         "hodge-index: NotNegativeDefiniteError: contracted configuration ['A', 'B'] spans 2 "
@@ -279,6 +278,21 @@ def test_one_function_solves_against_the_contracted_factor():
     # (coef, v, d) format
     solves = [(module, scope) for module, scope, node in package_calls() if called(node) == "solve_exact"]
     assert solves == [("singularities", "pulled_back")]
+
+
+def test_one_bordering_path():
+    # a factor grows one way: `extend_factor` replays the elimination on
+    # the new row, in the fold over a matrix's rows and in each
+    # declaration's blocks, and nothing else in `linalg` borders a factor;
+    # no solve is handed to a declaration
+    defined = set(functions("linalg.py"))
+    border = defined - {"negative_definite_factor", "solve_exact"}
+    borders = [(module, scope) for module, scope, node in package_calls() if called(node) in border]
+    assert sorted(borders) == [("lattice", "_bordered"), ("linalg", "negative_definite_factor")]
+    assert sorted(defined) == ["extend_factor", "negative_definite_factor", "solve_exact"]
+    a = functions("lattice.py")["declare_contracted"].args
+    params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg)))]
+    assert params == ["model", "names"]
 
 
 def mmp_callers(name):

@@ -391,6 +391,15 @@ class TestContractedBlocks:
         # declarations, merges, and merges on the stars
         assert (sum(c for c, _ in counts), sum(m for _, m in counts), sum(m for _, m in counts[60:])) == (449, 27, 4)
 
+    def test_several_new_curves_border_in_name_order(self):
+        # one declaration of two curves borders them one at a time, in name
+        # order, exactly as two declarations of one curve each do
+        model = tower((PointSpec.general(), "A"), (PointSpec.on_curve("A"), "B"))
+        both = declare_contracted(model, ["B", "A"])
+        ((rows, _),) = assert_blocks(both)
+        assert rows == (model.row("A"), model.row("B"))
+        assert both.contracted_factor == declare_contracted(declare_contracted(model, ["A"]), ["B"]).contracted_factor
+
     def test_a_lookup_reads_only_the_blocks_a_curve_meets(self):
         # eight disjoint (-2)-curves E1..E8, each its own block, and Fi a
         # (-1)-curve on Ei: declaring F1, or solving its pullback, finds E1's
@@ -418,13 +427,6 @@ class TestContractedBlocks:
         blocks_after = declare_contracted(declared, ["F1"]).contracted_factor
         assert declare_contracted(model, ["F1"]).contracted_factor == blocks_after
         assert reads and all(rows is e1 for rows in reads)
-
-    def test_a_solve_borders_one_new_curve_only(self):
-        model = tower((PointSpec.general(), "A"), (PointSpec.general(), "B"))
-        cstar = pulled_back(model, [(model.row("A"), 1)])
-        with pytest.raises(ModelError, match="one new curve only"):
-            declare_contracted(model, ["A", "B"], cstar)
-        assert declare_contracted(model, ["A"], cstar).contracted_factor == declare_contracted(model, ["A"]).contracted_factor
 
 
 class TestPointSpec:

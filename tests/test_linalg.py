@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from logsurf.linalg import extend_factor, negative_definite_factor, solve_exact, solved_border
+from logsurf.linalg import extend_factor, negative_definite_factor, solve_exact
 from oracles import cofactor_det, charpoly_negdef, det_bareiss, gauss_solve, minor_signs_negdef, pairing
 
 
@@ -194,44 +194,28 @@ class TestSolveExact:
         assert factor == kept
 
 
-class TestSolvedBorder:
-    """`solved_border` reads `extend_factor`'s bordered factor off a solve
-    of the border against the factor, with no elimination replayed."""
+class TestExtendFactor:
+    """`extend_factor` borders a factor by one row: the only way a factor
+    grows, in `negative_definite_factor`'s fold and in each declaration."""
 
-    @staticmethod
-    def from_solve(m):
-        """The border of m's last row, read off its solve against the
-        leading block: (y, d) scaled to d > 0 as `pulled_back` scales it, and
-        square the numerator of the Schur complement c + b.x over d."""
-        factor = negative_definite_factor([row[:-1] for row in m[:-1]])
-        b, c = m[-1][:-1], m[-1][-1]
-        y, d = solve_exact(factor, [-x for x in b])
-        if d < 0:
-            y, d = [-x for x in y], -d
-        return factor, solved_border(factor, y, d, c * d + sum(map(lambda p, q: p * q, b, y)))
+    def test_one_by_one(self):
+        # the empty factor: nothing to replay, and the pivot is c itself
+        assert extend_factor([], [-3]) == [[-3]]
+        assert extend_factor([], [0]) is None
+        assert extend_factor([], [2]) is None
+        with pytest.raises(ValueError, match="one border entry per row"):
+            extend_factor([[-2]], [1])
 
     @settings(max_examples=300)
     @given(SYMMETRIC)
-    @example([[-2, 1, 0], [1, -2, 1], [0, 1, -2]])
     @example([[-2, 1], [1, 3]])
-    def test_matches_extend_factor(self, m):
-        if negative_definite_factor([row[:-1] for row in m[:-1]]) is None:
+    def test_borders_the_leading_factor_without_writing_it(self, m):
+        lead = negative_definite_factor([row[:-1] for row in m[:-1]])
+        if lead is None:
             return
-        factor, bordered = self.from_solve(m)
-        assert bordered == extend_factor(factor, m[-1])
-        assert (bordered is None) == (negative_definite_factor(m) is None)
-
-    def test_one_by_one(self):
-        # nothing to solve against: d = 1 and the pivot is c itself
-        assert solved_border([], [], 1, -3) == [[-3]]
-        assert solved_border([], [], 1, 2) is None
-
-    def test_a_wrong_solve_raises(self):
-        factor = negative_definite_factor([[-2, 1], [1, -2]])
-        with pytest.raises(ValueError, match="inexact border division"):
-            solved_border(factor, [1, 1], 3, -1)  # an eliminated entry
-        with pytest.raises(ValueError, match="inexact border division"):
-            solved_border(factor, [9, 9], 9, -1)  # the pivot, det 3 times -1/9
+        kept = [row[:] for row in lead]
+        assert extend_factor(lead, m[-1]) == negative_definite_factor(m)
+        assert lead == kept
 
 
 class TestNegativeDefinite:
@@ -261,6 +245,23 @@ class TestNegativeDefinite:
     @example([[-2, 1, 0], [1, -2, 1], [0, 1, -2]])
     def test_one_pass_matches_per_minor_determinants(self, m):
         assert (negative_definite_factor(m) is not None) == minor_signs_negdef(m)
+
+    @settings(max_examples=300)
+    @given(SYMMETRIC)
+    @example([[-2, 1, 0], [1, -2, 1], [0, 1, -2]])
+    @example([[-3, 1, 1, 0], [1, -2, 0, 1], [1, 0, -4, 1], [0, 1, 1, -5]])
+    def test_factor_entries_are_leading_minors(self, m):
+        # F[i][j], i <= j, is the minor of rows 0..i on columns 0..i-1 and j,
+        # and the multiplier F[j][i] below the diagonal mirrors it
+        factor = negative_definite_factor(m)
+        if factor is None:
+            return
+        n = len(m)
+        assert all(factor[i][j] == factor[j][i] for i in range(n) for j in range(i))
+        for i in range(n):
+            for j in range(i, n):
+                cols = [*range(i), j]
+                assert factor[i][j] == det_bareiss([[m[r][c] for c in cols] for r in range(i + 1)]), (i, j)
 
     @settings(max_examples=200)
     @given(zero_leading_minor())

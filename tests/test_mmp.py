@@ -1803,34 +1803,29 @@ class TestSmoothResolution:
 
 
 class TestBlockedSteps:
-    """A step declares its curve C on the shadow with C*'s solve in hand, so
-    the bordered block is read off that solve: it equals the block that
-    `extend_factor` borders, no elimination is replayed, and every block is
-    the whole-block factor of its rows."""
+    """A step declares its curve C on the shadow, and `extend_factor`
+    borders C's block: the block goes last, C's row last in it, and every
+    block is the whole-block factor of its rows."""
 
     @staticmethod
     def compared(monkeypatch):
-        """Check each declaration `mmp` makes with a solve against the same
-        declaration without one, and the new curve's block against
-        `negative_definite_factor`; returns the declared models and, for
-        each, how many blocks the curve met."""
-        seen, real = [], mmp.declare_contracted
-        extended = counting(monkeypatch, lattice, "extend_factor")
+        """Check the shadow each `mmp.audit_step` declares, the new curve's
+        block against `negative_definite_factor`; returns the declared
+        shadows and, for each, how many blocks the curve met."""
+        seen, real = [], mmp.audit_step
 
-        def declared(model, names, cstar=None):
-            before = len(extended)
-            out = real(model, names, cstar)
-            if cstar is not None:
-                assert len(extended) == before
-                assert out.contracted_factor == real(model, names).contracted_factor
-                rows, factor = out.contracted_factor[-1]
+        def audited(pair, name, *args):
+            out, core = real(pair, name, *args)
+            if core is not None:
+                (model, *_), (declared, *_) = pair, out
+                rows, factor = declared.contracted_factor[-1]
                 m = model.matrix
-                assert rows[-1] == model.row(names[0])
+                assert rows[-1] == model.row(name)
                 assert factor == negative_definite_factor([[m[i][j] for j in rows] for i in rows])
-                seen.append((out, len(model.contracted_factor) + 1 - len(out.contracted_factor)))
-            return out
+                seen.append((declared, len(model.contracted_factor) + 1 - len(declared.contracted_factor)))
+            return out, core
 
-        monkeypatch.setattr(mmp, "declare_contracted", declared)
+        monkeypatch.setattr(mmp, "audit_step", audited)
         return seen
 
     def test_seeded_streams(self, monkeypatch):
