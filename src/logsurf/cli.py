@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Every subcommand reads a scenario file (except the two harness commands),
-prints a human-readable report, or a JSON document with --json. Exit codes:
-0 success, 1 audit/verification failure, 2 parse or validation error.
+prints a human-readable report, or a JSON document with --json. A report
+that a record holds is that record's fields in declaration order. Exit
+codes: 0 success, 1 audit/verification failure, 2 parse or validation error.
 """
 
 from __future__ import annotations
@@ -10,35 +11,87 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields, is_dataclass
+from functools import cache
 
 from .dot import export_dot
 from .dualgraph import build_dual_graph
 from .errors import LogSurfError
 from .mmp import (
-    MmpRun,
+    AuditStep,
+    Exhausted,
+    MinimalOverTracked,
+    MoriFiberSignal,
     SearchConfig,
+    VerificationReport,
     parse_strategy,
     run,
     search_canonical_starts,
     verify_smooth_start_runs,
 )
 from .scenario import MAX_BLOWUPS, build_model, build_state, load_scenario, parse_rational
-from .singularities import (
-    QDivisor,
-    SingularityClass,
-    classify,
-    log_discrepancies,
-    pullback,
-)
+from .singularities import QDivisor, classify, log_discrepancies, pullback
+
+_KINDS = {MinimalOverTracked: "minimal-over-tracked", MoriFiberSignal: "mori-fiber-signal", Exhausted: "exhausted"}
+
+# the two places a --json report departs from its record's fields: the
+# run's MmpStep already shows an AuditStep's class, and the outcome counts
+# are one object
+_DEPARTURES = {
+    (AuditStep, "post_classification"): (None, None),
+    (VerificationReport, "outcome_counts"): ("outcomes", dict),
+}
 
 
 def _fmt_q(value) -> str:
-    return "n/a" if value is None else _json_q(value)
+    # rationals print as "p/q" strings, never floats; NEG_INFINITY as "-inf"
+    return "n/a" if value is None else str(value)
 
 
-def _json_q(value):
-    # rationals travel as "p/q" strings, never floats; NEG_INFINITY as "-inf"
-    return None if value is None else str(value)
+def _outcome_kind(outcome) -> str:
+    return _KINDS[type(outcome)]
+
+
+@cache
+def _shown(cls):
+    """(attribute, key, encoder) for each field a `cls` record shows, in
+    declaration order, then `ok` where it has one; None if `cls` is no record."""
+    if not is_dataclass(cls):
+        return None
+    shown = [(f.name, *_DEPARTURES.get((cls, f.name), (f.name, _encode))) for f in fields(cls)]
+    if isinstance(getattr(cls, "ok", None), property):
+        shown.append(("ok", "ok", _encode))
+    return tuple(entry for entry in shown if entry[1] is not None)
+
+
+def _encode(value):
+    """`value` as JSON: a record as its shown fields, an outcome led by its
+    kind; a tuple as a list; None, bools, ints and strings as they are; and
+    anything else, a Fraction or NEG_INFINITY, as its "p/q" string."""
+    cls = type(value)
+    if value is None or cls in (bool, int, str):
+        return value
+    if cls is tuple:
+        return [_encode(v) for v in value]
+    shown = _shown(cls)
+    if shown is None:
+        return str(value)
+    doc = {"kind": _outcome_kind(value)} if cls in _KINDS else {}
+    for attr, key, encode in shown:
+        doc[key] = encode(getattr(value, attr))
+    return doc
+
+
+def _print_json(doc, ok=True) -> int:
+    print(json.dumps(doc, indent=2))
+    return 0 if ok else 1
+
+
+def _print_violations(violations, label="violations") -> int:
+    print(f"{label} ({len(violations)}):" if violations else f"{label}: none")
+    for v in violations:
+        print(f"  - {v}")
+    return 1 if violations else 0
 
 
 def _print_table(header, rows) -> None:
@@ -46,16 +99,6 @@ def _print_table(header, rows) -> None:
     widths = [max(len(r[i]) for r in table) for i in range(len(header))]
     for r in table:
         print("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
-
-
-def _classification_json(sc: SingularityClass) -> dict:
-    return {
-        "total_discrepancy": _json_q(sc.total_discrepancy),
-        "classification": sc.classification,
-        "mr_total_discrepancy": _json_q(sc.mr_total_discrepancy),
-        "mr_classification": sc.mr_classification,
-        "epsilon": _json_q(sc.epsilon),
-    }
 
 
 def _cmd_build(args) -> int:
@@ -66,7 +109,7 @@ def _cmd_build(args) -> int:
         for name in model.tracked
     ]
     if args.json:
-        doc = {
+        return _print_json({
             "rank": model.rank,
             "k_squared": model.k_squared,
             "contracted": sorted(model.contracted),
@@ -74,9 +117,7 @@ def _cmd_build(args) -> int:
                 {"name": n, "self_int": s, "k_dot": k, "genus": str(g)}
                 for n, s, k, g in rows
             ],
-        }
-        print(json.dumps(doc, indent=2))
-        return 0
+        })
     print(f"rank: {model.rank}  K²: {model.k_squared}")
     print(f"contracted: {', '.join(sorted(model.contracted)) or '(none)'}")
     _print_table(["curve", "self²", "K·C", "genus"], rows)
@@ -89,8 +130,7 @@ def _cmd_classify(args) -> int:
     epsilon = scenario.epsilon if args.epsilon is None else parse_rational(args.epsilon, "epsilon")
     sc = classify(model, scenario.boundary, epsilon)
     if args.json:
-        print(json.dumps(_classification_json(sc), indent=2))
-        return 0
+        return _print_json(_encode(sc))
     print(f"epsilon: {sc.epsilon}")
     print(f"total discrepancy: {_fmt_q(sc.total_discrepancy)}")
     print(f"classification: {sc.classification}")
@@ -104,8 +144,7 @@ def _cmd_discrepancies(args) -> int:
     model = build_model(scenario)
     table = log_discrepancies(model, QDivisor.zero())
     if args.json:
-        print(json.dumps({n: str(a) for n, a in table.coefficients}, indent=2))
-        return 0
+        return _print_json({n: str(a) for n, a in table.coefficients})
     _print_table(["curve", "discrepancy"], list(table.coefficients))
     return 0
 
@@ -115,66 +154,10 @@ def _cmd_pullback(args) -> int:
     model = build_model(scenario)
     coeffs = pullback(model, QDivisor.from_map({args.divisor: 1}))
     if args.json:
-        print(json.dumps({"divisor": args.divisor, "coefficients": {n: str(c) for n, c in coeffs.coefficients}}, indent=2))
-        return 0
+        return _print_json({"divisor": args.divisor, "coefficients": {n: str(c) for n, c in coeffs.coefficients}})
     print(f"numerical pullback of {args.divisor}: {args.divisor} + sum of")
     _print_table(["curve", "coefficient"], list(coeffs.coefficients))
     return 0
-
-
-def _outcome_json(outcome) -> dict:
-    doc = {"kind": _outcome_kind(outcome)}
-    if hasattr(outcome, "curve"):
-        doc["curve"] = outcome.curve
-        doc["self_int"] = _json_q(outcome.self_int)
-    return doc
-
-
-def _outcome_kind(outcome) -> str:
-    return {
-        "MinimalOverTracked": "minimal-over-tracked",
-        "MoriFiberSignal": "mori-fiber-signal",
-        "Exhausted": "exhausted",
-    }[type(outcome).__name__]
-
-
-def _run_json(result: MmpRun) -> dict:
-    audit = result.audit
-    return {
-        "steps": [
-            {
-                "contracted_curve": s.contracted_curve,
-                "extremal_value": _json_q(s.extremal_value),
-                "self_int": _json_q(s.self_int),
-                "kind": s.kind,
-                "post_classification": _classification_json(s.post_classification),
-            }
-            for s in result.steps
-        ],
-        "outcome": _outcome_json(result.outcome),
-        "audit": {
-            "initial_rho": audit.initial_rho,
-            "rho_sequence": list(audit.rho_sequence),
-            "smooth_start": audit.smooth_start,
-            "coefficients_bounded": audit.coefficients_bounded,
-            "epsilon": _json_q(audit.epsilon),
-            "steps": [
-                {
-                    "curve": s.curve,
-                    "rho_before": s.rho_before,
-                    "rho_after": s.rho_after,
-                    "effectivity_ok": s.effectivity_ok,
-                    "classification": s.classification,
-                    "step3_applicable": s.step3_applicable,
-                    "step3_value": _json_q(s.step3_value),
-                    "step3_ok": s.step3_ok,
-                }
-                for s in audit.steps
-            ],
-            "violations": list(audit.violations),
-            "ok": audit.ok,
-        },
-    }
 
 
 def _cmd_run(args) -> int:
@@ -184,8 +167,7 @@ def _cmd_run(args) -> int:
     result = run(state, strategy, epsilon=scenario.epsilon)
     audit = result.audit
     if args.json:
-        print(json.dumps(_run_json(result), indent=2))
-        return 0 if audit.ok else 1
+        return _print_json(_encode(result), audit.ok)
     if result.steps:
         print("steps:")
         for i, s in enumerate(result.steps, start=1):
@@ -201,13 +183,7 @@ def _cmd_run(args) -> int:
         line += f" (curve {result.outcome.curve}, self²={result.outcome.self_int})"
     print(line)
     print(f"audit: rho {' -> '.join(str(r) for r in audit.rho_sequence)}")
-    if audit.ok:
-        print("audit violations: none")
-        return 0
-    print(f"audit violations ({len(audit.violations)}):")
-    for v in audit.violations:
-        print(f"  - {v}")
-    return 1
+    return _print_violations(audit.violations, "audit violations")
 
 
 def _cmd_verify(args) -> int:
@@ -220,29 +196,12 @@ def _cmd_verify(args) -> int:
         max_blowups=args.max_blowups,
     )
     if args.json:
-        doc = {
-            "trials": report.trials,
-            "seed": report.seed,
-            "epsilon": _json_q(report.epsilon),
-            "max_blowups": report.max_blowups,
-            "total_steps": report.total_steps,
-            "outcomes": dict(report.outcome_counts),
-            "violations": list(report.violations),
-            "ok": report.ok,
-        }
-        print(json.dumps(doc, indent=2))
-        return 0 if report.ok else 1
+        return _print_json(_encode(report), report.ok)
     print(f"trials: {report.trials}  seed: {report.seed}  epsilon: {report.epsilon}  max blow-ups: {report.max_blowups}")
     print(f"total contraction steps: {report.total_steps}")
     for name, count in report.outcome_counts:
         print(f"outcome {name}: {count}")
-    if report.ok:
-        print("violations: none")
-        return 0
-    print(f"violations ({len(report.violations)}):")
-    for v in report.violations:
-        print(f"  - {v}")
-    return 1
+    return _print_violations(report.violations)
 
 
 def _cmd_dot(args) -> int:
@@ -251,8 +210,7 @@ def _cmd_dot(args) -> int:
     names = model.tracked if args.set == "all" else sorted(model.contracted)
     text = export_dot(build_dual_graph(model, names))
     if args.json:
-        print(json.dumps({"dot": text}, indent=2))
-        return 0
+        return _print_json({"dot": text})
     sys.stdout.write(text)
     return 0
 
@@ -260,17 +218,7 @@ def _cmd_dot(args) -> int:
 def _cmd_search(args) -> int:
     report = search_canonical_starts(SearchConfig(), trials=args.trials, seed=args.seed)
     if args.json:
-        doc = {
-            "trials": report.trials,
-            "seed": report.seed,
-            "canonical_starts": report.canonical_starts,
-            "total_steps": report.total_steps,
-            "runs_with_not_lc_intermediate": report.runs_with_not_lc_intermediate,
-            "not_lc_steps": report.not_lc_steps,
-            "samples": list(report.samples),
-        }
-        print(json.dumps(doc, indent=2))
-        return 0
+        return _print_json(_encode(report))
     print(f"trials: {report.trials}  seed: {report.seed}")
     print(f"canonical starts: {report.canonical_starts}")
     print(f"total contraction steps: {report.total_steps}")

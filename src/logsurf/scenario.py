@@ -273,6 +273,10 @@ def star_scenario(
     center (the center's birth gives that branch its first drop);
     center_order == k births the center at the intersection of the first
     two branches, which requires a second branch of order >= 3.
+
+    `boundary` and `epsilon` are "p/q" strings, as in a scenario file. The
+    result is the parse of its own serialized file, so a star the parser
+    would reject raises the parser's ScenarioError.
     """
     branch_orders = tuple(int(n) for n in branch_orders)
     center_order = int(center_order)
@@ -334,13 +338,13 @@ def star_scenario(
             junk_on(b, order - 1)
     junk_on(extra_name, extra_order - 1)
     batch = ["E0"] + branch_names + ([extra_name] if contract_extra else [])
-    boundary_frac = Fraction(boundary)
-    boundary_map = {} if contract_extra or boundary_frac == 0 else {extra_name: boundary_frac}
-    return Scenario(
+    boundary_map = {} if contract_extra else {extra_name: parse_rational(boundary, f"boundary[{extra_name}]")}
+    scenario = Scenario(
         base="P2",
         blowups=tuple(blowups),
         contract=(tuple(sorted(batch)),),
         boundary=QDivisor.from_map(boundary_map),
-        epsilon=Fraction(epsilon),
+        epsilon=parse_rational(epsilon, "epsilon"),
         strategy=strategy,
     )
+    return parse_scenario(serialize_scenario(scenario))

@@ -53,8 +53,7 @@ UNCLASSIFIABLE_SNC = "unclassifiable-snc"
 class QDivisor:
     """A rational divisor supported on named tracked curves.
 
-    Entries are kept name-sorted; explicit zero coefficients are allowed and
-    ignored by `support`.
+    Entries are kept name-sorted; explicit zero coefficients are allowed.
     """
 
     coefficients: tuple[tuple[str, Fraction], ...]
@@ -76,19 +75,9 @@ class QDivisor:
     def zero(cls) -> "QDivisor":
         return cls(())
 
-    def coefficient(self, name: str) -> Fraction:
-        for n, c in self.coefficients:
-            if n == name:
-                return c
-        return Fraction(0)
-
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.coefficients)
-
-    @property
-    def support(self) -> tuple[str, ...]:
-        return tuple(n for n, c in self.coefficients if c != 0)
 
     def as_map(self) -> dict[str, Fraction]:
         return dict(self.coefficients)

@@ -1,14 +1,18 @@
 import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
 
 import pytest
 
 import logsurf.cli
 from logsurf.cli import main
+from logsurf.mmp import Exhausted, MinimalOverTracked, MoriFiberSignal, MostNegativeFirst, run
 from logsurf.scenario import MAX_BLOWUPS, serialize_scenario, star_scenario
+from test_mmp import fiber_signal_state
 
 
 @pytest.fixture
@@ -321,3 +325,81 @@ class TestErrorPaths:
         )
         assert proc.returncode == 0
         assert "eps-log-canonical" in proc.stdout
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class TestFrozenBytes:
+    """Full stdout digests of the reports `bench/expected_cli.json` does not
+    freeze: the two harnesses, text and --json, and the text of `run` and
+    `classify`, and the --json of the fiber-signal outcome, which no
+    scenario file reaches. A change to any byte of these reports shows here."""
+
+    @pytest.mark.parametrize(
+        "argv, scenario, digest",
+        [
+            (
+                ["verify-thm31", "--json", "--trials", "40", "--seed", "3", "--epsilon", "1/7"],
+                None,
+                "45d6c8df35dc8c960da18649e74d987e40616e4f246371c69a08e73e837a2b95",
+            ),
+            (
+                ["verify-thm31", "--trials", "40", "--seed", "3", "--epsilon", "1/7"],
+                None,
+                "995e2a157211dc55963fd500764f3ac9ceed7f74d494688fce6aa2724590b249",
+            ),
+            (
+                ["search-q44", "--json", "--trials", "40", "--seed", "4"],
+                None,
+                "02dfddaca198862415acd59dd9eca0cbbfb9355f844b29fdce20c881c7c7e21a",
+            ),
+            (
+                ["search-q44", "--trials", "40", "--seed", "4"],
+                None,
+                "708a06fdc577a342efd6daebb2ba2a145f826744b835e3097377d0afe44b0358",
+            ),
+            (["run"], "quad_fork_threshold", "22d03178c6e9e553e3053cecef714940464ac63a8334070a08237936f3bb7501"),
+            (
+                ["run", "--strategy", "named:X1"],
+                "quad_fork_threshold",
+                "e23ede4727d1a6e9bb7c1d73a32ccd19e480c2361ee220d0457454db4b0f5944",
+            ),
+            (["run"], "triple_fork_236", "670177795deecdcb01a5d53d1e1657c16dc16c8fea82675218ce5ced8dd04427"),
+            (["classify"], "quad_fork_threshold", "5faf644b9d067e6f38519643ca46b0fdbfa44160424b298f02e968ae6ceda399"),
+        ],
+        ids=[
+            "verify-json",
+            "verify-text",
+            "search-json",
+            "search-text",
+            "run-threshold",
+            "run-threshold-X1",
+            "run-triple-fork",
+            "classify-threshold",
+        ],
+    )
+    def test_stdout(self, bundled, capsys, argv, scenario, digest):
+        assert main(argv + ([bundled(scenario)] if scenario else [])) == 0
+        assert sha256(capsys.readouterr().out) == digest
+
+    @pytest.mark.parametrize(
+        "outcome, doc",
+        [
+            (MinimalOverTracked(), {"kind": "minimal-over-tracked"}),
+            (Exhausted(), {"kind": "exhausted"}),
+            (MoriFiberSignal("H", Fraction(1)), {"kind": "mori-fiber-signal", "curve": "H", "self_int": "1"}),
+        ],
+        ids=["minimal", "exhausted", "fiber-signal"],
+    )
+    def test_outcome_documents(self, outcome, doc):
+        assert list(logsurf.cli._encode(outcome).items()) == list(doc.items())
+
+    def test_fiber_signal_run_json(self, capsys):
+        # no scenario file ends in a fiber signal, so the run's --json
+        # document is printed straight from the record
+        result = run(fiber_signal_state(), MostNegativeFirst())
+        assert result.outcome == MoriFiberSignal("H", Fraction(1))
+        assert logsurf.cli._print_json(logsurf.cli._encode(result)) == 0
+        assert sha256(capsys.readouterr().out) == "918eb29eca61f2e5cb9bd3afee9db1aa2ef44ee5544753410a899bc77077be71"

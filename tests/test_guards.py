@@ -21,6 +21,8 @@ import ast
 import os
 import subprocess
 import sys
+from dataclasses import fields
+from fractions import Fraction
 from pathlib import Path
 from types import ModuleType
 
@@ -366,3 +368,59 @@ def test_public_names_are_listed_once():
     assert len(logsurf.__all__) == len(set(logsurf.__all__))
     assert set(logsurf.__all__) == public
     assert len(public) == 54
+
+
+def test_one_json_writer():
+    # every --json report is one `json.dumps` call, and a record's report
+    # is its fields in declaration order: an outcome led by its kind, `ok`
+    # last, an AuditStep without the class its MmpStep shows, and the
+    # outcome counts as the "outcomes" object
+    from logsurf import cli
+    from logsurf.mmp import (
+        AuditReport,
+        AuditStep,
+        Exhausted,
+        MinimalOverTracked,
+        MoriFiberSignal,
+        MostNegativeFirst,
+        SearchConfig,
+        VerificationReport,
+        run,
+        search_canonical_starts,
+        verify_smooth_start_runs,
+    )
+    from logsurf.scenario import build_state, bundled_scenario
+
+    path = SRC / "logsurf" / "cli.py"
+    dumps = [
+        node
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and called(node) == "dumps"
+    ]
+    assert len(dumps) == 1
+
+    result = run(build_state(bundled_scenario("quad_fork_threshold")), MostNegativeFirst())
+    records = [
+        result,
+        result.steps[0],
+        result.steps[0].post_classification,
+        result.audit,
+        result.audit.steps[0],
+        verify_smooth_start_runs(trials=2, seed=1, epsilon=Fraction(0), max_blowups=4),
+        search_canonical_starts(SearchConfig(max_blowups=4), trials=2, seed=1),
+        MinimalOverTracked(),
+        MoriFiberSignal("H", Fraction(1)),
+        Exhausted(),
+    ]
+    for record in records:
+        cls = type(record)
+        keys = [f.name for f in fields(cls)]
+        if cls is AuditStep:
+            keys.remove("post_classification")
+        if cls is VerificationReport:
+            keys[keys.index("outcome_counts")] = "outcomes"
+        if cls in (MinimalOverTracked, MoriFiberSignal, Exhausted):
+            keys.insert(0, "kind")
+        if cls in (AuditReport, VerificationReport):
+            keys.append("ok")
+        assert list(cli._encode(record)) == keys, cls.__name__

@@ -210,7 +210,7 @@ class TestBuild:
 
     def test_build_state_carries_boundary(self):
         state = build_state(parse_scenario(doc()))
-        assert state.boundary.coefficient("C") == F(1, 2)
+        assert state.boundary.as_map().get("C", 0) == F(1, 2)
         assert state.rho == 2
 
     def test_separated_curves_cannot_meet_again(self):
@@ -297,6 +297,22 @@ class TestStarBuilder:
     def test_infeasible_orders_rejected(self, args):
         with pytest.raises(ScenarioError):
             star_scenario(*args)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"boundary": "3/2", "epsilon": "3/2"}, "boundary[D]: coefficient 3/2 outside [0, 1]"),
+            ({"epsilon": "3/2"}, "epsilon 3/2 outside [0, 1]"),
+            ({"strategy": "named:Q"}, "strategy: unknown curve 'Q'"),
+            ({"boundary": "x"}, "boundary[D]: malformed rational 'x' (expected \"p/q\")"),
+        ],
+        ids=["boundary-above-1", "epsilon-above-1", "unknown-strategy-curve", "malformed-boundary"],
+    )
+    def test_the_parser_checks_the_star(self, kwargs, message):
+        # the builder's scenario is its file's parse, so it fails as that file would
+        with pytest.raises(ScenarioError) as caught:
+            star_scenario(5, (2, 2, 2), 3, **kwargs)
+        assert str(caught.value) == message
 
     def test_feasible_center_sweep(self):
         for n0 in range(3, 13):
